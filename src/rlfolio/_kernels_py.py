@@ -1,9 +1,7 @@
 """Pure-Python indicator kernels.
 
-Fallback twin of the compiled `_ind_kernels` extension: same recurrences in
-the same evaluation order, so both backends agree to the last bit. These
-recursions are inherently sequential (each output feeds the next), which is
-why the hot path lives in a compiled kernel; see benchmarks/bench_indicators.py.
+The smoothing recursions behind MACD, RSI, CCI and ADX. Each output feeds
+the next, so they run as plain sequential loops over one asset's series.
 """
 from __future__ import annotations
 

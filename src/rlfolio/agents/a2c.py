@@ -4,41 +4,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GradInvalid
-from ..neural import Adam, GaussianPolicy, Mlp
-from .common import Agent, AgentConfig, Transition, stack_rollout
+from .common import OnPolicyAgent, Transition, stack_rollout
 
 
-class A2CAgent(Agent):
+class A2CAgent(OnPolicyAgent):
     kind = "A2C"
+    init_salt = 1
 
-    def __init__(self, obs_dim: int, action_dim: int,
-                 config: AgentConfig = AgentConfig(), seed: int = 0):
-        super().__init__(obs_dim, action_dim, config, seed)
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self.policy = GaussianPolicy(obs_dim, action_dim, config.hidden, init_rng)
-        self.critic = Mlp([obs_dim, *config.hidden, 1], init_rng)
-        self.actor_opt = Adam(lr=config.actor_lr)
-        self.critic_opt = Adam(lr=config.critic_lr)
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.policy.params + self.critic.params
-
-    def act(self, obs, mode: str = "deterministic") -> np.ndarray:
-        obs = self._check_obs(obs)
-        if mode == "stochastic":
-            action, _ = self.policy.sample(obs, self.rng)
-        else:
-            action = self.policy.mean_net.forward(obs)
-        return np.clip(action, -1.0, 1.0)
-
-    def compute_advantages(self, rollout: list[Transition]):
-        obs, _, rewards, next_obs, dones, _ = stack_rollout(rollout)
-        v_s = self.critic.forward(obs)[:, 0]
-        v_next = self.critic.forward(next_obs)[:, 0]
-        targets = rewards + self.config.gamma * v_next * (1.0 - dones)
-        return targets - v_s, targets
-
-    def update(self, rollout: list[Transition]) -> dict:
+    def update(self, rollout: list[Transition]) -> None:
         """One synchronized gradient step on actor and critic."""
         if not rollout:
             raise ValueError("empty rollout")
@@ -60,30 +33,3 @@ class A2CAgent(Agent):
             raise GradInvalid("non-finite loss; update skipped")
         self.actor_opt.step(self.policy.params, actor_grads)
         self.critic_opt.step(self.critic.params, critic_grads)
-        diag = {"actor_loss": actor_loss, "critic_loss": critic_loss,
-                "mean_adv": float(adv.mean())}
-        self.log(**diag)
-        return diag
-
-    def train(self, env, total_steps: int | None = None) -> None:
-        total = self.config.total_steps if total_steps is None else total_steps
-        steps = 0
-        obs = env.reset()
-        rollout: list[Transition] = []
-        episode_return = 0.0
-        while steps < total:
-            action, logp = self.policy.sample(obs, self.rng)
-            clipped = np.clip(action, -1.0, 1.0)
-            next_obs, reward, done = env.step(clipped)
-            rollout.append(Transition(obs, action, reward, next_obs, done,
-                                      float(logp)))
-            episode_return += reward
-            steps += 1
-            obs = next_obs
-            if done:
-                self.log(episode_return=episode_return, step=steps)
-                episode_return = 0.0
-                obs = env.reset()
-            if len(rollout) >= self.config.rollout or steps >= total:
-                self.update(rollout)
-                rollout = []

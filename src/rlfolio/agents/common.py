@@ -1,11 +1,12 @@
 """Shared pieces of the three actor-critic learners."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import BufferUnderflow, ShapeError
+from ..neural import Adam, GaussianPolicy, Mlp
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def stack_rollout(rollout: list[Transition]):
 
 
 class Agent:
-    """Common act/diagnostics surface; subclasses implement training."""
+    """Common act surface; subclasses implement training."""
 
     kind: str = "?"
 
@@ -100,7 +101,6 @@ class Agent:
         self.action_dim = action_dim
         self.config = config
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.diagnostics: list[dict] = []
 
     def _check_obs(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=float)
@@ -118,5 +118,56 @@ class Agent:
     def train(self, env, total_steps: int | None = None) -> None:
         raise NotImplementedError
 
-    def log(self, **kv) -> None:
-        self.diagnostics.append(kv)
+
+class OnPolicyAgent(Agent):
+    """Gaussian policy plus state-value critic, trained on rollouts of
+    `config.rollout` steps. Subclasses set `init_salt`, which seeds their
+    weight-init stream apart from other kinds, and implement
+    `update(rollout)`."""
+
+    init_salt: int
+
+    def __init__(self, obs_dim: int, action_dim: int,
+                 config: AgentConfig = AgentConfig(), seed: int = 0):
+        super().__init__(obs_dim, action_dim, config, seed)
+        init_rng = np.random.default_rng(
+            np.random.SeedSequence([seed, self.init_salt]))
+        self.policy = GaussianPolicy(obs_dim, action_dim, config.hidden, init_rng)
+        self.critic = Mlp([obs_dim, *config.hidden, 1], init_rng)
+        self.actor_opt = Adam(lr=config.actor_lr)
+        self.critic_opt = Adam(lr=config.critic_lr)
+
+    def parameters(self) -> list[np.ndarray]:
+        return self.policy.params + self.critic.params
+
+    def act(self, obs, mode: str = "deterministic") -> np.ndarray:
+        obs = self._check_obs(obs)
+        if mode == "stochastic":
+            action, _ = self.policy.sample(obs, self.rng)
+        else:
+            action = self.policy.mean_net.forward(obs)
+        return np.clip(action, -1.0, 1.0)
+
+    def compute_advantages(self, rollout: list[Transition]):
+        """One-step TD advantages and their targets over a rollout."""
+        obs, _, rewards, next_obs, dones, _ = stack_rollout(rollout)
+        v_s = self.critic.forward(obs)[:, 0]
+        v_next = self.critic.forward(next_obs)[:, 0]
+        targets = rewards + self.config.gamma * v_next * (1.0 - dones)
+        return targets - v_s, targets
+
+    def train(self, env, total_steps: int | None = None) -> None:
+        total = self.config.total_steps if total_steps is None else total_steps
+        steps = 0
+        obs = env.reset()
+        rollout: list[Transition] = []
+        while steps < total:
+            action, logp = self.policy.sample(obs, self.rng)
+            next_obs, reward, done = env.step(np.clip(action, -1.0, 1.0))
+            rollout.append(Transition(obs, action, reward, next_obs, done,
+                                      float(logp)))
+            steps += 1
+            obs = env.reset() if done else next_obs
+            if len(rollout) >= self.config.rollout or steps >= total:
+                self.update(rollout)
+                rollout = []

@@ -5,7 +5,8 @@ import numpy as np
 
 from ..errors import GradInvalid
 from ..neural import Adam, Mlp
-from .common import Agent, AgentConfig, ReplayBuffer, Transition
+from .common import (Agent, AgentConfig, ReplayBuffer, Transition,
+                     stack_rollout)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
@@ -52,15 +53,11 @@ class DDPGAgent(Agent):
         return rewards + self.config.gamma * q_next * (1.0 - dones)
 
     def update(self, batch: list[Transition] | None = None,
-               batch_n: int | None = None) -> dict:
+               batch_n: int | None = None) -> None:
         cfg = self.config
         if batch is None:
             batch = self.buffer.sample(batch_n or cfg.batch_size, self.rng)
-        obs = np.stack([tr.state_vec for tr in batch])
-        actions = np.stack([tr.action for tr in batch])
-        rewards = np.array([tr.reward for tr in batch])
-        next_obs = np.stack([tr.next_state_vec for tr in batch])
-        dones = np.array([tr.done for tr in batch], dtype=float)
+        obs, actions, rewards, next_obs, dones, _ = stack_rollout(batch)
         n = len(batch)
 
         y = self.targets(rewards, next_obs, dones)
@@ -83,26 +80,17 @@ class DDPGAgent(Agent):
 
         soft_update(self.target_actor, self.actor, cfg.tau)
         soft_update(self.target_critic, self.critic, cfg.tau)
-        diag = {"critic_loss": critic_loss, "mean_q": float(q.mean())}
-        self.log(**diag)
-        return diag
 
     def train(self, env, total_steps: int | None = None) -> None:
         cfg = self.config
         total = cfg.total_steps if total_steps is None else total_steps
         steps = 0
         obs = env.reset()
-        episode_return = 0.0
         while steps < total:
             action = self.act(obs, mode="stochastic")
             next_obs, reward, done = env.step(action)
             self.buffer.push(Transition(obs, action, reward, next_obs, done))
-            episode_return += reward
             steps += 1
-            obs = next_obs
-            if done:
-                self.log(episode_return=episode_return, step=steps)
-                episode_return = 0.0
-                obs = env.reset()
+            obs = env.reset() if done else next_obs
             if len(self.buffer) >= max(cfg.warmup_steps, cfg.batch_size):
                 self.update()

@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GradInvalid
-from ..neural import Adam, GaussianPolicy, Mlp
-from .common import Agent, AgentConfig, Transition, stack_rollout
+from .common import OnPolicyAgent, Transition, stack_rollout
 
 
 def ppo_clip_objective(ratio: float, adv: float, epsilon: float) -> float:
@@ -16,51 +15,26 @@ def ppo_clip_objective(ratio: float, adv: float, epsilon: float) -> float:
     return min(ratio * adv, clipped * adv)
 
 
-class PPOAgent(Agent):
+class PPOAgent(OnPolicyAgent):
     kind = "PPO"
-
-    def __init__(self, obs_dim: int, action_dim: int,
-                 config: AgentConfig = AgentConfig(), seed: int = 0):
-        super().__init__(obs_dim, action_dim, config, seed)
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        self.policy = GaussianPolicy(obs_dim, action_dim, config.hidden, init_rng)
-        self.critic = Mlp([obs_dim, *config.hidden, 1], init_rng)
-        self.actor_opt = Adam(lr=config.actor_lr)
-        self.critic_opt = Adam(lr=config.critic_lr)
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.policy.params + self.critic.params
-
-    def act(self, obs, mode: str = "deterministic") -> np.ndarray:
-        obs = self._check_obs(obs)
-        if mode == "stochastic":
-            action, _ = self.policy.sample(obs, self.rng)
-        else:
-            action = self.policy.mean_net.forward(obs)
-        return np.clip(action, -1.0, 1.0)
+    init_salt = 2
 
     def update(self, rollout: list[Transition],
                epochs: int | None = None,
-               minibatch: int | None = None) -> dict:
+               minibatch: int | None = None) -> None:
         """Clipped-surrogate epochs over a rollout gathered by the current
         (now frozen as "old") policy; advantages are normalized per batch."""
         cfg = self.config
         epochs = cfg.epochs if epochs is None else epochs
         minibatch = cfg.minibatch if minibatch is None else minibatch
         if epochs == 0 or not rollout:
-            return {"epochs": 0}
-        obs, actions, rewards, next_obs, dones, old_logp = stack_rollout(rollout)
+            return
+        obs, actions, _, _, _, old_logp = stack_rollout(rollout)
+        adv, targets = self.compute_advantages(rollout)
         n = len(rollout)
-
-        v_s = self.critic.forward(obs)[:, 0]
-        v_next = self.critic.forward(next_obs)[:, 0]
-        targets = rewards + cfg.gamma * v_next * (1.0 - dones)
-        adv = targets - v_s
-        adv_std = adv.std()
-        adv_n = (adv - adv.mean()) / (adv_std + 1e-8)
+        adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         eps = cfg.clip_epsilon
-        last = {}
         for _ in range(epochs):
             order = self.rng.permutation(n)
             for start in range(0, n, minibatch):
@@ -85,30 +59,3 @@ class PPOAgent(Agent):
                 critic_grads, _ = self.critic.backward(
                     cache, (2.0 / m) * (v - targets[idx][:, None]))
                 self.critic_opt.step(self.critic.params, critic_grads)
-                last = {"surrogate": objective,
-                        "critic_loss": float(((v[:, 0] - targets[idx]) ** 2).mean()),
-                        "mean_ratio": float(ratio.mean())}
-        self.log(**last)
-        return last
-
-    def train(self, env, total_steps: int | None = None) -> None:
-        total = self.config.total_steps if total_steps is None else total_steps
-        steps = 0
-        obs = env.reset()
-        rollout: list[Transition] = []
-        episode_return = 0.0
-        while steps < total:
-            action, logp = self.policy.sample(obs, self.rng)
-            next_obs, reward, done = env.step(np.clip(action, -1.0, 1.0))
-            rollout.append(Transition(obs, action, reward, next_obs, done,
-                                      float(logp)))
-            episode_return += reward
-            steps += 1
-            obs = next_obs
-            if done:
-                self.log(episode_return=episode_return, step=steps)
-                episode_return = 0.0
-                obs = env.reset()
-            if len(rollout) >= self.config.rollout or steps >= total:
-                self.update(rollout)
-                rollout = []

@@ -125,14 +125,16 @@ def backtest(config_path, seed, out):
     """Run the ensemble walk-forward backtest, the three single-agent
     strategies, and both baselines; write the full report bundle."""
     try:
-        cfg = _config_from_options(config_path, seed, out)
-        panel, _ = _load_panel(cfg)
-        plan = build_window_plan(panel, cfg.in_sample_end,
-                                 cfg.validation_months, cfg.trade_months)
+        _run_backtest(_config_from_options(config_path, seed, out))
     except (RlfolioError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USER_ERROR)
 
+
+def _run_backtest(cfg: RunConfig) -> None:
+    panel, _ = _load_panel(cfg)
+    plan = build_window_plan(panel, cfg.in_sample_end,
+                             cfg.validation_months, cfg.trade_months)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))

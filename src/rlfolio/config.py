@@ -159,6 +159,8 @@ def load_config(path_or_text, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
+    if cfg.seed < 0:
+        raise InputInvalid(f"seed must be non-negative, got {cfg.seed}")
     return cfg
 
 

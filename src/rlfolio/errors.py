@@ -13,15 +13,6 @@ class InputInvalid(RlfolioError):
     pass
 
 
-class RowError(RlfolioError):
-    """A single malformed input row. Carries the 1-based line number."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
-
-
 class AssetEmpty(RlfolioError):
     def __init__(self, ticker: str):
         super().__init__(f"asset {ticker!r} has no valid rows")

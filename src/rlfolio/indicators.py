@@ -1,8 +1,7 @@
 """MACD, RSI, CCI, and ADX feature blocks for the observation vector.
 
-The smoothing recursions run in a compiled kernel when the extension is
-available, otherwise in the pure-Python twin; `KERNEL_BACKEND` says which
-one was picked at import time.
+The smoothing recursions run in the pure-Python kernels of `_kernels_py`;
+`KERNEL_BACKEND` names that backend.
 """
 from __future__ import annotations
 
@@ -13,10 +12,7 @@ import numpy as np
 from .errors import InputEmpty
 from .market_data import PricePanel
 
-try:
-    from . import _ind_kernels as _kernels
-except ImportError:  # extension not built; use the slow twin
-    from . import _kernels_py as _kernels
+from . import _kernels_py as _kernels
 
 KERNEL_BACKEND: str = _kernels.BACKEND
 

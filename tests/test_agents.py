@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rlfolio.agents import AGENT_KINDS, make_agent
+from rlfolio.agents import AGENT_KINDS, make_agent, train_agent
 from rlfolio.agents.a2c import A2CAgent
 from rlfolio.agents.common import (AgentConfig, ReplayBuffer, Transition,
                                    advantage)
@@ -219,6 +221,41 @@ class TestDeterminism:
             agent.train(env, total_steps=64)
             outs.append(flatten_params(agent.parameters()).copy())
         assert not np.array_equal(outs[0], outs[1])
+
+
+class TestTrainAgent:
+    CFG = AgentConfig(hidden=(8,), total_steps=64, rollout=32,
+                      warmup_steps=16, batch_size=8)
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_warm_start_copies_donor(self, kind):
+        env = TwoArmedBandit()
+        donor = train_agent(kind, env, self.CFG, seed=1)
+        cold = make_agent(kind, env.obs_dim, env.action_dim, self.CFG, seed=2)
+        warm = train_agent(kind, env, replace(self.CFG, total_steps=0),
+                           seed=2, warm_start=donor)
+        expected = flatten_params(donor.parameters())
+        assert not np.array_equal(flatten_params(cold.parameters()), expected)
+        np.testing.assert_array_equal(flatten_params(warm.parameters()),
+                                      expected)
+        if kind == "DDPG":
+            for net in ("target_actor", "target_critic"):
+                np.testing.assert_array_equal(
+                    flatten_params(getattr(warm, net).params),
+                    flatten_params(getattr(donor, net).params))
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_warm_start_from_other_kind_rejected(self, kind):
+        env = TwoArmedBandit()
+        other = AGENT_KINDS[(AGENT_KINDS.index(kind) + 1) % len(AGENT_KINDS)]
+        donor = make_agent(other, env.obs_dim, env.action_dim, self.CFG)
+        with pytest.raises(ValueError):
+            train_agent(kind, env, replace(self.CFG, total_steps=0), seed=0,
+                        warm_start=donor)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            make_agent("XYZ", 1, 1)
 
 
 class TestBanditLearning:

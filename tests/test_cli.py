@@ -196,3 +196,24 @@ class TestBacktestAndReport:
                      "trades_ensemble.csv", "equity_ppo.csv"):
             assert (out_dir / name).read_bytes() == \
                 (run_dir / name).read_bytes()
+
+
+class TestBacktestUserErrors:
+    """User-caused failures after the load phase exit 2 with a message."""
+
+    def test_short_turbulence_lookback_exits_2(self, data_csv, tmp_path):
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        # two assets need a lookback of at least three days
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "[turbulence]\nlookback = 60", "[turbulence]\nlookback = 2"))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.stderr
+
+    def test_negative_seed_exits_2(self, data_csv, tmp_path):
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path), "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.stderr

@@ -191,25 +191,3 @@ class TestBuildFeatures:
         single = ind.macd(panel.adj_close[:, col])
         np.testing.assert_array_equal(feats.macd[:, col], single)
 
-
-class TestKernelBackends:
-    """Compiled and pure-Python kernels must agree exactly."""
-
-    def test_backend_parity(self):
-        from rlfolio import _kernels_py
-        try:
-            from rlfolio import _ind_kernels
-        except ImportError:
-            pytest.skip("extension not built")
-        high, low, close = random_hlc(21, 300)
-        np.testing.assert_array_equal(
-            _ind_kernels.ema(close, 0.25), _kernels_py.ema(close, 0.25))
-        np.testing.assert_array_equal(
-            _ind_kernels.rsi_kernel(close, 14),
-            _kernels_py.rsi_kernel(close, 14))
-        tp = (high + low + close) / 3.0
-        np.testing.assert_array_equal(
-            _ind_kernels.cci_kernel(tp, 14), _kernels_py.cci_kernel(tp, 14))
-        np.testing.assert_array_equal(
-            _ind_kernels.adx_kernel(high, low, close, 14),
-            _kernels_py.adx_kernel(high, low, close, 14))
