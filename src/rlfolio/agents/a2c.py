@@ -15,8 +15,8 @@ class A2CAgent(OnPolicyAgent):
         """One synchronized gradient step on actor and critic."""
         if not rollout:
             raise ValueError("empty rollout")
-        obs, actions, _, _, _, _ = stack_rollout(rollout)
-        adv, targets = self.compute_advantages(rollout)
+        obs, actions, rewards, next_obs, dones, _ = stack_rollout(rollout)
+        adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
         n = len(rollout)
 
         logp, backward = self.policy.log_prob_grads(obs, actions)

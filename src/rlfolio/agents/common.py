@@ -72,6 +72,9 @@ class AgentConfig:
             raise ValueError("clip_epsilon must be positive")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
+        if min(self.buffer_capacity, self.batch_size, self.minibatch) < 1:
+            raise ValueError(
+                "buffer_capacity, batch_size and minibatch must be >= 1")
 
 
 def advantage(r: float, gamma: float, v_s: float, v_next: float,
@@ -148,9 +151,10 @@ class OnPolicyAgent(Agent):
             action = self.policy.mean_net.forward(obs)
         return np.clip(action, -1.0, 1.0)
 
-    def compute_advantages(self, rollout: list[Transition]):
-        """One-step TD advantages and their targets over a rollout."""
-        obs, _, rewards, next_obs, dones, _ = stack_rollout(rollout)
+    def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
+                           next_obs: np.ndarray, dones: np.ndarray):
+        """One-step TD advantages and their targets over a stacked rollout
+        (see `stack_rollout`)."""
         v_s = self.critic.forward(obs)[:, 0]
         v_next = self.critic.forward(next_obs)[:, 0]
         targets = rewards + self.config.gamma * v_next * (1.0 - dones)

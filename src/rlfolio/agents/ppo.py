@@ -29,8 +29,8 @@ class PPOAgent(OnPolicyAgent):
         minibatch = cfg.minibatch if minibatch is None else minibatch
         if epochs == 0 or not rollout:
             return
-        obs, actions, _, _, _, old_logp = stack_rollout(rollout)
-        adv, targets = self.compute_advantages(rollout)
+        obs, actions, rewards, next_obs, dones, old_logp = stack_rollout(rollout)
+        adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
         n = len(rollout)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 

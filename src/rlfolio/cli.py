@@ -8,13 +8,11 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import ensemble as ens
 from .config import RunConfig, load_config, snapshot_config
 from .agents import AGENT_KINDS
-from .env import EnvConfig
-from .errors import RlfolioError
+from .errors import InputInvalid, RlfolioError
 from .evaluation import (EquityCurve, metrics_report, run_index_baseline,
                          run_min_variance_baseline)
 from .indicators import build_features
@@ -53,8 +51,16 @@ def _load_panel(cfg: RunConfig):
 def _load_index_series(path: str) -> dict[dt.date, float]:
     series = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            series[dt.date.fromisoformat(row["date"])] = float(row["value"])
+        reader = csv.DictReader(fh)
+        if not {"date", "value"} <= set(reader.fieldnames or ()):
+            raise InputInvalid(f"index file {path} needs date and value "
+                               "columns")
+        for line, row in enumerate(reader, start=2):
+            try:
+                series[dt.date.fromisoformat(row["date"])] = float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise InputInvalid(f"index file {path} line {line}: "
+                                   f"{exc}") from exc
     return series
 
 

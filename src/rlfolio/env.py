@@ -8,7 +8,7 @@ buying while the index is above its threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,14 @@ class EnvConfig:
     fee_rate: float = 0.001
     reward_scale: float = 1e-4
     obs_scaling: ObsScaling = field(default_factory=ObsScaling)
+
+    def __post_init__(self):
+        if not self.initial_balance > 0:
+            raise ValueError("initial_balance must be positive")
+        if not 0.0 <= self.fee_rate < 1.0:
+            raise ValueError("fee_rate must be in [0, 1)")
+        if self.h_max < 1:
+            raise ValueError("h_max must be >= 1")
 
 
 @dataclass(frozen=True)

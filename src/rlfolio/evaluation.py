@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (InputEmpty, InsufficientData, SingularCovariance,
                      ZeroVolatility)
-from .market_data import PricePanel, WindowPlan, month_start
+from .market_data import PricePanel, WindowPlan
 
 PERIODS_PER_YEAR = 252
 

@@ -138,12 +138,6 @@ class PricePanel:
     def enable_access_tracking(self) -> None:
         self.access_log = []
 
-    def index_of(self, date: dt.date) -> int:
-        try:
-            return self.calendar.index(date)
-        except ValueError:
-            raise OutOfRange(f"{date} not in calendar") from None
-
     def frame_at(self, t: int) -> MarketFrame:
         if not 0 <= t < self.T:
             raise OutOfRange(f"t={t} outside [0, {self.T})")
@@ -270,9 +264,6 @@ class DateInterval:
     def __post_init__(self):
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} after end {self.end}")
-
-    def contains(self, d: dt.date) -> bool:
-        return self.start <= d <= self.end
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from rlfolio import indicators as ind
 from rlfolio.agents import AgentConfig
 from rlfolio.agents.a2c import A2CAgent
-from rlfolio.agents.common import Transition, advantage
+from rlfolio.agents.common import Transition, advantage, stack_rollout
 from rlfolio.agents.ddpg import DDPGAgent
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.cli import main as cli_main
@@ -171,7 +171,8 @@ def test_criterion_05_gradient_checks():
                    for _ in range(8)]
         obs = np.stack([t.state_vec for t in rollout])
         acts = np.stack([t.action for t in rollout])
-        adv, _ = agent.compute_advantages(rollout)
+        _, _, rewards, next_obs, dones, _ = stack_rollout(rollout)
+        adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
 
         def a2c_loss(flat, agent=agent, obs=obs, acts=acts, adv=adv):
             probe = agent.policy.clone()

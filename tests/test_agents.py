@@ -6,7 +6,7 @@ import pytest
 from rlfolio.agents import AGENT_KINDS, make_agent, train_agent
 from rlfolio.agents.a2c import A2CAgent
 from rlfolio.agents.common import (AgentConfig, ReplayBuffer, Transition,
-                                   advantage)
+                                   advantage, stack_rollout)
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.errors import BufferUnderflow
@@ -129,9 +129,8 @@ class TestGradientChecks:
         agent = A2CAgent(3, 2, cfg, seed=5)
         rng = np.random.default_rng(6)
         rollout = make_transitions(rng, 3, 2, 8)
-        obs, actions, *_ = (np.stack([t.state_vec for t in rollout]),
-                            np.stack([t.action for t in rollout]))
-        adv, _ = agent.compute_advantages(rollout)
+        obs, actions, rewards, next_obs, dones, _ = stack_rollout(rollout)
+        adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
 
         def neg_objective(flat):
             probe = agent.policy.clone()

@@ -1,12 +1,18 @@
+import configparser
 import datetime as dt
-from pathlib import Path
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
+from rlfolio.agents import AGENT_KINDS, AgentConfig
 from rlfolio.cli import main
-from rlfolio.config import load_config, snapshot_config
+from rlfolio.config import (RunConfig, load_config, parse_config,
+                            snapshot_config)
+from rlfolio.env import EnvConfig, ObsScaling
 from rlfolio.errors import InputInvalid
+from rlfolio.indicators import IndicatorConfig
+from rlfolio.market_data import DEFAULT_SCHEMA
 
 from helpers import make_panel, panel_to_csv
 
@@ -39,6 +45,84 @@ out_dir = {out_dir}
 min_variance_lookback = 60
 """
 
+# Sets every key of every section to a value other than its default.
+EVERY_KEY_CONFIG = """\
+[data]
+path = bars.csv
+delimiter = |
+rejection_ceiling = 0.05
+index_path = index.csv
+col_date = Date
+col_ticker = Symbol
+col_open = Open
+col_high = High
+col_low = Low
+col_close = Close
+col_adj_close = Adj Close
+col_volume = Volume
+
+[windows]
+in_sample_end = 2017-06-30
+validation_months = 2
+trade_months = 1
+
+[env]
+initial_balance = 50000.0
+h_max = 7
+fee_rate = 0.002
+reward_scale = 0.001
+obs_scale_price = 10.0
+obs_scale_macd = 20.0
+obs_scale_rsi = 30.0
+obs_scale_cci = 40.0
+obs_scale_adx = 50.0
+
+[indicators]
+macd_fast = 5
+macd_slow = 20
+macd_signal = 4
+rsi_period = 7
+cci_period = 8
+adx_period = 9
+
+[turbulence]
+lookback = 100
+quantile = 0.95
+ridge = 1e-06
+
+[agents]
+gamma = 0.9
+hidden = 16, 8
+actor_lr = 0.01
+critic_lr = 0.02
+total_steps = 500
+rollout = 32
+epochs = 3
+minibatch = 16
+clip_epsilon = 0.3
+buffer_capacity = 1000
+batch_size = 8
+tau = 0.01
+noise_scale = 0.2
+warmup_steps = 10
+
+[agents.ppo]
+gamma = 0.8
+
+[agents.a2c]
+actor_lr = 0.03
+
+[agents.ddpg]
+tau = 0.02
+
+[run]
+seed = 11
+out_dir = elsewhere
+
+[baselines]
+min_variance_lookback = 30
+"""
+
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
@@ -58,7 +142,7 @@ def write_config(tmp_path, data_csv, name="run"):
 
 class TestConfig:
     def test_defaults(self, data_csv):
-        cfg = load_config(f"[data]\npath = {data_csv}\n")
+        cfg = parse_config(f"[data]\npath = {data_csv}\n")
         assert cfg.in_sample_end == dt.date(2015, 12, 31)
         assert cfg.env.initial_balance == 1_000_000.0
         assert cfg.env.fee_rate == 0.001
@@ -69,7 +153,7 @@ class TestConfig:
         text = (f"[data]\npath = {data_csv}\n"
                 "[agents]\ngamma = 0.95\n"
                 "[agents.ppo]\nclip_epsilon = 0.1\n")
-        cfg = load_config(text)
+        cfg = parse_config(text)
         assert cfg.agent_configs["PPO"].clip_epsilon == 0.1
         assert cfg.agent_configs["PPO"].gamma == 0.95
         assert cfg.agent_configs["A2C"].gamma == 0.95
@@ -77,7 +161,7 @@ class TestConfig:
 
     def test_missing_data_path(self):
         with pytest.raises(InputInvalid):
-            load_config("[run]\nseed = 1\n")
+            parse_config("[run]\nseed = 1\n")
 
     def test_missing_file(self):
         with pytest.raises(InputInvalid):
@@ -86,11 +170,42 @@ class TestConfig:
     def test_snapshot_roundtrip(self, data_csv, tmp_path):
         cfg_path, _ = write_config(tmp_path, data_csv)
         cfg = load_config(cfg_path)
-        again = load_config(snapshot_config(cfg))
+        again = parse_config(snapshot_config(cfg))
         assert again.seed == cfg.seed
         assert again.env == cfg.env
         assert again.agent_configs == cfg.agent_configs
         assert again.in_sample_end == cfg.in_sample_end
+
+    def test_snapshot_roundtrip_every_key(self):
+        cfg = parse_config(EVERY_KEY_CONFIG)
+        defaults = [(cfg, RunConfig(data_path="")), (cfg.env, EnvConfig()),
+                    (cfg.env.obs_scaling, ObsScaling()),
+                    (cfg.indicators, IndicatorConfig())]
+        defaults += [(cfg.agent_configs[k], AgentConfig()) for k in AGENT_KINDS]
+        for obj, default in defaults:
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+
+        snapshot = snapshot_config(cfg)
+        assert parse_config(snapshot) == cfg
+        parser = configparser.ConfigParser()
+        parser.read_string(snapshot)
+        keys = {section: set(parser[section]) for section in parser.sections()}
+        assert keys["data"] == {"path", "delimiter", "rejection_ceiling",
+                                "index_path",
+                                *(f"col_{name}" for name in DEFAULT_SCHEMA)}
+        assert keys["windows"] == {"in_sample_end", "validation_months",
+                                   "trade_months"}
+        assert keys["env"] == (
+            {f.name for f in fields(EnvConfig)} - {"obs_scaling"}
+            | {f"obs_scale_{f.name}" for f in fields(ObsScaling)})
+        assert keys["indicators"] == {f.name for f in fields(IndicatorConfig)}
+        assert keys["turbulence"] == {"lookback", "quantile", "ridge"}
+        for kind in AGENT_KINDS:
+            assert keys[f"agents.{kind.lower()}"] == {
+                f.name for f in fields(AgentConfig)}
+        assert keys["run"] == {"seed", "out_dir"}
+        assert keys["baselines"] == {"min_variance_lookback"}
 
 
 class TestIngest:
@@ -217,3 +332,64 @@ class TestBacktestUserErrors:
                                            str(cfg_path), "--seed", "-1"])
         assert result.exit_code == 2, result.output
         assert "error:" in result.stderr
+
+
+# (text in CONFIG_TEMPLATE, its replacement, a word the error must name)
+BAD_CONFIGS = {
+    "buffer_capacity": ("[agents]\n", "[agents]\nbuffer_capacity = 0\n",
+                        "buffer_capacity"),
+    "batch_size": ("batch_size = 4", "batch_size = 0", "batch_size"),
+    "minibatch": ("[agents]\n", "[agents]\nminibatch = 0\n", "minibatch"),
+    "initial_balance": ("initial_balance = 100000", "initial_balance = 0",
+                        "initial_balance"),
+    "fee_rate_negative": ("[env]\n", "[env]\nfee_rate = -0.001\n",
+                          "fee_rate"),
+    "fee_rate_one": ("[env]\n", "[env]\nfee_rate = 1\n", "fee_rate"),
+    "h_max": ("h_max = 5", "h_max = 0", "h_max"),
+    "validation_months": ("[windows]\n",
+                          "[windows]\nvalidation_months = 0\n",
+                          "validation_months"),
+    "trade_months": ("[windows]\n", "[windows]\ntrade_months = 0\n",
+                     "trade_months"),
+    "gamma": ("[agents]\n", "[agents]\ngamma = 1.5\n", "gamma"),
+    "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
+                  "macd_fast"),
+    "duplicate_key": ("seed = 3", "seed = 3\nseed = 4", "seed"),
+    "unknown_key": ("[agents]\n", "[agents]\ngama = 0.5\n", "gama"),
+    "unknown_section": ("[run]", "[agents.sac]\ngamma = 0.5\n\n[run]",
+                        "agents.sac"),
+    "no_section_header": ("[data]\n", "", "section header"),
+}
+
+
+class TestConfigUserErrors:
+    """Every config error exits 2 with an `error:` line naming the cause."""
+
+    @pytest.mark.parametrize("case", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+    def test_bad_config_exits_2(self, data_csv, tmp_path, case):
+        old, new, named = case
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        text = cfg_path.read_text()
+        assert old in text
+        cfg_path.write_text(text.replace(old, new, 1))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.stderr
+        assert named in result.stderr
+
+    @pytest.mark.parametrize("index_csv", [
+        "date,level\n2017-01-02,100.0\n",
+        "date,value\n2017-01-02,100.0\n2017-01-03,n/a\n",
+    ], ids=["missing_column", "bad_row"])
+    def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv):
+        index_path = tmp_path / "index.csv"
+        index_path.write_text(index_csv)
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "[windows]", f"index_path = {index_path}\n\n[windows]"))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.stderr
+        assert str(index_path) in result.stderr

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rlfolio.agents import AgentConfig
-from rlfolio.ensemble import (EnsembleTrace, WindowResult, pick_best,
-                              run_deterministic, run_ensemble, run_trading,
-                              train_and_validate, window_threshold)
+from rlfolio.ensemble import (WindowResult, pick_best, run_deterministic,
+                              run_ensemble, run_trading, train_and_validate,
+                              window_threshold)
 from rlfolio.env import EnvConfig, TradingEnv
 from rlfolio.errors import NoScores
 from rlfolio.indicators import build_features
