@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 from .a2c import A2CAgent
-from .common import (Agent, AgentConfig, ReplayBuffer, Transition, advantage,
-                     stack_rollout)
+from .common import Agent, AgentConfig, TransitionStore, advantage
 from .ddpg import DDPGAgent
 from .ppo import PPOAgent, ppo_clip_objective
 
@@ -26,7 +25,8 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
     """Train one agent on an environment window, deterministically per seed.
 
     `warm_start` copies parameters from a previously trained agent of the
-    same kind (walk-forward continuation); optimizer state starts fresh.
+    same kind (walk-forward continuation), DDPG's target networks included;
+    optimizer state starts fresh.
     """
     agent = make_agent(kind, env.obs_dim, env.action_dim, config, seed)
     if warm_start is not None:
@@ -34,13 +34,6 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
             raise ValueError("warm start kind mismatch")
         for dst, src in zip(agent.parameters(), warm_start.parameters()):
             dst[...] = src
-        if isinstance(agent, DDPGAgent):
-            for dst, src in zip(agent.target_actor.params,
-                                warm_start.target_actor.params):
-                dst[...] = src
-            for dst, src in zip(agent.target_critic.params,
-                                warm_start.target_critic.params):
-                dst[...] = src
     if config.total_steps > 0:
         agent.train(env, config.total_steps)
     return agent
@@ -48,6 +41,6 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
 
 __all__ = [
     "Agent", "AgentConfig", "A2CAgent", "DDPGAgent", "PPOAgent",
-    "ReplayBuffer", "Transition", "AGENT_KINDS", "advantage",
-    "make_agent", "ppo_clip_objective", "stack_rollout", "train_agent",
+    "TransitionStore", "AGENT_KINDS", "advantage",
+    "make_agent", "ppo_clip_objective", "train_agent",
 ]

@@ -4,32 +4,32 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GradInvalid
-from .common import OnPolicyAgent, Transition, stack_rollout
+from .common import OnPolicyAgent
 
 
 class A2CAgent(OnPolicyAgent):
     kind = "A2C"
     init_salt = 1
 
-    def update(self, rollout: list[Transition]) -> None:
+    def update(self, batch) -> None:
         """One synchronized gradient step on actor and critic."""
-        if not rollout:
+        obs, actions, rewards, next_obs, dones, _ = batch
+        n = len(obs)
+        if n == 0:
             raise ValueError("empty rollout")
-        obs, actions, rewards, next_obs, dones, _ = stack_rollout(rollout)
         adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
-        n = len(rollout)
 
         logp, backward = self.policy.log_prob_grads(obs, actions)
         # ascend E[log pi * A]; Adam minimizes, so negate
-        actor_grads = [-g / n for g in backward(adv)]
+        actor_grad = -backward(adv) / n
 
         v, cache = self.critic.forward_cache(obs)
-        critic_grads, _ = self.critic.backward(
+        critic_grad, _ = self.critic.backward(
             cache, (2.0 / n) * (v - targets[:, None]))
 
         actor_loss = -float((logp * adv).mean())
         critic_loss = float(((v[:, 0] - targets) ** 2).mean())
         if not np.isfinite(actor_loss) or not np.isfinite(critic_loss):
             raise GradInvalid("non-finite loss; update skipped")
-        self.actor_opt.step(self.policy.params, actor_grads)
-        self.critic_opt.step(self.critic.params, critic_grads)
+        self.actor_opt.step(self.policy.flat, actor_grad)
+        self.critic_opt.step(self.critic.flat, critic_grad)

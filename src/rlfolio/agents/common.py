@@ -10,43 +10,6 @@ from ..neural import Adam, GaussianPolicy, Mlp
 
 
 @dataclass(frozen=True)
-class Transition:
-    state_vec: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state_vec: np.ndarray
-    done: bool
-    log_prob: float = 0.0
-
-
-class ReplayBuffer:
-    """Ring buffer with uniform sampling."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._data: list[Transition] = []
-        self._next = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def push(self, tr: Transition) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(tr)
-        else:
-            self._data[self._next] = tr
-        self._next = (self._next + 1) % self.capacity
-
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        if len(self._data) < n:
-            raise BufferUnderflow(f"buffer has {len(self._data)} < {n}")
-        idx = rng.integers(0, len(self._data), size=n)
-        return [self._data[i] for i in idx]
-
-
-@dataclass(frozen=True)
 class AgentConfig:
     gamma: float = 0.99
     hidden: tuple[int, ...] = (64, 64)
@@ -72,9 +35,10 @@ class AgentConfig:
             raise ValueError("clip_epsilon must be positive")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
-        if min(self.buffer_capacity, self.batch_size, self.minibatch) < 1:
-            raise ValueError(
-                "buffer_capacity, batch_size and minibatch must be >= 1")
+        if min(self.rollout, self.buffer_capacity, self.batch_size,
+               self.minibatch) < 1:
+            raise ValueError("rollout, buffer_capacity, batch_size and "
+                             "minibatch must be >= 1")
 
 
 def advantage(r: float, gamma: float, v_s: float, v_next: float,
@@ -83,14 +47,42 @@ def advantage(r: float, gamma: float, v_s: float, v_next: float,
     return r + gamma * v_next * (0.0 if done else 1.0) - v_s
 
 
-def stack_rollout(rollout: list[Transition]):
-    obs = np.stack([tr.state_vec for tr in rollout])
-    actions = np.stack([tr.action for tr in rollout])
-    rewards = np.array([tr.reward for tr in rollout])
-    next_obs = np.stack([tr.next_state_vec for tr in rollout])
-    dones = np.array([tr.done for tr in rollout], dtype=float)
-    log_probs = np.array([tr.log_prob for tr in rollout])
-    return obs, actions, rewards, next_obs, dones, log_probs
+class TransitionStore:
+    """Preallocated transition arrays with one row per env step, in the
+    column order obs, action, reward, next_obs, done (0.0 or 1.0), log_prob.
+    Rows are written as a ring: once full, each write replaces the oldest."""
+
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
+        row_shapes = ((obs_dim,), (action_dim,), (), (obs_dim,), (), ())
+        self.columns = tuple(np.zeros((capacity, *s)) for s in row_shapes)
+        self.capacity = capacity
+        self.size = self._next = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def add(self, *row) -> None:
+        """Write one row: obs, action, reward, next_obs, done and, optionally,
+        log_prob (else 0.0)."""
+        for column, value in zip(self.columns, row):
+            column[self._next] = value
+        self._next = (self._next + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def clear(self) -> None:
+        self.size = self._next = 0
+
+    def rows(self, idx=None) -> tuple[np.ndarray, ...]:
+        """Every column at `idx`; by default every filled row in slot order
+        (views, not copies)."""
+        idx = slice(0, self.size) if idx is None else idx
+        return tuple(column[idx] for column in self.columns)
+
+    def sample(self, n: int, rng: np.random.Generator):
+        """`rows` at n slots drawn uniformly with replacement."""
+        if self.size < n:
+            raise BufferUnderflow(f"buffer has {self.size} < {n}")
+        return self.rows(rng.integers(0, self.size, size=n))
 
 
 class Agent:
@@ -116,6 +108,8 @@ class Agent:
         raise NotImplementedError
 
     def parameters(self) -> list[np.ndarray]:
+        """Every network's `flat` vector, in a fixed order; a warm start
+        copies them all."""
         raise NotImplementedError
 
     def train(self, env, total_steps: int | None = None) -> None:
@@ -126,7 +120,7 @@ class OnPolicyAgent(Agent):
     """Gaussian policy plus state-value critic, trained on rollouts of
     `config.rollout` steps. Subclasses set `init_salt`, which seeds their
     weight-init stream apart from other kinds, and implement
-    `update(rollout)`."""
+    `update(batch)` over one rollout's `TransitionStore.rows`."""
 
     init_salt: int
 
@@ -141,7 +135,7 @@ class OnPolicyAgent(Agent):
         self.critic_opt = Adam(lr=config.critic_lr)
 
     def parameters(self) -> list[np.ndarray]:
-        return self.policy.params + self.critic.params
+        return [self.policy.flat, self.critic.flat]
 
     def act(self, obs, mode: str = "deterministic") -> np.ndarray:
         obs = self._check_obs(obs)
@@ -154,7 +148,7 @@ class OnPolicyAgent(Agent):
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
                            next_obs: np.ndarray, dones: np.ndarray):
         """One-step TD advantages and their targets over a stacked rollout
-        (see `stack_rollout`)."""
+        (see `TransitionStore.rows`)."""
         v_s = self.critic.forward(obs)[:, 0]
         v_next = self.critic.forward(next_obs)[:, 0]
         targets = rewards + self.config.gamma * v_next * (1.0 - dones)
@@ -162,16 +156,14 @@ class OnPolicyAgent(Agent):
 
     def train(self, env, total_steps: int | None = None) -> None:
         total = self.config.total_steps if total_steps is None else total_steps
-        steps = 0
+        store = TransitionStore(min(self.config.rollout, total),
+                                self.obs_dim, self.action_dim)
         obs = env.reset()
-        rollout: list[Transition] = []
-        while steps < total:
+        for step in range(1, total + 1):
             action, logp = self.policy.sample(obs, self.rng)
             next_obs, reward, done = env.step(np.clip(action, -1.0, 1.0))
-            rollout.append(Transition(obs, action, reward, next_obs, done,
-                                      float(logp)))
-            steps += 1
+            store.add(obs, action, reward, next_obs, done, logp)
             obs = env.reset() if done else next_obs
-            if len(rollout) >= self.config.rollout or steps >= total:
-                self.update(rollout)
-                rollout = []
+            if len(store) == store.capacity or step == total:
+                self.update(store.rows())
+                store.clear()

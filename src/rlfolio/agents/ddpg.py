@@ -5,14 +5,12 @@ import numpy as np
 
 from ..errors import GradInvalid
 from ..neural import Adam, Mlp
-from .common import (Agent, AgentConfig, ReplayBuffer, Transition,
-                     stack_rollout)
+from .common import Agent, AgentConfig, TransitionStore
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
-    for pt, po in zip(target.params, online.params):
-        pt *= 1.0 - tau
-        pt += tau * po
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
 
 
 class DDPGAgent(Agent):
@@ -29,17 +27,14 @@ class DDPGAgent(Agent):
         self.target_critic = self.critic.clone()
         self.actor_opt = Adam(lr=config.actor_lr)
         self.critic_opt = Adam(lr=config.critic_lr)
-        self.buffer = ReplayBuffer(config.buffer_capacity)
 
     def parameters(self) -> list[np.ndarray]:
-        return self.actor.params + self.critic.params
-
-    def mu(self, obs) -> np.ndarray:
-        return np.tanh(self.actor.forward(obs))
+        return [self.actor.flat, self.critic.flat,
+                self.target_actor.flat, self.target_critic.flat]
 
     def act(self, obs, mode: str = "deterministic") -> np.ndarray:
         obs = self._check_obs(obs)
-        action = self.mu(obs)
+        action = np.tanh(self.actor.forward(obs))
         if mode == "stochastic":
             action = action + self.config.noise_scale * \
                 self.rng.standard_normal(self.action_dim)
@@ -52,21 +47,18 @@ class DDPGAgent(Agent):
             np.concatenate([next_obs, a_next], axis=1))[:, 0]
         return rewards + self.config.gamma * q_next * (1.0 - dones)
 
-    def update(self, batch: list[Transition] | None = None,
-               batch_n: int | None = None) -> None:
-        cfg = self.config
-        if batch is None:
-            batch = self.buffer.sample(batch_n or cfg.batch_size, self.rng)
-        obs, actions, rewards, next_obs, dones, _ = stack_rollout(batch)
-        n = len(batch)
+    def update(self, batch) -> None:
+        """One critic, actor and target step on `TransitionStore.rows`."""
+        obs, actions, rewards, next_obs, dones, _ = batch
+        n = len(obs)
 
         y = self.targets(rewards, next_obs, dones)
         q, cache = self.critic.forward_cache(np.concatenate([obs, actions], axis=1))
         critic_loss = float(((q[:, 0] - y) ** 2).mean())
         if not np.isfinite(critic_loss):
             raise GradInvalid("non-finite critic loss; update skipped")
-        critic_grads, _ = self.critic.backward(cache, (2.0 / n) * (q - y[:, None]))
-        self.critic_opt.step(self.critic.params, critic_grads)
+        critic_grad, _ = self.critic.backward(cache, (2.0 / n) * (q - y[:, None]))
+        self.critic_opt.step(self.critic.flat, critic_grad)
 
         # actor ascends Q(s, mu(s)): critic input-gradient w.r.t. the action
         # slice, chained through tanh, then through the actor net
@@ -75,22 +67,22 @@ class DDPGAgent(Agent):
         _, q_cache = self.critic.forward_cache(np.concatenate([obs, a_pi], axis=1))
         _, dinput = self.critic.backward(q_cache, np.full((n, 1), 1.0 / n))
         da = dinput[:, self.obs_dim:] * (1.0 - a_pi ** 2)
-        actor_grads, _ = self.actor.backward(actor_cache, da)
-        self.actor_opt.step(self.actor.params, [-g for g in actor_grads])
+        actor_grad, _ = self.actor.backward(actor_cache, da)
+        self.actor_opt.step(self.actor.flat, -actor_grad)
 
-        soft_update(self.target_actor, self.actor, cfg.tau)
-        soft_update(self.target_critic, self.critic, cfg.tau)
+        soft_update(self.target_actor, self.actor, self.config.tau)
+        soft_update(self.target_critic, self.critic, self.config.tau)
 
     def train(self, env, total_steps: int | None = None) -> None:
         cfg = self.config
         total = cfg.total_steps if total_steps is None else total_steps
-        steps = 0
+        store = TransitionStore(min(cfg.buffer_capacity, total),
+                                self.obs_dim, self.action_dim)
         obs = env.reset()
-        while steps < total:
+        for _ in range(total):
             action = self.act(obs, mode="stochastic")
             next_obs, reward, done = env.step(action)
-            self.buffer.push(Transition(obs, action, reward, next_obs, done))
-            steps += 1
+            store.add(obs, action, reward, next_obs, done)
             obs = env.reset() if done else next_obs
-            if len(self.buffer) >= max(cfg.warmup_steps, cfg.batch_size):
-                self.update()
+            if len(store) >= max(cfg.warmup_steps, cfg.batch_size):
+                self.update(store.sample(cfg.batch_size, self.rng))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GradInvalid
-from .common import OnPolicyAgent, Transition, stack_rollout
+from .common import OnPolicyAgent
 
 
 def ppo_clip_objective(ratio: float, adv: float, epsilon: float) -> float:
@@ -19,19 +19,18 @@ class PPOAgent(OnPolicyAgent):
     kind = "PPO"
     init_salt = 2
 
-    def update(self, rollout: list[Transition],
-               epochs: int | None = None,
+    def update(self, batch, epochs: int | None = None,
                minibatch: int | None = None) -> None:
         """Clipped-surrogate epochs over a rollout gathered by the current
         (now frozen as "old") policy; advantages are normalized per batch."""
         cfg = self.config
         epochs = cfg.epochs if epochs is None else epochs
         minibatch = cfg.minibatch if minibatch is None else minibatch
-        if epochs == 0 or not rollout:
+        obs, actions, rewards, next_obs, dones, old_logp = batch
+        n = len(obs)
+        if epochs == 0 or n == 0:
             return
-        obs, actions, rewards, next_obs, dones, old_logp = stack_rollout(rollout)
         adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
-        n = len(rollout)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         eps = cfg.clip_epsilon
@@ -49,13 +48,13 @@ class PPOAgent(OnPolicyAgent):
                 active = unclipped <= clipped
                 coeff = np.where(active, ratio * a, 0.0)
                 m = len(idx)
-                actor_grads = [-g / m for g in backward(coeff)]
+                actor_grad = -backward(coeff) / m
                 objective = float(np.minimum(unclipped, clipped).mean())
                 if not np.isfinite(objective):
                     raise GradInvalid("non-finite surrogate; update skipped")
-                self.actor_opt.step(self.policy.params, actor_grads)
+                self.actor_opt.step(self.policy.flat, actor_grad)
 
                 v, cache = self.critic.forward_cache(obs[idx])
-                critic_grads, _ = self.critic.backward(
+                critic_grad, _ = self.critic.backward(
                     cache, (2.0 / m) * (v - targets[idx][:, None]))
-                self.critic_opt.step(self.critic.params, critic_grads)
+                self.critic_opt.step(self.critic.flat, critic_grad)

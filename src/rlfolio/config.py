@@ -4,8 +4,9 @@ Each section sets the fields of one dataclass (`_SECTIONS`), so a key's name,
 type and default live only there; an empty value keeps the default. [agents]
 sets every kind's `AgentConfig`, overridable per kind in [agents.ppo] /
 [agents.a2c] / [agents.ddpg]; [data] also takes `col_<name>` keys that rename
-input columns. Unknown sections and keys, unparsable values and out-of-range
-values raise `InputInvalid`.
+input columns. Values are taken literally (no `%` interpolation). Unknown
+sections and keys, unparsable values and out-of-range values raise
+`InputInvalid`.
 """
 from __future__ import annotations
 
@@ -144,7 +145,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse config text. `overrides` (such as CLI flags) are `RunConfig`
     field values that replace the file's before validation."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
         raw = {section: dict(parser[section]) for section in parser.sections()}
@@ -164,6 +165,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         "obs_scaling": _build(ObsScaling, "env", kwargs[ObsScaling])})
     run["indicators"] = _build(IndicatorConfig, "indicators",
                                kwargs[IndicatorConfig])
+    # shared values are checked alone first, so their errors name [agents]
+    _build(AgentConfig, "agents", kwargs[AgentConfig])
     run["agent_configs"] = {
         kind: _build(AgentConfig, section, {
             **kwargs[AgentConfig],
@@ -184,7 +187,7 @@ def snapshot_config(cfg: RunConfig) -> str:
     an equal `RunConfig`."""
     objects = {RunConfig: cfg, EnvConfig: cfg.env,
                ObsScaling: cfg.env.obs_scaling, IndicatorConfig: cfg.indicators}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, cls, keys in _SECTIONS:
         targets = ({_AGENT_SECTIONS[kind]: cfg.agent_configs[kind]
                     for kind in AGENT_KINDS} if cls is AgentConfig

@@ -118,19 +118,18 @@ def resolve_action(state: EnvState, action, h_max: int,
     return TradePlan(sell_shares=sell, buy_shares=buy)
 
 
-def sell_all_action(state: EnvState, h_max: int) -> np.ndarray:
+def sell_all_action(state: EnvState) -> np.ndarray:
     """Action that liquidates every held position and buys nothing."""
-    raw = np.where(state.holdings > 0, -1.0, 0.0)
-    return raw
+    return np.where(state.holdings > 0, -1.0, 0.0)
 
 
 def apply_turbulence_override(state: EnvState, action,
                               turbulence_value: float,
-                              threshold: float, h_max: int) -> tuple[np.ndarray, bool]:
+                              threshold: float) -> tuple[np.ndarray, bool]:
     """Above the threshold: halt buying, sell everything. Returns the
     possibly-replaced action and whether the override fired."""
     if turbulence_value > threshold:
-        return sell_all_action(state, h_max), True
+        return sell_all_action(state), True
     return clip_action(action), False
 
 
@@ -195,7 +194,7 @@ class TradingEnv:
         cfg = self.config
         turb = self.turbulence_at(state.t)
         action, triggered = apply_turbulence_override(
-            state, action, turb, self.threshold, cfg.h_max)
+            state, action, turb, self.threshold)
         if triggered:
             # Full liquidation, not capped by h_max.
             plan = TradePlan(sell_shares=state.holdings.copy(),
@@ -240,7 +239,6 @@ class TradingEnv:
         """Gym-style wrapper over `step_state`; mutates the held state."""
         result = self.step_state(self.state, action)
         self.state = result.next_state
-        self.last_result = result
         return self.observe(), result.reward, result.next_state.done
 
     def observe(self, state: EnvState | None = None) -> np.ndarray:

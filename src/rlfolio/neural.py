@@ -4,7 +4,7 @@ checkpoint format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,30 +18,41 @@ LOG_2PI = math.log(2.0 * math.pi)
 class Mlp:
     """Fully connected net: tanh on hidden layers, identity on the output.
 
-    Parameters live in `params`, alternating weight (in x out) and bias
-    arrays, layer by layer. Initialization is Glorot uniform.
+    All parameters live in one vector, `flat`: layer by layer, the weight
+    (in x out, row-major) then the bias. `params` holds views into it in
+    that order. A new net is Glorot-uniform initialized; passing `flat`
+    wraps an existing vector instead.
     """
 
-    def __init__(self, sizes: list[int], rng: np.random.Generator | None = None):
+    def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
+                 flat: np.ndarray | None = None):
         if len(sizes) < 2:
             raise ShapeError("need at least input and output sizes")
         self.sizes = list(sizes)
-        self.params: list[np.ndarray] = []
-        rng = rng or np.random.default_rng(0)
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            bound = math.sqrt(6.0 / (n_in + n_out))
-            self.params.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            self.params.append(np.zeros(n_out))
+        shapes = [shape for n_in, n_out in zip(sizes[:-1], sizes[1:])
+                  for shape in ((n_in, n_out), (n_out,))]
+        size = sum(map(math.prod, shapes))
+        fresh = flat is None
+        self.flat = np.zeros(size) if fresh else flat
+        if self.flat.shape != (size,):
+            raise ShapeError(f"flat shape {self.flat.shape}, expected ({size},)")
+        self.params, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            self.params.append(self.flat[offset:offset + size].reshape(shape))
+            offset += size
+        if fresh:
+            rng = rng or np.random.default_rng(0)
+            for w in self.params[::2]:
+                bound = math.sqrt(6.0 / sum(w.shape))
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     @property
     def n_layers(self) -> int:
         return len(self.sizes) - 1
 
     def clone(self) -> "Mlp":
-        other = Mlp.__new__(Mlp)
-        other.sizes = list(self.sizes)
-        other.params = [p.copy() for p in self.params]
-        return other
+        return Mlp(self.sizes, flat=self.flat.copy())
 
     def _check_input(self, x) -> tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=float)
@@ -70,8 +81,9 @@ class Mlp:
         out = h[0] if single else h
         return out, (acts, single)
 
-    def backward(self, cache, upstream) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients of sum(output * upstream) w.r.t. params and input."""
+    def backward(self, cache, upstream) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of sum(output * upstream) w.r.t. `flat` (one vector in
+        its layout) and the input."""
         acts, single = cache
         g = np.asarray(upstream, dtype=float)
         if single:
@@ -85,68 +97,67 @@ class Mlp:
                 # gradient through tanh of this layer's output
                 g = g * (1.0 - acts[layer + 1] ** 2)
             w = self.params[2 * layer]
-            grads[2 * layer] = a_in.T @ g
+            grads[2 * layer] = (a_in.T @ g).ravel()
             grads[2 * layer + 1] = g.sum(axis=0)
             g = g @ w.T
-        return grads, (g[0] if single else g)
+        return np.concatenate(grads), (g[0] if single else g)
 
 
 @dataclass
 class Adam:
-    """Adam over a list of parameter arrays, updated in place."""
+    """Adam over one parameter vector, updated in place."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    _m: list[np.ndarray] = field(default_factory=list)
-    _v: list[np.ndarray] = field(default_factory=list)
+    _m: np.ndarray | None = None
+    _v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ShapeError("params/grads length mismatch")
-        for p, g in zip(params, grads):
-            if p.shape != np.shape(g):
-                raise ShapeError(f"grad shape {np.shape(g)} vs param {p.shape}")
-        if any(not np.all(np.isfinite(g)) for g in grads):
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        if p.shape != np.shape(g):
+            raise ShapeError(f"grad shape {np.shape(g)} vs param {p.shape}")
+        if not np.all(np.isfinite(g)):
             raise GradInvalid("non-finite gradient; update skipped")
-        if not self._m:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+        if self._m is None:
+            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1 ** t)
+        v_hat = v / (1 - self.beta2 ** t)
+        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class GaussianPolicy:
-    """Diagonal Gaussian over actions: MLP mean, learned global log-std."""
+    """Diagonal Gaussian over actions: MLP mean, learned global log-std.
+
+    One vector, `flat`, holds the mean net's parameters followed by
+    `log_std`; passing `flat` wraps an existing vector."""
 
     def __init__(self, obs_dim: int, action_dim: int,
                  hidden: tuple[int, ...] = (64, 64),
                  rng: np.random.Generator | None = None,
-                 log_std_init: float = math.log(0.5)):
-        self.mean_net = Mlp([obs_dim, *hidden, action_dim], rng)
-        self.log_std = np.full(action_dim, float(log_std_init))
+                 log_std_init: float = math.log(0.5),
+                 flat: np.ndarray | None = None):
+        sizes = [obs_dim, *hidden, action_dim]
+        if flat is None:
+            flat = np.concatenate([Mlp(sizes, rng).flat,
+                                   np.full(action_dim, float(log_std_init))])
+        self.flat = flat
+        self.mean_net = Mlp(sizes, flat=flat[:-action_dim])
+        self.log_std = flat[-action_dim:]
         self.action_dim = action_dim
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.mean_net.params + [self.log_std]
-
     def clone(self) -> "GaussianPolicy":
-        other = GaussianPolicy.__new__(GaussianPolicy)
-        other.mean_net = self.mean_net.clone()
-        other.log_std = self.log_std.copy()
-        other.action_dim = self.action_dim
-        return other
+        sizes = self.mean_net.sizes
+        return GaussianPolicy(sizes[0], self.action_dim, tuple(sizes[1:-1]),
+                              flat=self.flat.copy())
 
     def std(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX))
@@ -172,8 +183,9 @@ class GaussianPolicy:
     def log_prob_grads(self, obs, action):
         """Per-sample log-probs plus machinery to backprop a weighting.
 
-        Returns (log_probs, backward) where backward(coeff) yields gradients
-        of sum_i coeff_i * log pi(a_i | s_i) in `params` order.
+        Returns (log_probs, backward) where backward(coeff) yields the
+        gradient of sum_i coeff_i * log pi(a_i | s_i) as one vector in
+        `flat` order.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         action = np.atleast_2d(np.asarray(action, dtype=float))
@@ -185,60 +197,31 @@ class GaussianPolicy:
         def backward(coeff):
             c = np.asarray(coeff, dtype=float)[:, None]
             # d logp / d mean = z / std ; d logp / d log_std = z^2 - 1
-            mean_grads, _ = self.mean_net.backward(cache, c * z / std)
+            mean_grad, _ = self.mean_net.backward(cache, c * z / std)
             clipped = (self.log_std < LOG_STD_MIN) | (self.log_std > LOG_STD_MAX)
             g_log_std = (c * (z ** 2 - 1.0)).sum(axis=0)
             g_log_std[clipped] = 0.0
-            return mean_grads + [g_log_std]
+            return np.concatenate([mean_grad, g_log_std])
 
         return logp, backward
 
 
-# --- flat parameter views and checkpoints ------------------------------------
+# --- checkpoints ----------------------------------------------------------
 
-def flatten_params(params: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in params])
-
-
-def unflatten_params(flat: np.ndarray, params: list[np.ndarray]) -> None:
-    """Write `flat` back into the arrays of `params`, in place."""
-    offset = 0
-    for p in params:
-        n = p.size
-        p[...] = flat[offset:offset + n].reshape(p.shape)
-        offset += n
-    if offset != flat.size:
-        raise ShapeError("flat vector size mismatch")
+CHECKPOINT_MAGIC = "rlfolio-params v2"
 
 
-CHECKPOINT_MAGIC = "rlfolio-params v1"
-
-
-def save_params(path, params: list[np.ndarray]) -> None:
-    """Text checkpoint: magic line, one shape line per array, then all
-    values row-major, one per line."""
+def save_params(path, flat: np.ndarray) -> None:
+    """Text checkpoint of one parameter vector (a net's `flat`): magic line,
+    length, then the values one per line, exact via repr."""
     with open(path, "w") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(f"{len(params)}\n")
-        for p in params:
-            fh.write(" ".join(str(s) for s in p.shape) + "\n")
-        for p in params:
-            for v in p.ravel():
-                fh.write(f"{float(v)!r}\n")
+        fh.write(f"{CHECKPOINT_MAGIC}\n{flat.size}\n")
+        fh.writelines(f"{float(v)!r}\n" for v in flat)
 
 
-def load_params(path) -> list[np.ndarray]:
+def load_params(path) -> np.ndarray:
     with open(path) as fh:
         if fh.readline().strip() != CHECKPOINT_MAGIC:
             raise ShapeError("not a parameter checkpoint")
-        count = int(fh.readline())
-        shapes = []
-        for _ in range(count):
-            line = fh.readline().split()
-            shapes.append(tuple(int(s) for s in line))
-        out = []
-        for shape in shapes:
-            n = int(np.prod(shape)) if shape else 1
-            vals = np.array([float(fh.readline()) for _ in range(n)])
-            out.append(vals.reshape(shape))
-        return out
+        n = int(fh.readline())
+        return np.array([float(fh.readline()) for _ in range(n)])

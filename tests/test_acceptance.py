@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from rlfolio import indicators as ind
 from rlfolio.agents import AgentConfig
 from rlfolio.agents.a2c import A2CAgent
-from rlfolio.agents.common import Transition, advantage, stack_rollout
+from rlfolio.agents.common import TransitionStore, advantage
 from rlfolio.agents.ddpg import DDPGAgent
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.cli import main as cli_main
@@ -26,7 +26,6 @@ from rlfolio.evaluation import (cumulative_return, max_drawdown,
                                 min_variance_weights,
                                 run_min_variance_baseline)
 from rlfolio.market_data import build_window_plan
-from rlfolio.neural import flatten_params, unflatten_params
 from rlfolio.turbulence import (TurbulenceContext, rolling_turbulence,
                                 turbulence_index)
 from rlfolio.indicators import build_features
@@ -149,7 +148,7 @@ def test_criterion_04_turbulence():
                          prices=rng.uniform(10, 200, size=4))
         action, triggered = apply_turbulence_override(
             state, rng.uniform(-1, 1, size=4),
-            turbulence_value=10.0, threshold=5.0, h_max=100)
+            turbulence_value=10.0, threshold=5.0)
         assert triggered
         plan = resolve_action(state, action, h_max=10 ** 9, fee_rate=0.001)
         final = state.holdings - plan.sell_shares + plan.buy_shares
@@ -165,25 +164,23 @@ def test_criterion_05_gradient_checks():
         rng = np.random.default_rng(seed)
         # A2C actor objective: mean of advantage-weighted log-probs
         agent = A2CAgent(3, 2, AgentConfig(hidden=(6,)), seed=seed)
-        rollout = [Transition(rng.normal(size=3), rng.normal(size=2),
-                              float(rng.normal()), rng.normal(size=3),
-                              bool(rng.random() < 0.1))
-                   for _ in range(8)]
-        obs = np.stack([t.state_vec for t in rollout])
-        acts = np.stack([t.action for t in rollout])
-        _, _, rewards, next_obs, dones, _ = stack_rollout(rollout)
+        store = TransitionStore(8, 3, 2)
+        for _ in range(8):
+            store.add(rng.normal(size=3), rng.normal(size=2),
+                      float(rng.normal()), rng.normal(size=3),
+                      bool(rng.random() < 0.1))
+        obs, acts, rewards, next_obs, dones, _ = store.rows()
         adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
 
-        def a2c_loss(flat, agent=agent, obs=obs, acts=acts, adv=adv):
+        def a2c_loss(vec, agent=agent, obs=obs, acts=acts, adv=adv):
             probe = agent.policy.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             return -float((probe.log_prob(obs, acts) * adv).mean())
 
         _, backward = agent.policy.log_prob_grads(obs, acts)
-        grads = [-g / len(rollout) for g in backward(adv)]
-        fd = oracles.finite_difference(a2c_loss,
-                                       flatten_params(agent.policy.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, **tol)
+        grad = -backward(adv) / len(obs)
+        fd = oracles.finite_difference(a2c_loss, agent.policy.flat.copy())
+        np.testing.assert_allclose(grad, fd, **tol)
 
         # PPO first-epoch surrogate equals the A2C-style objective at
         # ratio 1, so its analytic gradient must also match FD there
@@ -191,36 +188,33 @@ def test_criterion_05_gradient_checks():
         logp0 = ppo.policy.log_prob(obs, acts)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-        def ppo_loss(flat, ppo=ppo, obs=obs, acts=acts, adv_n=adv_n,
+        def ppo_loss(vec, ppo=ppo, obs=obs, acts=acts, adv_n=adv_n,
                      logp0=logp0):
             probe = ppo.policy.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             ratio = np.exp(probe.log_prob(obs, acts) - logp0)
             return -float((ratio * adv_n).mean())
 
         logp, backward = ppo.policy.log_prob_grads(obs, acts)
         ratio = np.exp(logp - logp0)
-        grads = [-g / len(rollout) for g in backward(ratio * adv_n)]
-        fd = oracles.finite_difference(ppo_loss,
-                                       flatten_params(ppo.policy.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, **tol)
+        grad = -backward(ratio * adv_n) / len(obs)
+        fd = oracles.finite_difference(ppo_loss, ppo.policy.flat.copy())
+        np.testing.assert_allclose(grad, fd, **tol)
 
         # DDPG critic regression loss
         ddpg = DDPGAgent(3, 2, AgentConfig(hidden=(5,)), seed=seed)
         sa = rng.normal(size=(6, 5))
         y = rng.normal(size=6)
 
-        def critic_loss(flat, ddpg=ddpg, sa=sa, y=y):
+        def critic_loss(vec, ddpg=ddpg, sa=sa, y=y):
             probe = ddpg.critic.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             return float(((probe.forward(sa)[:, 0] - y) ** 2).mean())
 
         q, cache = ddpg.critic.forward_cache(sa)
-        grads, _ = ddpg.critic.backward(cache,
-                                        (2.0 / 6) * (q - y[:, None]))
-        fd = oracles.finite_difference(critic_loss,
-                                       flatten_params(ddpg.critic.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, **tol)
+        grad, _ = ddpg.critic.backward(cache, (2.0 / 6) * (q - y[:, None]))
+        fd = oracles.finite_difference(critic_loss, ddpg.critic.flat.copy())
+        np.testing.assert_allclose(grad, fd, **tol)
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -248,18 +242,15 @@ def test_criterion_06_algorithm_semantics():
     cfg = AgentConfig(hidden=(16,), actor_lr=1e-4, critic_lr=1e-3,
                       clip_epsilon=eps, epochs=4, minibatch=32)
     ppo = PPOAgent(env.obs_dim, env.action_dim, cfg, seed=0)
-    rollout = []
+    store = TransitionStore(256, env.obs_dim, env.action_dim)
     obs = env.reset()
     for _ in range(256):
         action, logp = ppo.policy.sample(obs, ppo.rng)
         next_obs, reward, done = env.step(np.clip(action, -1, 1))
-        rollout.append(Transition(obs, action, reward, next_obs, done,
-                                  float(logp)))
+        store.add(obs, action, reward, next_obs, done, logp)
         obs = env.reset()
-    ppo.update(rollout)
-    stacked_obs = np.stack([t.state_vec for t in rollout])
-    stacked_act = np.stack([t.action for t in rollout])
-    old = np.array([t.log_prob for t in rollout])
+    ppo.update(store.rows())
+    stacked_obs, stacked_act, _, _, _, old = store.rows()
     new = ppo.policy.log_prob(stacked_obs, stacked_act)
     ratio = np.exp(new - old)
     inside = (ratio >= 1 - eps - 0.05) & (ratio <= 1 + eps + 0.05)

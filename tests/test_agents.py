@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,28 +7,25 @@ import pytest
 
 from rlfolio.agents import AGENT_KINDS, make_agent, train_agent
 from rlfolio.agents.a2c import A2CAgent
-from rlfolio.agents.common import (AgentConfig, ReplayBuffer, Transition,
-                                   advantage, stack_rollout)
+from rlfolio.agents.common import AgentConfig, TransitionStore, advantage
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.errors import BufferUnderflow
-from rlfolio.neural import Mlp, flatten_params, unflatten_params
+from rlfolio.neural import Mlp
 
 import oracles
 from helpers import TwoArmedBandit
 
 
-def make_transitions(rng, obs_dim, action_dim, n):
-    out = []
-    for _ in range(n):
-        out.append(Transition(
-            state_vec=rng.normal(size=obs_dim),
-            action=rng.normal(size=action_dim),
-            reward=float(rng.normal()),
-            next_state_vec=rng.normal(size=obs_dim),
-            done=bool(rng.random() < 0.1),
-            log_prob=float(rng.normal())))
-    return out
+def make_batch(rng, obs_dim, action_dim, n):
+    """Random (obs, action, reward, next_obs, done, log_prob) arrays."""
+    return (rng.normal(size=(n, obs_dim)), rng.normal(size=(n, action_dim)),
+            rng.normal(size=n), rng.normal(size=(n, obs_dim)),
+            (rng.random(n) < 0.1).astype(float), rng.normal(size=n))
+
+
+def flat(agent):
+    return np.concatenate(agent.parameters())
 
 
 class TestAdvantage:
@@ -65,20 +64,44 @@ class TestPPOClip:
             ppo_clip_objective(1.0, 1.0, 0.0)
 
 
-class TestReplayBuffer:
+class TestTransitionStore:
     def test_ring_eviction(self):
-        buf = ReplayBuffer(3)
-        trs = make_transitions(np.random.default_rng(0), 2, 1, 5)
-        for tr in trs:
-            buf.push(tr)
-        assert len(buf) == 3
-        rewards = {tr.reward for tr in buf._data}
-        assert rewards == {t.reward for t in trs[2:]}
+        store = TransitionStore(3, 2, 1)
+        batch = make_batch(np.random.default_rng(0), 2, 1, 5)
+        for row in zip(*batch):
+            store.add(*row)
+        assert len(store) == 3
+        # slots 0 and 1 were overwritten by the fourth and fifth rows
+        for got, want in zip(store.rows(), batch):
+            np.testing.assert_array_equal(got, want[[3, 4, 2]])
 
     def test_underflow(self):
-        buf = ReplayBuffer(10)
+        store = TransitionStore(10, 2, 1)
         with pytest.raises(BufferUnderflow):
-            buf.sample(1, np.random.default_rng(0))
+            store.sample(1, np.random.default_rng(0))
+
+    def test_sample_draws_filled_slots(self):
+        store = TransitionStore(8, 2, 1)
+        batch = make_batch(np.random.default_rng(1), 2, 1, 5)
+        for row in zip(*batch):
+            store.add(*row)
+        idx = np.random.default_rng(2).integers(0, 5, size=4)
+        got = store.sample(4, np.random.default_rng(2))
+        for g, want in zip(got, batch):
+            np.testing.assert_array_equal(g, want[idx])
+
+    def test_clear_refills_from_first_slot(self):
+        store = TransitionStore(4, 2, 1)
+        first, second = (make_batch(np.random.default_rng(s), 2, 1, 3)
+                         for s in (3, 4))
+        for row in zip(*first):
+            store.add(*row)
+        store.clear()
+        for row in zip(*second):
+            store.add(*row)
+        assert len(store) == 3
+        for got, want in zip(store.rows(), second):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDDPGTargets:
@@ -87,26 +110,26 @@ class TestDDPGTargets:
         a = Mlp([3, 4, 2], rng)
         b = Mlp([3, 4, 2], rng)
         soft_update(a, b, 1.0)
-        for pa, pb in zip(a.params, b.params):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_tau_zero_freezes(self):
         rng = np.random.default_rng(2)
         a = Mlp([3, 4, 2], rng)
         b = Mlp([3, 4, 2], rng)
-        before = [p.copy() for p in a.params]
+        before = a.flat.copy()
         soft_update(a, b, 0.0)
-        for pa, pb in zip(a.params, before):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.flat, before)
 
     def test_convex_blend(self):
         rng = np.random.default_rng(3)
         a = Mlp([2, 3, 1], rng)
         b = Mlp([2, 3, 1], rng)
-        expect = [0.9 * pa + 0.1 * pb for pa, pb in zip(a.params, b.params)]
+        expect = 0.9 * a.flat + 0.1 * b.flat
         soft_update(a, b, 0.1)
-        for pa, pe in zip(a.params, expect):
-            np.testing.assert_allclose(pa, pe, atol=1e-15)
+        np.testing.assert_allclose(a.flat, expect, atol=1e-15)
+        # the per-layer views see the blended vector
+        np.testing.assert_array_equal(a.params[0].ravel(),
+                                      a.flat[:a.params[0].size])
 
     def test_td_target_formula(self):
         agent = DDPGAgent(3, 2, AgentConfig(gamma=0.9), seed=0)
@@ -128,20 +151,18 @@ class TestGradientChecks:
         cfg = AgentConfig(hidden=(6,))
         agent = A2CAgent(3, 2, cfg, seed=5)
         rng = np.random.default_rng(6)
-        rollout = make_transitions(rng, 3, 2, 8)
-        obs, actions, rewards, next_obs, dones, _ = stack_rollout(rollout)
+        obs, actions, rewards, next_obs, dones, _ = make_batch(rng, 3, 2, 8)
         adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
 
-        def neg_objective(flat):
+        def neg_objective(vec):
             probe = agent.policy.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             return -float((probe.log_prob(obs, actions) * adv).mean())
 
         _, backward = agent.policy.log_prob_grads(obs, actions)
-        grads = [-g / len(rollout) for g in backward(adv)]
-        fd = oracles.finite_difference(neg_objective,
-                                       flatten_params(agent.policy.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, atol=1e-6)
+        grad = -backward(adv) / len(obs)
+        fd = oracles.finite_difference(neg_objective, agent.policy.flat.copy())
+        np.testing.assert_allclose(grad, fd, atol=1e-6)
 
     def test_ddpg_actor_gradient(self):
         cfg = AgentConfig(hidden=(5,))
@@ -149,9 +170,9 @@ class TestGradientChecks:
         rng = np.random.default_rng(8)
         obs = rng.normal(size=(6, 3))
 
-        def neg_q(flat):
+        def neg_q(vec):
             probe = agent.actor.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             a = np.tanh(probe.forward(obs))
             q = agent.critic.forward(np.concatenate([obs, a], axis=1))[:, 0]
             return -float(q.mean())
@@ -163,35 +184,29 @@ class TestGradientChecks:
             np.concatenate([obs, a_pi], axis=1))
         _, dinput = agent.critic.backward(q_cache, np.full((n, 1), 1.0 / n))
         da = dinput[:, 3:] * (1.0 - a_pi ** 2)
-        actor_grads, _ = agent.actor.backward(actor_cache, da)
-        grads = [-g for g in actor_grads]
-        fd = oracles.finite_difference(neg_q, flatten_params(agent.actor.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, atol=1e-6)
+        actor_grad, _ = agent.actor.backward(actor_cache, da)
+        fd = oracles.finite_difference(neg_q, agent.actor.flat.copy())
+        np.testing.assert_allclose(-actor_grad, fd, atol=1e-6)
 
 
 class TestPPOUpdate:
     def test_zero_epochs_noop(self):
         agent = PPOAgent(2, 1, AgentConfig(hidden=(4,)), seed=0)
-        before = flatten_params(agent.parameters()).copy()
-        rollout = make_transitions(np.random.default_rng(0), 2, 1, 10)
-        agent.update(rollout, epochs=0)
-        np.testing.assert_array_equal(flatten_params(agent.parameters()),
-                                      before)
+        before = flat(agent)
+        agent.update(make_batch(np.random.default_rng(0), 2, 1, 10), epochs=0)
+        np.testing.assert_array_equal(flat(agent), before)
 
     def test_first_minibatch_ratio_one(self):
         # with old log-probs recomputed from the current policy, every
         # first-epoch ratio is exactly 1 before any step is taken
         agent = PPOAgent(2, 1, AgentConfig(hidden=(4,)), seed=1)
         rng = np.random.default_rng(2)
-        rollout = []
+        store = TransitionStore(6, 2, 1)
         for _ in range(6):
             s = rng.normal(size=2)
             a, lp = agent.policy.sample(s, rng)
-            rollout.append(Transition(s, a, 0.1, rng.normal(size=2), False,
-                                      float(lp)))
-        obs = np.stack([t.state_vec for t in rollout])
-        acts = np.stack([t.action for t in rollout])
-        old = np.array([t.log_prob for t in rollout])
+            store.add(s, a, 0.1, rng.normal(size=2), False, lp)
+        obs, acts, _, _, _, old = store.rows()
         logp, _ = agent.policy.log_prob_grads(obs, acts)
         np.testing.assert_allclose(np.exp(logp - old), 1.0, atol=1e-12)
 
@@ -206,7 +221,7 @@ class TestDeterminism:
             env = TwoArmedBandit()
             agent = make_agent(kind, env.obs_dim, env.action_dim, cfg, seed=11)
             agent.train(env, total_steps=64)
-            runs.append(flatten_params(agent.parameters()).copy())
+            runs.append(flat(agent))
         np.testing.assert_array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("kind", AGENT_KINDS)
@@ -218,7 +233,7 @@ class TestDeterminism:
             env = TwoArmedBandit()
             agent = make_agent(kind, env.obs_dim, env.action_dim, cfg, seed=seed)
             agent.train(env, total_steps=64)
-            outs.append(flatten_params(agent.parameters()).copy())
+            outs.append(flat(agent))
         assert not np.array_equal(outs[0], outs[1])
 
 
@@ -233,15 +248,13 @@ class TestTrainAgent:
         cold = make_agent(kind, env.obs_dim, env.action_dim, self.CFG, seed=2)
         warm = train_agent(kind, env, replace(self.CFG, total_steps=0),
                            seed=2, warm_start=donor)
-        expected = flatten_params(donor.parameters())
-        assert not np.array_equal(flatten_params(cold.parameters()), expected)
-        np.testing.assert_array_equal(flatten_params(warm.parameters()),
-                                      expected)
+        expected = flat(donor)
+        assert not np.array_equal(flat(cold), expected)
+        np.testing.assert_array_equal(flat(warm), expected)
         if kind == "DDPG":
             for net in ("target_actor", "target_critic"):
-                np.testing.assert_array_equal(
-                    flatten_params(getattr(warm, net).params),
-                    flatten_params(getattr(donor, net).params))
+                np.testing.assert_array_equal(getattr(warm, net).flat,
+                                              getattr(donor, net).flat)
 
     @pytest.mark.parametrize("kind", AGENT_KINDS)
     def test_warm_start_from_other_kind_rejected(self, kind):
@@ -255,6 +268,34 @@ class TestTrainAgent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_agent("XYZ", 1, 1)
+
+
+class TestBoundedMemory:
+    """A trained agent holds its networks and optimizers only, so what it
+    keeps does not grow with the training budget."""
+
+    CFG = AgentConfig(hidden=(8,), rollout=32, warmup_steps=16, batch_size=8)
+
+    def held_after_training(self, kind, steps):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            agent = train_agent(kind, TwoArmedBandit(),
+                                replace(self.CFG, total_steps=steps), seed=0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert agent.kind == kind
+        return held
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_held_memory_independent_of_steps(self, kind):
+        self.held_after_training(kind, 50)  # warm numpy's allocation caches
+        short = self.held_after_training(kind, 200)
+        long = self.held_after_training(kind, 2000)
+        assert abs(long - short) < 4096, (short, long)
 
 
 class TestBanditLearning:

@@ -176,6 +176,14 @@ class TestConfig:
         assert again.agent_configs == cfg.agent_configs
         assert again.in_sample_end == cfg.in_sample_end
 
+    def test_percent_in_values_is_literal(self, tmp_path):
+        path = str(tmp_path / "bars%20.csv")
+        cfg = parse_config(f"[data]\npath = {path}\n[run]\nout_dir = out%%\n")
+        assert cfg.data_path == path
+        assert cfg.out_dir == "out%%"
+        again = parse_config(snapshot_config(cfg))
+        assert again == cfg
+
     def test_snapshot_roundtrip_every_key(self):
         cfg = parse_config(EVERY_KEY_CONFIG)
         defaults = [(cfg, RunConfig(data_path="")), (cfg.env, EnvConfig()),
@@ -351,7 +359,11 @@ BAD_CONFIGS = {
                           "validation_months"),
     "trade_months": ("[windows]\n", "[windows]\ntrade_months = 0\n",
                      "trade_months"),
-    "gamma": ("[agents]\n", "[agents]\ngamma = 1.5\n", "gamma"),
+    # a shared [agents] value is reported under [agents], not a kind's section
+    "gamma": ("[agents]\n", "[agents]\ngamma = 1.5\n", "error: [agents] gamma"),
+    "gamma_per_kind": ("[run]", "[agents.ppo]\ngamma = 1.5\n\n[run]",
+                       "error: [agents.ppo] gamma"),
+    "rollout": ("rollout = 16", "rollout = 0", "error: [agents] rollout"),
     "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
                   "macd_fast"),
     "duplicate_key": ("seed = 3", "seed = 3\nseed = 4", "seed"),

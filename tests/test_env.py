@@ -172,7 +172,7 @@ class TestTurbulenceOverride:
     def test_forces_liquidation(self):
         s = state_with([10.0, 10.0], [3, 0], 100.0)
         action, triggered = apply_turbulence_override(
-            s, [1.0, 1.0], turbulence_value=10.0, threshold=5.0, h_max=100)
+            s, [1.0, 1.0], turbulence_value=10.0, threshold=5.0)
         assert triggered
         plan = resolve_action(s, action, h_max=100, fee_rate=0.0)
         assert plan.sells == {0: 3}
@@ -181,14 +181,14 @@ class TestTurbulenceOverride:
     def test_below_threshold_passthrough(self):
         s = state_with([10.0], [3], 100.0)
         action, triggered = apply_turbulence_override(
-            s, [0.4], turbulence_value=4.0, threshold=5.0, h_max=100)
+            s, [0.4], turbulence_value=4.0, threshold=5.0)
         assert not triggered
         np.testing.assert_array_equal(action, [0.4])
 
     def test_nothing_to_sell(self):
         s = state_with([10.0, 10.0], [0, 0], 100.0)
         action, triggered = apply_turbulence_override(
-            s, [1.0, -1.0], 10.0, 5.0, h_max=100)
+            s, [1.0, -1.0], 10.0, 5.0)
         assert triggered
         plan = resolve_action(s, action, h_max=100, fee_rate=0.001)
         assert not plan.sells and not plan.buys

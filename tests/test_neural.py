@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rlfolio.errors import GradInvalid, ShapeError
-from rlfolio.neural import (Adam, GaussianPolicy, Mlp, flatten_params,
-                            load_params, save_params, unflatten_params)
+from rlfolio.neural import Adam, GaussianPolicy, Mlp, load_params, save_params
 
 import oracles
 
@@ -46,6 +45,8 @@ class TestMlpForward:
             net.forward(np.zeros(4))
         with pytest.raises(ShapeError):
             Mlp([5])
+        with pytest.raises(ShapeError):
+            Mlp([3, 2], flat=np.zeros(9))  # 3 * 2 + 2 = 8 parameters
 
     def test_clone_independent(self):
         net = Mlp([2, 3, 1], np.random.default_rng(3))
@@ -62,15 +63,15 @@ class TestMlpBackward:
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(5, 2))
 
-        def loss(flat):
+        def loss(vec):
             probe = net.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             return float((probe.forward(x) * w).sum())
 
         _, cache = net.forward_cache(x)
-        grads, _ = net.backward(cache, w)
-        fd = oracles.finite_difference(loss, flatten_params(net.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, atol=1e-6)
+        grad, _ = net.backward(cache, w)
+        fd = oracles.finite_difference(loss, net.flat.copy())
+        np.testing.assert_allclose(grad, fd, atol=1e-6)
 
     def test_input_grad_finite_difference(self):
         rng = np.random.default_rng(11)
@@ -92,19 +93,19 @@ class TestAdam:
         # bias correction makes the first update exactly lr * sign(g)
         p = np.array([1.0, -2.0])
         opt = Adam(lr=0.01)
-        opt.step([p], [np.array([0.3, -0.7])])
+        opt.step(p, np.array([0.3, -0.7]))
         np.testing.assert_allclose(p, [1.0 - 0.01, -2.0 + 0.01], atol=1e-6)
 
     def test_two_steps_hand_computed(self):
         p = np.array([0.0])
         opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=0.0)
         g1, g2 = 2.0, 1.0
-        opt.step([p], [np.array([g1])])
+        opt.step(p, np.array([g1]))
         m = 0.1 * g1
         v = 0.001 * g1 * g1
         expect = -0.1 * (m / 0.1) / math.sqrt(v / 0.001)
         assert p[0] == pytest.approx(expect)
-        opt.step([p], [np.array([g2])])
+        opt.step(p, np.array([g2]))
         m = 0.9 * m + 0.1 * g2
         v = 0.999 * v + 0.001 * g2 * g2
         expect -= 0.1 * (m / (1 - 0.9 ** 2)) / math.sqrt(v / (1 - 0.999 ** 2))
@@ -114,21 +115,21 @@ class TestAdam:
         p = np.array([5.0])
         opt = Adam(lr=0.1)
         for _ in range(500):
-            opt.step([p], [2.0 * p])
+            opt.step(p, 2.0 * p)
         assert abs(p[0]) < 1e-2
 
     def test_nonfinite_grad_rejected_and_param_untouched(self):
         p = np.array([1.0])
         opt = Adam(lr=0.1)
         with pytest.raises(GradInvalid):
-            opt.step([p], [np.array([np.nan])])
+            opt.step(p, np.array([np.nan]))
         assert p[0] == 1.0
         assert opt.step_count == 0
 
     def test_shape_mismatch(self):
         opt = Adam()
         with pytest.raises(ShapeError):
-            opt.step([np.zeros(2)], [np.zeros(3)])
+            opt.step(np.zeros(2), np.zeros(3))
 
 
 class TestGaussianPolicy:
@@ -166,15 +167,14 @@ class TestGaussianPolicy:
         actions = rng.normal(size=(6, 2))
         coeff = rng.normal(size=6)
 
-        def loss(flat):
+        def loss(vec):
             probe = pol.clone()
-            unflatten_params(flat, probe.params)
+            probe.flat[:] = vec
             return float((probe.log_prob(obs, actions) * coeff).sum())
 
         _, backward = pol.log_prob_grads(obs, actions)
-        grads = backward(coeff)
-        fd = oracles.finite_difference(loss, flatten_params(pol.params))
-        np.testing.assert_allclose(flatten_params(grads), fd, atol=1e-6)
+        fd = oracles.finite_difference(loss, pol.flat.copy())
+        np.testing.assert_allclose(backward(coeff), fd, atol=1e-6)
 
     def test_std_clamped(self):
         pol = GaussianPolicy(1, 1, hidden=(4,))
@@ -187,19 +187,20 @@ class TestGaussianPolicy:
         pol = GaussianPolicy(1, 1, hidden=(4,))
         pol.log_std[:] = -100.0
         _, backward = pol.log_prob_grads(np.zeros((2, 1)), np.zeros((2, 1)))
-        grads = backward(np.ones(2))
-        assert grads[-1][0] == 0.0
+        grad = backward(np.ones(2))
+        assert grad[-1] == 0.0
 
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         net = Mlp([4, 7, 2], np.random.default_rng(5))
         path = tmp_path / "ckpt.txt"
-        save_params(path, net.params)
+        save_params(path, net.flat)
         loaded = load_params(path)
-        assert len(loaded) == len(net.params)
-        for a, b in zip(net.params, loaded):
-            np.testing.assert_array_equal(a, b)  # exact via repr round-trip
+        np.testing.assert_array_equal(loaded, net.flat)  # exact via repr
+        x = np.random.default_rng(6).normal(size=(3, 4))
+        np.testing.assert_array_equal(Mlp(net.sizes, flat=loaded).forward(x),
+                                      net.forward(x))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -209,10 +210,13 @@ class TestCheckpoint:
 
     def test_flatten_roundtrip(self):
         net = Mlp([3, 5, 2], np.random.default_rng(8))
-        flat = flatten_params(net.params)
+        # layer by layer, weight then bias, row-major
+        np.testing.assert_array_equal(
+            net.flat, np.concatenate([p.ravel() for p in net.params]))
         other = net.clone()
-        for p in other.params:
-            p[:] = 0.0
-        unflatten_params(flat, other.params)
+        other.flat[:] = 0.0
+        assert not any(p.any() for p in other.params)
+        assert net.flat.any()
+        other.flat[:] = net.flat
         for a, b in zip(net.params, other.params):
             np.testing.assert_array_equal(a, b)
