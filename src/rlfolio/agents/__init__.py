@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .a2c import A2CAgent
-from .common import Agent, AgentConfig, TransitionStore, advantage
+from .common import Agent, AgentConfig, TransitionStore
 from .ddpg import DDPGAgent
 from .ppo import PPOAgent, ppo_clip_objective
 
@@ -41,6 +41,6 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
 
 __all__ = [
     "Agent", "AgentConfig", "A2CAgent", "DDPGAgent", "PPOAgent",
-    "TransitionStore", "AGENT_KINDS", "advantage",
+    "TransitionStore", "AGENT_KINDS",
     "make_agent", "ppo_clip_objective", "train_agent",
 ]

@@ -39,12 +39,9 @@ class AgentConfig:
                self.minibatch) < 1:
             raise ValueError("rollout, buffer_capacity, batch_size and "
                              "minibatch must be >= 1")
-
-
-def advantage(r: float, gamma: float, v_s: float, v_next: float,
-              done: bool) -> float:
-    """One-step TD advantage: r + gamma * V(s') * (1 - done) - V(s)."""
-    return r + gamma * v_next * (0.0 if done else 1.0) - v_s
+        for name in ("total_steps", "epochs", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 class TransitionStore:
@@ -147,8 +144,9 @@ class OnPolicyAgent(Agent):
 
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
                            next_obs: np.ndarray, dones: np.ndarray):
-        """One-step TD advantages and their targets over a stacked rollout
-        (see `TransitionStore.rows`)."""
+        """One-step TD targets r + gamma * V(s') * (1 - done) and advantages
+        target - V(s) over a stacked rollout (see `TransitionStore.rows`);
+        returns (advantages, targets)."""
         v_s = self.critic.forward(obs)[:, 0]
         v_next = self.critic.forward(next_obs)[:, 0]
         targets = rewards + self.config.gamma * v_next * (1.0 - dones)

@@ -7,12 +7,12 @@ from ..errors import GradInvalid
 from .common import OnPolicyAgent
 
 
-def ppo_clip_objective(ratio: float, adv: float, epsilon: float) -> float:
-    """min(ratio * adv, clip(ratio, 1-eps, 1+eps) * adv)."""
+def ppo_clip_objective(ratio, adv, epsilon: float):
+    """min(ratio * adv, clip(ratio, 1-eps, 1+eps) * adv), elementwise."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
-    return min(ratio * adv, clipped * adv)
+    return np.minimum(ratio * adv,
+                      np.clip(ratio, 1.0 - epsilon, 1.0 + epsilon) * adv)
 
 
 class PPOAgent(OnPolicyAgent):
@@ -42,14 +42,13 @@ class PPOAgent(OnPolicyAgent):
                 ratio = np.exp(logp - old_logp[idx])
                 a = adv_n[idx]
                 unclipped = ratio * a
-                clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * a
+                surrogate = ppo_clip_objective(ratio, a, eps)
                 # gradient flows only through samples where the unclipped
                 # branch attains the min
-                active = unclipped <= clipped
-                coeff = np.where(active, ratio * a, 0.0)
+                coeff = np.where(surrogate == unclipped, unclipped, 0.0)
                 m = len(idx)
                 actor_grad = -backward(coeff) / m
-                objective = float(np.minimum(unclipped, clipped).mean())
+                objective = float(surrogate.mean())
                 if not np.isfinite(objective):
                     raise GradInvalid("non-finite surrogate; update skipped")
                 self.actor_opt.step(self.policy.flat, actor_grad)

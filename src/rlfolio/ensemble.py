@@ -16,7 +16,7 @@ import numpy as np
 from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, TradingEnv
 from .errors import InsufficientData, NoScores, ZeroVolatility
-from .evaluation import EquityCurve, MetricsReport, metrics_report, sharpe
+from .evaluation import EquityCurve, sharpe
 from .indicators import FeaturePanel
 from .market_data import PricePanel, WindowPlan, WindowTriple
 from .turbulence import TurbulenceSeries, calibrate_threshold
@@ -102,17 +102,16 @@ def run_deterministic(agent: Agent, env: TradingEnv,
     dates = [env.panel.calendar[env.state.t]]
     trades: list[TradeRecord] = []
     while not env.state.done:
-        obs = env.observe()
-        action = agent.act(obs, mode="deterministic")
-        result = env.step_state(env.state, action)
-        trade_date = env.panel.calendar[result.next_state.t - 1]
-        frame_prices = env.panel.frame_at(result.next_state.t - 1).prices
-        for d, k in result.plan.sells.items():
-            trades.append(TradeRecord(trade_date, env.panel.assets[d], "sell",
-                                      k, float(frame_prices[d])))
-        for d, k in result.plan.buys.items():
-            trades.append(TradeRecord(trade_date, env.panel.assets[d], "buy",
-                                      k, float(frame_prices[d])))
+        state = env.state
+        action = agent.act(env.observe(), mode="deterministic")
+        result = env.step_state(state, action)
+        date = env.panel.calendar[state.t]
+        for side, shares in (("sell", result.plan.sell_shares),
+                             ("buy", result.plan.buy_shares)):
+            for d in np.flatnonzero(shares):
+                trades.append(TradeRecord(date, env.panel.assets[d], side,
+                                          int(shares[d]),
+                                          float(state.prices[d])))
         env.state = result.next_state
         values.append(env.state.portfolio_value)
         dates.append(env.panel.calendar[env.state.t])
@@ -219,16 +218,3 @@ def run_trading(panel: PricePanel, features: FeaturePanel,
                               values=np.array(all_values))
     return trace
 
-
-def run_ensemble(panel: PricePanel, features: FeaturePanel,
-                 turbulence: TurbulenceSeries, plan: WindowPlan,
-                 env_config: EnvConfig,
-                 agent_configs: dict[str, AgentConfig],
-                 seed: int = 0, turbulence_quantile: float = 0.99,
-                 phase_callback=None) -> tuple[EnsembleTrace, MetricsReport]:
-    windows = train_and_validate(panel, features, turbulence, plan,
-                                 env_config, agent_configs, seed,
-                                 turbulence_quantile, phase_callback)
-    trace = run_trading(panel, features, turbulence, windows, env_config,
-                        picker=pick_best, phase_callback=phase_callback)
-    return trace, metrics_report(trace.curve)

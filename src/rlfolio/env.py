@@ -49,7 +49,7 @@ class EnvState:
     t: int
     balance: float
     holdings: np.ndarray  # int64, non-negative
-    prices: np.ndarray  # positive, adj close at t
+    prices: np.ndarray  # positive, adj close at t (read-only panel row)
     done: bool = False
 
     @property
@@ -61,19 +61,6 @@ class EnvState:
 class TradePlan:
     sell_shares: np.ndarray  # int64 >= 0 per asset
     buy_shares: np.ndarray  # int64 >= 0 per asset
-
-    @property
-    def sells(self) -> dict[int, int]:
-        return {d: int(k) for d, k in enumerate(self.sell_shares) if k > 0}
-
-    @property
-    def buys(self) -> dict[int, int]:
-        return {d: int(k) for d, k in enumerate(self.buy_shares) if k > 0}
-
-    @property
-    def holds(self) -> set[int]:
-        return {d for d in range(len(self.sell_shares))
-                if self.sell_shares[d] == 0 and self.buy_shares[d] == 0}
 
 
 @dataclass(frozen=True)
@@ -172,16 +159,13 @@ class TradingEnv:
     def action_dim(self) -> int:
         return self.D
 
-    def _prices(self, t: int) -> np.ndarray:
-        return self.panel.frame_at(t).prices
-
     def reset(self, balance: float | None = None,
               holdings: np.ndarray | None = None) -> np.ndarray:
         bal = self.config.initial_balance if balance is None else float(balance)
         hold = (np.zeros(self.D, dtype=np.int64) if holdings is None
                 else np.asarray(holdings, dtype=np.int64).copy())
         self.state = EnvState(t=self.start, balance=bal, holdings=hold,
-                              prices=self._prices(self.start))
+                              prices=self.panel.prices_at(self.start))
         return self.observe()
 
     def turbulence_at(self, t: int) -> float:
@@ -210,7 +194,7 @@ class TradingEnv:
         holdings = state.holdings - plan.sell_shares + plan.buy_shares
 
         t_next = state.t + 1
-        p_next = self._prices(t_next)
+        p_next = self.panel.prices_at(t_next)
         next_state = EnvState(t=t_next, balance=balance, holdings=holdings,
                               prices=p_next, done=t_next >= self.end)
 

@@ -13,12 +13,6 @@ class InputInvalid(RlfolioError):
     pass
 
 
-class AssetEmpty(RlfolioError):
-    def __init__(self, ticker: str):
-        super().__init__(f"asset {ticker!r} has no valid rows")
-        self.ticker = ticker
-
-
 class RejectionRateExceeded(RlfolioError):
     def __init__(self, rejected: int, total: int, ceiling: float):
         super().__init__(

@@ -58,10 +58,6 @@ class FeaturePanel:
     def D(self) -> int:
         return self.macd.shape[1]
 
-    def at(self, t: int) -> dict[str, np.ndarray]:
-        return {"macd": self.macd[t], "rsi": self.rsi[t],
-                "cci": self.cci[t], "adx": self.adx[t]}
-
 
 def _check_series(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)

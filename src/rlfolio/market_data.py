@@ -7,15 +7,15 @@ intersection of the per-asset calendars.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
-import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    AssetEmpty,
     InputEmpty,
     InsufficientData,
     OutOfRange,
@@ -36,27 +36,16 @@ DEFAULT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class Bar:
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: float
-
-    def validate(self) -> str | None:
-        """Return a reason string if the bar breaks an invariant, else None."""
-        prices = (self.open, self.high, self.low, self.close, self.adj_close)
-        if any(not np.isfinite(p) or p <= 0 for p in prices):
-            return "non-positive or non-finite price"
-        if self.volume < 0 or not np.isfinite(self.volume):
-            return "negative volume"
-        if not (self.low <= min(self.open, self.close)
-                and max(self.open, self.close) <= self.high):
-            return "low/high do not bracket open/close"
-        return None
+def _bar_fault(open_, high, low, close, adj_close, volume) -> str | None:
+    """The reason a bar breaks an invariant, or None."""
+    if not all(math.isfinite(p) and p > 0
+               for p in (open_, high, low, close, adj_close)):
+        return "non-positive or non-finite price"
+    if volume < 0 or not math.isfinite(volume):
+        return "negative volume"
+    if not (low <= min(open_, close) and max(open_, close) <= high):
+        return "low/high do not bracket open/close"
+    return None
 
 
 @dataclass
@@ -76,31 +65,13 @@ class LoadReport:
         return len(self.rejected) / self.total_rows if self.total_rows else 0.0
 
 
-@dataclass(frozen=True)
-class MarketFrame:
-    """Per-date cross-section of the panel, built on demand."""
-
-    date: dt.date
-    assets: tuple[str, ...]
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-    adj_close: np.ndarray
-    volume: np.ndarray
-
-    @property
-    def prices(self) -> np.ndarray:
-        """Trading prices: the adjusted close."""
-        return self.adj_close
-
-
 class PricePanel:
     """Aligned T x D table of bars over a common trading calendar.
 
-    Immutable after construction; concurrent reads are safe. Frames are
-    constructed lazily and cached, so a trace of K distinct time indices
-    costs at most K frame constructions (`construction_count`).
+    Each bar field is one dense, read-only, C-contiguous T x D array, the
+    only copy of the market data. A date is read as a row view
+    (`prices_at`), so visiting every date copies and retains nothing.
+    Immutable after construction; concurrent reads are safe.
     """
 
     def __init__(self, assets: list[str], calendar: list[dt.date],
@@ -109,14 +80,13 @@ class PricePanel:
             raise InputEmpty("panel must have at least one asset and one date")
         self.assets = tuple(assets)
         self.calendar = tuple(calendar)
-        self._fields = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
+        self._fields = {k: np.ascontiguousarray(v, dtype=float)
+                        for k, v in fields.items()}
         for name in BAR_FIELDS:
             arr = self._fields[name]
             if arr.shape != (self.T, self.D):
                 raise ValueError(f"field {name} has shape {arr.shape}")
             arr.setflags(write=False)
-        self._frame_cache: dict[int, MarketFrame] = {}
-        self.construction_count = 0
         self.access_log: list[int] | None = None
 
     @property
@@ -138,45 +108,19 @@ class PricePanel:
     def enable_access_tracking(self) -> None:
         self.access_log = []
 
-    def frame_at(self, t: int) -> MarketFrame:
+    def prices_at(self, t: int) -> np.ndarray:
+        """Trading prices (the adjusted close) at date index t, as a
+        read-only view of one row; logged when access tracking is on."""
         if not 0 <= t < self.T:
             raise OutOfRange(f"t={t} outside [0, {self.T})")
         if self.access_log is not None:
             self.access_log.append(t)
-        frame = self._frame_cache.get(t)
-        if frame is None:
-            self.construction_count += 1
-            frame = MarketFrame(
-                date=self.calendar[t],
-                assets=self.assets,
-                **{name: self._fields[name][t].copy() for name in BAR_FIELDS},
-            )
-            self._frame_cache[t] = frame
-        return frame
+        return self._fields["adj_close"][t]
 
     def date_slice(self, start: dt.date, end: dt.date) -> range:
         """Indices of calendar dates within [start, end]."""
-        lo = np.searchsorted(np.array(self.calendar), start, side="left")
-        hi = np.searchsorted(np.array(self.calendar), end, side="right")
-        return range(int(lo), int(hi))
-
-
-def _parse_row(row: dict, line: int) -> tuple[str, Bar] | RejectedRow:
-    try:
-        date = dt.date.fromisoformat(row["date"].strip())
-        ticker = row["ticker"].strip()
-        if not ticker:
-            return RejectedRow(line, "empty ticker")
-        vals = {f: float(row[f]) for f in BAR_FIELDS}
-    except (KeyError, TypeError):
-        return RejectedRow(line, "missing column value")
-    except ValueError as exc:
-        return RejectedRow(line, str(exc))
-    bar = Bar(date=date, **vals)
-    reason = bar.validate()
-    if reason is not None:
-        return RejectedRow(line, reason)
-    return ticker, bar
+        return range(bisect.bisect_left(self.calendar, start),
+                     bisect.bisect_right(self.calendar, end))
 
 
 def load_bars(source, schema: dict[str, str] | None = None,
@@ -184,43 +128,50 @@ def load_bars(source, schema: dict[str, str] | None = None,
               delimiter: str = ",") -> tuple[PricePanel, LoadReport]:
     """Load delimited OHLCV text into an aligned panel.
 
-    `source` is a text file object, a byte stream, or a string path.
-    `schema` maps canonical names (date, ticker, open, ...) to the file's
-    column headers. Rows violating bar invariants are rejected and listed
-    in the report; a rejection rate above `rejection_ceiling` aborts.
+    `source` is a text file object or a string path. `schema` maps
+    canonical names (date, ticker, open, ...) to the file's column headers.
+    Each accepted row becomes one tuple of the six `BAR_FIELDS` values, and
+    the panel's arrays are built from those tuples in one pass. Rows
+    violating bar invariants are rejected and listed in the report; a
+    rejection rate above `rejection_ceiling` aborts.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    close_after = False
-    if isinstance(source, str):
+    close_after = isinstance(source, str)
+    if close_after:
         source = open(source, "r", newline="")
-        close_after = True
-    elif isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode())
-    elif isinstance(source, io.BufferedIOBase):
-        source = io.TextIOWrapper(source)
 
     try:
         reader = csv.DictReader(source, delimiter=delimiter)
         if reader.fieldnames is None:
             raise InputEmpty("no header row")
-        header = {name: idx for idx, name in enumerate(reader.fieldnames)}
-        missing = [col for col in schema.values() if col not in header]
+        missing = [col for col in schema.values()
+                   if col not in reader.fieldnames]
         if missing:
             raise InputEmpty(f"header missing columns: {missing}")
-        inverse = {schema[k]: k for k in schema}
+        value_cols = [schema[name] for name in BAR_FIELDS]
 
-        by_asset: dict[str, dict[dt.date, Bar]] = {}
+        by_asset: dict[str, dict[dt.date, tuple[float, ...]]] = {}
         rejected: list[RejectedRow] = []
         total = 0
         for line, raw in enumerate(reader, start=2):
             total += 1
-            row = {inverse[k]: v for k, v in raw.items() if k in inverse}
-            parsed = _parse_row(row, line)
-            if isinstance(parsed, RejectedRow):
-                rejected.append(parsed)
+            try:
+                date = dt.date.fromisoformat(raw[schema["date"]].strip())
+                ticker = raw[schema["ticker"]].strip()
+                if not ticker:
+                    raise ValueError("empty ticker")
+                bar = tuple(float(raw[col]) for col in value_cols)
+            except (AttributeError, TypeError):
+                # csv fills the cells past a short row's end with None
+                reason = "missing column value"
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                reason = _bar_fault(*bar)
+            if reason is not None:
+                rejected.append(RejectedRow(line, reason))
                 continue
-            ticker, bar = parsed
-            by_asset.setdefault(ticker, {})[bar.date] = bar
+            by_asset.setdefault(ticker, {})[date] = bar
         if total == 0:
             raise InputEmpty("source has a header but no data rows")
     finally:
@@ -231,10 +182,6 @@ def load_bars(source, schema: dict[str, str] | None = None,
                         rejected=rejected)
     if report.rejection_rate > rejection_ceiling:
         raise RejectionRateExceeded(len(rejected), total, rejection_ceiling)
-
-    for ticker, bars in by_asset.items():
-        if not bars:
-            raise AssetEmpty(ticker)
     if not by_asset:
         raise InputEmpty("no valid rows in source")
 
@@ -244,13 +191,9 @@ def load_bars(source, schema: dict[str, str] | None = None,
         raise InsufficientData(needed="a shared trading date", available=0)
     calendar = sorted(common)
 
-    fields = {
-        name: np.array(
-            [[getattr(by_asset[a][d], name) for a in assets] for d in calendar],
-            dtype=float,
-        )
-        for name in BAR_FIELDS
-    }
+    bars = np.array([[by_asset[a][d] for a in assets] for d in calendar],
+                    dtype=float)
+    fields = {name: bars[:, :, i] for i, name in enumerate(BAR_FIELDS)}
     return PricePanel(assets, calendar, fields), report
 
 

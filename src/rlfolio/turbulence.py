@@ -38,7 +38,6 @@ class TurbulenceContext:
 @dataclass
 class TurbulenceSeries:
     values: np.ndarray
-    threshold: float = np.inf
 
     def value_at(self, t: int) -> float:
         return float(self.values[t])

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from rlfolio import indicators as ind
 from rlfolio.agents import AgentConfig
 from rlfolio.agents.a2c import A2CAgent
-from rlfolio.agents.common import TransitionStore, advantage
+from rlfolio.agents.common import TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.cli import main as cli_main
@@ -31,7 +31,7 @@ from rlfolio.turbulence import (TurbulenceContext, rolling_turbulence,
 from rlfolio.indicators import build_features
 
 import oracles
-from helpers import TwoArmedBandit, make_panel, panel_to_csv
+from helpers import TwoArmedBandit, advantage, make_panel, panel_to_csv
 
 
 def criterion(number, description):
@@ -221,7 +221,7 @@ def test_criterion_05_gradient_checks():
 @criterion(6, "hand-evaluated advantage/target/clip examples and PPO ratio "
               "band on the bandit")
 def test_criterion_06_algorithm_semantics():
-    # one-step advantage and TD target
+    # one-step advantage (via compute_advantages) and TD target
     assert abs(advantage(1.0, 0.9, 2.0, 3.0, False) - 1.7) < 1e-12
     assert abs(advantage(1.0, 0.9, 2.0, 3.0, True) - (-1.0)) < 1e-12
     agent = DDPGAgent(2, 1, AgentConfig(gamma=0.9), seed=0)

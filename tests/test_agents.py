@@ -7,14 +7,14 @@ import pytest
 
 from rlfolio.agents import AGENT_KINDS, make_agent, train_agent
 from rlfolio.agents.a2c import A2CAgent
-from rlfolio.agents.common import AgentConfig, TransitionStore, advantage
+from rlfolio.agents.common import AgentConfig, TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.errors import BufferUnderflow
 from rlfolio.neural import Mlp
 
 import oracles
-from helpers import TwoArmedBandit
+from helpers import TwoArmedBandit, advantage
 
 
 def make_batch(rng, obs_dim, action_dim, n):

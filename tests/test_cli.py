@@ -364,6 +364,12 @@ BAD_CONFIGS = {
     "gamma_per_kind": ("[run]", "[agents.ppo]\ngamma = 1.5\n\n[run]",
                        "error: [agents.ppo] gamma"),
     "rollout": ("rollout = 16", "rollout = 0", "error: [agents] rollout"),
+    "total_steps": ("total_steps = 40", "total_steps = -5",
+                    "error: [agents] total_steps"),
+    "epochs": ("[agents]\n", "[agents]\nepochs = -1\n",
+               "error: [agents] epochs"),
+    "warmup_steps": ("warmup_steps = 8", "warmup_steps = -3",
+                     "error: [agents] warmup_steps"),
     "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
                   "macd_fast"),
     "duplicate_key": ("seed = 3", "seed = 3\nseed = 4", "seed"),

@@ -5,10 +5,11 @@ import pytest
 
 from rlfolio.agents import AgentConfig
 from rlfolio.ensemble import (WindowResult, pick_best, run_deterministic,
-                              run_ensemble, run_trading, train_and_validate,
+                              run_trading, train_and_validate,
                               window_threshold)
 from rlfolio.env import EnvConfig, TradingEnv
 from rlfolio.errors import NoScores
+from rlfolio.evaluation import metrics_report
 from rlfolio.indicators import build_features
 from rlfolio.market_data import build_window_plan
 from rlfolio.turbulence import TurbulenceSeries, rolling_turbulence
@@ -217,11 +218,12 @@ class TestRunEnsembleDeterminism:
         results = []
         for _ in range(2):
             panel, features, turbulence, plan = make_setup()
-            trace, report = run_ensemble(panel, features, turbulence, plan,
-                                         EnvConfig(initial_balance=10_000.0,
-                                                   h_max=5),
-                                         TINY_CONFIGS, seed=7)
-            results.append((trace, report))
+            env_config = EnvConfig(initial_balance=10_000.0, h_max=5)
+            windows = train_and_validate(panel, features, turbulence, plan,
+                                         env_config, TINY_CONFIGS, seed=7)
+            trace = run_trading(panel, features, turbulence, windows,
+                                env_config)
+            results.append((trace, metrics_report(trace.curve)))
         a, b = results
         np.testing.assert_array_equal(a[0].curve.values, b[0].curve.values)
         assert [d.picked for d in a[0].decisions] == \

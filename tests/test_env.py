@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,39 +51,39 @@ class TestResolveAction:
     def test_zero_action_holds(self):
         s = state_with([100.0, 50.0], [3, 4], 1000.0)
         plan = resolve_action(s, [0.0, 0.0], h_max=100, fee_rate=0.001)
-        assert plan.holds == {0, 1}
-        assert not plan.sells and not plan.buys
+        np.testing.assert_array_equal(plan.sell_shares, [0, 0])
+        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
 
     def test_sell_capped_at_holdings(self):
         s = state_with([100.0], [10], 0.0)
         plan = resolve_action(s, [-1.0], h_max=100, fee_rate=0.001)
-        assert plan.sells == {0: 10}
+        np.testing.assert_array_equal(plan.sell_shares, [10])
 
     def test_buy_capped_by_affordability_with_fee(self):
         s = state_with([100.0], [0], 1000.0)
         plan = resolve_action(s, [1.0], h_max=100, fee_rate=0.001)
         # 9 * 100 * 1.001 = 900.9 affordable; 10 would cost 1001
-        assert plan.buys == {0: 9}
+        np.testing.assert_array_equal(plan.buy_shares, [9])
 
     def test_truncation_toward_zero(self):
         s = state_with([1.0, 1.0], [5, 5], 1000.0)
         plan = resolve_action(s, [0.19, -0.19], h_max=10, fee_rate=0.0)
-        assert plan.buys == {0: 1}
-        assert plan.sells == {1: 1}
+        np.testing.assert_array_equal(plan.buy_shares, [1, 0])
+        np.testing.assert_array_equal(plan.sell_shares, [0, 1])
 
     def test_buys_ration_ascending_index(self):
         s = state_with([100.0, 100.0], [0, 0], 1000.0)
         plan = resolve_action(s, [1.0, 1.0], h_max=5, fee_rate=0.0)
-        assert plan.buys == {0: 5, 1: 5}
+        np.testing.assert_array_equal(plan.buy_shares, [5, 5])
         s2 = state_with([100.0, 100.0], [0, 0], 700.0)
         plan2 = resolve_action(s2, [1.0, 1.0], h_max=5, fee_rate=0.0)
-        assert plan2.buys == {0: 5, 1: 2}
+        np.testing.assert_array_equal(plan2.buy_shares, [5, 2])
 
     def test_sell_proceeds_fund_buys(self):
         s = state_with([100.0, 10.0], [5, 0], 0.0)
         plan = resolve_action(s, [-1.0, 1.0], h_max=10, fee_rate=0.0)
-        assert plan.sells == {0: 5}
-        assert plan.buys == {1: 10}
+        np.testing.assert_array_equal(plan.sell_shares, [5, 0])
+        np.testing.assert_array_equal(plan.buy_shares, [0, 10])
 
 
 class TestStep:
@@ -99,7 +102,7 @@ class TestStep:
         env = make_env(panel, config)
         env.reset()
         result = env.step_state(env.state, np.array([1.0]))
-        assert result.plan.buys == {0: 10}
+        np.testing.assert_array_equal(result.plan.buy_shares, [10])
         assert result.cost == pytest.approx(1.0)
         assert result.reward_unscaled == pytest.approx(-1.0)
 
@@ -175,8 +178,8 @@ class TestTurbulenceOverride:
             s, [1.0, 1.0], turbulence_value=10.0, threshold=5.0)
         assert triggered
         plan = resolve_action(s, action, h_max=100, fee_rate=0.0)
-        assert plan.sells == {0: 3}
-        assert not plan.buys
+        np.testing.assert_array_equal(plan.sell_shares, [3, 0])
+        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
 
     def test_below_threshold_passthrough(self):
         s = state_with([10.0], [3], 100.0)
@@ -191,7 +194,8 @@ class TestTurbulenceOverride:
             s, [1.0, -1.0], 10.0, 5.0)
         assert triggered
         plan = resolve_action(s, action, h_max=100, fee_rate=0.001)
-        assert not plan.sells and not plan.buys
+        np.testing.assert_array_equal(plan.sell_shares, [0, 0])
+        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
 
     def test_override_supremacy_in_step(self):
         panel = make_panel(D=2, T=50, seed=3)
@@ -231,3 +235,30 @@ class TestObserve:
         obs = env.reset()
         assert obs[0] == 1.0
         np.testing.assert_allclose(obs[1:3], env.state.prices / 100.0)
+
+
+class TestBoundedMemory:
+    def test_full_rollout_retains_no_per_date_memory(self):
+        # Every date of a long panel is read once by a full-window rollout;
+        # once the env is dropped, the panel must hold nothing per date.
+        panel = make_panel(D=3, T=2000, seed=6)
+        features = build_features(panel)
+
+        def rollout(end):
+            env = TradingEnv(panel, features, (0, end))
+            env.reset()
+            while not env.state.done:
+                env.step(np.full(panel.D, 0.5))
+
+        rollout(5)  # warm up numpy's and the interpreter's one-time caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rollout(panel.T - 1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a per-date copy of even one price row would be >= 2000 * 24 bytes
+        assert retained < 16_384, retained

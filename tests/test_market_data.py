@@ -47,6 +47,38 @@ class TestLoadBars:
         assert len(report.rejected) == 1
         assert report.rejected[0].line == 3
 
+    def test_truncated_rows_rejected(self):
+        text = HEADER
+        text += row("2020-01-02", "AAA")
+        text += "2020-01-03\n"  # cut off after the date
+        text += "2020-01-06,AAA,10,11\n"  # cut off later
+        text += row("2020-01-07", "AAA")
+        panel, report = load_bars(csv_stream(text), rejection_ceiling=0.5)
+        assert panel.T == 2
+        assert [(r.line, r.reason) for r in report.rejected] == [
+            (3, "missing column value"), (4, "missing column value")]
+
+    def test_rejection_reasons(self):
+        text = HEADER + row("2020-01-02", "AAA")
+        text += row("2020-01-03", "AAA", o=-5)
+        text += row("2020-01-06", "AAA", adj="nan")
+        text += row("2020-01-07", "AAA", v=-1)
+        text += row("2020-01-08", "AAA", h=10.2)  # high below close
+        text += row("2020-01-09", " ")
+        _, report = load_bars(csv_stream(text), rejection_ceiling=1.0)
+        assert [r.reason for r in report.rejected] == [
+            "non-positive or non-finite price",
+            "non-positive or non-finite price",
+            "negative volume",
+            "low/high do not bracket open/close",
+            "empty ticker",
+        ]
+
+    def test_fields_are_c_contiguous(self):
+        panel, _ = load_bars(csv_stream(panel_to_csv(make_panel(D=3, T=20))))
+        for name in ("open", "high", "low", "close", "adj_close", "volume"):
+            assert panel.field(name).flags.c_contiguous
+
     def test_empty_source(self):
         with pytest.raises(InputEmpty):
             load_bars(csv_stream(""))
@@ -80,27 +112,32 @@ class TestLoadBars:
             assert np.all(np.isfinite(panel.field(name)))
 
 
-class TestFrameAt:
+class TestPricesAt:
     def test_boundaries(self):
         panel = make_panel(D=2, T=10)
-        frame = panel.frame_at(0)
-        assert frame.date == panel.calendar[0]
+        np.testing.assert_array_equal(panel.prices_at(0), panel.adj_close[0])
+        np.testing.assert_array_equal(panel.prices_at(9), panel.adj_close[9])
         with pytest.raises(OutOfRange):
-            panel.frame_at(10)
+            panel.prices_at(10)
         with pytest.raises(OutOfRange):
-            panel.frame_at(-1)
+            panel.prices_at(-1)
 
-    def test_repeat_identical(self):
-        panel = make_panel(D=2, T=10)
-        f1, f2 = panel.frame_at(5), panel.frame_at(5)
-        assert f1 is f2
-        np.testing.assert_array_equal(f1.prices, f2.prices)
+    def test_read_only_view_of_adj_close(self):
+        panel = make_panel(D=3, T=10)
+        prices = panel.prices_at(4)
+        np.testing.assert_array_equal(prices, panel.adj_close[4])
+        assert np.shares_memory(prices, panel.adj_close)
+        assert not prices.flags.writeable
+        with pytest.raises(ValueError):
+            prices[0] = 1.0
 
-    def test_load_on_demand_counter(self):
+    def test_access_log_records_every_read(self):
         panel = make_panel(D=2, T=50)
-        for t in [3, 7, 3, 7, 3, 11]:
-            panel.frame_at(t)
-        assert panel.construction_count == 3
+        panel.prices_at(1)
+        panel.enable_access_tracking()
+        for t in [3, 7, 3, 11]:
+            panel.prices_at(t)
+        assert panel.access_log == [3, 7, 3, 11]
 
 
 class TestWindowPlan:
