@@ -204,13 +204,21 @@ def _run_backtest(cfg: RunConfig) -> None:
 def report(run_dir):
     """Print the comparison table and write plot-ready cumulative-return
     curves for every strategy."""
-    run_dir = Path(run_dir)
+    try:
+        _report(Path(run_dir))
+    except (RlfolioError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USER_ERROR)
+
+
+def _report(run_dir: Path) -> None:
     comparison = run_dir / "comparison.csv"
     if not comparison.exists():
-        click.echo(f"error: missing {comparison}", err=True)
-        sys.exit(EXIT_USER_ERROR)
+        raise InputInvalid(f"missing {comparison}")
     with open(comparison, newline="") as fh:
         raw = list(csv.reader(fh))
+    if not raw:
+        raise InputInvalid(f"{comparison} is empty")
 
     def fmt(cell: str) -> str:
         try:
@@ -229,9 +237,13 @@ def report(run_dir):
             data = list(csv.DictReader(fh))
         if not data:
             continue
-        base = float(data[0]["value"])
+        try:
+            values = [float(r["value"]) for r in data]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputInvalid(f"{equity}: bad value column ({exc})") from exc
         _write_csv(run_dir / f"cumret_{name}.csv", ["date", "cumulative_return"],
-                   [[r["date"], float(r["value"]) / base - 1.0] for r in data])
+                   [[r["date"], v / values[0] - 1.0]
+                    for r, v in zip(data, values)])
     click.echo(f"cumulative-return curves written to {run_dir}")
 
 

@@ -19,7 +19,7 @@ from .errors import InsufficientData, NoScores, ZeroVolatility
 from .evaluation import EquityCurve, sharpe
 from .indicators import FeaturePanel
 from .market_data import PricePanel, WindowPlan, WindowTriple
-from .turbulence import TurbulenceSeries, calibrate_threshold
+from .turbulence import calibrate_threshold
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +119,7 @@ def run_deterministic(agent: Agent, env: TradingEnv,
 
 
 def validate_agent(agent: Agent, panel: PricePanel, features: FeaturePanel,
-                   turbulence: TurbulenceSeries, window: tuple[int, int],
+                   turbulence: np.ndarray, window: tuple[int, int],
                    env_config: EnvConfig, threshold: float) -> float:
     """Annualized Sharpe of a deterministic run over the validation window,
     with the turbulence override active. Raises ZeroVolatility when the
@@ -130,12 +130,12 @@ def validate_agent(agent: Agent, panel: PricePanel, features: FeaturePanel,
     return sharpe(values[1:] / values[:-1] - 1.0)
 
 
-def window_threshold(turbulence: TurbulenceSeries, panel: PricePanel,
+def window_threshold(turbulence: np.ndarray, panel: PricePanel,
                      triple: WindowTriple, quantile: float) -> float:
     """Turbulence threshold from data strictly before the trade interval."""
     trade_start_idx = panel.date_slice(triple.trade.start,
                                        triple.trade.end).start
-    pre = turbulence.values[:trade_start_idx]
+    pre = turbulence[:trade_start_idx]
     defined = pre[pre > 0]
     if defined.size == 0:
         return np.inf
@@ -143,7 +143,7 @@ def window_threshold(turbulence: TurbulenceSeries, panel: PricePanel,
 
 
 def train_and_validate(panel: PricePanel, features: FeaturePanel,
-                       turbulence: TurbulenceSeries, plan: WindowPlan,
+                       turbulence: np.ndarray, plan: WindowPlan,
                        env_config: EnvConfig,
                        agent_configs: dict[str, AgentConfig],
                        seed: int = 0,
@@ -186,7 +186,7 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
 
 
 def run_trading(panel: PricePanel, features: FeaturePanel,
-                turbulence: TurbulenceSeries, windows: list[WindowResult],
+                turbulence: np.ndarray, windows: list[WindowResult],
                 env_config: EnvConfig, picker=pick_best,
                 phase_callback=None) -> EnsembleTrace:
     """Trade the out-of-sample period, one picked agent per quarter,

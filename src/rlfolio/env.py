@@ -15,7 +15,6 @@ import numpy as np
 from .errors import EpisodeFinished, InsufficientData
 from .indicators import FeaturePanel
 from .market_data import PricePanel
-from .turbulence import TurbulenceSeries
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,14 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
+    """Portfolio at date t and the market inputs read for t."""
+
     t: int
     balance: float
     holdings: np.ndarray  # int64, non-negative
     prices: np.ndarray  # positive, adj close at t (read-only panel row)
+    features: np.ndarray | None = None  # feature row at t (FeaturePanel.block)
+    turbulence: float = 0.0
     done: bool = False
 
     @property
@@ -70,7 +73,6 @@ class StepResult:
     reward_unscaled: float
     cost: float
     plan: TradePlan
-    reward_components: dict[str, float]
     turbulence_triggered: bool
 
 
@@ -105,19 +107,18 @@ def resolve_action(state: EnvState, action, h_max: int,
     return TradePlan(sell_shares=sell, buy_shares=buy)
 
 
-def sell_all_action(state: EnvState) -> np.ndarray:
-    """Action that liquidates every held position and buys nothing."""
-    return np.where(state.holdings > 0, -1.0, 0.0)
+def plan_trades(state: EnvState, action, h_max: int, fee_rate: float,
+                threshold: float) -> tuple[TradePlan, bool]:
+    """The trades of one step and whether the turbulence override fired.
 
-
-def apply_turbulence_override(state: EnvState, action,
-                              turbulence_value: float,
-                              threshold: float) -> tuple[np.ndarray, bool]:
-    """Above the threshold: halt buying, sell everything. Returns the
-    possibly-replaced action and whether the override fired."""
-    if turbulence_value > threshold:
-        return sell_all_action(state), True
-    return clip_action(action), False
+    Above the threshold the override (Kritzman & Li's halt) sells every
+    held share, not capped by h_max, and buys nothing; otherwise the
+    action is resolved by `resolve_action`.
+    """
+    if state.turbulence > threshold:
+        return TradePlan(sell_shares=state.holdings.copy(),
+                         buy_shares=np.zeros_like(state.holdings)), True
+    return resolve_action(state, action, h_max, fee_rate), False
 
 
 class TradingEnv:
@@ -127,11 +128,15 @@ class TradingEnv:
     rewarded at date t+1 prices. A fresh portfolio starts with
     config.initial_balance and zero holdings; `reset` accepts carried-over
     balance/holdings for walk-forward continuation.
+
+    The env keeps its inputs (adjusted close, features, turbulence) only
+    for dates [0, end] and reads a date through `market_at` alone, so
+    nothing after the window is reachable and every read is logged.
     """
 
     def __init__(self, panel: PricePanel, features: FeaturePanel,
                  window: tuple[int, int], config: EnvConfig = EnvConfig(),
-                 turbulence: TurbulenceSeries | None = None,
+                 turbulence: np.ndarray | None = None,
                  turbulence_threshold: float = np.inf):
         if window[1] <= window[0]:
             raise InsufficientData(needed="window of at least 2 dates",
@@ -140,12 +145,19 @@ class TradingEnv:
             raise InsufficientData(needed=f"window {window} inside panel",
                                    available=panel.T)
         self.panel = panel
-        self.features = features
         self.start, self.end = window
         self.config = config
-        self.turbulence = turbulence
         self.threshold = turbulence_threshold
         self.state: EnvState | None = None
+        stop = self.end + 1
+        self._prices = panel.adj_close[:stop]
+        self._features = features.block[:stop]
+        self._turbulence = (np.zeros(stop) if turbulence is None
+                            else turbulence[:stop])
+        sc = config.obs_scaling
+        self._obs_scale = np.repeat(
+            [config.initial_balance, sc.price, config.h_max, sc.macd, sc.rsi,
+             sc.cci, sc.adx], [1] + [panel.D] * 6)
 
     @property
     def D(self) -> int:
@@ -159,33 +171,36 @@ class TradingEnv:
     def action_dim(self) -> int:
         return self.D
 
+    def market_at(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Date t's prices, feature row and turbulence value; logged in
+        `panel.access_log` when tracking is on. Past the window end this
+        raises IndexError."""
+        if self.panel.access_log is not None:
+            self.panel.access_log.append(t)
+        return self._prices[t], self._features[t], float(self._turbulence[t])
+
+    def _state_at(self, t: int, balance: float, holdings: np.ndarray,
+                  done: bool = False) -> EnvState:
+        prices, features, turbulence = self.market_at(t)
+        return EnvState(t=t, balance=balance, holdings=holdings,
+                        prices=prices, features=features,
+                        turbulence=turbulence, done=done)
+
     def reset(self, balance: float | None = None,
               holdings: np.ndarray | None = None) -> np.ndarray:
         bal = self.config.initial_balance if balance is None else float(balance)
         hold = (np.zeros(self.D, dtype=np.int64) if holdings is None
                 else np.asarray(holdings, dtype=np.int64).copy())
-        self.state = EnvState(t=self.start, balance=bal, holdings=hold,
-                              prices=self.panel.prices_at(self.start))
+        self.state = self._state_at(self.start, bal, hold)
         return self.observe()
-
-    def turbulence_at(self, t: int) -> float:
-        return self.turbulence.value_at(t) if self.turbulence is not None else 0.0
 
     def step_state(self, state: EnvState, action) -> StepResult:
         """Pure transition: resolve trades at t, settle at t+1."""
         if state.done:
             raise EpisodeFinished(f"episode already done at t={state.t}")
         cfg = self.config
-        turb = self.turbulence_at(state.t)
-        action, triggered = apply_turbulence_override(
-            state, action, turb, self.threshold)
-        if triggered:
-            # Full liquidation, not capped by h_max.
-            plan = TradePlan(sell_shares=state.holdings.copy(),
-                             buy_shares=np.zeros(self.D, dtype=np.int64))
-        else:
-            plan = resolve_action(state, action, cfg.h_max, cfg.fee_rate)
-
+        plan, triggered = plan_trades(state, action, cfg.h_max, cfg.fee_rate,
+                                      self.threshold)
         p_t = state.prices
         sell_notional = float((p_t * plan.sell_shares).sum())
         buy_notional = float((p_t * plan.buy_shares).sum())
@@ -194,29 +209,13 @@ class TradingEnv:
         holdings = state.holdings - plan.sell_shares + plan.buy_shares
 
         t_next = state.t + 1
-        p_next = self.panel.prices_at(t_next)
-        next_state = EnvState(t=t_next, balance=balance, holdings=holdings,
-                              prices=p_next, done=t_next >= self.end)
-
+        next_state = self._state_at(t_next, balance, holdings,
+                                    done=t_next >= self.end)
         reward_unscaled = next_state.portfolio_value - state.portfolio_value
-        dp = p_next - p_t
-        hold_mask = (plan.sell_shares == 0) & (plan.buy_shares == 0)
-        # Component convention (the accounting identity is the contract):
-        # r_H over untouched holdings, r_S over shares retained after selling
-        # (negated), r_B over post-buy holdings in the buy set, so that
-        # reward + cost == r_H - r_S + r_B.
-        r_h = float((dp * state.holdings * hold_mask).sum())
-        r_s = float((dp * (plan.sell_shares - state.holdings)
-                     * (plan.sell_shares > 0)).sum())
-        r_b = float((dp * (state.holdings + plan.buy_shares)
-                     * (plan.buy_shares > 0)).sum())
-        components = {"r_H": r_h, "r_S": r_s, "r_B": r_b}
-
         return StepResult(next_state=next_state,
                           reward=reward_unscaled * cfg.reward_scale,
                           reward_unscaled=reward_unscaled,
                           cost=cost, plan=plan,
-                          reward_components=components,
                           turbulence_triggered=triggered)
 
     def step(self, action) -> tuple[np.ndarray, float, bool]:
@@ -226,17 +225,8 @@ class TradingEnv:
         return self.observe(), result.reward, result.next_state.done
 
     def observe(self, state: EnvState | None = None) -> np.ndarray:
+        """Scaled balance, prices, holdings and features of the state; reads
+        nothing beyond the state."""
         state = self.state if state is None else state
-        cfg = self.config
-        sc = cfg.obs_scaling
-        t = state.t
-        f = self.features
-        return np.concatenate([
-            [state.balance / cfg.initial_balance],
-            state.prices / sc.price,
-            state.holdings / cfg.h_max,
-            f.macd[t] / sc.macd,
-            f.rsi[t] / sc.rsi,
-            f.cci[t] / sc.cci,
-            f.adx[t] / sc.adx,
-        ])
+        return np.concatenate([[state.balance], state.prices, state.holdings,
+                               state.features]) / self._obs_scale

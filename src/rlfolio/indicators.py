@@ -34,29 +34,14 @@ class IndicatorConfig:
                 raise ValueError("indicator periods must be >= 1")
 
 
-@dataclass(frozen=True)
 class FeaturePanel:
-    """T x D indicator blocks aligned with a PricePanel."""
+    """The four indicators of a PricePanel as one T x 4D block, so one
+    date's features are one row: MACD of every asset, then RSI, CCI and
+    ADX. `macd`, `rsi`, `cci` and `adx` are T x D column views of it."""
 
-    macd: np.ndarray
-    rsi: np.ndarray
-    cci: np.ndarray
-    adx: np.ndarray
-    warmup_len: int
-
-    def __post_init__(self):
-        shapes = {self.macd.shape, self.rsi.shape, self.cci.shape,
-                  self.adx.shape}
-        if len(shapes) != 1:
-            raise ValueError(f"mismatched block shapes: {shapes}")
-
-    @property
-    def T(self) -> int:
-        return self.macd.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.macd.shape[1]
+    def __init__(self, block: np.ndarray):
+        self.block = block
+        self.macd, self.rsi, self.cci, self.adx = np.hsplit(block, 4)
 
 
 def _check_series(x) -> np.ndarray:
@@ -113,16 +98,13 @@ def build_features(panel: PricePanel,
     adj = panel.adj_close
     high = panel.field("high")
     low = panel.field("low")
-    T, D = adj.shape
-    blocks = {name: np.empty((T, D)) for name in ("macd", "rsi", "cci", "adx")}
-    for d in range(D):
-        blocks["macd"][:, d] = macd(adj[:, d], config.macd_fast,
-                                    config.macd_slow, config.macd_signal)
-        blocks["rsi"][:, d] = rsi(adj[:, d], config.rsi_period)
-        blocks["cci"][:, d] = cci(high[:, d], low[:, d], adj[:, d],
-                                  config.cci_period)
-        blocks["adx"][:, d] = adx(high[:, d], low[:, d], adj[:, d],
-                                  config.adx_period)
-    warmup = max(config.macd_slow, config.rsi_period, config.cci_period,
-                 2 * config.adx_period - 1)
-    return FeaturePanel(warmup_len=warmup, **blocks)
+    feats = FeaturePanel(np.empty((adj.shape[0], 4 * adj.shape[1])))
+    for d in range(adj.shape[1]):
+        feats.macd[:, d] = macd(adj[:, d], config.macd_fast,
+                                config.macd_slow, config.macd_signal)
+        feats.rsi[:, d] = rsi(adj[:, d], config.rsi_period)
+        feats.cci[:, d] = cci(high[:, d], low[:, d], adj[:, d],
+                              config.cci_period)
+        feats.adx[:, d] = adx(high[:, d], low[:, d], adj[:, d],
+                              config.adx_period)
+    return feats

@@ -132,8 +132,9 @@ def load_bars(source, schema: dict[str, str] | None = None,
     canonical names (date, ticker, open, ...) to the file's column headers.
     Each accepted row becomes one tuple of the six `BAR_FIELDS` values, and
     the panel's arrays are built from those tuples in one pass. Rows
-    violating bar invariants are rejected and listed in the report; a
-    rejection rate above `rejection_ceiling` aborts.
+    violating bar invariants, and repeats of an accepted (ticker, date), are
+    rejected and listed in the report; a rejection rate above
+    `rejection_ceiling` aborts.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     close_after = isinstance(source, str)
@@ -168,6 +169,8 @@ def load_bars(source, schema: dict[str, str] | None = None,
                 reason = str(exc)
             else:
                 reason = _bar_fault(*bar)
+                if reason is None and date in by_asset.get(ticker, ()):
+                    reason = "duplicate row"
             if reason is not None:
                 rejected.append(RejectedRow(line, reason))
                 continue

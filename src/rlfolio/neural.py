@@ -1,6 +1,6 @@
 """Minimal feed-forward substrate: MLPs with analytic gradients, an Adam
-optimizer, a state-independent-variance Gaussian policy head, and a flat
-checkpoint format."""
+optimizer, and a state-independent-variance Gaussian policy head. Each
+network keeps its parameters in one flat vector."""
 from __future__ import annotations
 
 import math
@@ -29,6 +29,7 @@ class Mlp:
         if len(sizes) < 2:
             raise ShapeError("need at least input and output sizes")
         self.sizes = list(sizes)
+        self.n_layers = len(sizes) - 1
         shapes = [shape for n_in, n_out in zip(sizes[:-1], sizes[1:])
                   for shape in ((n_in, n_out), (n_out,))]
         size = sum(map(math.prod, shapes))
@@ -46,10 +47,6 @@ class Mlp:
             for w in self.params[::2]:
                 bound = math.sqrt(6.0 / sum(w.shape))
                 w[...] = rng.uniform(-bound, bound, size=w.shape)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
 
     def clone(self) -> "Mlp":
         return Mlp(self.sizes, flat=self.flat.copy())
@@ -204,24 +201,3 @@ class GaussianPolicy:
             return np.concatenate([mean_grad, g_log_std])
 
         return logp, backward
-
-
-# --- checkpoints ----------------------------------------------------------
-
-CHECKPOINT_MAGIC = "rlfolio-params v2"
-
-
-def save_params(path, flat: np.ndarray) -> None:
-    """Text checkpoint of one parameter vector (a net's `flat`): magic line,
-    length, then the values one per line, exact via repr."""
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC}\n{flat.size}\n")
-        fh.writelines(f"{float(v)!r}\n" for v in flat)
-
-
-def load_params(path) -> np.ndarray:
-    with open(path) as fh:
-        if fh.readline().strip() != CHECKPOINT_MAGIC:
-            raise ShapeError("not a parameter checkpoint")
-        n = int(fh.readline())
-        return np.array([float(fh.readline()) for _ in range(n)])

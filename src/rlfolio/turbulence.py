@@ -9,6 +9,10 @@ import numpy as np
 from .errors import InputInvalid, InsufficientData, SingularCovariance
 from .market_data import PricePanel
 
+__all__ = ["DEFAULT_LOOKBACK", "DEFAULT_QUANTILE", "DEFAULT_RIDGE_SCALE",
+           "TurbulenceContext", "calibrate_threshold", "default_ridge",
+           "panel_returns", "rolling_turbulence", "turbulence_index"]
+
 DEFAULT_LOOKBACK = 252
 DEFAULT_QUANTILE = 0.99
 DEFAULT_RIDGE_SCALE = 1e-8
@@ -35,31 +39,29 @@ class TurbulenceContext:
             raise InputInvalid("lookback must exceed the asset count")
 
 
-@dataclass
-class TurbulenceSeries:
-    values: np.ndarray
-
-    def value_at(self, t: int) -> float:
-        return float(self.values[t])
-
-
 def default_ridge(sigma: np.ndarray) -> float:
     d = sigma.shape[0]
     return DEFAULT_RIDGE_SCALE * float(np.trace(sigma)) / d
 
 
-def turbulence_index(y: np.ndarray, ctx: TurbulenceContext) -> float:
-    """(y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise InputInvalid("non-finite return vector")
-    dev = y - ctx.mu
-    reg = np.asarray(ctx.sigma, dtype=float) + ctx.ridge * np.eye(len(ctx.mu))
+def _quad_form(dev: np.ndarray, sigma: np.ndarray, ridge: float) -> float:
+    """dev (sigma + ridge I)^-1 dev', clamped at 0."""
+    reg = sigma + ridge * np.eye(len(dev))
     try:
         solved = np.linalg.solve(reg, dev)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(str(exc)) from exc
     return max(0.0, float(dev @ solved))
+
+
+def turbulence_index(y: np.ndarray, ctx: TurbulenceContext) -> float:
+    """(y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0: the index of
+    one return vector against a validated context, for direct callers."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise InputInvalid("non-finite return vector")
+    return _quad_form(y - ctx.mu, np.asarray(ctx.sigma, dtype=float),
+                      ctx.ridge)
 
 
 def panel_returns(panel: PricePanel) -> np.ndarray:
@@ -70,27 +72,27 @@ def panel_returns(panel: PricePanel) -> np.ndarray:
 
 
 def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
-                       ridge: float | None = None) -> TurbulenceSeries:
-    """Turbulence value per calendar date.
+                       ridge: float | None = None) -> np.ndarray:
+    """Turbulence value per calendar date, shape (T,).
 
     Date t uses the trailing `lookback` return observations strictly before
     t's return; dates without enough history get 0. `ridge=None` picks the
-    trace-scaled default per window.
+    trace-scaled default per window. Each date is `turbulence_index` of its
+    window's statistics, without building a validated context per date.
     """
     if lookback < panel.D + 1:
         raise InputInvalid("lookback must be at least D + 1")
     rets = panel_returns(panel)
+    if not np.all(np.isfinite(rets)):
+        raise InputInvalid("non-finite return vector")
     values = np.zeros(panel.T)
     # return r[t-1] belongs to date t; history window is r[t-1-lookback : t-1]
     for t in range(lookback + 1, panel.T):
         window = rets[t - 1 - lookback:t - 1]
-        mu = window.mean(axis=0)
-        sigma = np.cov(window, rowvar=False, bias=False)
-        sigma = np.atleast_2d(sigma)
+        sigma = np.atleast_2d(np.cov(window, rowvar=False, bias=False))
         r = default_ridge(sigma) if ridge is None else ridge
-        ctx = TurbulenceContext(mu=mu, sigma=sigma, lookback=lookback, ridge=r)
-        values[t] = turbulence_index(rets[t - 1], ctx)
-    return TurbulenceSeries(values=values)
+        values[t] = _quad_form(rets[t - 1] - window.mean(axis=0), sigma, r)
+    return values
 
 
 def calibrate_threshold(values: np.ndarray, quantile: float) -> float:

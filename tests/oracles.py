@@ -102,6 +102,22 @@ def quad_form_oracle(y, mu, sigma, ridge=0.0):
     return float(dev @ np.linalg.solve(reg, dev))
 
 
+def reward_components(state, result):
+    """Per-asset decomposition of one step's unscaled reward plus cost.
+
+    r_H sums over untouched holdings, r_S over the shares retained after
+    selling (negated), r_B over the post-buy holdings of the buy set, with
+    the price change from `state` to `result.next_state`; the accounting
+    identity is reward + cost == r_H - r_S + r_B.
+    """
+    dp = result.next_state.prices - state.prices
+    sell, buy = result.plan.sell_shares, result.plan.buy_shares
+    hold_mask = (sell == 0) & (buy == 0)
+    return {"r_H": float((dp * state.holdings * hold_mask).sum()),
+            "r_S": float((dp * (sell - state.holdings) * (sell > 0)).sum()),
+            "r_B": float((dp * (state.holdings + buy) * (buy > 0)).sum())}
+
+
 def mlp_forward_oracle(params, x, n_layers):
     """Explicit matrix arithmetic: tanh hidden layers, identity output."""
     h = np.asarray(x, float)

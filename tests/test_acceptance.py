@@ -20,8 +20,7 @@ from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.cli import main as cli_main
 from rlfolio.ensemble import (WindowResult, pick_best, run_trading,
                               train_and_validate)
-from rlfolio.env import EnvConfig, EnvState, TradingEnv, \
-    apply_turbulence_override, resolve_action
+from rlfolio.env import EnvConfig, EnvState, TradingEnv, plan_trades
 from rlfolio.evaluation import (cumulative_return, max_drawdown,
                                 min_variance_weights,
                                 run_min_variance_baseline)
@@ -137,7 +136,7 @@ def test_criterion_04_turbulence():
 
     panel = make_panel(D=5, T=2400, seed=8, drift=0.0, vol=0.01)
     series = rolling_turbulence(panel, lookback=252)
-    defined = series.values[253:]
+    defined = series[253:]
     assert abs(defined.mean() - 5) / 5 < 0.2
 
     rng = np.random.default_rng(9)
@@ -145,12 +144,12 @@ def test_criterion_04_turbulence():
         holdings = rng.integers(0, 50, size=4)
         state = EnvState(t=0, balance=float(rng.uniform(0, 1e5)),
                          holdings=holdings.astype(np.int64),
-                         prices=rng.uniform(10, 200, size=4))
-        action, triggered = apply_turbulence_override(
-            state, rng.uniform(-1, 1, size=4),
-            turbulence_value=10.0, threshold=5.0)
+                         prices=rng.uniform(10, 200, size=4),
+                         turbulence=10.0)
+        plan, triggered = plan_trades(state, rng.uniform(-1, 1, size=4),
+                                      h_max=10 ** 9, fee_rate=0.001,
+                                      threshold=5.0)
         assert triggered
-        plan = resolve_action(state, action, h_max=10 ** 9, fee_rate=0.001)
         final = state.holdings - plan.sell_shares + plan.buy_shares
         assert np.all(final == 0)
 

@@ -342,6 +342,28 @@ class TestBacktestUserErrors:
         assert "error:" in result.stderr
 
 
+class TestReportUserErrors:
+    """A damaged run directory makes `report` exit 2 naming the file."""
+
+    def test_empty_comparison_exits_2(self, tmp_path):
+        (tmp_path / "comparison.csv").write_text("")
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.stderr
+        assert "comparison.csv" in result.stderr
+
+    def test_non_numeric_equity_value_exits_2(self, tmp_path, run_dir):
+        for name in ("comparison.csv", "equity_ppo.csv"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        path = tmp_path / "equity_ppo.csv"
+        path.write_text(path.read_text().replace("\n", "\n2021-01-04,abc\n",
+                                                 1))
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.stderr
+        assert "equity_ppo.csv" in result.stderr
+
+
 # (text in CONFIG_TEMPLATE, its replacement, a word the error must name)
 BAD_CONFIGS = {
     "buffer_capacity": ("[agents]\n", "[agents]\nbuffer_capacity = 0\n",

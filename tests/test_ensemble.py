@@ -1,8 +1,10 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rlfolio import ensemble
 from rlfolio.agents import AgentConfig
 from rlfolio.ensemble import (WindowResult, pick_best, run_deterministic,
                               run_trading, train_and_validate,
@@ -12,7 +14,7 @@ from rlfolio.errors import NoScores
 from rlfolio.evaluation import metrics_report
 from rlfolio.indicators import build_features
 from rlfolio.market_data import build_window_plan
-from rlfolio.turbulence import TurbulenceSeries, rolling_turbulence
+from rlfolio.turbulence import rolling_turbulence
 
 from helpers import make_panel
 
@@ -69,13 +71,13 @@ class TestWindowThreshold:
         thr = window_threshold(turbulence, panel, triple, 0.99)
         start_idx = panel.date_slice(triple.trade.start,
                                      triple.trade.end).start
-        pre = turbulence.values[:start_idx]
+        pre = turbulence[:start_idx]
         assert thr <= pre.max()
         assert thr > 0
 
     def test_no_defined_history_is_inf(self):
         panel, _, _, plan = make_setup()
-        zeros = TurbulenceSeries(values=np.zeros(panel.T))
+        zeros = np.zeros(panel.T)
         assert window_threshold(zeros, panel, plan.triples[0], 0.99) == np.inf
 
     def test_threshold_grows_with_quantile(self):
@@ -170,37 +172,91 @@ class TestRunTrading:
         assert any(t.side == "buy" for t in trace.trades)
 
 
+def assert_walk_forward_access(panel, features, turbulence, plan,
+                               configs=TINY_CONFIGS, seed=1):
+    """The no-lookahead gate: train and validate every quarter with access
+    tracking on, and check that each phase reads only dates before its
+    quarter's trade interval. Returns the window results."""
+    panel.enable_access_tracking()
+    marks = []
+
+    def phase_cb(index, phase):
+        marks.append((index, phase, len(panel.access_log)))
+
+    windows = train_and_validate(panel, features, turbulence, plan,
+                                 EnvConfig(initial_balance=10_000.0,
+                                           h_max=5),
+                                 configs, seed=seed,
+                                 phase_callback=phase_cb)
+    # every data access during train/validate phases stays strictly
+    # before the corresponding trade interval
+    log = panel.access_log
+    boundaries = marks + [(None, "end", len(log))]
+    for (index, phase, start), (_, _, stop) in zip(boundaries,
+                                                   boundaries[1:]):
+        triple = plan.triples[index]
+        trade_start = panel.date_slice(triple.trade.start,
+                                       triple.trade.end).start
+        seg = log[start:stop]
+        assert seg, f"no accesses in phase {phase} of window {index}"
+        assert max(seg) < trade_start
+    return windows
+
+
+class PeekingEnv(TradingEnv):
+    """A lookahead mutant: observes date t+1's features at date t."""
+
+    def observe(self, state=None):
+        state = self.state if state is None else state
+        _, features, _ = self.market_at(state.t + 1)
+        return super().observe(replace(state, features=features))
+
+
 class TestTrainAndValidate:
     def test_structure_and_walk_forward_data_access(self):
         panel, features, turbulence, plan = make_setup()
-        panel.enable_access_tracking()
-        marks = []
-
-        def phase_cb(index, phase):
-            marks.append((index, phase, len(panel.access_log)))
-
-        windows = train_and_validate(panel, features, turbulence, plan,
-                                     EnvConfig(initial_balance=10_000.0,
-                                               h_max=5),
-                                     TINY_CONFIGS, seed=1,
-                                     phase_callback=phase_cb)
+        windows = assert_walk_forward_access(panel, features, turbulence,
+                                             plan)
         assert len(windows) == len(plan.triples)
         for w in windows:
             assert set(w.agents) == {"PPO", "A2C", "DDPG"}
             assert set(w.scores) == {"PPO", "A2C", "DDPG"}
 
-        # every data access during train/validate phases stays strictly
-        # before the corresponding trade interval
-        log = panel.access_log
-        boundaries = marks + [(None, "end", len(log))]
-        for (index, phase, start), (_, _, stop) in zip(boundaries,
-                                                       boundaries[1:]):
-            triple = plan.triples[index]
-            trade_start = panel.date_slice(triple.trade.start,
-                                           triple.trade.end).start
-            seg = log[start:stop]
-            assert seg, f"no accesses in phase {phase} of window {index}"
-            assert max(seg) < trade_start
+    def test_gate_fails_an_env_that_observes_the_next_date(self,
+                                                           monkeypatch):
+        # The peek leaves a window when an episode observes its last date,
+        # so the first quarter trains on three months for more steps than
+        # that window has.
+        panel = make_panel(D=2, T=400, seed=3, start=dt.date(2017, 1, 1))
+        features = build_features(panel)
+        turbulence = rolling_turbulence(panel, lookback=30)
+        plan = build_window_plan(panel, dt.date(2017, 6, 30), 3, 3)
+        whole_episode = replace(TINY, total_steps=70)
+        configs = {k: whole_episode for k in ("PPO", "A2C", "DDPG")}
+        assert_walk_forward_access(panel, features, turbulence, plan,
+                                   configs)
+        monkeypatch.setattr(ensemble, "TradingEnv", PeekingEnv)
+        with pytest.raises((AssertionError, IndexError)):
+            assert_walk_forward_access(panel, features, turbulence, plan,
+                                       configs)
+
+    def test_validation_env_cannot_read_the_trade_quarter(self):
+        panel, features, turbulence, plan = make_setup()
+        triple = plan.triples[0]
+        val = panel.date_slice(triple.validation.start, triple.validation.end)
+        env = TradingEnv(panel, features, (val.start, val.stop - 1),
+                         EnvConfig(), turbulence=turbulence)
+        trade_start = panel.date_slice(triple.trade.start,
+                                       triple.trade.end).start
+        assert env.end + 1 == trade_start
+        env.market_at(env.end)
+        for t in (trade_start, panel.T - 1):
+            with pytest.raises(IndexError):
+                env.market_at(t)
+        env.reset()
+        last = replace(env.state, t=env.end)  # not marked done
+        with pytest.raises(IndexError):
+            env.step_state(last, np.zeros(panel.D))
 
     def test_validation_scores_populated_or_none(self):
         panel, features, turbulence, plan = make_setup(T=450)

@@ -3,14 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rlfolio.env import (EnvConfig, EnvState, TradingEnv,
-                         apply_turbulence_override, resolve_action)
+from rlfolio.env import (EnvConfig, EnvState, TradingEnv, plan_trades,
+                         resolve_action)
 from rlfolio.errors import EpisodeFinished
-from rlfolio.indicators import build_features
-from rlfolio.turbulence import TurbulenceSeries
+from rlfolio.indicators import FeaturePanel, build_features
+from rlfolio.market_data import BAR_FIELDS, PricePanel
+from rlfolio.turbulence import rolling_turbulence
 
 from helpers import make_panel, make_trend_panel
+from oracles import reward_components
 
 
 def make_env(panel=None, config=None, **kwargs):
@@ -20,10 +24,11 @@ def make_env(panel=None, config=None, **kwargs):
     return TradingEnv(panel, features, (0, panel.T - 1), config, **kwargs)
 
 
-def state_with(prices, holdings, balance, t=0):
+def state_with(prices, holdings, balance, t=0, turbulence=0.0):
     return EnvState(t=t, balance=balance,
                     holdings=np.asarray(holdings, dtype=np.int64),
-                    prices=np.asarray(prices, dtype=float))
+                    prices=np.asarray(prices, dtype=float),
+                    turbulence=turbulence)
 
 
 class TestReset:
@@ -117,7 +122,7 @@ class TestStep:
         state = r1.next_state
         assert np.all(state.holdings == 5)
         r2 = env.step_state(state, np.array([0.0]))
-        assert r2.reward_components["r_H"] == pytest.approx(15.0)
+        assert reward_components(state, r2)["r_H"] == pytest.approx(15.0)
         assert r2.reward_unscaled == pytest.approx(15.0)
 
     def test_step_after_done_raises(self):
@@ -155,7 +160,7 @@ class TestAccountingFuzz:
                          - state.portfolio_value)
             # reward already nets out the cost taken from the balance
             assert result.reward_unscaled == pytest.approx(pv_change, rel=1e-9)
-            comp = result.reward_components
+            comp = reward_components(state, result)
             decomposed = comp["r_H"] - comp["r_S"] + comp["r_B"]
             assert result.reward_unscaled + result.cost == pytest.approx(
                 decomposed, rel=1e-9, abs=1e-9)
@@ -173,33 +178,34 @@ class TestAccountingFuzz:
 
 class TestTurbulenceOverride:
     def test_forces_liquidation(self):
-        s = state_with([10.0, 10.0], [3, 0], 100.0)
-        action, triggered = apply_turbulence_override(
-            s, [1.0, 1.0], turbulence_value=10.0, threshold=5.0)
+        s = state_with([10.0, 10.0], [3, 0], 100.0, turbulence=10.0)
+        plan, triggered = plan_trades(s, [1.0, 1.0], h_max=100, fee_rate=0.0,
+                                      threshold=5.0)
         assert triggered
-        plan = resolve_action(s, action, h_max=100, fee_rate=0.0)
         np.testing.assert_array_equal(plan.sell_shares, [3, 0])
         np.testing.assert_array_equal(plan.buy_shares, [0, 0])
 
     def test_below_threshold_passthrough(self):
-        s = state_with([10.0], [3], 100.0)
-        action, triggered = apply_turbulence_override(
-            s, [0.4], turbulence_value=4.0, threshold=5.0)
+        s = state_with([10.0], [3], 100.0, turbulence=4.0)
+        plan, triggered = plan_trades(s, [0.4], h_max=100, fee_rate=0.0,
+                                      threshold=5.0)
         assert not triggered
-        np.testing.assert_array_equal(action, [0.4])
+        # the plan of the action itself, [0.4]
+        expected = resolve_action(s, [0.4], h_max=100, fee_rate=0.0)
+        np.testing.assert_array_equal(plan.sell_shares, expected.sell_shares)
+        np.testing.assert_array_equal(plan.buy_shares, expected.buy_shares)
 
     def test_nothing_to_sell(self):
-        s = state_with([10.0, 10.0], [0, 0], 100.0)
-        action, triggered = apply_turbulence_override(
-            s, [1.0, -1.0], 10.0, 5.0)
+        s = state_with([10.0, 10.0], [0, 0], 100.0, turbulence=10.0)
+        plan, triggered = plan_trades(s, [1.0, -1.0], h_max=100,
+                                      fee_rate=0.001, threshold=5.0)
         assert triggered
-        plan = resolve_action(s, action, h_max=100, fee_rate=0.001)
         np.testing.assert_array_equal(plan.sell_shares, [0, 0])
         np.testing.assert_array_equal(plan.buy_shares, [0, 0])
 
     def test_override_supremacy_in_step(self):
         panel = make_panel(D=2, T=50, seed=3)
-        turb = TurbulenceSeries(values=np.full(50, 100.0))
+        turb = np.full(50, 100.0)
         env = make_env(panel, turbulence=turb)
         env.threshold = 1.0
         env.reset(balance=10_000.0, holdings=np.array([500, 7]))
@@ -235,6 +241,53 @@ class TestObserve:
         obs = env.reset()
         assert obs[0] == 1.0
         np.testing.assert_allclose(obs[1:3], env.state.prices / 100.0)
+
+
+class TestNoLookahead:
+    PANEL = make_panel(D=2, T=40, seed=4, vol=0.03)
+
+    @staticmethod
+    def observe_and_reward(panel, features, turbulence, threshold, actions):
+        """The observation at t = len(actions) - 1 and the reward of that
+        step, after acting on the earlier actions from the window start."""
+        env = TradingEnv(panel, features, (0, panel.T - 1),
+                         EnvConfig(initial_balance=10_000.0, h_max=10),
+                         turbulence=turbulence,
+                         turbulence_threshold=threshold)
+        env.reset()
+        for action in actions[:-1]:
+            env.step(action)
+        return env.observe(), env.step_state(env.state, actions[-1]).reward
+
+    @given(st.integers(0, 37), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_later_inputs_change_neither_observation_nor_reward(self, t, seed):
+        panel = self.PANEL
+        features = build_features(panel)
+        turbulence = rolling_turbulence(panel, lookback=5)
+        threshold = float(np.median(turbulence))  # the override fires too
+        rng = np.random.default_rng(seed)
+        actions = rng.uniform(-1, 1, size=(t + 1, panel.D))
+        # every price after date t + 1 (the step is rewarded at t + 1
+        # prices), every feature and turbulence value after date t
+        later_prices, later = slice(t + 2, None), slice(t + 1, None)
+        fields = {name: panel.field(name).copy() for name in BAR_FIELDS}
+        for arr in fields.values():
+            arr[later_prices] *= rng.uniform(0.5, 2.0,
+                                             size=arr[later_prices].shape)
+        block = features.block.copy()
+        block[later] += rng.normal(0.0, 50.0, size=block[later].shape)
+        changed = turbulence.copy()
+        changed[later] = rng.uniform(0.0, 2 * changed.max(),
+                                     size=changed[later].shape)
+        other = PricePanel(list(panel.assets), list(panel.calendar), fields)
+
+        obs, reward = self.observe_and_reward(panel, features, turbulence,
+                                              threshold, actions)
+        obs2, reward2 = self.observe_and_reward(other, FeaturePanel(block),
+                                                changed, threshold, actions)
+        np.testing.assert_array_equal(obs, obs2)
+        assert reward == reward2
 
 
 class TestBoundedMemory:

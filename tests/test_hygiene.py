@@ -8,6 +8,16 @@ import rlfolio
 PACKAGE = Path(rlfolio.__file__).parent
 
 
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but neither uses nor lists in `__all__`."""
     imported = set()
@@ -17,12 +27,50 @@ def unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported(tree) - {"*"})
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    """Public top-level classes, functions and assigned names, except
+    functions registered by a decorator (the click commands)."""
+    names = set()
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
-    return sorted(imported - used - {"*"})
+        if isinstance(node, ast.ClassDef) or (
+                isinstance(node, ast.FunctionDef) and not node.decorator_list):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if not n.startswith("_")}
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a name, an attribute, an import or an
+    `__all__` entry; a definition itself is none of these."""
+    refs = exported(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {a.name for a in node.names}
+    return refs
+
+
+def unreferenced(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Per module, the public top-level names nothing in `trees` reads."""
+    refs = set().union(*map(references, trees.values()))
+    found = {name: sorted(public_definitions(tree) - refs)
+             for name, tree in trees.items()}
+    return {name: names for name, names in found.items() if names}
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
+            for path in sorted(PACKAGE.rglob("*.py"))}
 
 
 def test_unused_imports_are_caught():
@@ -33,8 +81,22 @@ def test_unused_imports_are_caught():
 
 def test_no_unused_imports():
     offenders = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        unused = unused_imports(ast.parse(path.read_text()))
+    for name, tree in package_trees().items():
+        unused = unused_imports(tree)
         if unused:
-            offenders[path.relative_to(PACKAGE).as_posix()] = unused
+            offenders[name] = unused
     assert offenders == {}
+
+
+def test_unreferenced_names_are_caught():
+    trees = {"a.py": ast.parse(
+                 "import click\nX = 1\n_y = 2\n__all__ = ['f']\n"
+                 "def f(): return helper()\ndef helper(): pass\n"
+                 "def dead(): return X\nclass Dead: pass\n"
+                 "@click.command()\ndef cmd(): pass\n"),
+             "b.py": ast.parse("from a import g\n")}
+    assert unreferenced(trees) == {"a.py": ["Dead", "dead"]}
+
+
+def test_every_public_name_is_referenced():
+    assert unreferenced(package_trees()) == {}

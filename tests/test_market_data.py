@@ -74,6 +74,25 @@ class TestLoadBars:
             "empty ticker",
         ]
 
+    def test_duplicate_row_rejected(self):
+        text = HEADER + row("2020-01-02", "AAA", adj=10.5)
+        text += row("2020-01-02", "AAA", c=10.8, adj=10.8)
+        text += row("2020-01-03", "AAA")
+        panel, report = load_bars(csv_stream(text), rejection_ceiling=0.5)
+        assert report.accepted_rows == 2
+        assert [(r.line, r.reason) for r in report.rejected] == [
+            (3, "duplicate row")]
+        assert panel.adj_close[0, 0] == 10.5  # the first bar is kept
+        with pytest.raises(RejectionRateExceeded):
+            load_bars(csv_stream(text), rejection_ceiling=0.2)
+
+    def test_malformed_duplicate_keeps_its_invariant_reason(self):
+        text = HEADER + row("2020-01-02", "AAA")
+        text += row("2020-01-02", "AAA", h=8, lo=12)
+        _, report = load_bars(csv_stream(text), rejection_ceiling=0.5)
+        assert [r.reason for r in report.rejected] == [
+            "low/high do not bracket open/close"]
+
     def test_fields_are_c_contiguous(self):
         panel, _ = load_bars(csv_stream(panel_to_csv(make_panel(D=3, T=20))))
         for name in ("open", "high", "low", "close", "adj_close", "volume"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rlfolio.errors import GradInvalid, ShapeError
-from rlfolio.neural import Adam, GaussianPolicy, Mlp, load_params, save_params
+from rlfolio.neural import Adam, GaussianPolicy, Mlp
 
 import oracles
 
@@ -191,23 +191,7 @@ class TestGaussianPolicy:
         assert grad[-1] == 0.0
 
 
-class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
-        net = Mlp([4, 7, 2], np.random.default_rng(5))
-        path = tmp_path / "ckpt.txt"
-        save_params(path, net.flat)
-        loaded = load_params(path)
-        np.testing.assert_array_equal(loaded, net.flat)  # exact via repr
-        x = np.random.default_rng(6).normal(size=(3, 4))
-        np.testing.assert_array_equal(Mlp(net.sizes, flat=loaded).forward(x),
-                                      net.forward(x))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("something else\n")
-        with pytest.raises(ShapeError):
-            load_params(path)
-
+class TestMlpLayout:
     def test_flatten_roundtrip(self):
         net = Mlp([3, 5, 2], np.random.default_rng(8))
         # layer by layer, weight then bias, row-major

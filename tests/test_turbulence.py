@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlfolio.errors import InputInvalid, InsufficientData
-from rlfolio.market_data import PricePanel
+from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import (TurbulenceContext, calibrate_threshold,
+                                default_ridge, panel_returns,
                                 rolling_turbulence, turbulence_index)
 
 import oracles
@@ -67,14 +68,14 @@ class TestRollingTurbulence:
         # Mahalanobis distance of iid Gaussian data has mean ~ D
         panel = make_panel(D=5, T=2400, seed=8, drift=0.0, vol=0.01)
         series = rolling_turbulence(panel, lookback=252)
-        defined = series.values[253:]
+        defined = series[253:]
         assert abs(defined.mean() - 5) / 5 < 0.2
 
     def test_insufficient_history_prefix_zero(self):
         panel = make_panel(D=3, T=120, seed=2)
         series = rolling_turbulence(panel, lookback=60)
-        np.testing.assert_array_equal(series.values[:61], 0.0)
-        assert np.any(series.values[61:] > 0)
+        np.testing.assert_array_equal(series[:61], 0.0)
+        assert np.any(series[61:] > 0)
 
     def test_window_mean_return_scores_zero(self):
         # craft prices whose final return equals the trailing mean return
@@ -92,7 +93,28 @@ class TestRollingTurbulence:
         panel = PricePanel(["A"], trading_calendar(
             __import__("datetime").date(2020, 1, 1), len(prices)), fields)
         series = rolling_turbulence(panel, lookback=lookback, ridge=0.0)
-        assert series.values[-1] == pytest.approx(0.0, abs=1e-12)
+        assert series[-1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_each_value_is_turbulence_index_of_its_window(self):
+        lookback = 8
+        panel = make_panel(D=3, T=40, seed=5)
+        series = rolling_turbulence(panel, lookback=lookback)
+        rets = panel_returns(panel)
+        for t in range(lookback + 1, panel.T):
+            window = rets[t - 1 - lookback:t - 1]
+            sigma = np.cov(window, rowvar=False, bias=False)
+            ctx = TurbulenceContext(mu=window.mean(axis=0), sigma=sigma,
+                                    lookback=lookback,
+                                    ridge=default_ridge(sigma))
+            assert series[t] == turbulence_index(rets[t - 1], ctx)
+
+    def test_non_finite_return_raises(self):
+        panel = make_panel(D=2, T=40, seed=1)
+        fields = {name: panel.field(name).copy() for name in BAR_FIELDS}
+        fields["adj_close"][30, 1] = np.nan
+        bad = PricePanel(list(panel.assets), list(panel.calendar), fields)
+        with pytest.raises(InputInvalid):
+            rolling_turbulence(bad, lookback=10)
 
     def test_lookback_too_small(self):
         panel = make_panel(D=5, T=100)
