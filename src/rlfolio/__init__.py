@@ -3,7 +3,9 @@ DDPG, PPO) on a multi-stock daily environment, selected per quarter by
 validation Sharpe ratio and compared against min-variance and index
 baselines."""
 
-from .indicators import KERNEL_BACKEND
+# The one indicator implementation is numpy; the benchmark's environment
+# fingerprint records this name.
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"
 

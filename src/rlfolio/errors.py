@@ -23,10 +23,6 @@ class RejectionRateExceeded(RlfolioError):
         self.ceiling = ceiling
 
 
-class OutOfRange(RlfolioError, IndexError):
-    pass
-
-
 class InsufficientData(RlfolioError):
     def __init__(self, needed, available):
         super().__init__(f"needed {needed}, available {available}")

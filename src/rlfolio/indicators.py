@@ -1,7 +1,10 @@
 """MACD, RSI, CCI, and ADX feature blocks for the observation vector.
 
-The smoothing recursions run in the pure-Python kernels of `_kernels_py`;
-`KERNEL_BACKEND` names that backend.
+Each indicator takes time-first arrays: one series of T dates, or a T x D
+panel whose columns are assets. Only the smoothing recursions loop, over
+dates, each step acting on one row; every float operation runs in the
+order of the scalar definition, so a panel call equals its column-by-column
+calls bit for bit.
 """
 from __future__ import annotations
 
@@ -12,16 +15,11 @@ import numpy as np
 from .errors import InputEmpty
 from .market_data import PricePanel
 
-from . import _kernels_py as _kernels
-
-KERNEL_BACKEND: str = _kernels.BACKEND
-
 
 @dataclass(frozen=True)
 class IndicatorConfig:
     macd_fast: int = 12
     macd_slow: int = 26
-    macd_signal: int = 9
     rsi_period: int = 14
     cci_period: int = 14
     adx_period: int = 14
@@ -51,33 +49,76 @@ def _check_series(x) -> np.ndarray:
     return x
 
 
-def macd(close, fast: int = 12, slow: int = 26, signal: int = 9) -> np.ndarray:
-    """MACD line: EMA(fast) - EMA(slow).
+def _ema(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Exponential moving average seeded by the first date."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for i in range(1, x.shape[0]):
+        out[i] = out[i - 1] + alpha * (x[i] - out[i - 1])
+    return out
 
-    `signal` is accepted for configuration compatibility; the feature block
-    uses the MACD line itself.
-    """
+
+def _wilder(x: np.ndarray, period: int, first: int) -> np.ndarray:
+    """Wilder smoothing: date `first` holds the mean of the `period` dates
+    ending there (summed one date at a time), each later date
+    (prev * (period - 1) + x) / period; earlier dates are 0."""
+    out = np.zeros_like(x)
+    acc = 0.0
+    for j in range(first - period + 1, first + 1):
+        acc = acc + x[j]
+    out[first] = acc / period
+    for i in range(first + 1, x.shape[0]):
+        out[i] = (out[i - 1] * (period - 1) + x[i]) / period
+    return out
+
+
+def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
+    """MACD line: EMA(fast) - EMA(slow)."""
     close = _check_series(close)
     if not 0 < fast < slow:
         raise ValueError("need 0 < fast < slow")
-    alpha_f = 2.0 / (fast + 1.0)
-    alpha_s = 2.0 / (slow + 1.0)
-    return _kernels.ema(close, alpha_f) - _kernels.ema(close, alpha_s)
+    return _ema(close, 2.0 / (fast + 1.0)) - _ema(close, 2.0 / (slow + 1.0))
 
 
 def rsi(close, period: int = 14) -> np.ndarray:
     """Wilder-smoothed RSI in [0, 100]; first `period` entries are 50."""
     close = _check_series(close)
-    return _kernels.rsi_kernel(close, int(period))
+    period = int(period)
+    out = np.full_like(close, 50.0)
+    if close.shape[0] <= period:
+        return out
+    d = np.zeros_like(close)
+    d[1:] = close[1:] - close[:-1]
+    gain = _wilder(np.where(d > 0.0, d, 0.0), period, period)[period:]
+    loss = _wilder(np.where(d < 0.0, -d, 0.0), period, period)[period:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[period:] = np.where(
+            loss == 0.0, np.where(gain == 0.0, 50.0, 100.0),
+            100.0 - 100.0 / (1.0 + gain / loss))
+    return out
 
 
 def cci(high, low, close, period: int = 14) -> np.ndarray:
     """Commodity channel index; zero mean deviation maps to 0."""
-    high = _check_series(high)
-    low = _check_series(low)
-    close = _check_series(close)
-    tp = (high + low + close) / 3.0
-    return _kernels.cci_kernel(tp, int(period))
+    tp = (_check_series(high) + _check_series(low)
+          + _check_series(close)) / 3.0
+    period = int(period)
+    out = np.zeros_like(tp)
+    m = tp.shape[0] - period + 1    # number of full windows
+    if m <= 0:
+        return out
+    sma = 0.0
+    for k in range(period):
+        sma = sma + tp[k:k + m]
+    sma = sma / period
+    mad = 0.0
+    for k in range(period):
+        mad = mad + np.abs(tp[k:k + m] - sma)
+    mad = mad / period
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[period - 1:] = np.where(
+            mad > 0.0, (tp[period - 1:] - sma) / (0.015 * mad), 0.0)
+    return out
 
 
 def adx(high, low, close, period: int = 14) -> np.ndarray:
@@ -85,26 +126,48 @@ def adx(high, low, close, period: int = 14) -> np.ndarray:
     high = _check_series(high)
     low = _check_series(low)
     close = _check_series(close)
-    return _kernels.adx_kernel(high, low, close, int(period))
+    period = int(period)
+    n = high.shape[0]
+    if n <= 2 * period - 1:
+        return np.zeros_like(high)
+    up = np.zeros_like(high)
+    down = np.zeros_like(high)
+    up[1:] = high[1:] - high[:-1]
+    down[1:] = low[:-1] - low[1:]
+    plus_dm = np.where((up > down) & (up > 0.0), up, 0.0)
+    minus_dm = np.where((down > up) & (down > 0.0), down, 0.0)
+    tr = np.zeros_like(high)
+    tr[1:] = np.maximum(np.maximum(high[1:] - low[1:],
+                                   np.abs(high[1:] - close[:-1])),
+                        np.abs(low[1:] - close[:-1]))
+    atr = _wilder(tr, period, period)[period:]
+    sp = _wilder(plus_dm, period, period)[period:]
+    sm = _wilder(minus_dm, period, period)[period:]
+    dx = np.zeros_like(high)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus_di = np.where(atr > 0.0, 100.0 * sp / atr, 0.0)
+        minus_di = np.where(atr > 0.0, 100.0 * sm / atr, 0.0)
+        s = plus_di + minus_di
+        dx[period:] = np.where(s > 0.0,
+                               100.0 * np.abs(plus_di - minus_di) / s, 0.0)
+    return _wilder(dx, period, 2 * period - 1)
 
 
 def build_features(panel: PricePanel,
                    config: IndicatorConfig = IndicatorConfig()) -> FeaturePanel:
-    """Compute all four indicator blocks per asset.
+    """Compute all four indicator blocks, each in one call on the panel.
 
-    MACD and RSI run on the adjusted close (the trading price); CCI and ADX
-    additionally use high/low.
+    Every input is on the adjusted basis: MACD and RSI run on the adjusted
+    close (the trading price), and CCI and ADX also use high and low scaled
+    by adj_close / close, so a split or a dividend moves no indicator.
     """
     adj = panel.adj_close
-    high = panel.field("high")
-    low = panel.field("low")
-    feats = FeaturePanel(np.empty((adj.shape[0], 4 * adj.shape[1])))
-    for d in range(adj.shape[1]):
-        feats.macd[:, d] = macd(adj[:, d], config.macd_fast,
-                                config.macd_slow, config.macd_signal)
-        feats.rsi[:, d] = rsi(adj[:, d], config.rsi_period)
-        feats.cci[:, d] = cci(high[:, d], low[:, d], adj[:, d],
-                              config.cci_period)
-        feats.adx[:, d] = adx(high[:, d], low[:, d], adj[:, d],
-                              config.adx_period)
-    return feats
+    scale = adj / panel.field("close")
+    high = panel.field("high") * scale
+    low = panel.field("low") * scale
+    return FeaturePanel(np.hstack([
+        macd(adj, config.macd_fast, config.macd_slow),
+        rsi(adj, config.rsi_period),
+        cci(high, low, adj, config.cci_period),
+        adx(high, low, adj, config.adx_period),
+    ]))

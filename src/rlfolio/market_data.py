@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     InputEmpty,
     InsufficientData,
-    OutOfRange,
     RejectionRateExceeded,
 )
 
@@ -69,9 +68,9 @@ class PricePanel:
     """Aligned T x D table of bars over a common trading calendar.
 
     Each bar field is one dense, read-only, C-contiguous T x D array, the
-    only copy of the market data. A date is read as a row view
-    (`prices_at`), so visiting every date copies and retains nothing.
-    Immutable after construction; concurrent reads are safe.
+    only copy of the market data; `access_log` records the dates an env
+    reads (`TradingEnv.market_at`) when tracking is on. Immutable after
+    construction; concurrent reads are safe.
     """
 
     def __init__(self, assets: list[str], calendar: list[dt.date],
@@ -107,15 +106,6 @@ class PricePanel:
 
     def enable_access_tracking(self) -> None:
         self.access_log = []
-
-    def prices_at(self, t: int) -> np.ndarray:
-        """Trading prices (the adjusted close) at date index t, as a
-        read-only view of one row; logged when access tracking is on."""
-        if not 0 <= t < self.T:
-            raise OutOfRange(f"t={t} outside [0, {self.T})")
-        if self.access_log is not None:
-            self.access_log.append(t)
-        return self._fields["adj_close"][t]
 
     def date_slice(self, start: dt.date, end: dt.date) -> range:
         """Indices of calendar dates within [start, end]."""

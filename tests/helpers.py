@@ -52,6 +52,32 @@ def make_trend_panel(D: int = 2, T: int = 400, step: float = 1.0,
     return PricePanel(assets, trading_calendar(start, T), fields)
 
 
+def make_split_panel(D: int = 2, T: int = 300, seed: int = 0,
+                     split_at: int = 150, dividend_every: int = 60,
+                     dividend_yield: float = 0.01
+                     ) -> tuple[PricePanel, PricePanel]:
+    """Real-shaped raw prices and their adjusted-basis twin.
+
+    The raw panel's open, high, low and close halve on `split_at` (a 2:1
+    split) and drop by `dividend_yield` on every `dividend_every`-th date
+    (a dividend stream); its adj_close is the back-adjusted close, so
+    adj_close != close before the last event. The twin holds the same
+    adjusted series with no split or dividend in it: every field on the
+    adjusted basis and close == adj_close.
+    """
+    adjusted = make_panel(D=D, T=T, seed=seed)
+    factor = np.ones(T)              # raw price / adjusted price
+    factor[:split_at] *= 2.0
+    for t in range(dividend_every, T, dividend_every):
+        factor[:t] /= 1.0 - dividend_yield
+    raw = {name: adjusted.field(name) * factor[:, None]
+           for name in ("open", "high", "low", "close")}
+    raw["adj_close"] = adjusted.adj_close
+    raw["volume"] = adjusted.field("volume")
+    return (PricePanel(list(adjusted.assets), list(adjusted.calendar), raw),
+            adjusted)
+
+
 def panel_to_csv(panel: PricePanel) -> str:
     lines = ["date,ticker," + ",".join(BAR_FIELDS)]
     for t, date in enumerate(panel.calendar):

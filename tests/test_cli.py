@@ -80,7 +80,6 @@ obs_scale_adx = 50.0
 [indicators]
 macd_fast = 5
 macd_slow = 20
-macd_signal = 4
 rsi_period = 7
 cci_period = 8
 adx_period = 9

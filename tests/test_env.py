@@ -243,6 +243,29 @@ class TestObserve:
         np.testing.assert_allclose(obs[1:3], env.state.prices / 100.0)
 
 
+class TestMarketAt:
+    def test_read_only_view_of_adj_close(self):
+        panel = make_panel(D=3, T=10)
+        env = make_env(panel)
+        prices, features, _ = env.market_at(4)
+        np.testing.assert_array_equal(prices, panel.adj_close[4])
+        assert np.shares_memory(prices, panel.adj_close)
+        assert not prices.flags.writeable
+        with pytest.raises(ValueError):
+            prices[0] = 1.0
+        np.testing.assert_array_equal(features,
+                                      build_features(panel).block[4])
+
+    def test_access_log_records_every_read(self):
+        panel = make_panel(D=2, T=50)
+        env = make_env(panel)
+        env.market_at(1)
+        panel.enable_access_tracking()
+        for t in [3, 7, 3, 11]:
+            env.market_at(t)
+        assert panel.access_log == [3, 7, 3, 11]
+
+
 class TestNoLookahead:
     PANEL = make_panel(D=2, T=40, seed=4, vol=0.03)
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio import indicators as ind
 from rlfolio.errors import InputEmpty
 
 import oracles
-from helpers import make_panel
+from helpers import make_panel, make_split_panel
 
 
 def random_series(seed, n=60, base=100.0, vol=0.02):
@@ -187,7 +187,59 @@ class TestBuildFeatures:
     def test_per_asset_independence(self):
         panel = make_panel(D=3, T=60, seed=9)
         feats = ind.build_features(panel)
-        col = 1
-        single = ind.macd(panel.adj_close[:, col])
-        np.testing.assert_array_equal(feats.macd[:, col], single)
+        adj, high, low = (panel.adj_close, panel.field("high"),
+                          panel.field("low"))
+        for col in range(panel.D):
+            c, h, lo = adj[:, col], high[:, col], low[:, col]
+            np.testing.assert_array_equal(feats.macd[:, col], ind.macd(c))
+            np.testing.assert_array_equal(feats.rsi[:, col], ind.rsi(c))
+            np.testing.assert_array_equal(feats.cci[:, col],
+                                          ind.cci(h, lo, c))
+            np.testing.assert_array_equal(feats.adx[:, col],
+                                          ind.adx(h, lo, c))
+
+    def test_split_and_dividends_move_no_indicator(self):
+        # CCI and ADX mix high and low with the adjusted close; on raw
+        # high/low a split or a dividend would show up as a price jump
+        raw, adjusted = make_split_panel(D=2, T=300, seed=4)
+        assert not np.allclose(raw.field("close"), raw.adj_close)
+        got, want = ind.build_features(raw), ind.build_features(adjusted)
+        np.testing.assert_array_equal(got.macd, want.macd)
+        np.testing.assert_array_equal(got.rsi, want.rsi)
+        np.testing.assert_allclose(got.cci, want.cci, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got.adx, want.adx, rtol=1e-9, atol=1e-9)
+
+
+class TestPanelCalls:
+    """A T x D call equals its D column-wise 1-D calls bit for bit."""
+
+    INDICATORS = {
+        "macd": lambda c, h, lo, p: ind.macd(c, p, 2 * p),
+        "rsi": lambda c, h, lo, p: ind.rsi(c, p),
+        "cci": lambda c, h, lo, p: ind.cci(h, lo, c, p),
+        "adx": lambda c, h, lo, p: ind.adx(h, lo, c, p),
+    }
+
+    @given(T=st.integers(1, 45), D=st.integers(1, 4),
+           period=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+           ticks=st.booleans())
+    @example(T=9, D=3, period=14, seed=0, ticks=False)    # T <= period
+    @example(T=27, D=2, period=14, seed=1, ticks=False)   # T <= 2p - 1
+    @example(T=40, D=3, period=5, seed=2, ticks=True)     # flat stretches
+    @settings(max_examples=60, deadline=None)
+    def test_panel_equals_columns(self, T, D, period, seed, ticks):
+        rng = np.random.default_rng(seed)
+        close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, (T, D)),
+                                         axis=0))
+        if ticks:    # round to a coarse tick so prices repeat
+            close = np.round(close)
+        high = close * (1 + np.abs(rng.normal(0, 0.01, (T, D))))
+        low = close * (1 - np.abs(rng.normal(0, 0.01, (T, D))))
+        for name, fn in self.INDICATORS.items():
+            panel = fn(close, high, low, period)
+            assert panel.shape == (T, D), name
+            for d in range(D):
+                np.testing.assert_array_equal(
+                    panel[:, d], fn(close[:, d], high[:, d], low[:, d],
+                                    period), err_msg=name)
 

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from rlfolio.errors import (InputEmpty, InsufficientData, OutOfRange,
+from rlfolio.errors import (InputEmpty, InsufficientData,
                             RejectionRateExceeded)
 from rlfolio.market_data import (add_months, build_window_plan, load_bars,
                                  month_end)
@@ -129,34 +129,6 @@ class TestLoadBars:
         panel = make_panel(D=4, T=50, seed=1)
         for name in ("open", "high", "low", "close", "adj_close", "volume"):
             assert np.all(np.isfinite(panel.field(name)))
-
-
-class TestPricesAt:
-    def test_boundaries(self):
-        panel = make_panel(D=2, T=10)
-        np.testing.assert_array_equal(panel.prices_at(0), panel.adj_close[0])
-        np.testing.assert_array_equal(panel.prices_at(9), panel.adj_close[9])
-        with pytest.raises(OutOfRange):
-            panel.prices_at(10)
-        with pytest.raises(OutOfRange):
-            panel.prices_at(-1)
-
-    def test_read_only_view_of_adj_close(self):
-        panel = make_panel(D=3, T=10)
-        prices = panel.prices_at(4)
-        np.testing.assert_array_equal(prices, panel.adj_close[4])
-        assert np.shares_memory(prices, panel.adj_close)
-        assert not prices.flags.writeable
-        with pytest.raises(ValueError):
-            prices[0] = 1.0
-
-    def test_access_log_records_every_read(self):
-        panel = make_panel(D=2, T=50)
-        panel.prices_at(1)
-        panel.enable_access_tracking()
-        for t in [3, 7, 3, 11]:
-            panel.prices_at(t)
-        assert panel.access_log == [3, 7, 3, 11]
 
 
 class TestWindowPlan:
