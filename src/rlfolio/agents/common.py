@@ -140,7 +140,7 @@ class OnPolicyAgent(Agent):
             action, _ = self.policy.sample(obs, self.rng)
         else:
             action = self.policy.mean_net.forward(obs)
-        return np.clip(action, -1.0, 1.0)
+        return np.minimum(np.maximum(action, -1.0), 1.0)
 
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
                            next_obs: np.ndarray, dones: np.ndarray):
@@ -159,7 +159,8 @@ class OnPolicyAgent(Agent):
         obs = env.reset()
         for step in range(1, total + 1):
             action, logp = self.policy.sample(obs, self.rng)
-            next_obs, reward, done = env.step(np.clip(action, -1.0, 1.0))
+            next_obs, reward, done = env.step(
+                np.minimum(np.maximum(action, -1.0), 1.0))
             store.add(obs, action, reward, next_obs, done, logp)
             obs = env.reset() if done else next_obs
             if len(store) == store.capacity or step == total:

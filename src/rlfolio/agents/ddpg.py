@@ -38,7 +38,7 @@ class DDPGAgent(Agent):
         if mode == "stochastic":
             action = action + self.config.noise_scale * \
                 self.rng.standard_normal(self.action_dim)
-        return np.clip(action, -1.0, 1.0)
+        return np.minimum(np.maximum(action, -1.0), 1.0)
 
     def targets(self, rewards, next_obs, dones) -> np.ndarray:
         """TD targets y = r + gamma * Q'(s', mu'(s')) with terminal masking."""

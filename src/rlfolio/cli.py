@@ -91,12 +91,14 @@ def ingest(config_path, out):
     """Load and align raw bars; persist the panel cache and the
     row-rejection report."""
     try:
-        cfg = _config_from_options(config_path, None, out)
-        panel, report = _load_panel(cfg)
+        _ingest(_config_from_options(config_path, None, out))
     except (RlfolioError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USER_ERROR)
 
+
+def _ingest(cfg: RunConfig) -> None:
+    panel, report = _load_panel(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -110,6 +112,9 @@ def ingest(config_path, out):
                [[r.line, r.reason] for r in report.rejected])
     click.echo(f"panel: {panel.D} assets x {panel.T} dates; "
                f"{len(report.rejected)}/{report.total_rows} rows rejected")
+    lacking = ", ".join(report.incomplete_tickers) or "none"
+    click.echo(f"calendar: {report.dropped_dates} dates dropped "
+               f"(missing for: {lacking})")
 
 
 def _write_strategy(out_dir: Path, name: str, curve: EquityCurve,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
-from .env import EnvConfig, TradingEnv
+from .env import EnvConfig, EnvState, TradingEnv
 from .errors import InsufficientData, NoScores, ZeroVolatility
 from .evaluation import EquityCurve, sharpe
 from .indicators import FeaturePanel
@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 TIE_ORDER = ("PPO", "A2C", "DDPG")
 FALLBACK_KIND = "PPO"
+SIDES = ("sell", "buy")
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,30 @@ class TradeRecord:
     side: str  # "buy" | "sell"
     shares: int
     price: float
+
+
+@dataclass(frozen=True)
+class Rollout:
+    """One deterministic pass over an env window: an equity point and a date
+    per window date, the final state, and each step's sell and buy shares
+    with the price row it traded at."""
+    values: np.ndarray
+    dates: list[dt.date]
+    final: EnvState
+    assets: tuple[str, ...]
+    sells: list[np.ndarray]
+    buys: list[np.ndarray]
+    prices: list[np.ndarray]
+
+    def trades(self) -> list[TradeRecord]:
+        """Every nonzero trade: by date, sells before buys, then by asset."""
+        shares = np.stack([self.sells, self.buys], axis=1)  # step, side, asset
+        steps, sides, assets = np.nonzero(shares)
+        prices = np.array(self.prices)[steps, assets]
+        return [TradeRecord(self.dates[t], self.assets[d], SIDES[k], n, p)
+                for t, k, d, n, p in zip(
+                    steps.tolist(), sides.tolist(), assets.tolist(),
+                    shares[steps, sides, assets].tolist(), prices.tolist())]
 
 
 @dataclass(frozen=True)
@@ -91,31 +116,27 @@ def _interval_indices(panel: PricePanel, interval) -> tuple[int, int]:
 
 def run_deterministic(agent: Agent, env: TradingEnv,
                       balance: float | None = None,
-                      holdings: np.ndarray | None = None):
-    """Roll the agent's deterministic policy through the env window.
-
-    Returns (values, dates, trades, final_state): one equity point per date
-    of the window, trades as TradeRecord list.
-    """
+                      holdings: np.ndarray | None = None) -> Rollout:
+    """Roll the agent's deterministic policy through the env window. Trade
+    records are built only on request (`Rollout.trades`), from the share
+    and price rows kept per step."""
     env.reset(balance=balance, holdings=holdings)
+    calendar = env.panel.calendar
     values = [env.state.portfolio_value]
-    dates = [env.panel.calendar[env.state.t]]
-    trades: list[TradeRecord] = []
+    dates = [calendar[env.state.t]]
+    sells, buys, prices = [], [], []
     while not env.state.done:
         state = env.state
         action = agent.act(env.observe(), mode="deterministic")
         result = env.step_state(state, action)
-        date = env.panel.calendar[state.t]
-        for side, shares in (("sell", result.plan.sell_shares),
-                             ("buy", result.plan.buy_shares)):
-            for d in np.flatnonzero(shares):
-                trades.append(TradeRecord(date, env.panel.assets[d], side,
-                                          int(shares[d]),
-                                          float(state.prices[d])))
+        sells.append(result.plan.sell_shares)
+        buys.append(result.plan.buy_shares)
+        prices.append(state.prices)
         env.state = result.next_state
         values.append(env.state.portfolio_value)
-        dates.append(env.panel.calendar[env.state.t])
-    return np.array(values), dates, trades, env.state
+        dates.append(calendar[env.state.t])
+    return Rollout(np.array(values), dates, env.state, env.panel.assets,
+                   sells, buys, prices)
 
 
 def validate_agent(agent: Agent, panel: PricePanel, features: FeaturePanel,
@@ -126,7 +147,7 @@ def validate_agent(agent: Agent, panel: PricePanel, features: FeaturePanel,
     agent never moves the portfolio."""
     env = TradingEnv(panel, features, window, env_config,
                      turbulence=turbulence, turbulence_threshold=threshold)
-    values, _, _, _ = run_deterministic(agent, env)
+    values = run_deterministic(agent, env).values
     return sharpe(values[1:] / values[:-1] - 1.0)
 
 
@@ -207,13 +228,13 @@ def run_trading(panel: PricePanel, features: FeaturePanel,
         env = TradingEnv(panel, features, window, env_config,
                          turbulence=turbulence,
                          turbulence_threshold=w.threshold)
-        values, dates, trades, final = run_deterministic(
-            w.agents[picked], env, balance=balance, holdings=holdings)
-        trace.trades.extend(trades)
-        all_values.extend(values)
-        all_dates.extend(dates)
-        balance = final.balance
-        holdings = final.holdings
+        rollout = run_deterministic(w.agents[picked], env, balance=balance,
+                                    holdings=holdings)
+        trace.trades.extend(rollout.trades())
+        all_values.extend(rollout.values)
+        all_dates.extend(rollout.dates)
+        balance = rollout.final.balance
+        holdings = rollout.final.holdings
     trace.curve = EquityCurve(dates=tuple(all_dates),
                               values=np.array(all_values))
     return trace

@@ -8,6 +8,7 @@ buying while the index is above its threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,12 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Portfolio at date t and the market inputs read for t."""
+    """Portfolio at date t and the market inputs read for t.
+
+    `portfolio_value`, balance plus holdings at t's prices, is computed once
+    at construction; it stays right because no code mutates `prices` or
+    `holdings` in place (a step makes new arrays).
+    """
 
     t: int
     balance: float
@@ -54,10 +60,11 @@ class EnvState:
     features: np.ndarray | None = None  # feature row at t (FeaturePanel.block)
     turbulence: float = 0.0
     done: bool = False
+    portfolio_value: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def portfolio_value(self) -> float:
-        return self.balance + float(self.prices @ self.holdings)
+    def __post_init__(self):
+        object.__setattr__(self, "portfolio_value",
+                           self.balance + float(self.prices @ self.holdings))
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,9 @@ class StepResult:
 
 
 def clip_action(raw) -> np.ndarray:
-    return np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
+    """`raw` as floats clipped to [-1, 1]; NaN and -0.0 pass through, as
+    with `np.clip`, without its wrapper's overhead."""
+    return np.minimum(np.maximum(np.asarray(raw, dtype=float), -1.0), 1.0)
 
 
 def resolve_action(state: EnvState, action, h_max: int,
@@ -88,23 +97,25 @@ def resolve_action(state: EnvState, action, h_max: int,
     capped at current holdings and credit the balance (net of fees) before
     buys, which are processed in ascending asset index, each capped at what
     the remaining cash affords including the fee. Unaffordable remainder is
-    dropped, so the post-trade balance can never go negative.
+    dropped, so the post-trade balance can never go negative. The buy loop
+    runs on Python floats and ints, which round exactly as numpy scalars do.
     """
     raw = clip_action(action)
     desired = np.trunc(raw * h_max).astype(np.int64)
     sell = np.minimum(np.maximum(-desired, 0), state.holdings)
-    buy_req = np.maximum(desired, 0)
 
     cash = state.balance + float((state.prices * sell).sum()) * (1.0 - fee_rate)
-    buy = np.zeros_like(buy_req)
-    for d in np.flatnonzero(buy_req):
-        unit = state.prices[d] * (1.0 + fee_rate)
-        affordable = int(np.floor(cash / unit))
-        k = min(int(buy_req[d]), affordable)
-        if k > 0:
+    prices = state.prices.tolist()
+    buy = np.maximum(desired, 0).tolist()
+    for d, requested in enumerate(buy):
+        if requested:
+            unit = prices[d] * (1.0 + fee_rate)
+            k = max(min(requested, math.floor(cash / unit)), 0)
+            if k:
+                cash -= k * unit
             buy[d] = k
-            cash -= k * unit
-    return TradePlan(sell_shares=sell, buy_shares=buy)
+    return TradePlan(sell_shares=sell,
+                     buy_shares=np.array(buy, dtype=np.int64))
 
 
 def plan_trades(state: EnvState, action, h_max: int, fee_rate: float,

@@ -58,6 +58,10 @@ class LoadReport:
     total_rows: int
     accepted_rows: int
     rejected: list[RejectedRow]
+    # dates some ticker lacks, which the calendar intersection drops, and
+    # the tickers that lack at least one of them
+    dropped_dates: int = 0
+    incomplete_tickers: list[str] = field(default_factory=list)
 
     @property
     def rejection_rate(self) -> float:
@@ -183,6 +187,10 @@ def load_bars(source, schema: dict[str, str] | None = None,
     if not common:
         raise InsufficientData(needed="a shared trading date", available=0)
     calendar = sorted(common)
+    seen = set().union(*by_asset.values())
+    report.dropped_dates = len(seen) - len(common)
+    report.incomplete_tickers = [a for a in assets
+                                 if len(by_asset[a]) < len(seen)]
 
     bars = np.array([[by_asset[a][d] for a in assets] for d in calendar],
                     dtype=float)

@@ -102,6 +102,43 @@ def quad_form_oracle(y, mu, sigma, ridge=0.0):
     return float(dev @ np.linalg.solve(reg, dev))
 
 
+def resolve_action_oracle(state, action, h_max, fee_rate):
+    """Share resolution as a per-asset loop over numpy scalars: the env's
+    earlier `resolve_action` body, kept verbatim as the bit-exact reference.
+    Returns (sell_shares, buy_shares)."""
+    raw = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
+    desired = np.trunc(raw * h_max).astype(np.int64)
+    sell = np.minimum(np.maximum(-desired, 0), state.holdings)
+    buy_req = np.maximum(desired, 0)
+
+    cash = state.balance + float((state.prices * sell).sum()) * (1.0 - fee_rate)
+    buy = np.zeros_like(buy_req)
+    for d in np.flatnonzero(buy_req):
+        unit = state.prices[d] * (1.0 + fee_rate)
+        affordable = int(np.floor(cash / unit))
+        k = min(int(buy_req[d]), affordable)
+        if k > 0:
+            buy[d] = k
+            cash -= k * unit
+    return sell, buy
+
+
+def step_oracle(state, next_prices, action, h_max, fee_rate):
+    """One step without the turbulence override: trades resolved at the
+    state's prices, settled at `next_prices`. Returns (sell, buy, cost,
+    balance, holdings, unscaled reward), each value recomputed where it is
+    used, as the env's earlier `step_state` did."""
+    sell, buy = resolve_action_oracle(state, action, h_max, fee_rate)
+    sell_notional = float((state.prices * sell).sum())
+    buy_notional = float((state.prices * buy).sum())
+    cost = fee_rate * (sell_notional + buy_notional)
+    balance = state.balance + sell_notional - buy_notional - cost
+    holdings = state.holdings - sell + buy
+    reward = ((balance + float(next_prices @ holdings))
+              - (state.balance + float(state.prices @ state.holdings)))
+    return sell, buy, cost, balance, holdings, reward
+
+
 def reward_components(state, result):
     """Per-asset decomposition of one step's unscaled reward plus cost.
 

@@ -331,7 +331,9 @@ def test_criterion_09_walk_forward_integrity():
     panel = make_panel(D=3, T=920, seed=21, start=dt.date(2016, 1, 1))
     features = build_features(panel)
     turbulence = rolling_turbulence(panel, lookback=60)
-    plan = build_window_plan(panel, dt.date(2017, 6, 30), 3, 3)
+    # the first quarter trains on three months, fewer dates than its
+    # training steps, so an episode reaches that window's last date
+    plan = build_window_plan(panel, dt.date(2016, 6, 30), 3, 3)
     assert len(plan.triples) >= 8
     plan.triples[:] = plan.triples[:8]
 
@@ -349,18 +351,27 @@ def test_criterion_09_walk_forward_integrity():
     panel.enable_access_tracking()
     marks = []
     tiny = AgentConfig(hidden=(8,), rollout=16, warmup_steps=8, batch_size=4,
-                       total_steps=40)
+                       total_steps=70)
     windows = train_and_validate(
         panel, features, turbulence, plan,
         EnvConfig(initial_balance=100_000.0, h_max=5),
         {k: tiny for k in ("PPO", "A2C", "DDPG")}, seed=5,
-        phase_callback=lambda i, phase: marks.append((i, len(panel.access_log))))
+        phase_callback=lambda i, phase: marks.append(
+            (i, phase, len(panel.access_log))))
     log = panel.access_log
-    bounds = marks + [(None, len(log))]
-    for (index, start), (_, stop) in zip(bounds, bounds[1:]):
+    bounds = marks + [(None, None, len(log))]
+    train_end_read = False
+    for (index, phase, start), (_, _, stop) in zip(bounds, bounds[1:]):
         trade_start = panel.date_slice(plan.triples[index].trade.start,
                                        plan.triples[index].trade.end).start
         assert max(log[start:stop]) < trade_start
+        if phase == "train":
+            train = panel.date_slice(plan.triples[index].train.start,
+                                     plan.triples[index].train.end)
+            train_end_read |= train.stop - 1 in log[start:stop]
+    # a peek at t + 1 from some training window's last date would have left
+    # that window, so the gate above would see it
+    assert train_end_read
 
     # continuous equity curve across the whole trade period
     trace = run_trading(panel, features, turbulence, windows,

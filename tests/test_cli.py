@@ -242,6 +242,33 @@ class TestIngest:
         assert len(lines) == 2  # header + the inverted-range row
         assert lines[1].startswith("3,")
 
+    def test_dropped_dates_printed(self, tmp_path):
+        data = tmp_path / "gappy.csv"
+        lines = ["date,ticker,open,high,low,close,adj_close,volume"]
+        for day in ("02", "03", "06", "07"):
+            for ticker in ("AAA", "BBB"):
+                if ticker == "BBB" and day in ("03", "07"):
+                    continue
+                lines.append(f"2020-01-{day},{ticker},10,11,9,10.5,10.5,100")
+        data.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[data]\npath = {data}\n"
+                       f"[run]\nout_dir = {tmp_path / 'out'}\n")
+        result = CliRunner().invoke(main, ["ingest", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "2 assets x 2 dates" in result.output
+        assert "calendar: 2 dates dropped (missing for: BBB)" in result.output
+
+    def test_out_is_a_file_exits_2(self, data_csv, tmp_path):
+        cfg_path, _ = write_config(tmp_path, data_csv, "ingest")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        result = CliRunner().invoke(main, ["ingest", "--config",
+                                           str(cfg_path), "--out", str(taken)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_data_exits_2(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[data]\npath = /nonexistent/bars.csv\n")

@@ -6,9 +6,9 @@ import pytest
 
 from rlfolio import ensemble
 from rlfolio.agents import AgentConfig
-from rlfolio.ensemble import (WindowResult, pick_best, run_deterministic,
-                              run_trading, train_and_validate,
-                              window_threshold)
+from rlfolio.ensemble import (TradeRecord, WindowResult, pick_best,
+                              run_deterministic, run_trading,
+                              train_and_validate, window_threshold)
 from rlfolio.env import EnvConfig, TradingEnv
 from rlfolio.errors import NoScores
 from rlfolio.evaluation import metrics_report
@@ -21,6 +21,10 @@ from helpers import make_panel
 TINY = AgentConfig(hidden=(8,), rollout=16, warmup_steps=8, batch_size=4,
                    total_steps=40)
 TINY_CONFIGS = {k: TINY for k in ("PPO", "A2C", "DDPG")}
+# More steps than a three-month training window has dates, so a first
+# quarter that trains on three months runs an episode to its last date.
+WHOLE_EPISODE_CONFIGS = {k: replace(TINY, total_steps=70)
+                         for k in ("PPO", "A2C", "DDPG")}
 
 
 class StubAgent:
@@ -35,11 +39,22 @@ class StubAgent:
         return self.action
 
 
-def make_setup(T=600, seed=3, lookback=60):
+class SequenceAgent:
+    """Returns the next row of a fixed action table on each call."""
+
+    def __init__(self, actions):
+        self.actions = iter(actions)
+
+    def act(self, obs, mode="deterministic"):
+        return next(self.actions)
+
+
+def make_setup(T=600, seed=3, lookback=60,
+               in_sample_end=dt.date(2018, 6, 30)):
     panel = make_panel(D=2, T=T, seed=seed, start=dt.date(2017, 1, 1))
     features = build_features(panel)
     turbulence = rolling_turbulence(panel, lookback=lookback)
-    plan = build_window_plan(panel, dt.date(2018, 6, 30), 3, 3)
+    plan = build_window_plan(panel, in_sample_end, 3, 3)
     return panel, features, turbulence, plan
 
 
@@ -92,8 +107,8 @@ class TestRunDeterministic:
         panel, features, _, _ = make_setup()
         env = TradingEnv(panel, features, (10, 40),
                          EnvConfig(initial_balance=50_000.0, h_max=10))
-        values, dates, trades, final = run_deterministic(
-            StubAgent([0.5, -0.5]), env)
+        rollout = run_deterministic(StubAgent([0.5, -0.5]), env)
+        values, dates, final = rollout.values, rollout.dates, rollout.final
         assert len(values) == len(dates) == 31
         assert values[0] == 50_000.0
         assert dates[0] == panel.calendar[10]
@@ -104,19 +119,56 @@ class TestRunDeterministic:
         panel, features, _, _ = make_setup()
         env = TradingEnv(panel, features, (10, 30),
                          EnvConfig(initial_balance=50_000.0, h_max=10))
-        values, _, trades, _ = run_deterministic(StubAgent([0.0, 0.0]), env)
-        np.testing.assert_allclose(values, 50_000.0)
-        assert trades == []
+        rollout = run_deterministic(StubAgent([0.0, 0.0]), env)
+        np.testing.assert_allclose(rollout.values, 50_000.0)
+        assert rollout.trades() == []
 
     def test_carried_state(self):
         panel, features, _, _ = make_setup()
         env = TradingEnv(panel, features, (10, 30),
                          EnvConfig(initial_balance=50_000.0, h_max=10))
         holdings = np.array([3, 4])
-        values, _, _, _ = run_deterministic(StubAgent([0.0, 0.0]), env,
-                                            balance=1000.0, holdings=holdings)
+        values = run_deterministic(StubAgent([0.0, 0.0]), env,
+                                   balance=1000.0, holdings=holdings).values
         p0 = panel.adj_close[10]
         assert values[0] == pytest.approx(1000.0 + 3 * p0[0] + 4 * p0[1])
+
+    def test_trades_equal_per_step_rebuild(self):
+        panel, features, turbulence, _ = make_setup()
+        threshold = float(np.quantile(turbulence[turbulence > 0], 0.8))
+
+        def make_env():
+            return TradingEnv(panel, features, (100, 180),
+                              EnvConfig(initial_balance=50_000.0, h_max=10),
+                              turbulence=turbulence,
+                              turbulence_threshold=threshold)
+
+        actions = np.random.default_rng(5).uniform(-1, 1, size=(80, panel.D))
+        trades = run_deterministic(SequenceAgent(actions), make_env()).trades()
+
+        # the records rebuilt step by step, assets by flatnonzero
+        env, expected, fired = make_env(), [], 0
+        env.reset()
+        for action in actions:
+            state = env.state
+            result = env.step_state(state, action)
+            fired += result.turbulence_triggered
+            for side, shares in (("sell", result.plan.sell_shares),
+                                 ("buy", result.plan.buy_shares)):
+                for d in np.flatnonzero(shares):
+                    expected.append(TradeRecord(
+                        panel.calendar[state.t], panel.assets[d], side,
+                        int(shares[d]), float(state.prices[d])))
+            env.state = result.next_state
+        assert env.state.done and fired > 0
+        assert trades == expected
+        assert all(type(t.shares) is int and type(t.price) is float
+                   for t in trades)
+        # some date sells a later asset before it buys an earlier one
+        index = panel.assets.index
+        assert any(a.date == b.date and a.side == "sell" and b.side == "buy"
+                   and index(a.asset) > index(b.asset)
+                   for a, b in zip(trades, trades[1:]))
 
 
 class TestRunTrading:
@@ -176,7 +228,9 @@ def assert_walk_forward_access(panel, features, turbulence, plan,
                                configs=TINY_CONFIGS, seed=1):
     """The no-lookahead gate: train and validate every quarter with access
     tracking on, and check that each phase reads only dates before its
-    quarter's trade interval. Returns the window results."""
+    quarter's trade interval, and that some quarter's training reads its
+    window's last date (where a peek at t + 1 would leave the window).
+    Returns the window results."""
     panel.enable_access_tracking()
     marks = []
 
@@ -192,6 +246,7 @@ def assert_walk_forward_access(panel, features, turbulence, plan,
     # before the corresponding trade interval
     log = panel.access_log
     boundaries = marks + [(None, "end", len(log))]
+    train_end_read = False
     for (index, phase, start), (_, _, stop) in zip(boundaries,
                                                    boundaries[1:]):
         triple = plan.triples[index]
@@ -200,6 +255,10 @@ def assert_walk_forward_access(panel, features, turbulence, plan,
         seg = log[start:stop]
         assert seg, f"no accesses in phase {phase} of window {index}"
         assert max(seg) < trade_start
+        if phase == "train":
+            train = panel.date_slice(triple.train.start, triple.train.end)
+            train_end_read |= train.stop - 1 in seg
+    assert train_end_read, "no quarter's training read its window's last date"
     return windows
 
 
@@ -214,9 +273,12 @@ class PeekingEnv(TradingEnv):
 
 class TestTrainAndValidate:
     def test_structure_and_walk_forward_data_access(self):
-        panel, features, turbulence, plan = make_setup()
+        # a three-month first training window, so the gate's last-date
+        # check can hold
+        panel, features, turbulence, plan = make_setup(
+            in_sample_end=dt.date(2017, 6, 30))
         windows = assert_walk_forward_access(panel, features, turbulence,
-                                             plan)
+                                             plan, WHOLE_EPISODE_CONFIGS)
         assert len(windows) == len(plan.triples)
         for w in windows:
             assert set(w.agents) == {"PPO", "A2C", "DDPG"}
@@ -231,14 +293,12 @@ class TestTrainAndValidate:
         features = build_features(panel)
         turbulence = rolling_turbulence(panel, lookback=30)
         plan = build_window_plan(panel, dt.date(2017, 6, 30), 3, 3)
-        whole_episode = replace(TINY, total_steps=70)
-        configs = {k: whole_episode for k in ("PPO", "A2C", "DDPG")}
         assert_walk_forward_access(panel, features, turbulence, plan,
-                                   configs)
+                                   WHOLE_EPISODE_CONFIGS)
         monkeypatch.setattr(ensemble, "TradingEnv", PeekingEnv)
         with pytest.raises((AssertionError, IndexError)):
             assert_walk_forward_access(panel, features, turbulence, plan,
-                                       configs)
+                                       WHOLE_EPISODE_CONFIGS)
 
     def test_validation_env_cannot_read_the_trade_quarter(self):
         panel, features, turbulence, plan = make_setup()

@@ -1,9 +1,10 @@
+import datetime as dt
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio.env import (EnvConfig, EnvState, TradingEnv, plan_trades,
@@ -14,7 +15,7 @@ from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import rolling_turbulence
 
 from helpers import make_panel, make_trend_panel
-from oracles import reward_components
+from oracles import resolve_action_oracle, reward_components, step_oracle
 
 
 def make_env(panel=None, config=None, **kwargs):
@@ -89,6 +90,94 @@ class TestResolveAction:
         plan = resolve_action(s, [-1.0, 1.0], h_max=10, fee_rate=0.0)
         np.testing.assert_array_equal(plan.sell_shares, [5, 0])
         np.testing.assert_array_equal(plan.buy_shares, [0, 10])
+
+
+@st.composite
+def step_cases(draw):
+    """Prices at t and t+1, holdings, balance and action of one step, with
+    its h_max and fee rate. The balance is often the exact cost of every
+    requested buy up to some asset plus part of that asset's request, or
+    one ulp either side of it, so that buy lands where `floor(cash / unit)`
+    steps."""
+    n = draw(st.integers(1, 6))
+
+    def vector(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    prices = vector(st.floats(0.01, 5000.0))
+    holdings = draw(st.just([0] * n) | st.lists(st.integers(0, 500),
+                                                min_size=n, max_size=n))
+    action = vector(st.floats(-1.5, 1.5) | st.sampled_from(
+        [-1.0, -0.0, 0.0, 1.0, float("nan")]))
+    h_max = draw(st.integers(1, 1000))
+    fee_rate = draw(st.sampled_from([0.0, 0.001]) | st.floats(0.0, 0.5))
+    last, exact = draw(st.integers(0, n - 1)), 0.0
+    for d in range(last + 1):
+        a = min(max(action[d], -1.0), 1.0)
+        requested = 0 if a != a else max(int(a * h_max), 0)
+        if d == last:
+            requested = draw(st.integers(0, requested))
+        exact += requested * (prices[d] * (1.0 + fee_rate))
+    balance = draw(st.floats(0.0, 1e7) | st.sampled_from(
+        [exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)]))
+    return (prices, vector(st.floats(0.01, 5000.0)), holdings,
+            float(balance), action, h_max, fee_rate)
+
+
+def two_date_env(prices, next_prices, h_max, fee_rate):
+    adj = np.array([prices, next_prices])
+    panel = PricePanel([f"A{d}" for d in range(adj.shape[1])],
+                       [dt.date(2020, 1, 2), dt.date(2020, 1, 3)],
+                       {name: adj for name in BAR_FIELDS})
+    return TradingEnv(panel, FeaturePanel(np.zeros((2, 4 * adj.shape[1]))),
+                      (0, 1), EnvConfig(h_max=h_max, fee_rate=fee_rate))
+
+
+class TestStepOracle:
+    """`resolve_action` and `step_state` against the per-asset numpy-scalar
+    reference in `oracles`, with exact equality."""
+
+    @given(step_cases())
+    # cash runs out at the third asset; every cash / unit is an integer
+    @example(([10.0, 10.0, 10.0], [11.0, 9.0, 10.5], [0, 0, 0], 250.0,
+              [1.0, 1.0, 1.0], 10, 0.0))
+    # with a fee: cash / unit is exactly 2.0 at the first asset
+    @example(([37.5, 20.0], [38.0, 21.0], [0, 0], 2 * (37.5 * 1.001),
+              [1.0, 1.0], 5, 0.001))
+    # sale proceeds fund the buy; NaN and -0.0 actions hold
+    @example(([50.0, 25.0, 7.0, 3.0], [49.0, 26.0, 7.5, 2.5], [4, 0, 6, 2],
+              0.0, [-1.0, 1.0, float("nan"), -0.0], 4, 0.0))
+    # the cash left after 13 of the first asset affords the third asset's
+    # last share only if it is reduced by k * unit exactly as the loop does
+    @example(([3647.640625, 1.0, 1.0, 1.0, 1.0], [1.0] * 5, [0] * 5,
+              47479.760453124996, [1.0, 0.0, 1.0, 0.0, 0.0], 13, 0.001))
+    @settings(max_examples=500, deadline=None)
+    # a NaN action casts to int64's minimum, which both sides hold on
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_bit_identical_to_reference(self, case):
+        prices, next_prices, holdings, balance, action, h_max, fee_rate = case
+        env = two_date_env(prices, next_prices, h_max, fee_rate)
+        env.reset(balance=balance, holdings=np.array(holdings))
+        state = env.state
+        sell, buy, cost, new_balance, new_holdings, reward = step_oracle(
+            state, np.array(next_prices), action, h_max, fee_rate)
+
+        plan = resolve_action(state, action, h_max, fee_rate)
+        ref_sell, ref_buy = resolve_action_oracle(state, action, h_max,
+                                                  fee_rate)
+        np.testing.assert_array_equal(plan.sell_shares, ref_sell)
+        np.testing.assert_array_equal(plan.buy_shares, ref_buy)
+        assert plan.buy_shares.dtype == ref_buy.dtype == np.int64
+
+        result = env.step_state(state, action)
+        np.testing.assert_array_equal(result.plan.sell_shares, sell)
+        np.testing.assert_array_equal(result.plan.buy_shares, buy)
+        assert result.cost == cost
+        assert result.next_state.balance == new_balance
+        np.testing.assert_array_equal(result.next_state.holdings,
+                                      new_holdings)
+        assert result.reward_unscaled == reward
+        assert result.reward == reward * env.config.reward_scale
 
 
 class TestStep:

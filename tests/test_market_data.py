@@ -37,6 +37,23 @@ class TestLoadBars:
         assert panel.T == 2
         assert panel.calendar == (dt.date(2020, 1, 3), dt.date(2020, 1, 6))
 
+    def test_dropped_dates_reported(self):
+        dates = ("2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07")
+        text = HEADER
+        for d in dates:
+            text += row(d, "AAA") + row(d, "CCC")
+            if d not in ("2020-01-03", "2020-01-07"):
+                text += row(d, "BBB")
+        panel, report = load_bars(csv_stream(text))
+        assert panel.T == 2
+        assert report.dropped_dates == 2
+        assert report.incomplete_tickers == ["BBB"]
+
+    def test_nothing_dropped_on_a_full_calendar(self):
+        _, report = load_bars(csv_stream(panel_to_csv(make_panel(D=3, T=20))))
+        assert report.dropped_dates == 0
+        assert report.incomplete_tickers == []
+
     def test_high_below_low_rejected(self):
         text = HEADER
         text += row("2020-01-02", "AAA")
