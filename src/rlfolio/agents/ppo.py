@@ -19,25 +19,22 @@ class PPOAgent(OnPolicyAgent):
     kind = "PPO"
     init_salt = 2
 
-    def update(self, batch, epochs: int | None = None,
-               minibatch: int | None = None) -> None:
+    def update(self, batch) -> None:
         """Clipped-surrogate epochs over a rollout gathered by the current
         (now frozen as "old") policy; advantages are normalized per batch."""
         cfg = self.config
-        epochs = cfg.epochs if epochs is None else epochs
-        minibatch = cfg.minibatch if minibatch is None else minibatch
         obs, actions, rewards, next_obs, dones, old_logp = batch
         n = len(obs)
-        if epochs == 0 or n == 0:
+        if cfg.epochs == 0 or n == 0:
             return
         adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         eps = cfg.clip_epsilon
-        for _ in range(epochs):
+        for _ in range(cfg.epochs):
             order = self.rng.permutation(n)
-            for start in range(0, n, minibatch):
-                idx = order[start:start + minibatch]
+            for start in range(0, n, cfg.minibatch):
+                idx = order[start:start + cfg.minibatch]
                 logp, backward = self.policy.log_prob_grads(obs[idx], actions[idx])
                 ratio = np.exp(logp - old_logp[idx])
                 a = adv_n[idx]

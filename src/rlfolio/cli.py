@@ -159,31 +159,27 @@ def _run_backtest(cfg: RunConfig) -> None:
         panel, features, turb, plan, cfg.env, cfg.agent_configs,
         seed=cfg.seed, turbulence_quantile=cfg.turbulence_quantile)
 
+    pickers = {"ensemble": ens.pick_best,
+               **{k.lower(): (lambda scores, k=k: k) for k in AGENT_KINDS}}
+    results = ens.run_trading(panel, features, turb, windows, cfg.env,
+                              pickers)
     strategies: dict[str, EquityCurve] = {}
-    trace = ens.run_trading(panel, features, turb, windows, cfg.env,
-                            picker=ens.pick_best)
-    strategies["ensemble"] = trace.curve
-    _write_strategy(out_dir, "ensemble", trace.curve, trace.trades)
+    for name, result in results.items():
+        strategies[name] = result.curve
+        _write_strategy(out_dir, name, result.curve, result.trades)
     _write_csv(out_dir / "trace.csv",
                ["window", "validation_start", "validation_end",
                 "trade_start", "trade_end",
                 *(f"sharpe_{k.lower()}" for k in AGENT_KINDS),
                 "picked", "turbulence_threshold"],
-               [[d.index,
-                 d.triple.validation.start.isoformat(),
-                 d.triple.validation.end.isoformat(),
-                 d.triple.trade.start.isoformat(),
-                 d.triple.trade.end.isoformat(),
-                 *(d.scores[k] for k in AGENT_KINDS),
-                 d.picked, d.threshold]
-                for d in trace.decisions])
-
-    for kind in AGENT_KINDS:
-        fixed = ens.run_trading(panel, features, turb, windows, cfg.env,
-                                picker=lambda scores, k=kind: k)
-        name = kind.lower()
-        strategies[name] = fixed.curve
-        _write_strategy(out_dir, name, fixed.curve, fixed.trades)
+               [[w.triple.index,
+                 w.triple.validation.start.isoformat(),
+                 w.triple.validation.end.isoformat(),
+                 w.triple.trade.start.isoformat(),
+                 w.triple.trade.end.isoformat(),
+                 *(w.scores[k] for k in AGENT_KINDS),
+                 picked, w.threshold]
+                for w, picked in zip(windows, results["ensemble"].picks)])
 
     strategies["min_variance"] = run_min_variance_baseline(
         panel, plan, cfg.env.initial_balance, cfg.min_variance_lookback,

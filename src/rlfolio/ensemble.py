@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .turbulence import calibrate_threshold
 
 logger = logging.getLogger(__name__)
 
-TIE_ORDER = ("PPO", "A2C", "DDPG")
 FALLBACK_KIND = "PPO"
 SIDES = ("sell", "buy")
 
@@ -61,22 +61,6 @@ class Rollout:
                     shares[steps, sides, assets].tolist(), prices.tolist())]
 
 
-@dataclass(frozen=True)
-class QuarterDecision:
-    index: int
-    triple: WindowTriple
-    scores: dict[str, float | None]
-    picked: str
-    threshold: float
-
-
-@dataclass
-class EnsembleTrace:
-    decisions: list[QuarterDecision] = field(default_factory=list)
-    curve: EquityCurve | None = None
-    trades: list[TradeRecord] = field(default_factory=list)
-
-
 @dataclass
 class WindowResult:
     """Per-quarter training output shared by all strategy variants."""
@@ -86,24 +70,26 @@ class WindowResult:
     threshold: float
 
 
+@dataclass(frozen=True)
+class StrategyResult:
+    """One strategy's out-of-sample run: the kind it picked each quarter,
+    its equity curve over every trade date, and its trades."""
+    picks: list[str]
+    curve: EquityCurve
+    trades: list[TradeRecord]
+
+
 def pick_best(scores: dict[str, float | None]) -> str:
     """Argmax validation Sharpe; ties resolved PPO > A2C > DDPG; undefined
-    (zero-volatility) scores count as -inf; all-undefined falls back to PPO."""
+    (zero-volatility) scores never win; all-undefined falls back to PPO."""
     if not scores:
         raise NoScores("no validation scores")
-    if all(v is None for v in scores.values()):
+    defined = [k for k in AGENT_KINDS if scores.get(k) is not None]
+    if not defined:
         logger.warning("all validation Sharpe scores undefined; "
                        "falling back to %s", FALLBACK_KIND)
         return FALLBACK_KIND
-    best_kind, best = None, -np.inf
-    ordered = [k for k in TIE_ORDER if k in scores]
-    ordered += [k for k in scores if k not in TIE_ORDER]
-    for kind in ordered:
-        v = scores[kind]
-        v = -np.inf if v is None else v
-        if v > best:
-            best_kind, best = kind, v
-    return best_kind
+    return max(defined, key=scores.__getitem__)  # first of equal maxima
 
 
 def _interval_indices(panel: PricePanel, interval) -> tuple[int, int]:
@@ -139,14 +125,10 @@ def run_deterministic(agent: Agent, env: TradingEnv,
                    sells, buys, prices)
 
 
-def validate_agent(agent: Agent, panel: PricePanel, features: FeaturePanel,
-                   turbulence: np.ndarray, window: tuple[int, int],
-                   env_config: EnvConfig, threshold: float) -> float:
-    """Annualized Sharpe of a deterministic run over the validation window,
-    with the turbulence override active. Raises ZeroVolatility when the
-    agent never moves the portfolio."""
-    env = TradingEnv(panel, features, window, env_config,
-                     turbulence=turbulence, turbulence_threshold=threshold)
+def validate_agent(agent: Agent, env: TradingEnv) -> float:
+    """Annualized Sharpe of a deterministic run over the env's window (a
+    validation env has the turbulence override active). Raises
+    ZeroVolatility when the agent never moves the portfolio."""
     values = run_deterministic(agent, env).values
     return sharpe(values[1:] / values[:-1] - 1.0)
 
@@ -172,7 +154,9 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
                        phase_callback=None) -> list[WindowResult]:
     """Walk the plan once, producing trained agents and validation scores
     for every quarter. Shared by the ensemble and the always-one-kind
-    strategies, so training happens exactly once per (quarter, kind)."""
+    strategies, so training happens exactly once per (quarter, kind). The
+    kinds share one training env and one validation env per quarter: each
+    training run and each rollout starts with `reset`."""
     results: list[WindowResult] = []
     previous: dict[str, Agent] = {}
     for triple in plan:
@@ -182,22 +166,23 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
         scores: dict[str, float | None] = {}
         if phase_callback:
             phase_callback(triple.index, "train")
+        env = TradingEnv(panel, features,
+                         _interval_indices(panel, triple.train), env_config)
         for k_idx, kind in enumerate(AGENT_KINDS):
-            cfg = agent_configs[kind]
-            train_window = _interval_indices(panel, triple.train)
-            env = TradingEnv(panel, features, train_window, env_config)
             agent_seed = int(np.random.SeedSequence(
                 [seed, triple.index, k_idx]).generate_state(1)[0])
-            agents[kind] = train_agent(kind, env, cfg, agent_seed,
+            agents[kind] = train_agent(kind, env, agent_configs[kind],
+                                       agent_seed,
                                        warm_start=previous.get(kind))
         if phase_callback:
             phase_callback(triple.index, "validate")
-        val_window = _interval_indices(panel, triple.validation)
+        env = TradingEnv(panel, features,
+                         _interval_indices(panel, triple.validation),
+                         env_config, turbulence=turbulence,
+                         turbulence_threshold=threshold)
         for kind in AGENT_KINDS:
             try:
-                scores[kind] = validate_agent(agents[kind], panel, features,
-                                              turbulence, val_window,
-                                              env_config, threshold)
+                scores[kind] = validate_agent(agents[kind], env)
             except ZeroVolatility:
                 scores[kind] = None
         previous = agents
@@ -207,35 +192,32 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
 
 
 def run_trading(panel: PricePanel, features: FeaturePanel,
-                turbulence: np.ndarray, windows: list[WindowResult],
-                env_config: EnvConfig, picker=pick_best,
-                phase_callback=None) -> EnsembleTrace:
-    """Trade the out-of-sample period, one picked agent per quarter,
-    carrying balance and holdings across quarter boundaries."""
-    trace = EnsembleTrace()
-    all_values: list[float] = []
-    all_dates: list[dt.date] = []
-    balance = None
-    holdings = None
+                turbulence: np.ndarray, windows: Iterable[WindowResult],
+                env_config: EnvConfig,
+                pickers: dict[str, Callable[[dict[str, float | None]], str]]
+                ) -> dict[str, StrategyResult]:
+    """Trade the out-of-sample period once per named picker, reading the
+    windows once: each quarter's trade env is built once and every strategy
+    rolls its picked agent through it, carrying its own balance and
+    holdings across quarter boundaries."""
+    # per strategy: picks, dates, values and trades; balance and holdings
+    runs = {name: ([], [], [], []) for name in pickers}
+    carried = dict.fromkeys(pickers, (None, None))
     for w in windows:
-        picked = picker(w.scores)
-        trace.decisions.append(QuarterDecision(
-            index=w.triple.index, triple=w.triple, scores=dict(w.scores),
-            picked=picked, threshold=w.threshold))
-        if phase_callback:
-            phase_callback(w.triple.index, "trade")
-        window = _interval_indices(panel, w.triple.trade)
-        env = TradingEnv(panel, features, window, env_config,
-                         turbulence=turbulence,
+        env = TradingEnv(panel, features,
+                         _interval_indices(panel, w.triple.trade),
+                         env_config, turbulence=turbulence,
                          turbulence_threshold=w.threshold)
-        rollout = run_deterministic(w.agents[picked], env, balance=balance,
-                                    holdings=holdings)
-        trace.trades.extend(rollout.trades())
-        all_values.extend(rollout.values)
-        all_dates.extend(rollout.dates)
-        balance = rollout.final.balance
-        holdings = rollout.final.holdings
-    trace.curve = EquityCurve(dates=tuple(all_dates),
-                              values=np.array(all_values))
-    return trace
-
+        for name, picker in pickers.items():
+            picks, dates, values, trades = runs[name]
+            picks.append(picker(w.scores))
+            rollout = run_deterministic(w.agents[picks[-1]], env,
+                                        *carried[name])
+            dates.extend(rollout.dates)
+            values.extend(rollout.values)
+            trades.extend(rollout.trades())
+            carried[name] = rollout.final.balance, rollout.final.holdings
+    return {name: StrategyResult(picks, EquityCurve(dates=tuple(dates),
+                                                    values=np.array(values)),
+                                 trades)
+            for name, (picks, dates, values, trades) in runs.items()}

@@ -93,14 +93,16 @@ def resolve_action(state: EnvState, action, h_max: int,
                    fee_rate: float) -> TradePlan:
     """Turn a [-1, 1] action vector into integer share trades.
 
-    Desired shares are truncated toward zero from raw * h_max. Sells are
-    capped at current holdings and credit the balance (net of fees) before
-    buys, which are processed in ascending asset index, each capped at what
-    the remaining cash affords including the fee. Unaffordable remainder is
-    dropped, so the post-trade balance can never go negative. The buy loop
-    runs on Python floats and ints, which round exactly as numpy scalars do.
+    Desired shares are truncated toward zero from raw * h_max; a NaN
+    component desires none. Sells are capped at current holdings and
+    credit the balance (net of fees) before buys, which are processed in
+    ascending asset index, each capped at what the remaining cash affords
+    including the fee. Unaffordable remainder is dropped, so the post-trade
+    balance can never go negative. The buy loop runs on Python floats and
+    ints, which round exactly as numpy scalars do.
     """
     raw = clip_action(action)
+    raw[np.isnan(raw)] = 0.0
     desired = np.trunc(raw * h_max).astype(np.int64)
     sell = np.minimum(np.maximum(-desired, 0), state.holdings)
 

@@ -375,7 +375,8 @@ def test_criterion_09_walk_forward_integrity():
 
     # continuous equity curve across the whole trade period
     trace = run_trading(panel, features, turbulence, windows,
-                        EnvConfig(initial_balance=100_000.0, h_max=5))
+                        EnvConfig(initial_balance=100_000.0, h_max=5),
+                        {"ensemble": pick_best})["ensemble"]
     full = panel.date_slice(plan.triples[0].trade.start,
                             plan.triples[-1].trade.end)
     assert list(trace.curve.dates) == [panel.calendar[t] for t in full]
@@ -388,8 +389,9 @@ def test_criterion_09_walk_forward_integrity():
                            threshold=w.threshold)
               for w in windows]
     rig_trace = run_trading(panel, features, turbulence, rigged,
-                            EnvConfig(initial_balance=100_000.0, h_max=5))
-    assert all(d.picked == "DDPG" for d in rig_trace.decisions)
+                            EnvConfig(initial_balance=100_000.0, h_max=5),
+                            {"ensemble": pick_best})["ensemble"]
+    assert all(picked == "DDPG" for picked in rig_trace.picks)
 
 
 @criterion(10, "metric oracles on 100 random curves and the headline "

@@ -191,9 +191,9 @@ class TestGradientChecks:
 
 class TestPPOUpdate:
     def test_zero_epochs_noop(self):
-        agent = PPOAgent(2, 1, AgentConfig(hidden=(4,)), seed=0)
+        agent = PPOAgent(2, 1, AgentConfig(hidden=(4,), epochs=0), seed=0)
         before = flat(agent)
-        agent.update(make_batch(np.random.default_rng(0), 2, 1, 10), epochs=0)
+        agent.update(make_batch(np.random.default_rng(0), 2, 1, 10))
         np.testing.assert_array_equal(flat(agent), before)
 
     def test_first_minibatch_ratio_one(self):

@@ -9,6 +9,7 @@ from rlfolio.agents import AGENT_KINDS, AgentConfig
 from rlfolio.cli import main
 from rlfolio.config import (RunConfig, load_config, parse_config,
                             snapshot_config)
+from rlfolio.ensemble import pick_best
 from rlfolio.env import EnvConfig, ObsScaling
 from rlfolio.errors import InputInvalid
 from rlfolio.indicators import IndicatorConfig
@@ -313,8 +314,13 @@ class TestBacktestAndReport:
         assert lines[0].startswith("window,validation_start")
         assert len(lines) >= 3  # header + at least two quarters
         for line in lines[1:]:
-            picked = line.split(",")[8]
+            cells = line.split(",")
+            picked = cells[8]
             assert picked in ("PPO", "A2C", "DDPG")
+            # each row's pick is the pick of that row's own Sharpe cells
+            scores = {k: float(c) if c else None
+                      for k, c in zip(AGENT_KINDS, cells[5:8])}
+            assert picked == pick_best(scores)
 
     def test_snapshot_is_loadable(self, run_dir):
         cfg = load_config(run_dir / "config_snapshot.ini")

@@ -25,6 +25,10 @@ TINY_CONFIGS = {k: TINY for k in ("PPO", "A2C", "DDPG")}
 # quarter that trains on three months runs an episode to its last date.
 WHOLE_EPISODE_CONFIGS = {k: replace(TINY, total_steps=70)
                          for k in ("PPO", "A2C", "DDPG")}
+ENSEMBLE = {"ensemble": pick_best}
+# the backtest's strategies: the ensemble and one always-this-kind picker
+ALL_STRATEGIES = {**ENSEMBLE, **{k.lower(): (lambda scores, k=k: k)
+                                 for k in ("PPO", "A2C", "DDPG")}}
 
 
 class StubAgent:
@@ -193,14 +197,14 @@ class TestRunTrading:
             return agents
 
         windows = self.build_windows(plan, rigged, factory)
-        trace = run_trading(panel, features, turbulence, windows,
-                            EnvConfig(initial_balance=10_000.0, h_max=5))
-        picked = [d.picked for d in trace.decisions]
-        assert picked == ["A2C"] * (n - 1) + ["PPO"]
+        result = run_trading(panel, features, turbulence, windows,
+                             EnvConfig(initial_balance=10_000.0, h_max=5),
+                             ENSEMBLE)["ensemble"]
+        assert result.picks == ["A2C"] * (n - 1) + ["PPO"]
         # only the picked agent is ever consulted
-        for agents, decision in zip(per_window_agents, trace.decisions):
+        for agents, pick in zip(per_window_agents, result.picks):
             for kind, agent in agents.items():
-                if kind == decision.picked:
+                if kind == pick:
                     assert agent.calls > 0
                 else:
                     assert agent.calls == 0
@@ -213,7 +217,8 @@ class TestRunTrading:
             plan, scores,
             lambda: {k: StubAgent([0.3, 0.3]) for k in ("PPO", "A2C", "DDPG")})
         trace = run_trading(panel, features, turbulence, windows,
-                            EnvConfig(initial_balance=100_000.0, h_max=5))
+                            EnvConfig(initial_balance=100_000.0, h_max=5),
+                            ENSEMBLE)["ensemble"]
         # contiguous, strictly increasing dates across the whole curve
         dates = trace.curve.dates
         assert all(a < b for a, b in zip(dates, dates[1:]))
@@ -222,6 +227,44 @@ class TestRunTrading:
         assert trace.curve.values[0] == 100_000.0
         # a buy-happy stub must actually accumulate positions
         assert any(t.side == "buy" for t in trace.trades)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    panel, features, turbulence, plan = make_setup()
+    env_config = EnvConfig(initial_balance=10_000.0, h_max=5)
+    windows = train_and_validate(panel, features, turbulence, plan,
+                                 env_config, TINY_CONFIGS, seed=4)
+    return (panel, features, turbulence), windows, env_config
+
+
+class TestOnePass:
+    def test_matches_one_call_per_strategy(self, trained):
+        inputs, windows, env_config = trained
+        together = run_trading(*inputs, windows, env_config, ALL_STRATEGIES)
+        assert list(together) == list(ALL_STRATEGIES)
+        for name, picker in ALL_STRATEGIES.items():
+            alone = run_trading(*inputs, windows, env_config,
+                                {name: picker})[name]
+            assert together[name].picks == alone.picks
+            assert together[name].curve.dates == alone.curve.dates
+            np.testing.assert_array_equal(together[name].curve.values,
+                                          alone.curve.values)
+            assert together[name].trades == alone.trades
+        assert len({r.curve.values.tobytes()
+                    for r in together.values()}) > 1
+
+    def test_windows_read_once_from_an_iterator(self, trained):
+        inputs, windows, env_config = trained
+        from_list = run_trading(*inputs, windows, env_config, ALL_STRATEGIES)
+        from_iter = run_trading(*inputs, iter(windows), env_config,
+                                ALL_STRATEGIES)
+        assert len(from_iter["ensemble"].picks) == len(windows)
+        for name, result in from_iter.items():
+            assert result.picks == from_list[name].picks
+            np.testing.assert_array_equal(result.curve.values,
+                                          from_list[name].curve.values)
+            assert result.trades == from_list[name].trades
 
 
 def assert_walk_forward_access(panel, features, turbulence, plan,
@@ -338,10 +381,9 @@ class TestRunEnsembleDeterminism:
             windows = train_and_validate(panel, features, turbulence, plan,
                                          env_config, TINY_CONFIGS, seed=7)
             trace = run_trading(panel, features, turbulence, windows,
-                                env_config)
+                                env_config, ENSEMBLE)["ensemble"]
             results.append((trace, metrics_report(trace.curve)))
         a, b = results
         np.testing.assert_array_equal(a[0].curve.values, b[0].curve.values)
-        assert [d.picked for d in a[0].decisions] == \
-            [d.picked for d in b[0].decisions]
+        assert a[0].picks == b[0].picks
         assert a[1].as_dict() == b[1].as_dict()

@@ -91,6 +91,13 @@ class TestResolveAction:
         np.testing.assert_array_equal(plan.sell_shares, [5, 0])
         np.testing.assert_array_equal(plan.buy_shares, [0, 10])
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_action_holds_without_a_cast_warning(self):
+        s = state_with([100.0, 10.0], [5, 3], 1000.0)
+        plan = resolve_action(s, [np.nan, np.nan], h_max=10, fee_rate=0.001)
+        np.testing.assert_array_equal(plan.sell_shares, [0, 0])
+        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
+
 
 @st.composite
 def step_cases(draw):
@@ -152,7 +159,8 @@ class TestStepOracle:
     @example(([3647.640625, 1.0, 1.0, 1.0, 1.0], [1.0] * 5, [0] * 5,
               47479.760453124996, [1.0, 0.0, 1.0, 0.0, 0.0], 13, 0.001))
     @settings(max_examples=500, deadline=None)
-    # a NaN action casts to int64's minimum, which both sides hold on
+    # the oracle still casts a NaN action to int64's minimum, which holds
+    # on both sides as the env's explicit NaN-to-zero does
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     def test_bit_identical_to_reference(self, case):
         prices, next_prices, holdings, balance, action, h_max, fee_rate = case
