@@ -89,9 +89,11 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     # return r[t-1] belongs to date t; history window is r[t-1-lookback : t-1]
     for t in range(lookback + 1, panel.T):
         window = rets[t - 1 - lookback:t - 1]
-        sigma = np.atleast_2d(np.cov(window, rowvar=False, bias=False))
+        mean = window.mean(axis=0)
+        xc = (window - mean).T  # np.cov(window, rowvar=False)'s own steps
+        sigma = np.dot(xc, xc.T) * (1 / (lookback - 1))
         r = default_ridge(sigma) if ridge is None else ridge
-        values[t] = _quad_form(rets[t - 1] - window.mean(axis=0), sigma, r)
+        values[t] = _quad_form(rets[t - 1] - mean, sigma, r)
     return values
 
 

@@ -96,17 +96,18 @@ class TestRollingTurbulence:
         assert series[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_each_value_is_turbulence_index_of_its_window(self):
-        lookback = 8
-        panel = make_panel(D=3, T=40, seed=5)
-        series = rolling_turbulence(panel, lookback=lookback)
-        rets = panel_returns(panel)
-        for t in range(lookback + 1, panel.T):
-            window = rets[t - 1 - lookback:t - 1]
-            sigma = np.cov(window, rowvar=False, bias=False)
-            ctx = TurbulenceContext(mu=window.mean(axis=0), sigma=sigma,
-                                    lookback=lookback,
-                                    ridge=default_ridge(sigma))
-            assert series[t] == turbulence_index(rets[t - 1], ctx)
+        # D=30 is the paper's Dow-30 width; 252 its one-year lookback
+        for D, lookback, T in [(3, 8, 40), (8, 252, 300), (30, 252, 300)]:
+            panel = make_panel(D=D, T=T, seed=5)
+            series = rolling_turbulence(panel, lookback=lookback)
+            rets = panel_returns(panel)
+            for t in range(lookback + 1, panel.T):
+                window = rets[t - 1 - lookback:t - 1]
+                sigma = np.cov(window, rowvar=False, bias=False)
+                ctx = TurbulenceContext(mu=window.mean(axis=0), sigma=sigma,
+                                        lookback=lookback,
+                                        ridge=default_ridge(sigma))
+                assert series[t] == turbulence_index(rets[t - 1], ctx)
 
     def test_non_finite_return_raises(self):
         panel = make_panel(D=2, T=40, seed=1)
