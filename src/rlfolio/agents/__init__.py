@@ -25,8 +25,9 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
     """Train one agent on an environment window, deterministically per seed.
 
     `warm_start` copies parameters from a previously trained agent of the
-    same kind (walk-forward continuation), DDPG's target networks included;
-    optimizer state starts fresh.
+    same kind (walk-forward continuation), DDPG's target networks included.
+    That is all a trained agent holds: its optimizers live only inside
+    `train`.
     """
     agent = make_agent(kind, env.obs_dim, env.action_dim, config, seed)
     if warm_start is not None:

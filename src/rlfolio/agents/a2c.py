@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GradInvalid
+from ..neural import Adam
 from .common import OnPolicyAgent
 
 
@@ -11,7 +12,7 @@ class A2CAgent(OnPolicyAgent):
     kind = "A2C"
     init_salt = 1
 
-    def update(self, batch) -> None:
+    def update(self, batch, actor_opt: Adam, critic_opt: Adam) -> None:
         """One synchronized gradient step on actor and critic."""
         obs, actions, rewards, next_obs, dones, _ = batch
         n = len(obs)
@@ -31,5 +32,5 @@ class A2CAgent(OnPolicyAgent):
         critic_loss = float(((v[:, 0] - targets) ** 2).mean())
         if not np.isfinite(actor_loss) or not np.isfinite(critic_loss):
             raise GradInvalid("non-finite loss; update skipped")
-        self.actor_opt.step(self.policy.flat, actor_grad)
-        self.critic_opt.step(self.critic.flat, critic_grad)
+        actor_opt.step(actor_grad)
+        critic_opt.step(critic_grad)

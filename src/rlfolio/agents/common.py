@@ -105,9 +105,16 @@ class Agent:
         raise NotImplementedError
 
     def parameters(self) -> list[np.ndarray]:
-        """Every network's `flat` vector, in a fixed order; a warm start
-        copies them all."""
+        """Every network's `flat` vector, in a fixed order starting with the
+        actor's and the critic's; a warm start copies them all."""
         raise NotImplementedError
+
+    def optimizers(self) -> tuple[Adam, Adam]:
+        """Fresh Adams over the actor and the critic vector. `train` makes
+        them, so a trained agent keeps nothing but its `parameters()`."""
+        actor, critic = self.parameters()[:2]
+        return (Adam(actor, self.config.actor_lr),
+                Adam(critic, self.config.critic_lr))
 
     def train(self, env, total_steps: int | None = None) -> None:
         raise NotImplementedError
@@ -117,7 +124,8 @@ class OnPolicyAgent(Agent):
     """Gaussian policy plus state-value critic, trained on rollouts of
     `config.rollout` steps. Subclasses set `init_salt`, which seeds their
     weight-init stream apart from other kinds, and implement
-    `update(batch)` over one rollout's `TransitionStore.rows`."""
+    `update(batch, actor_opt, critic_opt)` over one rollout's
+    `TransitionStore.rows`."""
 
     init_salt: int
 
@@ -128,8 +136,6 @@ class OnPolicyAgent(Agent):
             np.random.SeedSequence([seed, self.init_salt]))
         self.policy = GaussianPolicy(obs_dim, action_dim, config.hidden, init_rng)
         self.critic = Mlp([obs_dim, *config.hidden, 1], init_rng)
-        self.actor_opt = Adam(lr=config.actor_lr)
-        self.critic_opt = Adam(lr=config.critic_lr)
 
     def parameters(self) -> list[np.ndarray]:
         return [self.policy.flat, self.critic.flat]
@@ -156,6 +162,7 @@ class OnPolicyAgent(Agent):
         total = self.config.total_steps if total_steps is None else total_steps
         store = TransitionStore(min(self.config.rollout, total),
                                 self.obs_dim, self.action_dim)
+        opts = self.optimizers()
         obs = env.reset()
         for step in range(1, total + 1):
             action, logp = self.policy.sample(obs, self.rng)
@@ -164,5 +171,5 @@ class OnPolicyAgent(Agent):
             store.add(obs, action, reward, next_obs, done, logp)
             obs = env.reset() if done else next_obs
             if len(store) == store.capacity or step == total:
-                self.update(store.rows())
+                self.update(store.rows(), *opts)
                 store.clear()

@@ -25,8 +25,6 @@ class DDPGAgent(Agent):
         self.critic = Mlp([obs_dim + action_dim, *config.hidden, 1], init_rng)
         self.target_actor = self.actor.clone()
         self.target_critic = self.critic.clone()
-        self.actor_opt = Adam(lr=config.actor_lr)
-        self.critic_opt = Adam(lr=config.critic_lr)
 
     def parameters(self) -> list[np.ndarray]:
         return [self.actor.flat, self.critic.flat,
@@ -47,7 +45,7 @@ class DDPGAgent(Agent):
             np.concatenate([next_obs, a_next], axis=1))[:, 0]
         return rewards + self.config.gamma * q_next * (1.0 - dones)
 
-    def update(self, batch) -> None:
+    def update(self, batch, actor_opt: Adam, critic_opt: Adam) -> None:
         """One critic, actor and target step on `TransitionStore.rows`."""
         obs, actions, rewards, next_obs, dones, _ = batch
         n = len(obs)
@@ -58,7 +56,7 @@ class DDPGAgent(Agent):
         if not np.isfinite(critic_loss):
             raise GradInvalid("non-finite critic loss; update skipped")
         critic_grad, _ = self.critic.backward(cache, (2.0 / n) * (q - y[:, None]))
-        self.critic_opt.step(self.critic.flat, critic_grad)
+        critic_opt.step(critic_grad)
 
         # actor ascends Q(s, mu(s)): critic input-gradient w.r.t. the action
         # slice, chained through tanh, then through the actor net
@@ -68,7 +66,7 @@ class DDPGAgent(Agent):
         _, dinput = self.critic.backward(q_cache, np.full((n, 1), 1.0 / n))
         da = dinput[:, self.obs_dim:] * (1.0 - a_pi ** 2)
         actor_grad, _ = self.actor.backward(actor_cache, da)
-        self.actor_opt.step(self.actor.flat, -actor_grad)
+        actor_opt.step(-actor_grad)
 
         soft_update(self.target_actor, self.actor, self.config.tau)
         soft_update(self.target_critic, self.critic, self.config.tau)
@@ -78,6 +76,7 @@ class DDPGAgent(Agent):
         total = cfg.total_steps if total_steps is None else total_steps
         store = TransitionStore(min(cfg.buffer_capacity, total),
                                 self.obs_dim, self.action_dim)
+        opts = self.optimizers()
         obs = env.reset()
         for _ in range(total):
             action = self.act(obs, mode="stochastic")
@@ -85,4 +84,4 @@ class DDPGAgent(Agent):
             store.add(obs, action, reward, next_obs, done)
             obs = env.reset() if done else next_obs
             if len(store) >= max(cfg.warmup_steps, cfg.batch_size):
-                self.update(store.sample(cfg.batch_size, self.rng))
+                self.update(store.sample(cfg.batch_size, self.rng), *opts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GradInvalid
+from ..neural import Adam
 from .common import OnPolicyAgent
 
 
@@ -19,7 +20,7 @@ class PPOAgent(OnPolicyAgent):
     kind = "PPO"
     init_salt = 2
 
-    def update(self, batch) -> None:
+    def update(self, batch, actor_opt: Adam, critic_opt: Adam) -> None:
         """Clipped-surrogate epochs over a rollout gathered by the current
         (now frozen as "old") policy; advantages are normalized per batch."""
         cfg = self.config
@@ -48,9 +49,9 @@ class PPOAgent(OnPolicyAgent):
                 objective = float(surrogate.mean())
                 if not np.isfinite(objective):
                     raise GradInvalid("non-finite surrogate; update skipped")
-                self.actor_opt.step(self.policy.flat, actor_grad)
+                actor_opt.step(actor_grad)
 
                 v, cache = self.critic.forward_cache(obs[idx])
                 critic_grad, _ = self.critic.backward(
                     cache, (2.0 / m) * (v - targets[idx][:, None]))
-                self.critic_opt.step(self.critic.flat, critic_grad)
+                critic_opt.step(critic_grad)

@@ -194,7 +194,7 @@ def _run_backtest(cfg: RunConfig) -> None:
     rows = []
     for name, curve in strategies.items():
         report = metrics_report(curve)
-        rows.append([name] + [report.as_dict()[m] for m in METRIC_NAMES])
+        rows.append([name] + [getattr(report, m) for m in METRIC_NAMES])
     _write_csv(out_dir / "comparison.csv", ["strategy", *METRIC_NAMES], rows)
     click.echo(f"backtest complete: {out_dir / 'comparison.csv'}")
 

@@ -19,7 +19,7 @@ from .env import EnvConfig, EnvState, TradingEnv
 from .errors import InsufficientData, NoScores, ZeroVolatility
 from .evaluation import EquityCurve, sharpe
 from .indicators import FeaturePanel
-from .market_data import PricePanel, WindowPlan, WindowTriple
+from .market_data import PricePanel, WindowTriple
 from .turbulence import calibrate_threshold
 
 logger = logging.getLogger(__name__)
@@ -146,7 +146,7 @@ def window_threshold(turbulence: np.ndarray, panel: PricePanel,
 
 
 def train_and_validate(panel: PricePanel, features: FeaturePanel,
-                       turbulence: np.ndarray, plan: WindowPlan,
+                       turbulence: np.ndarray, plan: Iterable[WindowTriple],
                        env_config: EnvConfig,
                        agent_configs: dict[str, AgentConfig],
                        seed: int = 0,

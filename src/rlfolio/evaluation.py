@@ -6,13 +6,14 @@ sample (ddof=1) standard deviation, geometric annualization of returns.
 from __future__ import annotations
 
 import datetime as dt
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InputEmpty, InsufficientData, SingularCovariance,
                      ZeroVolatility)
-from .market_data import PricePanel, WindowPlan
+from .market_data import PricePanel, WindowTriple
 
 PERIODS_PER_YEAR = 252
 
@@ -40,15 +41,6 @@ class MetricsReport:
     annual_volatility: float
     sharpe: float | None
     max_drawdown: float
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {
-            "cumulative_return": self.cumulative_return,
-            "annual_return": self.annual_return,
-            "annual_volatility": self.annual_volatility,
-            "sharpe": self.sharpe,
-            "max_drawdown": self.max_drawdown,
-        }
 
 
 def cumulative_return(curve: EquityCurve | np.ndarray) -> float:
@@ -137,7 +129,7 @@ def min_variance_weights(cov: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return w
 
 
-def run_min_variance_baseline(panel: PricePanel, plan: WindowPlan,
+def run_min_variance_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
                               initial_balance: float = 1_000_000.0,
                               lookback: int = PERIODS_PER_YEAR,
                               fee_rate: float = 0.001,
@@ -148,8 +140,8 @@ def run_min_variance_baseline(panel: PricePanel, plan: WindowPlan,
     Fractional shares are allowed; at each rebalance date the covariance is
     estimated from the trailing `lookback` daily returns.
     """
-    start = plan.triples[0].trade.start
-    end = plan.triples[-1].trade.end
+    start = plan[0].trade.start
+    end = plan[-1].trade.end
     idx = panel.date_slice(start, end)
     if not idx:
         raise InsufficientData(needed="trade dates", available=0)
@@ -183,13 +175,13 @@ def run_min_variance_baseline(panel: PricePanel, plan: WindowPlan,
     return EquityCurve(dates=tuple(dates), values=np.array(values))
 
 
-def run_index_baseline(panel: PricePanel, plan: WindowPlan,
+def run_index_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
                        initial_balance: float = 1_000_000.0,
                        index_series: dict[dt.date, float] | None = None) -> EquityCurve:
     """Buy-and-hold index: either a provided index level series or a
     price-weighted proxy built from the panel."""
-    start = plan.triples[0].trade.start
-    end = plan.triples[-1].trade.end
+    start = plan[0].trade.start
+    end = plan[-1].trade.end
     idx = panel.date_slice(start, end)
     if not idx:
         raise InsufficientData(needed="trade dates", available=0)

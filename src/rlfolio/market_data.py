@@ -218,17 +218,6 @@ class WindowTriple:
     trade: DateInterval
 
 
-@dataclass
-class WindowPlan:
-    triples: list[WindowTriple] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.triples)
-
-    def __len__(self):
-        return len(self.triples)
-
-
 def add_months(d: dt.date, n: int) -> dt.date:
     """Shift by n calendar months, clamping the day to the month's length."""
     month0 = d.year * 12 + (d.month - 1) + n
@@ -249,7 +238,7 @@ def month_end(d: dt.date) -> dt.date:
 
 def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
                       validation_months: int = 3,
-                      trade_months: int = 3) -> WindowPlan:
+                      trade_months: int = 3) -> tuple[WindowTriple, ...]:
     """Growing-window train/validation/trade triples.
 
     The first validation interval is the `validation_months` calendar months
@@ -290,4 +279,4 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     if not triples:
         raise InsufficientData(needed="at least one trade interval",
                                available=str(last))
-    return WindowPlan(triples)
+    return tuple(triples)

@@ -4,7 +4,6 @@ network keeps its parameters in one flat vector."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +12,7 @@ from .errors import GradInvalid, ShapeError
 LOG_STD_MIN = math.log(1e-3)
 LOG_STD_MAX = math.log(10.0)
 LOG_2PI = math.log(2.0 * math.pi)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Mlp:
@@ -100,35 +100,35 @@ class Mlp:
         return np.concatenate(grads), (g[0] if single else g)
 
 
-@dataclass
 class Adam:
-    """Adam over one parameter vector, updated in place."""
+    """Adam over one parameter vector `p`, updated in place by `step`."""
 
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    _m: np.ndarray | None = None
-    _v: np.ndarray | None = None
+    def __init__(self, p: np.ndarray, lr: float):
+        self.p = p
+        self.lr = lr
+        self.t = 0
+        # the first step allocates the moments: allocating them here, at the
+        # start of train(), slowed DDPG's updates, as glibc then trimmed and
+        # regrew the heap around each update's temporaries
+        self._m = self._v = None
 
-    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+    def step(self, g: np.ndarray) -> None:
+        p = self.p
         if p.shape != np.shape(g):
             raise ShapeError(f"grad shape {np.shape(g)} vs param {p.shape}")
         if not np.all(np.isfinite(g)):
             raise GradInvalid("non-finite gradient; update skipped")
         if self._m is None:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
-        self.step_count += 1
-        t = self.step_count
+        self.t += 1
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        m_hat = m / (1 - self.beta1 ** t)
-        v_hat = v / (1 - self.beta2 ** t)
-        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = v / (1 - ADAM_BETA2 ** self.t)
+        p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class GaussianPolicy:

@@ -248,7 +248,7 @@ def test_criterion_06_algorithm_semantics():
         next_obs, reward, done = env.step(np.clip(action, -1, 1))
         store.add(obs, action, reward, next_obs, done, logp)
         obs = env.reset()
-    ppo.update(store.rows())
+    ppo.update(store.rows(), *ppo.optimizers())
     stacked_obs, stacked_act, _, _, _, old = store.rows()
     new = ppo.policy.log_prob(stacked_obs, stacked_act)
     ratio = np.exp(new - old)
@@ -334,8 +334,8 @@ def test_criterion_09_walk_forward_integrity():
     # the first quarter trains on three months, fewer dates than its
     # training steps, so an episode reaches that window's last date
     plan = build_window_plan(panel, dt.date(2016, 6, 30), 3, 3)
-    assert len(plan.triples) >= 8
-    plan.triples[:] = plan.triples[:8]
+    assert len(plan) >= 8
+    plan = plan[:8]
 
     # structural invariants: growing train windows, disjoint intervals
     prev = None
@@ -362,12 +362,12 @@ def test_criterion_09_walk_forward_integrity():
     bounds = marks + [(None, None, len(log))]
     train_end_read = False
     for (index, phase, start), (_, _, stop) in zip(bounds, bounds[1:]):
-        trade_start = panel.date_slice(plan.triples[index].trade.start,
-                                       plan.triples[index].trade.end).start
+        trade_start = panel.date_slice(plan[index].trade.start,
+                                       plan[index].trade.end).start
         assert max(log[start:stop]) < trade_start
         if phase == "train":
-            train = panel.date_slice(plan.triples[index].train.start,
-                                     plan.triples[index].train.end)
+            train = panel.date_slice(plan[index].train.start,
+                                     plan[index].train.end)
             train_end_read |= train.stop - 1 in log[start:stop]
     # a peek at t + 1 from some training window's last date would have left
     # that window, so the gate above would see it
@@ -377,8 +377,8 @@ def test_criterion_09_walk_forward_integrity():
     trace = run_trading(panel, features, turbulence, windows,
                         EnvConfig(initial_balance=100_000.0, h_max=5),
                         {"ensemble": pick_best})["ensemble"]
-    full = panel.date_slice(plan.triples[0].trade.start,
-                            plan.triples[-1].trade.end)
+    full = panel.date_slice(plan[0].trade.start,
+                            plan[-1].trade.end)
     assert list(trace.curve.dates) == [panel.calendar[t] for t in full]
     assert all(a < b for a, b in
                zip(trace.curve.dates, trace.curve.dates[1:]))
@@ -431,8 +431,8 @@ def test_criterion_11_min_variance():
                                       lookback=252, ridge=1e-10)
     prices = panel.adj_close
     rets = prices[1:] / prices[:-1] - 1.0
-    idx = panel.date_slice(plan.triples[0].trade.start,
-                           plan.triples[-1].trade.end)
+    idx = panel.date_slice(plan[0].trade.start,
+                           plan[-1].trade.end)
     value, shares, month, expected = 1_000_000.0, None, None, []
     for t in idx:
         p = prices[t]

@@ -11,7 +11,7 @@ from rlfolio.agents.common import AgentConfig, TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.errors import BufferUnderflow
-from rlfolio.neural import Mlp
+from rlfolio.neural import Adam, Mlp
 
 import oracles
 from helpers import TwoArmedBandit, advantage
@@ -193,7 +193,8 @@ class TestPPOUpdate:
     def test_zero_epochs_noop(self):
         agent = PPOAgent(2, 1, AgentConfig(hidden=(4,), epochs=0), seed=0)
         before = flat(agent)
-        agent.update(make_batch(np.random.default_rng(0), 2, 1, 10))
+        agent.update(make_batch(np.random.default_rng(0), 2, 1, 10),
+                     *agent.optimizers())
         np.testing.assert_array_equal(flat(agent), before)
 
     def test_first_minibatch_ratio_one(self):
@@ -271,31 +272,40 @@ class TestTrainAgent:
 
 
 class TestBoundedMemory:
-    """A trained agent holds its networks and optimizers only, so what it
-    keeps does not grow with the training budget."""
+    """A trained agent holds its networks only, so what it keeps does not
+    grow with the training budget."""
 
     CFG = AgentConfig(hidden=(8,), rollout=32, warmup_steps=16, batch_size=8)
 
-    def held_after_training(self, kind, steps):
+    def held_after_training(self, kind, steps, hidden=(8,)):
+        """The trained agent and the bytes it keeps alive."""
+        config = replace(self.CFG, total_steps=steps, hidden=hidden)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            agent = train_agent(kind, TwoArmedBandit(),
-                                replace(self.CFG, total_steps=steps), seed=0)
+            agent = train_agent(kind, TwoArmedBandit(), config, seed=0)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert agent.kind == kind
-        return held
+        return agent, held
 
     @pytest.mark.parametrize("kind", AGENT_KINDS)
     def test_held_memory_independent_of_steps(self, kind):
         self.held_after_training(kind, 50)  # warm numpy's allocation caches
-        short = self.held_after_training(kind, 200)
-        long = self.held_after_training(kind, 2000)
+        _, short = self.held_after_training(kind, 200)
+        _, long = self.held_after_training(kind, 2000)
         assert abs(long - short) < 4096, (short, long)
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_trained_agent_keeps_only_its_parameters(self, kind):
+        self.held_after_training(kind, 64, (64, 64))  # warm the caches
+        agent, held = self.held_after_training(kind, 64, (64, 64))
+        assert not any(isinstance(value, Adam) for value in vars(agent).values())
+        params = sum(p.nbytes for p in agent.parameters())
+        assert held < 1.25 * params, held / params
 
 
 class TestBanditLearning:

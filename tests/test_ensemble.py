@@ -1,5 +1,5 @@
 import datetime as dt
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -86,7 +86,7 @@ class TestPickBest:
 class TestWindowThreshold:
     def test_pre_trade_only(self):
         panel, _, turbulence, plan = make_setup()
-        triple = plan.triples[0]
+        triple = plan[0]
         thr = window_threshold(turbulence, panel, triple, 0.99)
         start_idx = panel.date_slice(triple.trade.start,
                                      triple.trade.end).start
@@ -97,12 +97,12 @@ class TestWindowThreshold:
     def test_no_defined_history_is_inf(self):
         panel, _, _, plan = make_setup()
         zeros = np.zeros(panel.T)
-        assert window_threshold(zeros, panel, plan.triples[0], 0.99) == np.inf
+        assert window_threshold(zeros, panel, plan[0], 0.99) == np.inf
 
     def test_threshold_grows_with_quantile(self):
         panel, _, turbulence, plan = make_setup()
-        t90 = window_threshold(turbulence, panel, plan.triples[0], 0.90)
-        t99 = window_threshold(turbulence, panel, plan.triples[0], 0.99)
+        t90 = window_threshold(turbulence, panel, plan[0], 0.90)
+        t99 = window_threshold(turbulence, panel, plan[0], 0.99)
         assert t90 <= t99
 
 
@@ -178,7 +178,7 @@ class TestRunDeterministic:
 class TestRunTrading:
     def build_windows(self, plan, scores_per_window, agents_factory):
         windows = []
-        for i, triple in enumerate(plan.triples):
+        for i, triple in enumerate(plan):
             windows.append(WindowResult(
                 triple=triple, agents=agents_factory(),
                 scores=scores_per_window[i], threshold=np.inf))
@@ -186,7 +186,7 @@ class TestRunTrading:
 
     def test_rigged_scores_drive_selection(self):
         panel, features, turbulence, plan = make_setup()
-        n = len(plan.triples)
+        n = len(plan)
         rigged = [{"PPO": 0.1, "A2C": 0.9, "DDPG": 0.2} for _ in range(n)]
         rigged[-1] = {"PPO": 0.5, "A2C": 0.1, "DDPG": 0.4}
         per_window_agents = []
@@ -211,7 +211,7 @@ class TestRunTrading:
 
     def test_state_carries_across_quarters(self):
         panel, features, turbulence, plan = make_setup()
-        n = len(plan.triples)
+        n = len(plan)
         scores = [{"PPO": 1.0, "A2C": 0.0, "DDPG": 0.0} for _ in range(n)]
         windows = self.build_windows(
             plan, scores,
@@ -222,8 +222,8 @@ class TestRunTrading:
         # contiguous, strictly increasing dates across the whole curve
         dates = trace.curve.dates
         assert all(a < b for a, b in zip(dates, dates[1:]))
-        assert dates[0] >= plan.triples[0].trade.start
-        assert dates[-1] <= plan.triples[-1].trade.end
+        assert dates[0] >= plan[0].trade.start
+        assert dates[-1] <= plan[-1].trade.end
         assert trace.curve.values[0] == 100_000.0
         # a buy-happy stub must actually accumulate positions
         assert any(t.side == "buy" for t in trace.trades)
@@ -292,7 +292,7 @@ def assert_walk_forward_access(panel, features, turbulence, plan,
     train_end_read = False
     for (index, phase, start), (_, _, stop) in zip(boundaries,
                                                    boundaries[1:]):
-        triple = plan.triples[index]
+        triple = plan[index]
         trade_start = panel.date_slice(triple.trade.start,
                                        triple.trade.end).start
         seg = log[start:stop]
@@ -322,7 +322,7 @@ class TestTrainAndValidate:
             in_sample_end=dt.date(2017, 6, 30))
         windows = assert_walk_forward_access(panel, features, turbulence,
                                              plan, WHOLE_EPISODE_CONFIGS)
-        assert len(windows) == len(plan.triples)
+        assert len(windows) == len(plan)
         for w in windows:
             assert set(w.agents) == {"PPO", "A2C", "DDPG"}
             assert set(w.scores) == {"PPO", "A2C", "DDPG"}
@@ -345,7 +345,7 @@ class TestTrainAndValidate:
 
     def test_validation_env_cannot_read_the_trade_quarter(self):
         panel, features, turbulence, plan = make_setup()
-        triple = plan.triples[0]
+        triple = plan[0]
         val = panel.date_slice(triple.validation.start, triple.validation.end)
         env = TradingEnv(panel, features, (val.start, val.stop - 1),
                          EnvConfig(), turbulence=turbulence)
@@ -386,4 +386,4 @@ class TestRunEnsembleDeterminism:
         a, b = results
         np.testing.assert_array_equal(a[0].curve.values, b[0].curve.values)
         assert a[0].picks == b[0].picks
-        assert a[1].as_dict() == b[1].as_dict()
+        assert asdict(a[1]) == asdict(b[1])

@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestMetrics:
 
     def test_metrics_report_dict_keys(self):
         rep = metrics_report(curve_from([100.0, 101.0, 102.0]))
-        assert set(rep.as_dict()) == {"cumulative_return", "annual_return",
+        assert set(asdict(rep)) == {"cumulative_return", "annual_return",
                                       "annual_volatility", "sharpe",
                                       "max_drawdown"}
 
@@ -151,8 +152,8 @@ class TestMinVarianceBaseline:
     def test_curve_spans_trade_period(self):
         panel, plan = self.make_setup()
         curve = run_min_variance_baseline(panel, plan)
-        assert curve.dates[0] >= plan.triples[0].trade.start
-        assert curve.dates[-1] <= plan.triples[-1].trade.end
+        assert curve.dates[0] >= plan[0].trade.start
+        assert curve.dates[-1] <= plan[-1].trade.end
         # day one deploys the full balance, so one round of fees is paid
         assert curve.values[0] == pytest.approx(1_000_000.0 * 0.999)
 
@@ -164,8 +165,8 @@ class TestMinVarianceBaseline:
                                           lookback=252, ridge=1e-10)
         prices = panel.adj_close
         rets = prices[1:] / prices[:-1] - 1.0
-        idx = panel.date_slice(plan.triples[0].trade.start,
-                               plan.triples[-1].trade.end)
+        idx = panel.date_slice(plan[0].trade.start,
+                               plan[-1].trade.end)
         value = 1_000_000.0
         shares = None
         month = None
@@ -195,8 +196,8 @@ class TestIndexBaseline:
         panel = make_panel(D=3, T=700, seed=7, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
         curve = run_index_baseline(panel, plan, initial_balance=1000.0)
-        idx = panel.date_slice(plan.triples[0].trade.start,
-                               plan.triples[-1].trade.end)
+        idx = panel.date_slice(plan[0].trade.start,
+                               plan[-1].trade.end)
         levels = panel.adj_close[list(idx)].sum(axis=1)
         np.testing.assert_allclose(curve.values,
                                    1000.0 * levels / levels[0])
@@ -204,8 +205,8 @@ class TestIndexBaseline:
     def test_provided_series(self):
         panel = make_panel(D=2, T=700, seed=8, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
-        idx = panel.date_slice(plan.triples[0].trade.start,
-                               plan.triples[-1].trade.end)
+        idx = panel.date_slice(plan[0].trade.start,
+                               plan[-1].trade.end)
         dates = [panel.calendar[t] for t in idx]
         series = {d: 100.0 * (1.01 ** i) for i, d in enumerate(dates)}
         curve = run_index_baseline(panel, plan, initial_balance=500.0,

@@ -153,7 +153,7 @@ class TestWindowPlan:
         panel = make_panel(D=2, T=2980, seed=0, start=dt.date(2009, 1, 1))
         assert panel.calendar[-1] >= dt.date(2020, 5, 8)
         plan = build_window_plan(panel, dt.date(2015, 12, 31), 3, 3)
-        first = plan.triples[0]
+        first = plan[0]
         assert first.train.end == dt.date(2015, 9, 30)
         assert first.validation.start == dt.date(2015, 10, 1)
         assert first.validation.end == dt.date(2015, 12, 31)
@@ -164,7 +164,7 @@ class TestWindowPlan:
         # calendar ends mid-quarter: the stub trade interval still appears
         panel = make_panel(D=2, T=420, seed=0, start=dt.date(2019, 1, 1))
         plan = build_window_plan(panel, dt.date(2019, 12, 31), 3, 3)
-        last = plan.triples[-1]
+        last = plan[-1]
         assert last.trade.end == panel.calendar[-1]
         assert last.trade.start <= panel.calendar[-1]
 
@@ -186,7 +186,7 @@ class TestWindowPlan:
                 assert train_days > prev_len
             prev_len = train_days
         # trade intervals tile without overlap
-        for a, b in zip(plan.triples[:-1], plan.triples[1:]):
+        for a, b in zip(plan[:-1], plan[1:]):
             assert b.trade.start == a.trade.end + dt.timedelta(days=1)
 
 

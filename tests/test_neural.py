@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rlfolio.errors import GradInvalid, ShapeError
-from rlfolio.neural import Adam, GaussianPolicy, Mlp
+from rlfolio.neural import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
+                            GaussianPolicy, Mlp)
 
 import oracles
 
@@ -92,44 +93,46 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         # bias correction makes the first update exactly lr * sign(g)
         p = np.array([1.0, -2.0])
-        opt = Adam(lr=0.01)
-        opt.step(p, np.array([0.3, -0.7]))
+        Adam(p, lr=0.01).step(np.array([0.3, -0.7]))
         np.testing.assert_allclose(p, [1.0 - 0.01, -2.0 + 0.01], atol=1e-6)
 
     def test_two_steps_hand_computed(self):
+        # the textbook update, in the step's own operation order
+        lr, g1, g2 = 0.1, 2.0, 1.0
         p = np.array([0.0])
-        opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=0.0)
-        g1, g2 = 2.0, 1.0
-        opt.step(p, np.array([g1]))
-        m = 0.1 * g1
-        v = 0.001 * g1 * g1
-        expect = -0.1 * (m / 0.1) / math.sqrt(v / 0.001)
-        assert p[0] == pytest.approx(expect)
-        opt.step(p, np.array([g2]))
-        m = 0.9 * m + 0.1 * g2
-        v = 0.999 * v + 0.001 * g2 * g2
-        expect -= 0.1 * (m / (1 - 0.9 ** 2)) / math.sqrt(v / (1 - 0.999 ** 2))
-        assert p[0] == pytest.approx(expect)
+        opt = Adam(p, lr)
+        opt.step(np.array([g1]))
+        m = (1 - ADAM_BETA1) * g1
+        v = (1 - ADAM_BETA2) * g1 * g1
+        expect = 0.0 - lr * (m / (1 - ADAM_BETA1 ** 1)) / (
+            math.sqrt(v / (1 - ADAM_BETA2 ** 1)) + ADAM_EPS)
+        assert p[0] == expect
+        opt.step(np.array([g2]))
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g2
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g2 * g2
+        expect -= lr * (m / (1 - ADAM_BETA1 ** 2)) / (
+            math.sqrt(v / (1 - ADAM_BETA2 ** 2)) + ADAM_EPS)
+        assert p[0] == expect
 
     def test_converges_on_quadratic(self):
         p = np.array([5.0])
-        opt = Adam(lr=0.1)
+        opt = Adam(p, lr=0.1)
         for _ in range(500):
-            opt.step(p, 2.0 * p)
+            opt.step(2.0 * p)
         assert abs(p[0]) < 1e-2
 
     def test_nonfinite_grad_rejected_and_param_untouched(self):
         p = np.array([1.0])
-        opt = Adam(lr=0.1)
+        opt = Adam(p, lr=0.1)
         with pytest.raises(GradInvalid):
-            opt.step(p, np.array([np.nan]))
+            opt.step(np.array([np.nan]))
         assert p[0] == 1.0
-        assert opt.step_count == 0
+        assert opt.t == 0
 
     def test_shape_mismatch(self):
-        opt = Adam()
+        opt = Adam(np.zeros(2), lr=0.1)
         with pytest.raises(ShapeError):
-            opt.step(np.zeros(2), np.zeros(3))
+            opt.step(np.zeros(3))
 
 
 class TestGaussianPolicy:
