@@ -1,6 +1,7 @@
 """Shared pieces of the three actor-critic learners."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ class AgentConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        for name in ("actor_lr", "critic_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.clip_epsilon <= 0:
             raise ValueError("clip_epsilon must be positive")
         if not 0.0 < self.tau <= 1.0:

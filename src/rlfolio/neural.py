@@ -1,6 +1,8 @@
 """Minimal feed-forward substrate: MLPs with analytic gradients, an Adam
 optimizer, and a state-independent-variance Gaussian policy head. Each
-network keeps its parameters in one flat vector."""
+network keeps its parameters in one flat vector and computes in its dtype:
+float32 for a new net, the precision of the paper's stable-baselines
+(TensorFlow) nets."""
 from __future__ import annotations
 
 import math
@@ -20,8 +22,9 @@ class Mlp:
 
     All parameters live in one vector, `flat`: layer by layer, the weight
     (in x out, row-major) then the bias. `params` holds views into it in
-    that order. A new net is Glorot-uniform initialized; passing `flat`
-    wraps an existing vector instead.
+    that order. A new net is float32 and Glorot-uniform initialized;
+    passing `flat` wraps an existing vector, of any float dtype, instead.
+    Inputs and upstream gradients are cast to the vector's dtype.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
@@ -34,7 +37,7 @@ class Mlp:
                   for shape in ((n_in, n_out), (n_out,))]
         size = sum(map(math.prod, shapes))
         fresh = flat is None
-        self.flat = np.zeros(size) if fresh else flat
+        self.flat = np.zeros(size, dtype=np.float32) if fresh else flat
         if self.flat.shape != (size,):
             raise ShapeError(f"flat shape {self.flat.shape}, expected ({size},)")
         self.params, offset = [], 0
@@ -52,7 +55,7 @@ class Mlp:
         return Mlp(self.sizes, flat=self.flat.copy())
 
     def _check_input(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.flat.dtype)
         single = x.ndim == 1
         if single:
             x = x[None, :]
@@ -82,7 +85,7 @@ class Mlp:
         """Gradients of sum(output * upstream) w.r.t. `flat` (one vector in
         its layout) and the input."""
         acts, single = cache
-        g = np.asarray(upstream, dtype=float)
+        g = np.asarray(upstream, dtype=self.flat.dtype)
         if single:
             g = g[None, :]
         if g.shape[-1] != self.sizes[-1]:
@@ -135,7 +138,8 @@ class GaussianPolicy:
     """Diagonal Gaussian over actions: MLP mean, learned global log-std.
 
     One vector, `flat`, holds the mean net's parameters followed by
-    `log_std`; passing `flat` wraps an existing vector."""
+    `log_std`, float32 for a new policy; passing `flat` wraps an existing
+    vector."""
 
     def __init__(self, obs_dim: int, action_dim: int,
                  hidden: tuple[int, ...] = (64, 64),
@@ -145,7 +149,8 @@ class GaussianPolicy:
         sizes = [obs_dim, *hidden, action_dim]
         if flat is None:
             flat = np.concatenate([Mlp(sizes, rng).flat,
-                                   np.full(action_dim, float(log_std_init))])
+                                   np.full(action_dim, log_std_init,
+                                           dtype=np.float32)])
         self.flat = flat
         self.mean_net = Mlp(sizes, flat=flat[:-action_dim])
         self.log_std = flat[-action_dim:]
@@ -198,6 +203,6 @@ class GaussianPolicy:
             clipped = (self.log_std < LOG_STD_MIN) | (self.log_std > LOG_STD_MAX)
             g_log_std = (c * (z ** 2 - 1.0)).sum(axis=0)
             g_log_std[clipped] = 0.0
-            return np.concatenate([mean_grad, g_log_std])
+            return np.concatenate([mean_grad, g_log_std], dtype=self.flat.dtype)
 
         return logp, backward

@@ -1,6 +1,7 @@
 """Shared test fixtures: synthetic market data and toy environments."""
 from __future__ import annotations
 
+import copy
 import datetime as dt
 import io
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from rlfolio.agents import A2CAgent, AgentConfig
 from rlfolio.market_data import BAR_FIELDS, PricePanel
+from rlfolio.neural import GaussianPolicy, Mlp
 
 
 def trading_calendar(start: dt.date, n: int) -> list[dt.date]:
@@ -92,12 +94,33 @@ def csv_stream(text: str) -> io.StringIO:
     return io.StringIO(text)
 
 
+def float64_twin(obj):
+    """A float64 copy of a net (`Mlp` or `GaussianPolicy`) or of an agent.
+
+    The package's nets are float32, and a net over an existing vector keeps
+    that vector's dtype; so the twin wraps float64 copies of the vectors, and
+    a check of a gradient or hand-computed value runs on it at float64
+    precision. An agent's twin is a deep copy (its RNG state included) with
+    every net attribute replaced this way."""
+    if isinstance(obj, Mlp):
+        return Mlp(obj.sizes, flat=obj.flat.astype(np.float64))
+    if isinstance(obj, GaussianPolicy):
+        sizes = obj.mean_net.sizes
+        return GaussianPolicy(sizes[0], obj.action_dim, tuple(sizes[1:-1]),
+                              flat=obj.flat.astype(np.float64))
+    twin = copy.deepcopy(obj)
+    for name, value in vars(twin).items():
+        if isinstance(value, (Mlp, GaussianPolicy)):
+            setattr(twin, name, float64_twin(value))
+    return twin
+
+
 def advantage(r: float, gamma: float, v_s: float, v_next: float,
               done: bool) -> float:
     """`OnPolicyAgent.compute_advantages` on one transition, with a critic
-    that reads V(s) = s: a 1-d observation and a linear critic of weight 1
-    and bias 0, so the hand-picked values pass through unchanged."""
-    agent = A2CAgent(1, 1, AgentConfig(gamma=gamma, hidden=()))
+    that reads V(s) = s: a 1-d observation and a linear float64 critic of
+    weight 1 and bias 0, so the hand-picked values pass through unchanged."""
+    agent = float64_twin(A2CAgent(1, 1, AgentConfig(gamma=gamma, hidden=())))
     agent.critic.flat[:] = (1.0, 0.0)
     adv, _ = agent.compute_advantages(np.array([[v_s]]), np.array([r]),
                                       np.array([[v_next]]),

@@ -30,7 +30,8 @@ from rlfolio.turbulence import (TurbulenceContext, rolling_turbulence,
 from rlfolio.indicators import build_features
 
 import oracles
-from helpers import TwoArmedBandit, advantage, make_panel, panel_to_csv
+from helpers import (TwoArmedBandit, advantage, float64_twin, make_panel,
+                     panel_to_csv)
 
 
 def criterion(number, description):
@@ -162,7 +163,8 @@ def test_criterion_05_gradient_checks():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         # A2C actor objective: mean of advantage-weighted log-probs
-        agent = A2CAgent(3, 2, AgentConfig(hidden=(6,)), seed=seed)
+        agent = float64_twin(A2CAgent(3, 2, AgentConfig(hidden=(6,)),
+                                      seed=seed))
         store = TransitionStore(8, 3, 2)
         for _ in range(8):
             store.add(rng.normal(size=3), rng.normal(size=2),
@@ -183,7 +185,8 @@ def test_criterion_05_gradient_checks():
 
         # PPO first-epoch surrogate equals the A2C-style objective at
         # ratio 1, so its analytic gradient must also match FD there
-        ppo = PPOAgent(3, 2, AgentConfig(hidden=(6,)), seed=seed)
+        ppo = float64_twin(PPOAgent(3, 2, AgentConfig(hidden=(6,)),
+                                    seed=seed))
         logp0 = ppo.policy.log_prob(obs, acts)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 
@@ -201,7 +204,8 @@ def test_criterion_05_gradient_checks():
         np.testing.assert_allclose(grad, fd, **tol)
 
         # DDPG critic regression loss
-        ddpg = DDPGAgent(3, 2, AgentConfig(hidden=(5,)), seed=seed)
+        ddpg = float64_twin(DDPGAgent(3, 2, AgentConfig(hidden=(5,)),
+                                      seed=seed))
         sa = rng.normal(size=(6, 5))
         y = rng.normal(size=6)
 
@@ -223,7 +227,7 @@ def test_criterion_06_algorithm_semantics():
     # one-step advantage (via compute_advantages) and TD target
     assert abs(advantage(1.0, 0.9, 2.0, 3.0, False) - 1.7) < 1e-12
     assert abs(advantage(1.0, 0.9, 2.0, 3.0, True) - (-1.0)) < 1e-12
-    agent = DDPGAgent(2, 1, AgentConfig(gamma=0.9), seed=0)
+    agent = float64_twin(DDPGAgent(2, 1, AgentConfig(gamma=0.9), seed=0))
     next_obs = np.zeros((1, 2))
     a_next = np.tanh(agent.target_actor.forward(next_obs))
     q_next = float(agent.target_critic.forward(

@@ -14,7 +14,7 @@ from rlfolio.errors import BufferUnderflow
 from rlfolio.neural import Adam, Mlp
 
 import oracles
-from helpers import TwoArmedBandit, advantage
+from helpers import TwoArmedBandit, advantage, float64_twin
 
 
 def make_batch(rng, obs_dim, action_dim, n):
@@ -149,7 +149,7 @@ class TestDDPGTargets:
 class TestGradientChecks:
     def test_a2c_actor_gradient(self):
         cfg = AgentConfig(hidden=(6,))
-        agent = A2CAgent(3, 2, cfg, seed=5)
+        agent = float64_twin(A2CAgent(3, 2, cfg, seed=5))
         rng = np.random.default_rng(6)
         obs, actions, rewards, next_obs, dones, _ = make_batch(rng, 3, 2, 8)
         adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
@@ -166,7 +166,7 @@ class TestGradientChecks:
 
     def test_ddpg_actor_gradient(self):
         cfg = AgentConfig(hidden=(5,))
-        agent = DDPGAgent(3, 2, cfg, seed=7)
+        agent = float64_twin(DDPGAgent(3, 2, cfg, seed=7))
         rng = np.random.default_rng(8)
         obs = rng.normal(size=(6, 3))
 
@@ -271,6 +271,41 @@ class TestTrainAgent:
             make_agent("XYZ", 1, 1)
 
 
+class TestFloat32:
+    """Agents train float32 networks; float64 stays outside them."""
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_warm_started_training_keeps_float32(self, kind):
+        # covers Adam's moments, the soft target update, the warm-start
+        # copy and the policy's log-std block
+        env = TwoArmedBandit()
+        donor = train_agent(kind, env, TestTrainAgent.CFG, seed=1)
+        agent = train_agent(kind, env, TestTrainAgent.CFG, seed=2,
+                            warm_start=donor)
+        assert [p.dtype for p in agent.parameters()] == \
+            [np.float32] * len(agent.parameters())
+
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_update_tracks_float64_twin(self, kind):
+        # one update from the same batch and RNG state moves the float32
+        # parameters by the float64 twin's move, up to a relative gap.
+        # Measured over seeds 0-199 (median / max): PPO 5.3e-6 / 8.9e-6,
+        # A2C 1.0e-5 / 1.1e-5, DDPG 1.6e-5 / 2.3e-4; DDPG's tail is Adam's
+        # first step, lr * sign(g), flipping on a near-zero gradient entry.
+        cfg = AgentConfig(hidden=(16, 16), epochs=2, minibatch=16)
+        for seed in range(5):
+            agent = make_agent(kind, 10, 3, cfg, seed=seed)
+            twin = float64_twin(agent)
+            start = flat(twin)
+            batch = make_batch(np.random.default_rng(100 + seed), 10, 3, 64)
+            agent.update(batch, *agent.optimizers())
+            twin.update(batch, *twin.optimizers())
+            move32 = flat(agent).astype(np.float64) - start
+            move64 = flat(twin) - start
+            gap = np.linalg.norm(move32 - move64) / np.linalg.norm(move64)
+            assert gap < 1e-3, (seed, gap)
+
+
 class TestBoundedMemory:
     """A trained agent holds its networks only, so what it keeps does not
     grow with the training budget."""
@@ -309,16 +344,15 @@ class TestBoundedMemory:
 
 
 class TestBanditLearning:
-    """Each learner should discover the positive arm of a trivial bandit."""
+    """Each learner should discover the positive arm of a trivial bandit.
 
-    def bandit_accuracy(self, agent, env, n=200):
-        rng = np.random.default_rng(123)
-        hits = 0
-        for _ in range(n):
-            obs = env.reset()
-            action = agent.act(obs, mode="deterministic")
-            hits += action[0] > 0
-        return hits / n
+    The bandit's observation is constant and `act(..., "deterministic")`
+    answers it the same way every time, so a ">= 95% of 200 queries pick
+    the positive arm" accuracy check is one sign test of one answer. The
+    training budgets, seeds and configs are those that check ran with."""
+
+    def picks_positive_arm(self, agent, env) -> bool:
+        return agent.act(env.reset(), mode="deterministic")[0] > 0
 
     def test_a2c(self):
         env = TwoArmedBandit()
@@ -326,7 +360,7 @@ class TestBanditLearning:
                           rollout=64)
         agent = A2CAgent(env.obs_dim, env.action_dim, cfg, seed=0)
         agent.train(env, total_steps=4000)
-        assert self.bandit_accuracy(agent, env) >= 0.95
+        assert self.picks_positive_arm(agent, env)
 
     def test_ppo(self):
         env = TwoArmedBandit()
@@ -334,7 +368,7 @@ class TestBanditLearning:
                           rollout=64, epochs=4, minibatch=32)
         agent = PPOAgent(env.obs_dim, env.action_dim, cfg, seed=0)
         agent.train(env, total_steps=2000)
-        assert self.bandit_accuracy(agent, env) >= 0.95
+        assert self.picks_positive_arm(agent, env)
 
     def test_ddpg(self):
         env = TwoArmedBandit()
@@ -342,4 +376,4 @@ class TestBanditLearning:
                           warmup_steps=64, batch_size=32, noise_scale=0.3)
         agent = DDPGAgent(env.obs_dim, env.action_dim, cfg, seed=0)
         agent.train(env, total_steps=1500)
-        assert self.bandit_accuracy(agent, env) >= 0.95
+        assert self.picks_positive_arm(agent, env)

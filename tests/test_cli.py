@@ -159,6 +159,12 @@ class TestConfig:
         assert cfg.agent_configs["A2C"].gamma == 0.95
         assert cfg.agent_configs["DDPG"].clip_epsilon == 0.2
 
+    def test_huge_finite_learning_rate_accepted(self, data_csv):
+        # any positive finite rate is a valid setting, however it trains
+        cfg = parse_config(f"[data]\npath = {data_csv}\n"
+                           "[agents]\ncritic_lr = 1e200\n")
+        assert cfg.agent_configs["DDPG"].critic_lr == 1e200
+
     def test_missing_data_path(self):
         with pytest.raises(InputInvalid):
             parse_config("[run]\nseed = 1\n")
@@ -424,6 +430,13 @@ BAD_CONFIGS = {
                "error: [agents] epochs"),
     "warmup_steps": ("warmup_steps = 8", "warmup_steps = -3",
                      "error: [agents] warmup_steps"),
+    "hidden_negative": ("hidden = 8", "hidden = 64 -3",
+                        "error: [agents] hidden"),
+    "hidden_zero": ("hidden = 8", "hidden = 0", "error: [agents] hidden"),
+    "actor_lr_negative": ("[agents]\n", "[agents]\nactor_lr = -0.001\n",
+                          "error: [agents] actor_lr"),
+    "critic_lr_inf": ("[agents]\n", "[agents]\ncritic_lr = inf\n",
+                      "error: [agents] critic_lr"),
     "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
                   "macd_fast"),
     "duplicate_key": ("seed = 3", "seed = 3\nseed = 4", "seed"),
@@ -449,6 +462,7 @@ class TestConfigUserErrors:
         assert result.exit_code == 2, result.output
         assert "error:" in result.stderr
         assert named in result.stderr
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("index_csv", [
         "date,level\n2017-01-02,100.0\n",

@@ -8,13 +8,14 @@ from rlfolio.neural import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                             GaussianPolicy, Mlp)
 
 import oracles
+from helpers import float64_twin
 
 
 class TestMlpForward:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_matrix_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        net = Mlp([4, 8, 8, 3], rng)
+        net = float64_twin(Mlp([4, 8, 8, 3], rng))
         x = rng.normal(size=(7, 4))
         expected = oracles.mlp_forward_oracle(net.params, x, net.n_layers)
         np.testing.assert_allclose(net.forward(x), expected, atol=1e-12)
@@ -60,7 +61,7 @@ class TestMlpBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_param_grads_finite_difference(self, seed):
         rng = np.random.default_rng(seed)
-        net = Mlp([3, 6, 2], rng)
+        net = float64_twin(Mlp([3, 6, 2], rng))
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(5, 2))
 
@@ -76,7 +77,7 @@ class TestMlpBackward:
 
     def test_input_grad_finite_difference(self):
         rng = np.random.default_rng(11)
-        net = Mlp([3, 4, 2], rng)
+        net = float64_twin(Mlp([3, 4, 2], rng))
         x0 = rng.normal(size=3)
         w = rng.normal(size=2)
 
@@ -165,7 +166,7 @@ class TestGaussianPolicy:
     @pytest.mark.parametrize("seed", range(4))
     def test_log_prob_grads_finite_difference(self, seed):
         rng = np.random.default_rng(seed)
-        pol = GaussianPolicy(3, 2, hidden=(5,), rng=rng)
+        pol = float64_twin(GaussianPolicy(3, 2, hidden=(5,), rng=rng))
         obs = rng.normal(size=(6, 3))
         actions = rng.normal(size=(6, 2))
         coeff = rng.normal(size=6)
@@ -192,6 +193,27 @@ class TestGaussianPolicy:
         _, backward = pol.log_prob_grads(np.zeros((2, 1)), np.zeros((2, 1)))
         grad = backward(np.ones(2))
         assert grad[-1] == 0.0
+
+
+class TestDtype:
+    def test_new_nets_compute_in_float32(self):
+        rng = np.random.default_rng(4)
+        net = Mlp([3, 5, 2], rng)
+        pol = GaussianPolicy(3, 2, hidden=(5,), rng=rng)
+        assert net.flat.dtype == pol.flat.dtype == np.float32
+        x = rng.normal(size=(4, 3))   # float64 in, float32 out
+        y, cache = net.forward_cache(x)
+        grad, in_grad = net.backward(cache, np.ones((4, 2)))
+        assert y.dtype == grad.dtype == in_grad.dtype == np.float32
+        _, backward = pol.log_prob_grads(x, rng.normal(size=(4, 2)))
+        assert backward(np.ones(4)).dtype == np.float32
+
+    def test_wrapped_vector_keeps_its_dtype(self):
+        net = Mlp([3, 2], flat=np.zeros(8))
+        assert net.clone().flat.dtype == np.float64
+        y, cache = net.forward_cache(np.ones((1, 3), dtype=np.float32))
+        grad, _ = net.backward(cache, np.ones((1, 2), dtype=np.float32))
+        assert y.dtype == grad.dtype == np.float64
 
 
 class TestMlpLayout:
