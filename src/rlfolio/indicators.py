@@ -2,9 +2,11 @@
 
 Each indicator takes time-first arrays: one series of T dates, or a T x D
 panel whose columns are assets. Only the smoothing recursions loop, over
-dates, each step acting on one row; every float operation runs in the
-order of the scalar definition, so a panel call equals its column-by-column
-calls bit for bit.
+dates, each step acting on one row; the series one indicator smooths
+alike (MACD's two EMAs, RSI's gain and loss, ADX's TR, +DM and -DM) are
+stacked on a last axis and share one loop. Every float operation runs in
+the order of the scalar definition, so a panel call equals its
+column-by-column calls bit for bit.
 """
 from __future__ import annotations
 
@@ -49,12 +51,13 @@ def _check_series(x) -> np.ndarray:
     return x
 
 
-def _ema(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Exponential moving average seeded by the first date."""
+def _ema(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Exponential moving average seeded by the first date, with `alpha`
+    broadcast over a date's row."""
     out = np.empty_like(x)
-    out[0] = x[0]
+    out[0] = prev = x[0]
     for i in range(1, x.shape[0]):
-        out[i] = out[i - 1] + alpha * (x[i] - out[i - 1])
+        out[i] = prev = prev + alpha * (x[i] - prev)
     return out
 
 
@@ -66,18 +69,21 @@ def _wilder(x: np.ndarray, period: int, first: int) -> np.ndarray:
     acc = 0.0
     for j in range(first - period + 1, first + 1):
         acc = acc + x[j]
-    out[first] = acc / period
+    out[first] = prev = acc / period
     for i in range(first + 1, x.shape[0]):
-        out[i] = (out[i - 1] * (period - 1) + x[i]) / period
+        out[i] = prev = (prev * (period - 1) + x[i]) / period
     return out
 
 
 def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
-    """MACD line: EMA(fast) - EMA(slow)."""
+    """MACD line: EMA(fast) - EMA(slow), both EMAs in one pass over a
+    (..., 2) stack of the series."""
     close = _check_series(close)
     if not 0 < fast < slow:
         raise ValueError("need 0 < fast < slow")
-    return _ema(close, 2.0 / (fast + 1.0)) - _ema(close, 2.0 / (slow + 1.0))
+    ema = _ema(np.stack([close, close], axis=-1),
+               np.array([2.0 / (fast + 1.0), 2.0 / (slow + 1.0)]))
+    return ema[..., 0] - ema[..., 1]
 
 
 def rsi(close, period: int = 14) -> np.ndarray:
@@ -89,8 +95,10 @@ def rsi(close, period: int = 14) -> np.ndarray:
         return out
     d = np.zeros_like(close)
     d[1:] = close[1:] - close[:-1]
-    gain = _wilder(np.where(d > 0.0, d, 0.0), period, period)[period:]
-    loss = _wilder(np.where(d < 0.0, -d, 0.0), period, period)[period:]
+    smoothed = _wilder(np.stack([np.where(d > 0.0, d, 0.0),
+                                 np.where(d < 0.0, -d, 0.0)], axis=-1),
+                       period, period)[period:]
+    gain, loss = smoothed[..., 0], smoothed[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         out[period:] = np.where(
             loss == 0.0, np.where(gain == 0.0, 50.0, 100.0),
@@ -140,9 +148,9 @@ def adx(high, low, close, period: int = 14) -> np.ndarray:
     tr[1:] = np.maximum(np.maximum(high[1:] - low[1:],
                                    np.abs(high[1:] - close[:-1])),
                         np.abs(low[1:] - close[:-1]))
-    atr = _wilder(tr, period, period)[period:]
-    sp = _wilder(plus_dm, period, period)[period:]
-    sm = _wilder(minus_dm, period, period)[period:]
+    smoothed = _wilder(np.stack([tr, plus_dm, minus_dm], axis=-1),
+                       period, period)[period:]
+    atr, sp, sm = smoothed[..., 0], smoothed[..., 1], smoothed[..., 2]
     dx = np.zeros_like(high)
     with np.errstate(divide="ignore", invalid="ignore"):
         plus_di = np.where(atr > 0.0, 100.0 * sp / atr, 0.0)

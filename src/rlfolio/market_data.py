@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
-import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,18 +33,6 @@ DEFAULT_SCHEMA = {
     "adj_close": "adj_close",
     "volume": "volume",
 }
-
-
-def _bar_fault(open_, high, low, close, adj_close, volume) -> str | None:
-    """The reason a bar breaks an invariant, or None."""
-    if not all(math.isfinite(p) and p > 0
-               for p in (open_, high, low, close, adj_close)):
-        return "non-positive or non-finite price"
-    if volume < 0 or not math.isfinite(volume):
-        return "negative volume"
-    if not (low <= min(open_, close) and max(open_, close) <= high):
-        return "low/high do not bracket open/close"
-    return None
 
 
 @dataclass
@@ -117,6 +105,30 @@ class PricePanel:
                      bisect.bisect_right(self.calendar, end))
 
 
+# A row's faults, in the order they are checked: the first one it has is
+# its rejection reason.
+_FAULTS = ("non-positive or non-finite price", "negative volume",
+           "low/high do not bracket open/close", "duplicate row")
+
+
+def _bar_faults(bars: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Index into `_FAULTS` of each row's first fault, -1 for none. Of the
+    rows with no invariant fault, each (ticker, date) `key` after its first
+    is a duplicate."""
+    prices, volume = bars[:, :5], bars[:, 5]
+    o, h, lo, c = bars[:, 0], bars[:, 1], bars[:, 2], bars[:, 3]
+    fault = np.select(
+        [~np.all(np.isfinite(prices) & (prices > 0.0), axis=1),
+         ~(np.isfinite(volume) & (volume >= 0.0)),
+         ~((lo <= np.minimum(o, c)) & (np.maximum(o, c) <= h))],
+        [0, 1, 2], -1)
+    valid = np.flatnonzero(fault < 0)
+    repeat = np.ones(valid.size, dtype=bool)
+    repeat[np.unique(key[valid], return_index=True)[1]] = False
+    fault[valid[repeat]] = 3
+    return fault
+
+
 def load_bars(source, schema: dict[str, str] | None = None,
               rejection_ceiling: float = 0.01,
               delimiter: str = ",") -> tuple[PricePanel, LoadReport]:
@@ -124,78 +136,108 @@ def load_bars(source, schema: dict[str, str] | None = None,
 
     `source` is a text file object or a string path. `schema` maps
     canonical names (date, ticker, open, ...) to the file's column headers.
-    Each accepted row becomes one tuple of the six `BAR_FIELDS` values, and
-    the panel's arrays are built from those tuples in one pass. Rows
-    violating bar invariants, and repeats of an accepted (ticker, date), are
-    rejected and listed in the report; a rejection rate above
-    `rejection_ceiling` aborts.
+    Rows are parsed into flat columns (the six `BAR_FIELDS` values, ticker
+    and date ids, physical line numbers), their invariants checked over
+    all rows at once, and the accepted bars scattered into the panel's
+    arrays. Rows violating bar invariants, and repeats of an accepted
+    (ticker, date), are rejected and listed in the report by line of the
+    file; a rejection rate above `rejection_ceiling` aborts.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     close_after = isinstance(source, str)
     if close_after:
         source = open(source, "r", newline="")
 
+    values = array("d")                  # six bar values per parsed row
+    ticker_col, date_col, line_col = array("q"), array("q"), array("q")
+    ticker_ids: dict[str, int] = {}
+    date_ids: dict[dt.date, int] = {}
+    rejected: list[RejectedRow] = []
+    total = 0
     try:
-        reader = csv.DictReader(source, delimiter=delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(source, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
             raise InputEmpty("no header row")
-        missing = [col for col in schema.values()
-                   if col not in reader.fieldnames]
+        missing = [col for col in schema.values() if col not in header]
         if missing:
             raise InputEmpty(f"header missing columns: {missing}")
-        value_cols = [schema[name] for name in BAR_FIELDS]
-
-        by_asset: dict[str, dict[dt.date, tuple[float, ...]]] = {}
-        rejected: list[RejectedRow] = []
-        total = 0
-        for line, raw in enumerate(reader, start=2):
+        pos = {name: i for i, name in enumerate(header)}  # last one wins
+        di, ti = pos[schema["date"]], pos[schema["ticker"]]
+        value_cols = [pos[schema[name]] for name in BAR_FIELDS]
+        for row in reader:
+            if not row:
+                continue                 # a blank line is no record
             total += 1
+            # the first cell that fails names the reason: the date, the
+            # ticker, then each value in BAR_FIELDS order
             try:
-                date = dt.date.fromisoformat(raw[schema["date"]].strip())
-                ticker = raw[schema["ticker"]].strip()
+                d = date_ids.setdefault(
+                    dt.date.fromisoformat(row[di].strip()), len(date_ids))
+                ticker = row[ti].strip()
                 if not ticker:
                     raise ValueError("empty ticker")
-                bar = tuple(float(raw[col]) for col in value_cols)
-            except (AttributeError, TypeError):
-                # csv fills the cells past a short row's end with None
+                t = ticker_ids.setdefault(ticker, len(ticker_ids))
+                values.fromlist([float(row[i]) for i in value_cols])
+            except IndexError:           # a short row ends before the cell
                 reason = "missing column value"
             except ValueError as exc:
                 reason = str(exc)
             else:
-                reason = _bar_fault(*bar)
-                if reason is None and date in by_asset.get(ticker, ()):
-                    reason = "duplicate row"
-            if reason is not None:
-                rejected.append(RejectedRow(line, reason))
+                ticker_col.append(t)
+                date_col.append(d)
+                line_col.append(reader.line_num)
                 continue
-            by_asset.setdefault(ticker, {})[date] = bar
+            rejected.append(RejectedRow(reader.line_num, reason))
         if total == 0:
             raise InputEmpty("source has a header but no data rows")
     finally:
         if close_after:
             source.close()
 
+    bars = np.frombuffer(values).reshape(-1, len(BAR_FIELDS))
+    tick, day, line = (np.frombuffer(col, np.int64)
+                       for col in (ticker_col, date_col, line_col))
+    fault = _bar_faults(bars, tick * len(date_ids) + day)
+    bad = np.flatnonzero(fault >= 0)
+    rejected += map(RejectedRow, line[bad].tolist(),
+                    [_FAULTS[f] for f in fault[bad].tolist()])
+    rejected.sort(key=lambda r: r.line)
     report = LoadReport(total_rows=total, accepted_rows=total - len(rejected),
                         rejected=rejected)
     if report.rejection_rate > rejection_ceiling:
         raise RejectionRateExceeded(len(rejected), total, rejection_ceiling)
-    if not by_asset:
+    keep = fault < 0
+    if not keep.any():
         raise InputEmpty("no valid rows in source")
 
-    assets = sorted(by_asset)
-    common = set.intersection(*(set(b) for b in by_asset.values()))
-    if not common:
+    bars, tick, day = bars[keep], tick[keep], day[keep]
+    names, dates = list(ticker_ids), list(date_ids)
+    held = sorted(set(tick.tolist()), key=names.__getitem__)
+    present = np.zeros((len(names), len(dates)), dtype=bool)
+    present[tick, day] = True
+    present = present[held]              # one row per asset, in asset order
+    common, seen = present.all(axis=0), present.any(axis=0)
+    if not common.any():
         raise InsufficientData(needed="a shared trading date", available=0)
-    calendar = sorted(common)
-    seen = set().union(*by_asset.values())
-    report.dropped_dates = len(seen) - len(common)
-    report.incomplete_tickers = [a for a in assets
-                                 if len(by_asset[a]) < len(seen)]
+    on_calendar = sorted(np.flatnonzero(common).tolist(),
+                         key=dates.__getitem__)
+    assets = [names[i] for i in held]
+    n_seen = int(seen.sum())
+    report.dropped_dates = n_seen - len(on_calendar)
+    report.incomplete_tickers = [a for a, n in zip(assets, present.sum(axis=1))
+                                 if n < n_seen]
 
-    bars = np.array([[by_asset[a][d] for a in assets] for d in calendar],
-                    dtype=float)
-    fields = {name: bars[:, :, i] for i, name in enumerate(BAR_FIELDS)}
-    return PricePanel(assets, calendar, fields), report
+    column = np.empty(len(names), dtype=np.int64)
+    column[held] = np.arange(len(held))
+    row_of = np.full(len(dates), -1)
+    row_of[on_calendar] = np.arange(len(on_calendar))
+    at = row_of[day]
+    on = at >= 0
+    out = np.empty((len(BAR_FIELDS), len(on_calendar), len(held)))
+    out[:, at[on], column[tick[on]]] = bars[on].T
+    return (PricePanel(assets, [dates[i] for i in on_calendar],
+                       dict(zip(BAR_FIELDS, out))), report)
 
 
 # --- walk-forward window plan -------------------------------------------------

@@ -16,6 +16,9 @@ __all__ = ["DEFAULT_LOOKBACK", "DEFAULT_QUANTILE", "DEFAULT_RIDGE_SCALE",
 DEFAULT_LOOKBACK = 252
 DEFAULT_QUANTILE = 0.99
 DEFAULT_RIDGE_SCALE = 1e-8
+# Dates per batched solve in `rolling_turbulence`: its scratch is
+# SOLVE_BLOCK * D * D floats (0.46 MB at the paper's D=30), whatever T is.
+SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,9 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     Date t uses the trailing `lookback` return observations strictly before
     t's return; dates without enough history get 0. `ridge=None` picks the
     trace-scaled default per window. Each date is `turbulence_index` of its
-    window's statistics, without building a validated context per date.
+    window's statistics, without building a validated context per date:
+    the mean and covariance are computed date by date, and every
+    `SOLVE_BLOCK` dates share one batched solve and quadratic form.
     """
     if lookback < panel.D + 1:
         raise InputInvalid("lookback must be at least D + 1")
@@ -86,14 +91,30 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     if not np.all(np.isfinite(rets)):
         raise InputInvalid("non-finite return vector")
     values = np.zeros(panel.T)
+    eye = np.eye(panel.D)
+    reg = np.empty((SOLVE_BLOCK, panel.D, panel.D))
+    dev = np.empty((SOLVE_BLOCK, 1, panel.D))
     # return r[t-1] belongs to date t; history window is r[t-1-lookback : t-1]
-    for t in range(lookback + 1, panel.T):
-        window = rets[t - 1 - lookback:t - 1]
-        mean = window.mean(axis=0)
-        xc = (window - mean).T  # np.cov(window, rowvar=False)'s own steps
-        sigma = np.dot(xc, xc.T) * (1 / (lookback - 1))
-        r = default_ridge(sigma) if ridge is None else ridge
-        values[t] = _quad_form(rets[t - 1] - mean, sigma, r)
+    for start in range(lookback + 1, panel.T, SOLVE_BLOCK):
+        dates = range(start, min(start + SOLVE_BLOCK, panel.T))
+        for k, t in enumerate(dates):
+            window = rets[t - 1 - lookback:t - 1]
+            mean = window.mean(axis=0)
+            xc = (window - mean).T  # np.cov(window, rowvar=False)'s own steps
+            sigma = np.dot(xc, xc.T) * (1 / (lookback - 1))
+            r = default_ridge(sigma) if ridge is None else ridge
+            np.add(sigma, r * eye, out=reg[k])
+            np.subtract(rets[t - 1], mean, out=dev[k, 0])
+        n = len(dates)
+        try:
+            solved = np.linalg.solve(reg[:n], dev[:n].transpose(0, 2, 1))
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance(str(exc)) from exc
+        # each 1 x D by D x 1 product is the dot `_quad_form` takes, so the
+        # bits match (einsum and a summed product add in another order);
+        # the clamp is its max(0.0, q)
+        quad = np.matmul(dev[:n], solved)[:, 0, 0]
+        values[start:start + n] = np.where(quad > 0.0, quad, 0.0)
     return values
 
 

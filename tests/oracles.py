@@ -5,7 +5,14 @@ step, with no reuse of package code paths.
 """
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import io
+import math
+
 import numpy as np
+
+from rlfolio.errors import InputEmpty, InsufficientData, RejectionRateExceeded
 
 
 def ema_oracle(x, span):
@@ -93,6 +100,69 @@ def adx_oracle(high, low, close, period):
         adx = (adx * (period - 1) + dx[i]) / period
         out[i] = adx
     return np.array(out)
+
+
+def load_bars_oracle(text, schema, rejection_ceiling=1.0):
+    """Row-by-row ingest of CSV `text`: each row is checked as it is read
+    and kept in a per-ticker dict of dates, the first accepted row of a
+    (ticker, date) winning. Rejections carry the row's physical line.
+    Returns (assets, calendar, fields, rejected (line, reason) pairs, total
+    rows, dropped dates, incomplete tickers); raises as `load_bars` does."""
+    value_cols = [schema[name] for name in
+                  ("open", "high", "low", "close", "adj_close", "volume")]
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise InputEmpty("no header row")
+    missing = [col for col in schema.values() if col not in reader.fieldnames]
+    if missing:
+        raise InputEmpty(f"header missing columns: {missing}")
+    by_asset = {}
+    rejected = []
+    total = 0
+    for raw in reader:
+        total += 1
+        try:
+            date = dt.date.fromisoformat(raw[schema["date"]].strip())
+            ticker = raw[schema["ticker"]].strip()
+            if not ticker:
+                raise ValueError("empty ticker")
+            o, h, lo, c, adj, v = (float(raw[col]) for col in value_cols)
+        except (AttributeError, TypeError):
+            reason = "missing column value"    # a short row's absent cells
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            if not all(math.isfinite(p) and p > 0 for p in (o, h, lo, c, adj)):
+                reason = "non-positive or non-finite price"
+            elif v < 0 or not math.isfinite(v):
+                reason = "negative volume"
+            elif not (lo <= min(o, c) and max(o, c) <= h):
+                reason = "low/high do not bracket open/close"
+            elif date in by_asset.get(ticker, {}):
+                reason = "duplicate row"
+            else:
+                by_asset.setdefault(ticker, {})[date] = (o, h, lo, c, adj, v)
+                continue
+        rejected.append((reader.line_num, reason))
+    if total == 0:
+        raise InputEmpty("source has a header but no data rows")
+    if len(rejected) / total > rejection_ceiling:
+        raise RejectionRateExceeded(len(rejected), total, rejection_ceiling)
+    if not by_asset:
+        raise InputEmpty("no valid rows in source")
+    assets = sorted(by_asset)
+    common = set.intersection(*(set(bars) for bars in by_asset.values()))
+    if not common:
+        raise InsufficientData(needed="a shared trading date", available=0)
+    calendar = sorted(common)
+    seen = set().union(*by_asset.values())
+    incomplete = [a for a in assets if len(by_asset[a]) < len(seen)]
+    fields = {name: np.array([[by_asset[a][d][i] for a in assets]
+                              for d in calendar])
+              for i, name in enumerate(("open", "high", "low", "close",
+                                        "adj_close", "volume"))}
+    return (assets, calendar, fields, rejected, total,
+            len(seen) - len(common), incomplete)
 
 
 def quad_form_oracle(y, mu, sigma, ridge=0.0):

@@ -263,18 +263,17 @@ def test_criterion_06_algorithm_semantics():
 @criterion(7, "each agent learns the two-armed bandit to >= 95% accuracy "
               "(< 2 min per agent)")
 def test_criterion_07_learning_smoke():
-    def accuracy(agent, env):
-        hits = 0
-        for _ in range(200):
-            hits += agent.act(env.reset(), mode="deterministic")[0] > 0
-        return hits / 200
+    # the bandit's observation is constant and a deterministic act answers
+    # it the same way every time, so ">= 95% accuracy" is one sign test
+    def picks_positive_arm(agent, env):
+        return agent.act(env.reset(), mode="deterministic")[0] > 0
 
     t0 = time.perf_counter()
     env = TwoArmedBandit()
     a2c = A2CAgent(1, 1, AgentConfig(hidden=(16,), actor_lr=3e-3,
                                      critic_lr=3e-3, rollout=64), seed=0)
     a2c.train(env, total_steps=4000)  # 4000/64 < 2000 updates
-    assert accuracy(a2c, env) >= 0.95
+    assert picks_positive_arm(a2c, env)
     assert time.perf_counter() - t0 < 120.0
 
     t0 = time.perf_counter()
@@ -282,7 +281,7 @@ def test_criterion_07_learning_smoke():
                                      critic_lr=3e-3, rollout=64, epochs=4,
                                      minibatch=32), seed=0)
     ppo.train(env, total_steps=2000)
-    assert accuracy(ppo, env) >= 0.95
+    assert picks_positive_arm(ppo, env)
     assert time.perf_counter() - t0 < 120.0
 
     t0 = time.perf_counter()
@@ -291,7 +290,7 @@ def test_criterion_07_learning_smoke():
                                        batch_size=32, noise_scale=0.3),
                      seed=0)
     ddpg.train(env, total_steps=1500)  # < 2000 post-warmup updates
-    assert accuracy(ddpg, env) >= 0.95
+    assert picks_positive_arm(ddpg, env)
     assert time.perf_counter() - t0 < 120.0
 
 

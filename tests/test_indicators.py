@@ -30,9 +30,8 @@ class TestMacd:
 
     def test_linear_ramp_matches_oracle(self):
         close = np.arange(1.0, 51.0)
-        out = ind.macd(close, 12, 26)
-        expected = oracles.macd_oracle(close, 12, 26)
-        assert abs(out[49] - expected[49]) < 1e-9
+        np.testing.assert_array_equal(ind.macd(close, 12, 26),
+                                      oracles.macd_oracle(close, 12, 26))
 
     def test_single_point(self):
         np.testing.assert_allclose(ind.macd([5.0]), [0.0])
@@ -61,8 +60,8 @@ class TestRsi:
 
     def test_random_matches_oracle(self):
         close = random_series(7, 60)
-        np.testing.assert_allclose(ind.rsi(close, 14),
-                                   oracles.rsi_oracle(close, 14), atol=1e-9)
+        np.testing.assert_array_equal(ind.rsi(close, 14),
+                                      oracles.rsi_oracle(close, 14))
 
 
 class TestCci:
@@ -85,9 +84,9 @@ class TestCci:
 
     def test_random_matches_oracle(self):
         high, low, close = random_hlc(11)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             ind.cci(high, low, close, 14),
-            oracles.cci_oracle(high, low, close, 14), atol=1e-6)
+            oracles.cci_oracle(high, low, close, 14))
 
 
 class TestAdx:
@@ -102,28 +101,27 @@ class TestAdx:
 
     def test_random_matches_oracle(self):
         high, low, close = random_hlc(13, 100)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             ind.adx(high, low, close, 14),
-            oracles.adx_oracle(high, low, close, 14), atol=1e-6)
+            oracles.adx_oracle(high, low, close, 14))
 
 
 class TestOracleSweep:
-    """All four indicators vs independent formulas on many random series."""
+    """All four indicators equal independent formulas bit for bit on many
+    random series: the smoothing loops run each float operation in the
+    order of the scalar definition."""
 
     @pytest.mark.parametrize("seed", range(100))
     def test_oracle_equivalence(self, seed):
         high, low, close = random_hlc(seed, 80)
-        np.testing.assert_allclose(ind.macd(close, 12, 26),
-                                   oracles.macd_oracle(close, 12, 26),
-                                   atol=1e-9)
-        np.testing.assert_allclose(ind.rsi(close, 14),
-                                   oracles.rsi_oracle(close, 14), atol=1e-9)
-        np.testing.assert_allclose(ind.cci(high, low, close, 14),
-                                   oracles.cci_oracle(high, low, close, 14),
-                                   atol=1e-6)
-        np.testing.assert_allclose(ind.adx(high, low, close, 14),
-                                   oracles.adx_oracle(high, low, close, 14),
-                                   atol=1e-6)
+        np.testing.assert_array_equal(ind.macd(close, 12, 26),
+                                      oracles.macd_oracle(close, 12, 26))
+        np.testing.assert_array_equal(ind.rsi(close, 14),
+                                      oracles.rsi_oracle(close, 14))
+        np.testing.assert_array_equal(ind.cci(high, low, close, 14),
+                                      oracles.cci_oracle(high, low, close, 14))
+        np.testing.assert_array_equal(ind.adx(high, low, close, 14),
+                                      oracles.adx_oracle(high, low, close, 14))
 
 
 class TestProperties:

@@ -1,13 +1,17 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlfolio.errors import (InputEmpty, InsufficientData,
-                            RejectionRateExceeded)
-from rlfolio.market_data import (add_months, build_window_plan, load_bars,
-                                 month_end)
+                            RejectionRateExceeded, RlfolioError)
+from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, add_months,
+                                 build_window_plan, load_bars, month_end)
 
+import oracles
 from helpers import csv_stream, make_panel, panel_to_csv
 
 HEADER = "date,ticker,open,high,low,close,adj_close,volume\n"
@@ -110,6 +114,18 @@ class TestLoadBars:
         assert [r.reason for r in report.rejected] == [
             "low/high do not bracket open/close"]
 
+    def test_rejections_carry_physical_line_numbers(self):
+        # blank lines are no records, but they are lines of the file
+        text = HEADER + row("2020-01-02", "AAA") + "\n\n"
+        text += row("2020-01-03", "AAA", o=-5)              # line 5
+        text += row("2020-01-06", "AAA") + "\n"
+        text += "2020-01-07,AAA\n"                          # line 8
+        _, report = load_bars(csv_stream(text), rejection_ceiling=1.0)
+        assert [(r.line, r.reason) for r in report.rejected] == [
+            (5, "non-positive or non-finite price"),
+            (8, "missing column value")]
+        assert report.total_rows == 4
+
     def test_fields_are_c_contiguous(self):
         panel, _ = load_bars(csv_stream(panel_to_csv(make_panel(D=3, T=20))))
         for name in ("open", "high", "low", "close", "adj_close", "volume"):
@@ -146,6 +162,97 @@ class TestLoadBars:
         panel = make_panel(D=4, T=50, seed=1)
         for name in ("open", "high", "low", "close", "adj_close", "volume"):
             assert np.all(np.isfinite(panel.field(name)))
+
+
+# Cells of one generated row. "ZZZ" only gets faulty rows, so some inputs
+# hold a ticker whose rows are all rejected; five dates and three other
+# tickers make clean and malformed duplicates and gapped tickers common.
+TICKERS = ("AAA", "BBB", " CCC ")
+DATES = ("2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07",
+         " 2020-01-08")
+FAULTS = ("price", "volume", "inverted", "short", "empty_ticker",
+          "bad_date", "bad_number")
+
+
+@st.composite
+def csv_rows(draw, all_rejected=False):
+    if all_rejected:
+        ticker, fault = "ZZZ", draw(st.sampled_from(FAULTS))
+    else:
+        ticker = draw(st.sampled_from(TICKERS))
+        fault = draw(st.sampled_from((None,) * 4 + FAULTS))
+    date = draw(st.sampled_from(DATES))
+    price = st.floats(1.0, 100.0)
+    o, c = draw(price), draw(price)
+    spread = st.floats(0.0, 0.5)
+    h = max(o, c) * (1.0 + draw(spread))
+    lo = min(o, c) * (1.0 - draw(spread))
+    cells = [date, ticker] + [repr(x) for x in (o, h, lo, c, draw(price))]
+    cells.append(draw(st.sampled_from(("0", "-0.0", "12", "1e6"))))
+    if fault == "price":
+        cells[draw(st.integers(2, 6))] = draw(
+            st.sampled_from(("nan", "inf", "-inf", "0", "-3")))
+    elif fault == "volume":
+        cells[7] = draw(st.sampled_from(("nan", "-1", "-inf")))
+    elif fault == "inverted":
+        cells[3], cells[4] = repr(lo * 0.9), repr(h * 1.1)
+    elif fault == "short":
+        cells = cells[:draw(st.integers(1, 7))]
+    elif fault == "empty_ticker":
+        cells[1] = " "
+    elif fault == "bad_date":
+        cells[0] = draw(st.sampled_from(("2020-13-01", "x", "")))
+    elif fault == "bad_number":
+        cells[draw(st.integers(2, 7))] = "abc"
+    return ",".join(cells) + "\n"
+
+
+csv_texts = st.lists(
+    st.one_of(csv_rows(), csv_rows(), csv_rows(), csv_rows(all_rejected=True),
+              st.just("\n")),
+    min_size=4, max_size=40).map(lambda rows: HEADER + "".join(rows))
+
+# every listed case in one input: gapped BBB, all-rejected ZZZ, a clean and
+# a malformed duplicate, short rows, an empty ticker and blank lines
+MIXED = (HEADER + row("2020-01-02", "AAA") + row("2020-01-02", "BBB")
+         + "\n" + row("2020-01-03", "AAA") + row("2020-01-03", "ZZZ", o=0)
+         + row("2020-01-03", "AAA", c=10.7) + row("2020-01-03", "BBB", h=8)
+         + "2020-01-06,AAA,1\n" + row("2020-01-06", " ") + "\n\n"
+         + row("2020-01-06", "AAA", v="nan") + row("2020-01-06", "AAA")
+         + row("2020-01-06", "BBB", adj="inf")
+         + row("2020-01-07", "ZZZ", lo=12) + row("2020-01-07", "AAA"))
+
+
+class TestLoadBarsOracle:
+    """`load_bars` equals the row-by-row oracle: every panel field bit for
+    bit, the calendar, the assets and the whole report."""
+
+    @given(csv_texts)
+    @example(MIXED)
+    @example(HEADER.replace("volume", "volume,close")    # a repeated column
+             + row("2020-01-02", "AAA").replace("\n", ",10.6\n")
+             + row("2020-01-03", "AAA"))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_by_row_oracle(self, text):
+        try:
+            want = oracles.load_bars_oracle(text, DEFAULT_SCHEMA)
+        except RlfolioError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                load_bars(csv_stream(text), rejection_ceiling=1.0)
+            return
+        assets, calendar, fields, rejected, total, dropped, lacking = want
+        panel, report = load_bars(csv_stream(text), rejection_ceiling=1.0)
+        assert panel.assets == tuple(assets)
+        assert panel.calendar == tuple(calendar)
+        for name in BAR_FIELDS:
+            got = panel.field(name)
+            assert got.shape == fields[name].shape
+            assert got.tobytes() == fields[name].tobytes(), name
+        assert [(r.line, r.reason) for r in report.rejected] == rejected
+        assert report.total_rows == total
+        assert report.accepted_rows == total - len(rejected)
+        assert report.dropped_dates == dropped
+        assert report.incomplete_tickers == lacking
 
 
 class TestWindowPlan:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,22 @@ class TestRollingTurbulence:
                                         lookback=lookback,
                                         ridge=default_ridge(sigma))
                 assert series[t] == turbulence_index(rets[t - 1], ctx)
+
+    def test_scratch_is_bounded_at_dow30_width(self):
+        # the solves run in fixed blocks of dates, so beyond the returns
+        # and the output (0.24 MB per 1000 dates at D=30) the peak stays
+        # flat in T
+        peaks = {}
+        for T in (2000, 4000):
+            panel = make_panel(D=30, T=T, seed=0)
+            tracemalloc.start()
+            try:
+                rolling_turbulence(panel)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= 4e6
+        assert peaks[4000] - peaks[2000] <= 1e6
 
     def test_non_finite_return_raises(self):
         panel = make_panel(D=2, T=40, seed=1)
