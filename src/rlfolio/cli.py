@@ -1,6 +1,7 @@
 """Command-line entry point: ingest, backtest, report."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import logging
@@ -55,13 +56,23 @@ def _load_index_series(path: str) -> dict[dt.date, float]:
         if not {"date", "value"} <= set(reader.fieldnames or ()):
             raise InputInvalid(f"index file {path} needs date and value "
                                "columns")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 series[dt.date.fromisoformat(row["date"])] = float(row["value"])
             except (TypeError, ValueError) as exc:
-                raise InputInvalid(f"index file {path} line {line}: "
-                                   f"{exc}") from exc
+                raise InputInvalid(f"index file {path} line "
+                                   f"{reader.line_num}: {exc}") from exc
     return series
+
+
+@contextlib.contextmanager
+def _user_errors_exit_2():
+    """Print a user-caused error as one `error:` line and exit 2."""
+    try:
+        yield
+    except (RlfolioError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USER_ERROR)
 
 
 def _config_from_options(config_path, seed, out):
@@ -90,11 +101,8 @@ def main(verbose):
 def ingest(config_path, out):
     """Load and align raw bars; persist the panel cache and the
     row-rejection report."""
-    try:
+    with _user_errors_exit_2():
         _ingest(_config_from_options(config_path, None, out))
-    except (RlfolioError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USER_ERROR)
 
 
 def _ingest(cfg: RunConfig) -> None:
@@ -135,11 +143,8 @@ def _write_strategy(out_dir: Path, name: str, curve: EquityCurve,
 def backtest(config_path, seed, out):
     """Run the ensemble walk-forward backtest, the three single-agent
     strategies, and both baselines; write the full report bundle."""
-    try:
+    with _user_errors_exit_2():
         _run_backtest(_config_from_options(config_path, seed, out))
-    except (RlfolioError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USER_ERROR)
 
 
 def _run_backtest(cfg: RunConfig) -> None:
@@ -205,11 +210,8 @@ def _run_backtest(cfg: RunConfig) -> None:
 def report(run_dir):
     """Print the comparison table and write plot-ready cumulative-return
     curves for every strategy."""
-    try:
+    with _user_errors_exit_2():
         _report(Path(run_dir))
-    except (RlfolioError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USER_ERROR)
 
 
 def _report(run_dir: Path) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import datetime as dt
 import io
+import math
 import typing
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
@@ -54,6 +55,10 @@ class RunConfig:
         if min(self.validation_months, self.trade_months) < 1:
             raise InputInvalid("[windows] validation_months and "
                                "trade_months must be >= 1")
+        ridge = self.turbulence_ridge
+        if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
+            raise InputInvalid("[turbulence] ridge must be finite and >= 0, "
+                               f"got {ridge}")
         if self.seed < 0:
             raise InputInvalid(f"[run] seed must be >= 0, got {self.seed}")
         for kind in AGENT_KINDS:

@@ -2,16 +2,14 @@
 trailing history, plus the halt-threshold calibration."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputInvalid, InsufficientData, SingularCovariance
 from .market_data import PricePanel
 
 __all__ = ["DEFAULT_LOOKBACK", "DEFAULT_QUANTILE", "DEFAULT_RIDGE_SCALE",
-           "TurbulenceContext", "calibrate_threshold", "default_ridge",
-           "panel_returns", "rolling_turbulence", "turbulence_index"]
+           "calibrate_threshold", "default_ridge", "panel_returns",
+           "rolling_turbulence"]
 
 DEFAULT_LOOKBACK = 252
 DEFAULT_QUANTILE = 0.99
@@ -21,50 +19,9 @@ DEFAULT_RIDGE_SCALE = 1e-8
 SOLVE_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class TurbulenceContext:
-    """Trailing-window return statistics the index is measured against."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    lookback: int
-    ridge: float = 0.0
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise InputInvalid("sigma must be square")
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
-            raise InputInvalid("sigma must be symmetric")
-        if self.ridge < 0:
-            raise InputInvalid("ridge must be non-negative")
-        if self.lookback < sigma.shape[0] + 1:
-            raise InputInvalid("lookback must exceed the asset count")
-
-
 def default_ridge(sigma: np.ndarray) -> float:
     d = sigma.shape[0]
     return DEFAULT_RIDGE_SCALE * float(np.trace(sigma)) / d
-
-
-def _quad_form(dev: np.ndarray, sigma: np.ndarray, ridge: float) -> float:
-    """dev (sigma + ridge I)^-1 dev', clamped at 0."""
-    reg = sigma + ridge * np.eye(len(dev))
-    try:
-        solved = np.linalg.solve(reg, dev)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    return max(0.0, float(dev @ solved))
-
-
-def turbulence_index(y: np.ndarray, ctx: TurbulenceContext) -> float:
-    """(y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0: the index of
-    one return vector against a validated context, for direct callers."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise InputInvalid("non-finite return vector")
-    return _quad_form(y - ctx.mu, np.asarray(ctx.sigma, dtype=float),
-                      ctx.ridge)
 
 
 def panel_returns(panel: PricePanel) -> np.ndarray:
@@ -80,9 +37,10 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
 
     Date t uses the trailing `lookback` return observations strictly before
     t's return; dates without enough history get 0. `ridge=None` picks the
-    trace-scaled default per window. Each date is `turbulence_index` of its
-    window's statistics, without building a validated context per date:
-    the mean and covariance are computed date by date, and every
+    trace-scaled default per window. Each date is
+    (y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0, over its window's
+    mean and covariance, bit for bit what `tests/oracles.quad_form_oracle`
+    gives: the statistics are computed date by date, and every
     `SOLVE_BLOCK` dates share one batched solve and quadratic form.
     """
     if lookback < panel.D + 1:
@@ -110,9 +68,9 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
             solved = np.linalg.solve(reg[:n], dev[:n].transpose(0, 2, 1))
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance(str(exc)) from exc
-        # each 1 x D by D x 1 product is the dot `_quad_form` takes, so the
-        # bits match (einsum and a summed product add in another order);
-        # the clamp is its max(0.0, q)
+        # each 1 x D by D x 1 product is the dot the solve-then-dot oracle
+        # takes, so the bits match (einsum and a summed product add in
+        # another order); the clamp is max(0.0, q)
         quad = np.matmul(dev[:n], solved)[:, 0, 0]
         values[start:start + n] = np.where(quad > 0.0, quad, 0.0)
     return values

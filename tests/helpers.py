@@ -10,6 +10,9 @@ import numpy as np
 from rlfolio.agents import A2CAgent, AgentConfig
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.neural import GaussianPolicy, Mlp
+from rlfolio.turbulence import default_ridge
+
+import oracles
 
 
 def trading_calendar(start: dt.date, n: int) -> list[dt.date]:
@@ -88,6 +91,17 @@ def panel_to_csv(panel: PricePanel) -> str:
                             for f in BAR_FIELDS)
             lines.append(f"{date.isoformat()},{asset},{vals}")
     return "\n".join(lines) + "\n"
+
+
+def window_turbulence(rets: np.ndarray, t: int, lookback: int,
+                      ridge: float | None = None) -> float:
+    """Date t's turbulence as `rolling_turbulence` defines it, from
+    `oracles.quad_form_oracle` over the window's `np.cov`, clamped at 0."""
+    window = rets[t - 1 - lookback:t - 1]
+    sigma = np.cov(window, rowvar=False, bias=False)
+    r = default_ridge(sigma) if ridge is None else ridge
+    return max(0.0, oracles.quad_form_oracle(rets[t - 1], window.mean(axis=0),
+                                             sigma, r))
 
 
 def csv_stream(text: str) -> io.StringIO:

@@ -25,13 +25,12 @@ from rlfolio.evaluation import (cumulative_return, max_drawdown,
                                 min_variance_weights,
                                 run_min_variance_baseline)
 from rlfolio.market_data import build_window_plan
-from rlfolio.turbulence import (TurbulenceContext, rolling_turbulence,
-                                turbulence_index)
+from rlfolio.turbulence import panel_returns, rolling_turbulence
 from rlfolio.indicators import build_features
 
 import oracles
 from helpers import (TwoArmedBandit, advantage, float64_twin, make_panel,
-                     panel_to_csv)
+                     panel_to_csv, window_turbulence)
 
 
 def criterion(number, description):
@@ -105,17 +104,14 @@ def test_criterion_03_indicator_oracles():
         close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 80)))
         high = close * (1 + np.abs(rng.normal(0, 0.01, 80)))
         low = close * (1 - np.abs(rng.normal(0, 0.01, 80)))
-        np.testing.assert_allclose(ind.macd(close, 12, 26),
-                                   oracles.macd_oracle(close, 12, 26),
-                                   atol=1e-9)
-        np.testing.assert_allclose(ind.rsi(close, 14),
-                                   oracles.rsi_oracle(close, 14), atol=1e-9)
-        np.testing.assert_allclose(ind.cci(high, low, close, 14),
-                                   oracles.cci_oracle(high, low, close, 14),
-                                   atol=1e-6)
-        np.testing.assert_allclose(ind.adx(high, low, close, 14),
-                                   oracles.adx_oracle(high, low, close, 14),
-                                   atol=1e-6)
+        np.testing.assert_array_equal(ind.macd(close, 12, 26),
+                                      oracles.macd_oracle(close, 12, 26))
+        np.testing.assert_array_equal(ind.rsi(close, 14),
+                                      oracles.rsi_oracle(close, 14))
+        np.testing.assert_array_equal(ind.cci(high, low, close, 14),
+                                      oracles.cci_oracle(high, low, close, 14))
+        np.testing.assert_array_equal(ind.adx(high, low, close, 14),
+                                      oracles.adx_oracle(high, low, close, 14))
     const = np.full(60, 42.0)
     np.testing.assert_allclose(ind.macd(const), 0.0, atol=1e-12)
     np.testing.assert_allclose(ind.rsi(const, 14), 50.0)
@@ -127,13 +123,11 @@ def test_criterion_03_indicator_oracles():
               "liquidation")
 def test_criterion_04_turbulence():
     for seed in range(30):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(5, 5))
-        ctx = TurbulenceContext(mu=rng.normal(size=5),
-                                sigma=a @ a.T + 0.5 * np.eye(5), lookback=50)
-        y = rng.normal(size=5)
-        expected = oracles.quad_form_oracle(y, ctx.mu, ctx.sigma, ctx.ridge)
-        assert turbulence_index(y, ctx) == pytest.approx(expected, abs=1e-9)
+        panel = make_panel(D=5, T=60, seed=seed)
+        series = rolling_turbulence(panel, lookback=50)
+        rets = panel_returns(panel)
+        for t in range(51, panel.T):
+            assert series[t] == window_turbulence(rets, t, 50)
 
     panel = make_panel(D=5, T=2400, seed=8, drift=0.0, vol=0.01)
     series = rolling_turbulence(panel, lookback=252)

@@ -10,7 +10,7 @@ from rlfolio.agents.a2c import A2CAgent
 from rlfolio.agents.common import AgentConfig, TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
-from rlfolio.errors import BufferUnderflow
+from rlfolio.errors import BufferUnderflow, GradInvalid
 from rlfolio.neural import Adam, Mlp
 
 import oracles
@@ -210,6 +210,30 @@ class TestPPOUpdate:
         obs, acts, _, _, _, old = store.rows()
         logp, _ = agent.policy.log_prob_grads(obs, acts)
         np.testing.assert_allclose(np.exp(logp - old), 1.0, atol=1e-12)
+
+
+class TestLossChecks:
+    """One update over a batch with a NaN reward, `next_obs` or `obs` row
+    raises `GradInvalid`, and no parameter moves.
+
+    PPO's surrogate check cannot be left to `Adam.step`'s gradient check:
+    advantage normalization spreads one NaN to every sample's advantage,
+    a NaN advantage zeroes the sample's clipped-gradient coefficient
+    (NaN == NaN is false), so the actor gradient stays finite and a
+    minibatch without the bad row would step the critic."""
+
+    @pytest.mark.parametrize("column", [2, 3, 0],
+                             ids=["reward", "next_obs", "obs"])
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_nan_in_batch_raises_before_any_step(self, kind, column):
+        cfg = AgentConfig(hidden=(4,), minibatch=4)
+        agent = make_agent(kind, 3, 2, cfg, seed=0)
+        batch = make_batch(np.random.default_rng(0), 3, 2, 16)
+        batch[column][5] = np.nan
+        before = [p.tobytes() for p in agent.parameters()]
+        with pytest.raises(GradInvalid):
+            agent.update(batch, *agent.optimizers())
+        assert [p.tobytes() for p in agent.parameters()] == before
 
 
 class TestDeterminism:

@@ -165,6 +165,14 @@ class TestConfig:
                            "[agents]\ncritic_lr = 1e200\n")
         assert cfg.agent_configs["DDPG"].critic_lr == 1e200
 
+    @pytest.mark.parametrize("text, ridge", [("", None), ("0", 0.0),
+                                             ("1e-6", 1e-6)])
+    def test_ridge_bounds(self, data_csv, text, ridge):
+        # empty keeps the trace-scaled default; zero is a valid ridge
+        cfg = parse_config(f"[data]\npath = {data_csv}\n"
+                           f"[turbulence]\nridge = {text}\n")
+        assert cfg.turbulence_ridge == ridge
+
     def test_missing_data_path(self):
         with pytest.raises(InputInvalid):
             parse_config("[run]\nseed = 1\n")
@@ -437,6 +445,10 @@ BAD_CONFIGS = {
                           "error: [agents] actor_lr"),
     "critic_lr_inf": ("[agents]\n", "[agents]\ncritic_lr = inf\n",
                       "error: [agents] critic_lr"),
+    "ridge_negative": ("lookback = 60", "lookback = 60\nridge = -1",
+                       "error: [turbulence] ridge"),
+    "ridge_nan": ("lookback = 60", "lookback = 60\nridge = nan",
+                  "error: [turbulence] ridge"),
     "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
                   "macd_fast"),
     "duplicate_key": ("seed = 3", "seed = 3\nseed = 4", "seed"),
@@ -464,11 +476,14 @@ class TestConfigUserErrors:
         assert named in result.stderr
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("index_csv", [
-        "date,level\n2017-01-02,100.0\n",
-        "date,value\n2017-01-02,100.0\n2017-01-03,n/a\n",
-    ], ids=["missing_column", "bad_row"])
-    def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv):
+    @pytest.mark.parametrize("index_csv, named", [
+        ("date,level\n2017-01-02,100.0\n", "needs date and value"),
+        ("date,value\n2017-01-02,100.0\n2017-01-03,n/a\n", "line 3"),
+        # blank lines are skipped rows but still physical lines
+        ("date,value\n\n2017-01-02,100.0\n\n2017-01-03,n/a\n", "line 5"),
+    ], ids=["missing_column", "bad_row", "bad_row_after_blank_lines"])
+    def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv,
+                                    named):
         index_path = tmp_path / "index.csv"
         index_path.write_text(index_csv)
         cfg_path, _ = write_config(tmp_path, data_csv)
@@ -478,4 +493,4 @@ class TestConfigUserErrors:
                                            str(cfg_path)])
         assert result.exit_code == 2, result.output
         assert "error:" in result.stderr
-        assert str(index_path) in result.stderr
+        assert f"{index_path} {named}" in result.stderr

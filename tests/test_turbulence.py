@@ -1,3 +1,4 @@
+import datetime as dt
 import tracemalloc
 
 import numpy as np
@@ -7,62 +8,78 @@ from hypothesis import strategies as st
 
 from rlfolio.errors import InputInvalid, InsufficientData
 from rlfolio.market_data import BAR_FIELDS, PricePanel
-from rlfolio.turbulence import (TurbulenceContext, calibrate_threshold,
-                                default_ridge, panel_returns,
-                                rolling_turbulence, turbulence_index)
+from rlfolio.turbulence import (calibrate_threshold, panel_returns,
+                                rolling_turbulence)
 
-import oracles
-from helpers import make_panel, trading_calendar
+from helpers import make_panel, trading_calendar, window_turbulence
 
 
-def random_ctx(seed, d=5, lookback=50):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(d, d))
-    sigma = a @ a.T + 0.5 * np.eye(d)
-    mu = rng.normal(size=d)
-    return TurbulenceContext(mu=mu, sigma=sigma, lookback=lookback)
+def panel_from_returns(rets) -> PricePanel:
+    """A panel whose every price field compounds the (T-1, D) `rets`."""
+    rets = np.asarray(rets, dtype=float)
+    prices = 100.0 * np.vstack([np.ones(rets.shape[1]),
+                                np.cumprod(1.0 + rets, axis=0)])
+    fields = {f: prices.copy() for f in
+              ("open", "high", "low", "close", "adj_close")}
+    fields["volume"] = np.ones_like(prices)
+    return PricePanel([f"A{i}" for i in range(rets.shape[1])],
+                      trading_calendar(dt.date(2020, 1, 1), len(prices)),
+                      fields)
 
 
 class TestTurbulenceIndex:
+    """The index of one date's return against its trailing window, as
+    `rolling_turbulence` computes it."""
+
     def test_center_is_zero(self):
-        ctx = random_ctx(0)
-        assert turbulence_index(ctx.mu, ctx) == 0.0
+        lookback = 20
+        window = np.random.default_rng(0).normal(0, 0.01, size=(lookback, 5))
+        panel = panel_from_returns(np.vstack([window, window.mean(axis=0)]))
+        series = rolling_turbulence(panel, lookback=lookback)
+        assert series[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_unit_vector(self):
-        d = 4
-        ctx = TurbulenceContext(mu=np.zeros(d), sigma=np.eye(d), lookback=10)
-        y = np.zeros(d)
-        y[0] = 1.0
-        assert turbulence_index(y, ctx) == pytest.approx(1.0)
+        # +-s moves, one asset at a time, give the window mean 0 and
+        # covariance 2 s^2 / (lookback - 1) times the identity; a move of s
+        # along one asset then scores (lookback - 1) / 2
+        d, s = 4, 0.01
+        moves = np.concatenate([s * np.eye(d), -s * np.eye(d)])
+        lookback = len(moves)
+        panel = panel_from_returns(np.vstack([moves, s * np.eye(d)[:1]]))
+        series = rolling_turbulence(panel, lookback=lookback, ridge=0.0)
+        assert series[-1] == pytest.approx((lookback - 1) / 2, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_solve_oracle(self, seed):
-        ctx = random_ctx(seed)
-        rng = np.random.default_rng(seed + 1000)
-        y = rng.normal(size=5)
-        expected = oracles.quad_form_oracle(y, ctx.mu, ctx.sigma, ctx.ridge)
-        assert turbulence_index(y, ctx) == pytest.approx(expected, abs=1e-9)
+        lookback = 50
+        panel = make_panel(D=5, T=80, seed=seed)
+        series = rolling_turbulence(panel, lookback=lookback)
+        rets = panel_returns(panel)
+        for t in range(lookback + 1, panel.T):
+            assert series[t] == window_turbulence(rets, t, lookback)
 
     def test_non_finite_input(self):
-        ctx = random_ctx(1)
+        # an infinite price on the last date spoils only that date's return
+        panel = make_panel(D=5, T=80, seed=1)
+        fields = {name: panel.field(name).copy() for name in BAR_FIELDS}
+        fields["adj_close"][-1, 2] = np.inf
+        bad = PricePanel(list(panel.assets), list(panel.calendar), fields)
         with pytest.raises(InputInvalid):
-            turbulence_index([np.nan] * 5, ctx)
+            rolling_turbulence(bad, lookback=50)
 
     def test_nonnegative(self):
         for seed in range(30):
-            ctx = random_ctx(seed)
-            y = np.random.default_rng(seed).normal(size=5)
-            assert turbulence_index(y, ctx) >= 0.0
+            panel = make_panel(D=5, T=80, seed=seed)
+            assert np.all(rolling_turbulence(panel, 50, ridge=0.0) >= 0.0)
 
     def test_affine_invariance(self):
-        ctx = random_ctx(4)
-        rng = np.random.default_rng(99)
-        y = rng.normal(size=5)
+        # scaling every return by c scales the window's mean by c and its
+        # covariance (and so the trace-scaled ridge) by c^2
+        rets = panel_returns(make_panel(D=5, T=120, seed=4))
         c = 3.7
-        scaled = TurbulenceContext(mu=c * ctx.mu, sigma=c * c * ctx.sigma,
-                                   lookback=ctx.lookback, ridge=0.0)
-        assert turbulence_index(c * y, scaled) == pytest.approx(
-            turbulence_index(y, ctx), rel=1e-9)
+        base = rolling_turbulence(panel_from_returns(rets), lookback=50)
+        scaled = rolling_turbulence(panel_from_returns(c * rets), lookback=50)
+        np.testing.assert_allclose(scaled, base, rtol=1e-9)
 
 
 class TestRollingTurbulence:
@@ -82,18 +99,8 @@ class TestRollingTurbulence:
     def test_window_mean_return_scores_zero(self):
         # craft prices whose final return equals the trailing mean return
         lookback = 6
-        d = 1
         rets = [0.01, 0.02, 0.03, 0.01, 0.02, 0.03]
-        mean_ret = np.mean(rets)
-        prices = [100.0]
-        for r in rets + [mean_ret]:
-            prices.append(prices[-1] * (1 + r))
-        arr = np.array(prices)[:, None]
-        fields = {f: arr.copy() for f in
-                  ("open", "high", "low", "close", "adj_close")}
-        fields["volume"] = np.ones_like(arr)
-        panel = PricePanel(["A"], trading_calendar(
-            __import__("datetime").date(2020, 1, 1), len(prices)), fields)
+        panel = panel_from_returns(np.array(rets + [np.mean(rets)])[:, None])
         series = rolling_turbulence(panel, lookback=lookback, ridge=0.0)
         assert series[-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -104,12 +111,7 @@ class TestRollingTurbulence:
             series = rolling_turbulence(panel, lookback=lookback)
             rets = panel_returns(panel)
             for t in range(lookback + 1, panel.T):
-                window = rets[t - 1 - lookback:t - 1]
-                sigma = np.cov(window, rowvar=False, bias=False)
-                ctx = TurbulenceContext(mu=window.mean(axis=0), sigma=sigma,
-                                        lookback=lookback,
-                                        ridge=default_ridge(sigma))
-                assert series[t] == turbulence_index(rets[t - 1], ctx)
+                assert series[t] == window_turbulence(rets, t, lookback)
 
     def test_scratch_is_bounded_at_dow30_width(self):
         # the solves run in fixed blocks of dates, so beyond the returns
