@@ -27,20 +27,13 @@ METRIC_NAMES = ("cumulative_return", "annual_return", "annual_volatility",
 EXIT_USER_ERROR = 2
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows of Python values (`.tolist()`, not NumPy
+    scalars): `csv` writes None as an empty cell and a float by `repr`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _load_panel(cfg: RunConfig):
@@ -49,7 +42,8 @@ def _load_panel(cfg: RunConfig):
                      delimiter=cfg.delimiter)
 
 
-def _load_index_series(path: str) -> dict[dt.date, float]:
+def _load_index_series(path: str, dates) -> dict[dt.date, float]:
+    """The index file's levels by date; each of `dates` must have one."""
     series = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -62,6 +56,10 @@ def _load_index_series(path: str) -> dict[dt.date, float]:
             except (TypeError, ValueError) as exc:
                 raise InputInvalid(f"index file {path} line "
                                    f"{reader.line_num}: {exc}") from exc
+    missing = next((d for d in dates if d not in series), None)
+    if missing is not None:
+        raise InputInvalid(f"index file {path} has no value for trade date "
+                           f"{missing}")
     return series
 
 
@@ -109,13 +107,11 @@ def _ingest(cfg: RunConfig) -> None:
     panel, report = _load_panel(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for t, date in enumerate(panel.calendar):
-        for d, asset in enumerate(panel.assets):
-            rows.append([date.isoformat(), asset] +
-                        [panel.field(f)[t, d] for f in BAR_FIELDS])
-    _write_csv(out_dir / "panel_cache.csv",
-               ["date", "ticker", *BAR_FIELDS], rows)
+    fields = [panel.field(f).tolist() for f in BAR_FIELDS]
+    _write_csv(out_dir / "panel_cache.csv", ["date", "ticker", *BAR_FIELDS],
+               ([date.isoformat(), asset, *(f[t][d] for f in fields)]
+                for t, date in enumerate(panel.calendar)
+                for d, asset in enumerate(panel.assets)))
     _write_csv(out_dir / "rejections.csv", ["line", "reason"],
                [[r.line, r.reason] for r in report.rejected])
     click.echo(f"panel: {panel.D} assets x {panel.T} dates; "
@@ -128,12 +124,9 @@ def _ingest(cfg: RunConfig) -> None:
 def _write_strategy(out_dir: Path, name: str, curve: EquityCurve,
                     trades=None) -> None:
     _write_csv(out_dir / f"equity_{name}.csv", ["date", "value"],
-               [[d.isoformat(), v] for d, v in zip(curve.dates, curve.values)])
+               zip([d.isoformat() for d in curve.dates], curve.values.tolist()))
     if trades is not None:
-        _write_csv(out_dir / f"trades_{name}.csv",
-                   ["date", "asset", "side", "shares", "price"],
-                   [[t.date.isoformat(), t.asset, t.side, t.shares, t.price]
-                    for t in trades])
+        _write_csv(out_dir / f"trades_{name}.csv", ens.TRADE_COLUMNS, trades)
 
 
 @main.command()
@@ -151,6 +144,11 @@ def _run_backtest(cfg: RunConfig) -> None:
     panel, _ = _load_panel(cfg)
     plan = build_window_plan(panel, cfg.in_sample_end,
                              cfg.validation_months, cfg.trade_months)
+    index_series = None
+    if cfg.index_path:  # a bad index file fails before any quarter trains
+        trade = panel.date_slice(plan[0].trade.start, plan[-1].trade.end)
+        index_series = _load_index_series(
+            cfg.index_path, [panel.calendar[t] for t in trade])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
@@ -190,8 +188,6 @@ def _run_backtest(cfg: RunConfig) -> None:
         panel, plan, cfg.env.initial_balance, cfg.min_variance_lookback,
         cfg.env.fee_rate)
     _write_strategy(out_dir, "min_variance", strategies["min_variance"])
-    index_series = (_load_index_series(cfg.index_path)
-                    if cfg.index_path else None)
     strategies["index"] = run_index_baseline(
         panel, plan, cfg.env.initial_balance, index_series)
     _write_strategy(out_dir, "index", strategies["index"])

@@ -26,15 +26,7 @@ logger = logging.getLogger(__name__)
 
 FALLBACK_KIND = "PPO"
 SIDES = ("sell", "buy")
-
-
-@dataclass(frozen=True)
-class TradeRecord:
-    date: dt.date
-    asset: str
-    side: str  # "buy" | "sell"
-    shares: int
-    price: float
+TRADE_COLUMNS = ("date", "asset", "side", "shares", "price")
 
 
 @dataclass(frozen=True)
@@ -50,12 +42,15 @@ class Rollout:
     buys: list[np.ndarray]
     prices: list[np.ndarray]
 
-    def trades(self) -> list[TradeRecord]:
-        """Every nonzero trade: by date, sells before buys, then by asset."""
+    def trades(self) -> list[tuple]:
+        """Every nonzero trade as a `TRADE_COLUMNS` row of Python values (ISO
+        date, asset, side, int shares, float price): by date, sells before
+        buys, then by asset."""
         shares = np.stack([self.sells, self.buys], axis=1)  # step, side, asset
         steps, sides, assets = np.nonzero(shares)
         prices = np.array(self.prices)[steps, assets]
-        return [TradeRecord(self.dates[t], self.assets[d], SIDES[k], n, p)
+        days = [d.isoformat() for d in self.dates]
+        return [(days[t], self.assets[d], SIDES[k], n, p)
                 for t, k, d, n, p in zip(
                     steps.tolist(), sides.tolist(), assets.tolist(),
                     shares[steps, sides, assets].tolist(), prices.tolist())]
@@ -73,10 +68,10 @@ class WindowResult:
 @dataclass(frozen=True)
 class StrategyResult:
     """One strategy's out-of-sample run: the kind it picked each quarter,
-    its equity curve over every trade date, and its trades."""
+    its equity curve over every trade date, and its trade rows."""
     picks: list[str]
     curve: EquityCurve
-    trades: list[TradeRecord]
+    trades: list[tuple]
 
 
 def pick_best(scores: dict[str, float | None]) -> str:
@@ -104,8 +99,8 @@ def run_deterministic(agent: Agent, env: TradingEnv,
                       balance: float | None = None,
                       holdings: np.ndarray | None = None) -> Rollout:
     """Roll the agent's deterministic policy through the env window. Trade
-    records are built only on request (`Rollout.trades`), from the share
-    and price rows kept per step."""
+    rows are built only on request (`Rollout.trades`), from the share and
+    price rows kept per step."""
     env.reset(balance=balance, holdings=holdings)
     calendar = env.panel.calendar
     values = [env.state.portfolio_value]

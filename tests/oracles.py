@@ -9,6 +9,7 @@ import csv
 import datetime as dt
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,3 +270,26 @@ def finite_difference(loss_fn, flat_params, eps=1e-5):
         dn[i] -= eps
         grad[i] = (loss_fn(up) - loss_fn(dn)) / (2 * eps)
     return grad
+
+
+@dataclass(frozen=True)
+class TradeRecord:
+    date: dt.date
+    asset: str
+    side: str  # "buy" | "sell"
+    shares: int
+    price: float
+
+
+def trades_oracle(rollout):
+    """Every nonzero trade of a `Rollout` as a `TradeRecord`: by date, sells
+    before buys, then by asset. The reference for `Rollout.trades`, whose
+    rows hold the same values with the date in ISO form."""
+    shares = np.stack([rollout.sells, rollout.buys], axis=1)  # step, side, asset
+    steps, sides, assets = np.nonzero(shares)
+    prices = np.array(rollout.prices)[steps, assets]
+    return [TradeRecord(rollout.dates[t], rollout.assets[d],
+                        ("sell", "buy")[k], n, p)
+            for t, k, d, n, p in zip(
+                steps.tolist(), sides.tolist(), assets.tolist(),
+                shares[steps, sides, assets].tolist(), prices.tolist())]

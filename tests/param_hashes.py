@@ -1,8 +1,8 @@
-"""Print SHA-256 prefixes of trained agent parameters and of the set-up
-outputs, one line each.
+"""Print SHA-256 prefixes of trained agent parameters, of the set-up
+outputs and of a backtest bundle, one line each.
 
-A bit-identity check for changes to the training or set-up code: run it
-before and after a change, from the repository root,
+A bit-identity check for changes to the training, set-up or output code:
+run it before and after a change, from the repository root,
 
     PYTHONPATH=src python tests/param_hashes.py
 
@@ -11,15 +11,21 @@ synthetic panel with seed 7, then a second agent warm-started from it
 trains on window (50, 250) with seed 8; the hash covers the second
 agent's `parameters()`. The set-up lines hash the six `load_bars` fields
 of a generated 8-asset CSV, and `build_features().block` and
-`rolling_turbulence` of `make_panel` at D=8 and at D=30. The bytes depend
-on the BLAS build and the CPU, so compare runs on one machine. The name
-keeps pytest from collecting it.
+`rolling_turbulence` of `make_panel` at D=8 and at D=30. The `bundle`
+line hashes the 13 deterministic files of an in-process `rlfolio
+backtest` of a 3-asset `make_panel` CSV (seed 12, tiny agents, four
+quarters). The bytes depend on the BLAS build and the CPU, so compare
+runs on one machine. The name keeps pytest from collecting it.
 """
+import datetime as dt
 import hashlib
+from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 from rlfolio.agents import AGENT_KINDS, AgentConfig, train_agent
+from rlfolio.cli import main
 from rlfolio.env import TradingEnv
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, load_bars
@@ -29,6 +35,32 @@ from helpers import csv_stream, make_panel, panel_to_csv
 
 CONFIG = AgentConfig(hidden=(16, 16), rollout=64, warmup_steps=32,
                      batch_size=16, total_steps=450, minibatch=16, epochs=2)
+BACKTEST_CONFIG = """\
+[data]
+path = bars.csv
+[windows]
+in_sample_end = 2018-06-30
+[env]
+initial_balance = 100000
+h_max = 5
+[turbulence]
+lookback = 60
+[agents]
+hidden = 8
+total_steps = 40
+rollout = 16
+warmup_steps = 8
+batch_size = 4
+[run]
+seed = 3
+out_dir = bundle
+[baselines]
+min_variance_lookback = 60
+"""
+STRATEGIES = ("ensemble", "ppo", "a2c", "ddpg", "min_variance", "index")
+BUNDLE_FILES = ("config_snapshot.ini", "trace.csv", "comparison.csv",
+                *(f"equity_{s}.csv" for s in STRATEGIES),
+                *(f"trades_{s}.csv" for s in STRATEGIES[:4]))
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -62,6 +94,25 @@ def setup_hashes() -> dict[str, str]:
     return hashes
 
 
+def bundle_hash() -> dict[str, str]:
+    runner = CliRunner()
+    # relative paths, so the config snapshot does not name the directory
+    with runner.isolated_filesystem():
+        Path("bars.csv").write_text(panel_to_csv(
+            make_panel(D=3, T=600, seed=12, start=dt.date(2017, 1, 1))))
+        Path("run.ini").write_text(BACKTEST_CONFIG)
+        result = runner.invoke(main, ["backtest", "--config", "run.ini"])
+        if result.exit_code != 0:
+            raise SystemExit(f"backtest failed: {result.output}")
+        h = hashlib.sha256()
+        for name in BUNDLE_FILES:
+            data = (Path("bundle") / name).read_bytes()
+            h.update(name.encode() + b"\0" + len(data).to_bytes(8, "little")
+                     + data)
+    return {"bundle": h.hexdigest()[:16]}
+
+
 if __name__ == "__main__":
-    for name, digest in {**param_hashes(), **setup_hashes()}.items():
+    for name, digest in {**param_hashes(), **setup_hashes(),
+                         **bundle_hash()}.items():
         print(f"{name} {digest}")

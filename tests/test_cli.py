@@ -1,4 +1,5 @@
 import configparser
+import csv
 import datetime as dt
 from dataclasses import fields
 
@@ -6,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from rlfolio.agents import AGENT_KINDS, AgentConfig
+from rlfolio import cli
 from rlfolio.cli import main
 from rlfolio.config import (RunConfig, load_config, parse_config,
                             snapshot_config)
@@ -336,6 +338,47 @@ class TestBacktestAndReport:
                       for k, c in zip(AGENT_KINDS, cells[5:8])}
             assert picked == pick_best(scores)
 
+    def test_csv_cells_are_plain_values(self, data_csv, tmp_path,
+                                        monkeypatch):
+        # every CSV the program writes: the bundle, the panel cache and
+        # rejections, and the report's cumulative-return curves
+        write_csv, cell_types = cli._write_csv, set()
+
+        def recording_write_csv(path, header, rows):
+            rows = [list(row) for row in rows]
+            cell_types.update(type(v) for row in rows for v in row)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        for args in (["backtest", "--config", str(cfg_path)],
+                     ["ingest", "--config", str(cfg_path)],
+                     ["report", "--out", str(out_dir)]):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+        # Python values, never NumPy scalars
+        assert cell_types <= {str, int, float, type(None)}, cell_types
+        text = {"date", "ticker", "asset", "side", "strategy", "picked",
+                "reason"}
+        paths = sorted(out_dir.glob("*.csv"))
+        assert {"panel_cache.csv", "trades_ddpg.csv",
+                "cumret_index.csv"} <= {p.name for p in paths}
+        for path in paths:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            for row in rows:
+                for column, cell in zip(header, row):
+                    assert "np." not in cell, (path.name, column, cell)
+                    if column in text or column.endswith(("_start", "_end")):
+                        continue
+                    if cell == "":  # an undefined Sharpe
+                        assert column.startswith("sharpe"), (path.name, cell)
+                        continue
+                    # an int or a float cell, as repr writes it
+                    plain = (str(int(cell)) if cell.lstrip("-").isdigit()
+                             else repr(float(cell)))
+                    assert cell == plain, (path.name, column, cell)
+
     def test_snapshot_is_loadable(self, run_dir):
         cfg = load_config(run_dir / "config_snapshot.ini")
         assert cfg.seed == 3
@@ -481,12 +524,16 @@ class TestConfigUserErrors:
         ("date,value\n2017-01-02,100.0\n2017-01-03,n/a\n", "line 3"),
         # blank lines are skipped rows but still physical lines
         ("date,value\n\n2017-01-02,100.0\n\n2017-01-03,n/a\n", "line 5"),
-    ], ids=["missing_column", "bad_row", "bad_row_after_blank_lines"])
+        # well formed, but ends before the first trade date
+        ("date,value\n2017-01-02,100.0\n2017-01-03,101.0\n",
+         "has no value for trade date 2018-07-02"),
+    ], ids=["missing_column", "bad_row", "bad_row_after_blank_lines",
+            "index_lacks_a_trade_date"])
     def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv,
                                     named):
         index_path = tmp_path / "index.csv"
         index_path.write_text(index_csv)
-        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
         cfg_path.write_text(cfg_path.read_text().replace(
             "[windows]", f"index_path = {index_path}\n\n[windows]"))
         result = CliRunner().invoke(main, ["backtest", "--config",
@@ -494,3 +541,7 @@ class TestConfigUserErrors:
         assert result.exit_code == 2, result.output
         assert "error:" in result.stderr
         assert f"{index_path} {named}" in result.stderr
+        # the file is checked before the first quarter trains
+        written = [p.name for p in out_dir.glob("*.csv")]
+        assert not [n for n in written
+                    if n.startswith(("equity_", "trades_", "trace"))], written

@@ -6,7 +6,7 @@ import pytest
 
 from rlfolio import ensemble
 from rlfolio.agents import AgentConfig
-from rlfolio.ensemble import (TradeRecord, WindowResult, pick_best,
+from rlfolio.ensemble import (TRADE_COLUMNS, WindowResult, pick_best,
                               run_deterministic, run_trading,
                               train_and_validate, window_threshold)
 from rlfolio.env import EnvConfig, TradingEnv
@@ -17,6 +17,7 @@ from rlfolio.market_data import build_window_plan
 from rlfolio.turbulence import rolling_turbulence
 
 from helpers import make_panel
+from oracles import trades_oracle
 
 TINY = AgentConfig(hidden=(8,), rollout=16, warmup_steps=8, batch_size=4,
                    total_steps=40)
@@ -60,6 +61,14 @@ def make_setup(T=600, seed=3, lookback=60,
     turbulence = rolling_turbulence(panel, lookback=lookback)
     plan = build_window_plan(panel, in_sample_end, 3, 3)
     return panel, features, turbulence, plan
+
+
+def override_env(panel, features, turbulence):
+    """Env over dates 100–180 whose turbulence override fires on some."""
+    threshold = float(np.quantile(turbulence[turbulence > 0], 0.8))
+    return TradingEnv(panel, features, (100, 180),
+                      EnvConfig(initial_balance=50_000.0, h_max=10),
+                      turbulence=turbulence, turbulence_threshold=threshold)
 
 
 class TestPickBest:
@@ -139,19 +148,13 @@ class TestRunDeterministic:
 
     def test_trades_equal_per_step_rebuild(self):
         panel, features, turbulence, _ = make_setup()
-        threshold = float(np.quantile(turbulence[turbulence > 0], 0.8))
-
-        def make_env():
-            return TradingEnv(panel, features, (100, 180),
-                              EnvConfig(initial_balance=50_000.0, h_max=10),
-                              turbulence=turbulence,
-                              turbulence_threshold=threshold)
-
         actions = np.random.default_rng(5).uniform(-1, 1, size=(80, panel.D))
-        trades = run_deterministic(SequenceAgent(actions), make_env()).trades()
+        trades = run_deterministic(
+            SequenceAgent(actions),
+            override_env(panel, features, turbulence)).trades()
 
-        # the records rebuilt step by step, assets by flatnonzero
-        env, expected, fired = make_env(), [], 0
+        # the rows rebuilt step by step, assets by flatnonzero
+        env, expected, fired = override_env(panel, features, turbulence), [], 0
         env.reset()
         for action in actions:
             state = env.state
@@ -160,19 +163,35 @@ class TestRunDeterministic:
             for side, shares in (("sell", result.plan.sell_shares),
                                  ("buy", result.plan.buy_shares)):
                 for d in np.flatnonzero(shares):
-                    expected.append(TradeRecord(
-                        panel.calendar[state.t], panel.assets[d], side,
-                        int(shares[d]), float(state.prices[d])))
+                    expected.append((
+                        panel.calendar[state.t].isoformat(), panel.assets[d],
+                        side, int(shares[d]), float(state.prices[d])))
             env.state = result.next_state
         assert env.state.done and fired > 0
         assert trades == expected
-        assert all(type(t.shares) is int and type(t.price) is float
-                   for t in trades)
+        assert all(len(row) == len(TRADE_COLUMNS) for row in trades)
+        assert all(type(shares) is int and type(price) is float
+                   for _, _, _, shares, price in trades)
         # some date sells a later asset before it buys an earlier one
         index = panel.assets.index
-        assert any(a.date == b.date and a.side == "sell" and b.side == "buy"
-                   and index(a.asset) > index(b.asset)
+        assert any(a[0] == b[0] and a[2] == "sell" and b[2] == "buy"
+                   and index(a[1]) > index(b[1])
                    for a, b in zip(trades, trades[1:]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trade_rows_equal_record_oracle(self, seed):
+        panel, features, turbulence, _ = make_setup()
+        rng = np.random.default_rng(seed)
+        actions = rng.uniform(-1, 1, size=(80, panel.D))
+        actions[rng.random(actions.shape) < 0.3] = 0.0  # some idle assets
+        rollout = run_deterministic(SequenceAgent(actions),
+                                    override_env(panel, features, turbulence))
+        rows = rollout.trades()
+        assert rows == [(r.date.isoformat(), r.asset, r.side, r.shares,
+                         r.price) for r in trades_oracle(rollout)]
+        assert rows
+        # Python values only: a NumPy scalar would reach the CSV as np.*
+        assert all(type(v) in (str, int, float) for row in rows for v in row)
 
 
 class TestRunTrading:
@@ -226,7 +245,7 @@ class TestRunTrading:
         assert dates[-1] <= plan[-1].trade.end
         assert trace.curve.values[0] == 100_000.0
         # a buy-happy stub must actually accumulate positions
-        assert any(t.side == "buy" for t in trace.trades)
+        assert any(side == "buy" for _, _, side, _, _ in trace.trades)
 
 
 @pytest.fixture(scope="module")
