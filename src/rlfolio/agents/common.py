@@ -1,53 +1,35 @@
 """Shared pieces of the three actor-critic learners."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import BufferUnderflow, ShapeError
 from ..neural import Adam, GaussianPolicy, Mlp
+from ..settings import check_settings, setting
 
 
 @dataclass(frozen=True)
 class AgentConfig:
-    gamma: float = 0.99
-    hidden: tuple[int, ...] = (64, 64)
-    actor_lr: float = 3e-4
-    critic_lr: float = 1e-3
-    total_steps: int = 30_000
-    rollout: int = 2048
+    gamma: float = setting(0.99, "(0, 1)")
+    hidden: tuple[int, ...] = setting((64, 64), "[1, inf)")
+    actor_lr: float = setting(3e-4, "(0, inf)")
+    critic_lr: float = setting(1e-3, "(0, inf)")
+    total_steps: int = setting(30_000, "[0, inf)")
+    rollout: int = setting(2048, "[1, inf)")
     # PPO
-    epochs: int = 10
-    minibatch: int = 64
-    clip_epsilon: float = 0.2
+    epochs: int = setting(10, "[0, inf)")
+    minibatch: int = setting(64, "[1, inf)")
+    clip_epsilon: float = setting(0.2, "(0, inf)")
     # DDPG
-    buffer_capacity: int = 100_000
-    batch_size: int = 64
-    tau: float = 0.005
-    noise_scale: float = 0.1
-    warmup_steps: int = 256
+    buffer_capacity: int = setting(100_000, "[1, inf)")
+    batch_size: int = setting(64, "[1, inf)")
+    tau: float = setting(0.005, "(0, 1]")
+    noise_scale: float = setting(0.1, "[0, inf)")
+    warmup_steps: int = setting(256, "[0, inf)")
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if any(width < 1 for width in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        for name in ("actor_lr", "critic_lr"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.clip_epsilon <= 0:
-            raise ValueError("clip_epsilon must be positive")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
-        if min(self.rollout, self.buffer_capacity, self.batch_size,
-               self.minibatch) < 1:
-            raise ValueError("rollout, buffer_capacity, batch_size and "
-                             "minibatch must be >= 1")
-        for name in ("total_steps", "epochs", "warmup_steps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+    __post_init__ = check_settings
 
 
 class TransitionStore:

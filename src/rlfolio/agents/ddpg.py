@@ -54,7 +54,7 @@ class DDPGAgent(Agent):
         q, cache = self.critic.forward_cache(np.concatenate([obs, actions], axis=1))
         critic_loss = float(((q[:, 0] - y) ** 2).mean())
         if not np.isfinite(critic_loss):
-            raise GradInvalid("non-finite critic loss; update skipped")
+            raise GradInvalid("non-finite critic loss")
         critic_grad, _ = self.critic.backward(cache, (2.0 / n) * (q - y[:, None]))
         critic_opt.step(critic_grad)
 

@@ -10,8 +10,6 @@ from .common import OnPolicyAgent
 
 def ppo_clip_objective(ratio, adv, epsilon: float):
     """min(ratio * adv, clip(ratio, 1-eps, 1+eps) * adv), elementwise."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     return np.minimum(ratio * adv,
                       np.clip(ratio, 1.0 - epsilon, 1.0 + epsilon) * adv)
 
@@ -48,7 +46,7 @@ class PPOAgent(OnPolicyAgent):
                 actor_grad = -backward(coeff) / m
                 objective = float(surrogate.mean())
                 if not np.isfinite(objective):
-                    raise GradInvalid("non-finite surrogate; update skipped")
+                    raise GradInvalid("non-finite surrogate")
                 actor_opt.step(actor_grad)
 
                 v, cache = self.critic.forward_cache(obs[idx])

@@ -6,6 +6,7 @@ import csv
 import datetime as dt
 import logging
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -13,7 +14,7 @@ import click
 from . import ensemble as ens
 from .config import RunConfig, load_config, snapshot_config
 from .agents import AGENT_KINDS
-from .errors import InputInvalid, RlfolioError
+from .errors import InputInvalid, UserError
 from .evaluation import (EquityCurve, metrics_report, run_index_baseline,
                          run_min_variance_baseline)
 from .indicators import build_features
@@ -24,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 METRIC_NAMES = ("cumulative_return", "annual_return", "annual_volatility",
                 "sharpe", "max_drawdown")
+EXIT_PROGRAM_FAULT = 1
 EXIT_USER_ERROR = 2
 
 
@@ -64,22 +66,20 @@ def _load_index_series(path: str, dates) -> dict[dt.date, float]:
 
 
 @contextlib.contextmanager
-def _user_errors_exit_2():
-    """Print a user-caused error as one `error:` line and exit 2."""
+def _exit_codes():
+    """Around a command: exit 2 on a user error, printed as one `error:`
+    line. Any other exception is a program fault: exit 1 with one `internal
+    error:` line, after its traceback under `-v`."""
     try:
         yield
-    except (RlfolioError, OSError) as exc:
+    except (UserError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USER_ERROR)
-
-
-def _config_from_options(config_path, seed, out):
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if out is not None:
-        overrides["out_dir"] = out
-    return load_config(config_path, overrides)
+    except Exception as exc:
+        if click.get_current_context().find_root().params["verbose"]:
+            click.echo(traceback.format_exc(), err=True, nl=False)
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(EXIT_PROGRAM_FAULT)
 
 
 @click.group()
@@ -96,14 +96,11 @@ def main(verbose):
               type=click.Path(), help="run config file")
 @click.option("--out", type=click.Path(), default=None,
               help="output directory override")
+@_exit_codes()
 def ingest(config_path, out):
     """Load and align raw bars; persist the panel cache and the
     row-rejection report."""
-    with _user_errors_exit_2():
-        _ingest(_config_from_options(config_path, None, out))
-
-
-def _ingest(cfg: RunConfig) -> None:
+    cfg = load_config(config_path, {"out_dir": out})
     panel, report = _load_panel(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -133,14 +130,11 @@ def _write_strategy(out_dir: Path, name: str, curve: EquityCurve,
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="root seed override")
 @click.option("--out", type=click.Path(), default=None)
+@_exit_codes()
 def backtest(config_path, seed, out):
     """Run the ensemble walk-forward backtest, the three single-agent
     strategies, and both baselines; write the full report bundle."""
-    with _user_errors_exit_2():
-        _run_backtest(_config_from_options(config_path, seed, out))
-
-
-def _run_backtest(cfg: RunConfig) -> None:
+    cfg = load_config(config_path, {"seed": seed, "out_dir": out})
     panel, _ = _load_panel(cfg)
     plan = build_window_plan(panel, cfg.in_sample_end,
                              cfg.validation_months, cfg.trade_months)
@@ -203,14 +197,11 @@ def _run_backtest(cfg: RunConfig) -> None:
 @main.command()
 @click.option("--out", "run_dir", required=True, type=click.Path(),
               help="directory of a completed backtest run")
+@_exit_codes()
 def report(run_dir):
     """Print the comparison table and write plot-ready cumulative-return
     curves for every strategy."""
-    with _user_errors_exit_2():
-        _report(Path(run_dir))
-
-
-def _report(run_dir: Path) -> None:
+    run_dir = Path(run_dir)
     comparison = run_dir / "comparison.csv"
     if not comparison.exists():
         raise InputInvalid(f"missing {comparison}")

@@ -13,16 +13,16 @@ from __future__ import annotations
 import configparser
 import datetime as dt
 import io
-import math
 import typing
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from .agents import AGENT_KINDS, AgentConfig
 from .env import EnvConfig, ObsScaling
-from .errors import InputInvalid
+from .errors import InputInvalid, SettingInvalid
 from .indicators import IndicatorConfig
 from .market_data import DEFAULT_SCHEMA
+from .settings import check_settings, setting
 from .turbulence import DEFAULT_LOOKBACK, DEFAULT_QUANTILE
 
 
@@ -31,36 +31,30 @@ class RunConfig:
     data_path: str
     schema: dict[str, str] = field(default_factory=dict)
     delimiter: str = ","
-    rejection_ceiling: float = 0.01
+    rejection_ceiling: float = setting(0.01, "[0, 1]")
     index_path: str | None = None
 
     in_sample_end: dt.date = dt.date(2015, 12, 31)
-    validation_months: int = 3
-    trade_months: int = 3
+    validation_months: int = setting(3, "[1, inf)")
+    trade_months: int = setting(3, "[1, inf)")
 
     env: EnvConfig = field(default_factory=EnvConfig)
     indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
 
-    turbulence_lookback: int = DEFAULT_LOOKBACK
-    turbulence_quantile: float = DEFAULT_QUANTILE
-    turbulence_ridge: float | None = None
+    # rolling_turbulence also needs lookback >= D + 1, known once data loads
+    turbulence_lookback: int = setting(DEFAULT_LOOKBACK, "[2, inf)")
+    turbulence_quantile: float = setting(DEFAULT_QUANTILE, "(0, 1]")
+    turbulence_ridge: float | None = setting(None, "[0, inf)")
 
     agent_configs: dict[str, AgentConfig] = field(default_factory=dict)
 
-    seed: int = 0
+    seed: int = setting(0, "[0, inf)")
     out_dir: str = "run_output"
-    min_variance_lookback: int = 252
+    # np.cov of one return is NaN
+    min_variance_lookback: int = setting(252, "[2, inf)")
 
     def __post_init__(self):
-        if min(self.validation_months, self.trade_months) < 1:
-            raise InputInvalid("[windows] validation_months and "
-                               "trade_months must be >= 1")
-        ridge = self.turbulence_ridge
-        if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
-            raise InputInvalid("[turbulence] ridge must be finite and >= 0, "
-                               f"got {ridge}")
-        if self.seed < 0:
-            raise InputInvalid(f"[run] seed must be >= 0, got {self.seed}")
+        check_settings(self)
         for kind in AGENT_KINDS:
             self.agent_configs.setdefault(kind, AgentConfig())
 
@@ -93,6 +87,8 @@ _SECTIONS = (
     ("run", RunConfig, _same("seed", "out_dir")),
     ("baselines", RunConfig, _same("min_variance_lookback")),
 )
+_PLACES = {(cls, name): (section, key) for section, cls, keys in _SECTIONS
+           for key, name in keys.items()}
 _AGENT_SECTIONS = {kind: f"agents.{kind.lower()}" for kind in AGENT_KINDS}
 _COLUMN_KEYS = {f"col_{name}": name for name in DEFAULT_SCHEMA}
 
@@ -131,11 +127,13 @@ def _read(values: dict[str, str], section: str, cls,
     return out
 
 
-def _build(cls, section: str, kwargs: dict):
+def _build(cls, kwargs: dict, section: str | None = None):
+    """`cls(**kwargs)`; a field out of range is named by its INI key."""
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise InputInvalid(f"[{section}] {exc}") from exc
+    except SettingInvalid as exc:
+        where, key = _PLACES[cls, exc.name]
+        raise InputInvalid(f"[{section or where}] {key} {exc.problem}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -149,7 +147,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse config text. `overrides` (such as CLI flags) are `RunConfig`
-    field values that replace the file's before validation."""
+    field values that replace the file's before validation; a None
+    override replaces nothing."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -165,26 +164,25 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     data = raw.get("data", {})
     run["schema"] = {name: data.pop(key) for key, name in _COLUMN_KEYS.items()
                      if key in data}
-    run["env"] = _build(EnvConfig, "env", {
+    run["env"] = _build(EnvConfig, {
         **kwargs[EnvConfig],
-        "obs_scaling": _build(ObsScaling, "env", kwargs[ObsScaling])})
-    run["indicators"] = _build(IndicatorConfig, "indicators",
-                               kwargs[IndicatorConfig])
+        "obs_scaling": _build(ObsScaling, kwargs[ObsScaling])})
+    run["indicators"] = _build(IndicatorConfig, kwargs[IndicatorConfig])
     # shared values are checked alone first, so their errors name [agents]
-    _build(AgentConfig, "agents", kwargs[AgentConfig])
+    _build(AgentConfig, kwargs[AgentConfig])
     run["agent_configs"] = {
-        kind: _build(AgentConfig, section, {
+        kind: _build(AgentConfig, {
             **kwargs[AgentConfig],
             **_read(raw.get(section, {}), section, AgentConfig,
-                    _keys(AgentConfig))})
+                    _keys(AgentConfig))}, section)
         for kind, section in _AGENT_SECTIONS.items()}
     known = {s for s, _, _ in _SECTIONS} | set(_AGENT_SECTIONS.values())
     unknown = [f"[{s}] {key}" for s, values in raw.items() if s in known
                for key in values] + [f"[{s}]" for s in raw if s not in known]
     if unknown:
         raise InputInvalid(f"unknown section or key: {', '.join(unknown)}")
-    run.update(overrides or {})
-    return RunConfig(**run)
+    run.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    return _build(RunConfig, run)
 
 
 def snapshot_config(cfg: RunConfig) -> str:

@@ -16,32 +16,29 @@ import numpy as np
 from .errors import EpisodeFinished, InsufficientData
 from .indicators import FeaturePanel
 from .market_data import PricePanel
+from .settings import check_settings, setting
 
 
 @dataclass(frozen=True)
 class ObsScaling:
-    price: float = 100.0
-    macd: float = 100.0
-    rsi: float = 100.0
-    cci: float = 250.0
-    adx: float = 100.0
+    price: float = setting(100.0, "(0, inf)")
+    macd: float = setting(100.0, "(0, inf)")
+    rsi: float = setting(100.0, "(0, inf)")
+    cci: float = setting(250.0, "(0, inf)")
+    adx: float = setting(100.0, "(0, inf)")
+
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class EnvConfig:
-    initial_balance: float = 1_000_000.0
-    h_max: int = 100
-    fee_rate: float = 0.001
-    reward_scale: float = 1e-4
+    initial_balance: float = setting(1_000_000.0, "(0, inf)")
+    h_max: int = setting(100, "[1, inf)")
+    fee_rate: float = setting(0.001, "[0, 1)")
+    reward_scale: float = setting(1e-4, "(0, inf)")
     obs_scaling: ObsScaling = field(default_factory=ObsScaling)
 
-    def __post_init__(self):
-        if not self.initial_balance > 0:
-            raise ValueError("initial_balance must be positive")
-        if not 0.0 <= self.fee_rate < 1.0:
-            raise ValueError("fee_rate must be in [0, 1)")
-        if self.h_max < 1:
-            raise ValueError("h_max must be >= 1")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)

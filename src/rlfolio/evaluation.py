@@ -26,8 +26,8 @@ class EquityCurve:
     def __post_init__(self):
         if len(self.dates) != len(self.values):
             raise ValueError("dates/values length mismatch")
-        if len(self.values) and np.any(np.asarray(self.values) <= 0):
-            raise ValueError("equity values must be positive")
+        if not np.all(np.isfinite(self.values) & np.greater(self.values, 0)):
+            raise ValueError("equity values must be positive and finite")
 
     def daily_returns(self) -> np.ndarray:
         v = np.asarray(self.values, dtype=float)

@@ -14,24 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputEmpty
+from .errors import InputEmpty, SettingInvalid
 from .market_data import PricePanel
+from .settings import check_settings, setting
 
 
 @dataclass(frozen=True)
 class IndicatorConfig:
-    macd_fast: int = 12
-    macd_slow: int = 26
-    rsi_period: int = 14
-    cci_period: int = 14
-    adx_period: int = 14
+    macd_fast: int = setting(12, "[1, inf)")
+    macd_slow: int = setting(26, "[2, inf)")
+    rsi_period: int = setting(14, "[1, inf)")
+    cci_period: int = setting(14, "[1, inf)")
+    adx_period: int = setting(14, "[1, inf)")
 
     def __post_init__(self):
-        if not 0 < self.macd_fast < self.macd_slow:
-            raise ValueError("need 0 < macd_fast < macd_slow")
-        for p in (self.rsi_period, self.cci_period, self.adx_period):
-            if p < 1:
-                raise ValueError("indicator periods must be >= 1")
+        check_settings(self)
+        if self.macd_fast >= self.macd_slow:
+            raise SettingInvalid("macd_fast", "must be below macd_slow")
 
 
 class FeaturePanel:
@@ -79,8 +78,6 @@ def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
     """MACD line: EMA(fast) - EMA(slow), both EMAs in one pass over a
     (..., 2) stack of the series."""
     close = _check_series(close)
-    if not 0 < fast < slow:
-        raise ValueError("need 0 < fast < slow")
     ema = _ema(np.stack([close, close], axis=-1),
                np.array([2.0 / (fast + 1.0), 2.0 / (slow + 1.0)]))
     return ema[..., 0] - ema[..., 1]

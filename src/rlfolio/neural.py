@@ -120,7 +120,7 @@ class Adam:
         if p.shape != np.shape(g):
             raise ShapeError(f"grad shape {np.shape(g)} vs param {p.shape}")
         if not np.all(np.isfinite(g)):
-            raise GradInvalid("non-finite gradient; update skipped")
+            raise GradInvalid("non-finite gradient")
         if self._m is None:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1

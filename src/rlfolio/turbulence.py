@@ -77,13 +77,11 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
 
 
 def calibrate_threshold(values: np.ndarray, quantile: float) -> float:
-    """Lower empirical quantile of the defined (positive-history) values."""
+    """Lower empirical quantile, in (0, 1], of the positive values."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise InsufficientData(needed="at least one turbulence value",
                                available=0)
-    if not 0.0 < quantile <= 1.0:
-        raise InputInvalid("quantile must be in (0, 1]")
     ordered = np.sort(values)
     idx = int(np.ceil(quantile * ordered.size)) - 1
     return float(ordered[max(idx, 0)])

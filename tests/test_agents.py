@@ -60,8 +60,9 @@ class TestPPOClip:
             assert obj <= clipped + 1e-12
 
     def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            ppo_clip_objective(1.0, 1.0, 0.0)
+        # checked once, where the PPO settings are declared
+        with pytest.raises(ValueError, match="clip_epsilon"):
+            AgentConfig(clip_epsilon=0.0)
 
 
 class TestTransitionStore:

@@ -1,19 +1,22 @@
 import configparser
 import csv
 import datetime as dt
+import math
+import re
+import typing
 from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
 from rlfolio.agents import AGENT_KINDS, AgentConfig
-from rlfolio import cli
+from rlfolio import cli, config
 from rlfolio.cli import main
 from rlfolio.config import (RunConfig, load_config, parse_config,
                             snapshot_config)
 from rlfolio.ensemble import pick_best
 from rlfolio.env import EnvConfig, ObsScaling
-from rlfolio.errors import InputInvalid
+from rlfolio.errors import GradInvalid, InputInvalid
 from rlfolio.indicators import IndicatorConfig
 from rlfolio.market_data import DEFAULT_SCHEMA
 
@@ -142,7 +145,65 @@ def write_config(tmp_path, data_csv, name="run"):
     return cfg_path, out_dir
 
 
+def interval_of(cls, name: str) -> str | None:
+    return next(f.metadata.get("interval") for f in fields(cls)
+                if f.name == name)
+
+
+def bound_cases():
+    """(section, key, value, valid) at each bound each key declares: the
+    bound itself, or the nearest value inside an open one, must parse; the
+    nearest value outside must not. An int field has no value at an
+    infinite bound."""
+    cases = []
+    for section, cls, keys in config._SECTIONS:
+        hints = typing.get_type_hints(cls)
+        for key, name in keys.items():
+            interval = interval_of(cls, name)
+            if interval is None:
+                continue
+            integral = int in (hints[name], *typing.get_args(hints[name]))
+            lo, hi = (float(b) for b in interval[1:-1].split(","))
+            ends = ((lo, interval[0] == "[", math.inf),
+                    (hi, interval[-1] == "]", -math.inf))
+            for bound, closed, inward in ends:
+                if integral and math.isinf(bound):
+                    continue
+                if integral:
+                    step = 1 if inward > 0 else -1
+                    inside = int(bound) + (0 if closed else step)
+                    outside = int(bound) - (step if closed else 0)
+                else:
+                    inside = bound if closed else math.nextafter(bound, inward)
+                    outside = (math.nextafter(bound, -inward) if closed
+                               else bound)
+                cases += [(section, key, repr(inside), True),
+                          (section, key, repr(outside), False)]
+    return cases
+
+
+BOUND_CASES = bound_cases()
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "section, key, value, valid", BOUND_CASES,
+        ids=[f"{s}.{k}={v}" for s, k, v, _ in BOUND_CASES])
+    def test_declared_bounds(self, section, key, value, valid):
+        sections = {"data": {"path": "bars.csv"}}
+        sections.setdefault(section, {})[key] = value
+        if key == "macd_slow":  # must stay above macd_fast
+            sections[section]["macd_fast"] = "1"
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                               for k, v in values.items())
+                       for name, values in sections.items())
+        if valid:
+            parse_config(text)
+        else:
+            with pytest.raises(InputInvalid,
+                               match=re.escape(f"[{section}] {key} ")):
+                parse_config(text)
+
     def test_defaults(self, data_csv):
         cfg = parse_config(f"[data]\npath = {data_csv}\n")
         assert cfg.in_sample_end == dt.date(2015, 12, 31)
@@ -431,6 +492,57 @@ class TestBacktestUserErrors:
         assert "error:" in result.stderr
 
 
+class TestExitCodes:
+    """0 for success, 2 for a user error, 1 for a program fault."""
+
+    def test_min_variance_lookback_at_lower_bound(self, data_csv, tmp_path):
+        interval = interval_of(RunConfig, "min_variance_lookback")
+        lower = interval[1:-1].split(",")[0]
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "min_variance_lookback = 60", f"min_variance_lookback = {lower}"))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        curves = sorted(out_dir.glob("equity_*.csv"))
+        assert len(curves) == 6
+        for path in curves:
+            with open(path, newline="") as fh:
+                values = [float(row["value"]) for row in csv.DictReader(fh)]
+            assert values and all(0 < v < math.inf for v in values), path
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_program_fault_exits_1(self, data_csv, tmp_path, monkeypatch,
+                                   verbose):
+        def fault(*args, **kwargs):
+            raise GradInvalid("planted fault")
+
+        monkeypatch.setattr(cli, "build_features", fault)
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["-v"] * verbose + [
+            "backtest", "--config", str(cfg_path)])
+        assert result.exit_code == 1, result.output
+        lines = result.stderr.splitlines()
+        assert [line for line in lines if "internal error" in line] == [
+            "internal error: GradInvalid: planted fault"]
+        assert lines[-1] == "internal error: GradInvalid: planted fault"
+        assert ("Traceback" in result.stderr) == verbose
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_update_exits_1(self, data_csv, tmp_path):
+        # a valid setting that makes training fail is not a user error
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "[agents]\n", "[agents]\ncritic_lr = 1e200\n"))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 1, result.output
+        assert "internal error: GradInvalid: non-finite" in result.stderr
+        assert "update skipped" not in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestReportUserErrors:
     """A damaged run directory makes `report` exit 2 naming the file."""
 
@@ -494,6 +606,23 @@ BAD_CONFIGS = {
                   "error: [turbulence] ridge"),
     "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
                   "macd_fast"),
+    # outside a declared range: named by section and key before any output
+    "min_variance_lookback": ("min_variance_lookback = 60",
+                              "min_variance_lookback = 1",
+                              "error: [baselines] min_variance_lookback"),
+    "reward_scale": ("[env]\n", "[env]\nreward_scale = -1\n",
+                     "error: [env] reward_scale"),
+    "obs_scale_price": ("[env]\n", "[env]\nobs_scale_price = -1\n",
+                        "error: [env] obs_scale_price"),
+    "noise_scale_inf": ("[agents]\n", "[agents]\nnoise_scale = inf\n",
+                        "error: [agents] noise_scale"),
+    "clip_epsilon_inf": ("[agents]\n", "[agents]\nclip_epsilon = inf\n",
+                         "error: [agents] clip_epsilon"),
+    "rejection_ceiling_nan": ("[windows]",
+                              "rejection_ceiling = nan\n\n[windows]",
+                              "error: [data] rejection_ceiling"),
+    "quantile": ("lookback = 60", "lookback = 60\nquantile = 2",
+                 "error: [turbulence] quantile"),
     "duplicate_key": ("seed = 3", "seed = 3\nseed = 4", "seed"),
     "unknown_key": ("[agents]\n", "[agents]\ngama = 0.5\n", "gama"),
     "unknown_section": ("[run]", "[agents.sac]\ngamma = 0.5\n\n[run]",
@@ -508,7 +637,7 @@ class TestConfigUserErrors:
     @pytest.mark.parametrize("case", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
     def test_bad_config_exits_2(self, data_csv, tmp_path, case):
         old, new, named = case
-        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
         text = cfg_path.read_text()
         assert old in text
         cfg_path.write_text(text.replace(old, new, 1))
@@ -518,6 +647,7 @@ class TestConfigUserErrors:
         assert "error:" in result.stderr
         assert named in result.stderr
         assert "Traceback" not in result.output
+        assert not (out_dir / "config_snapshot.ini").exists()
 
     @pytest.mark.parametrize("index_csv, named", [
         ("date,level\n2017-01-02,100.0\n", "needs date and value"),

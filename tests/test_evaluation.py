@@ -98,6 +98,11 @@ class TestEquityCurve:
         with pytest.raises(ValueError):
             curve_from([100.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            curve_from([100.0, bad, 101.0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             EquityCurve(dates=(dt.date(2020, 1, 1),),

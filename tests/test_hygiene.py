@@ -1,9 +1,16 @@
 """Source hygiene checks over the package, done with `ast` because the
 project ships no linter."""
 import ast
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import rlfolio
+from rlfolio.agents import AgentConfig
+from rlfolio.config import RunConfig
+from rlfolio.env import EnvConfig, ObsScaling
+from rlfolio.indicators import IndicatorConfig
+from rlfolio.settings import setting
 
 PACKAGE = Path(rlfolio.__file__).parent
 
@@ -113,3 +120,43 @@ def test_unreferenced_names_are_caught():
 
 def test_every_public_name_is_referenced():
     assert unreferenced(package_trees(), ALLOWED_UNREFERENCED) == {}
+
+
+CONFIG_CLASSES = (RunConfig, EnvConfig, ObsScaling, IndicatorConfig,
+                  AgentConfig)
+
+
+def undeclared_ranges(cls) -> list[str]:
+    """Fields of dataclass `cls` typed `int`, `float`, `int | None`,
+    `float | None` or `tuple[int, ...]` that declare no range with
+    `settings.setting`."""
+    def numeric(tp) -> bool:
+        args = typing.get_args(tp)
+        if typing.get_origin(tp) is tuple:
+            return args[:1] == (int,)
+        return tp in (int, float) or (type(None) in args
+                                      and bool({int, float} & set(args)))
+
+    hints = typing.get_type_hints(cls)
+    return sorted(f.name for f in fields(cls)
+                  if numeric(hints[f.name]) and "interval" not in f.metadata)
+
+
+def test_undeclared_ranges_are_caught():
+    @dataclass
+    class Example:
+        declared: int = setting(1, "[1, inf)")
+        optional_declared: float | None = setting(None, "[0, inf)")
+        count: int = 1
+        rate: float = 0.5
+        ridge: float | None = None
+        widths: tuple[int, ...] = (1,)
+        name: str = "x"
+        path: str | None = None
+
+    assert undeclared_ranges(Example) == ["count", "rate", "ridge", "widths"]
+
+
+def test_every_numeric_setting_declares_its_range():
+    assert {cls.__name__: undeclared_ranges(cls) for cls in CONFIG_CLASSES
+            if undeclared_ranges(cls)} == {}

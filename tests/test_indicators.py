@@ -41,8 +41,9 @@ class TestMacd:
             ind.macd([])
 
     def test_bad_periods(self):
-        with pytest.raises(ValueError):
-            ind.macd([1.0, 2.0], fast=26, slow=12)
+        # checked once, where the periods are declared
+        with pytest.raises(ValueError, match="macd_fast"):
+            ind.IndicatorConfig(macd_fast=26, macd_slow=12)
 
 
 class TestRsi:
