@@ -89,7 +89,8 @@ class Agent:
                              f"expected ({self.obs_dim},)")
         return obs
 
-    def act(self, obs, mode: str = "deterministic") -> np.ndarray:
+    def act(self, obs) -> np.ndarray:
+        """The deterministic policy's action, clipped to [-1, 1]."""
         raise NotImplementedError
 
     def parameters(self) -> list[np.ndarray]:
@@ -128,12 +129,8 @@ class OnPolicyAgent(Agent):
     def parameters(self) -> list[np.ndarray]:
         return [self.policy.flat, self.critic.flat]
 
-    def act(self, obs, mode: str = "deterministic") -> np.ndarray:
-        obs = self._check_obs(obs)
-        if mode == "stochastic":
-            action, _ = self.policy.sample(obs, self.rng)
-        else:
-            action = self.policy.mean_net.forward(obs)
+    def act(self, obs) -> np.ndarray:
+        action = self.policy.mean_net.forward(self._check_obs(obs))
         return np.minimum(np.maximum(action, -1.0), 1.0)
 
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,

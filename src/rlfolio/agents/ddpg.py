@@ -30,13 +30,8 @@ class DDPGAgent(Agent):
         return [self.actor.flat, self.critic.flat,
                 self.target_actor.flat, self.target_critic.flat]
 
-    def act(self, obs, mode: str = "deterministic") -> np.ndarray:
-        obs = self._check_obs(obs)
-        action = np.tanh(self.actor.forward(obs))
-        if mode == "stochastic":
-            action = action + self.config.noise_scale * \
-                self.rng.standard_normal(self.action_dim)
-        return np.minimum(np.maximum(action, -1.0), 1.0)
+    def act(self, obs) -> np.ndarray:
+        return np.tanh(self.actor.forward(self._check_obs(obs)))
 
     def targets(self, rewards, next_obs, dones) -> np.ndarray:
         """TD targets y = r + gamma * Q'(s', mu'(s')) with terminal masking."""
@@ -79,7 +74,9 @@ class DDPGAgent(Agent):
         opts = self.optimizers()
         obs = env.reset()
         for _ in range(total):
-            action = self.act(obs, mode="stochastic")
+            # exploration: Gaussian noise on the policy's action, clipped
+            noise = cfg.noise_scale * self.rng.standard_normal(self.action_dim)
+            action = np.minimum(np.maximum(self.act(obs) + noise, -1.0), 1.0)
             next_obs, reward, done = env.step(action)
             store.add(obs, action, reward, next_obs, done)
             obs = env.reset() if done else next_obs

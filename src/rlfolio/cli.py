@@ -15,16 +15,14 @@ from . import ensemble as ens
 from .config import RunConfig, load_config, snapshot_config
 from .agents import AGENT_KINDS
 from .errors import InputInvalid, UserError
-from .evaluation import (EquityCurve, metrics_report, run_index_baseline,
-                         run_min_variance_baseline)
+from .evaluation import (METRIC_NAMES, EquityCurve, metrics_report,
+                         run_index_baseline, run_min_variance_baseline)
 from .indicators import build_features
 from .market_data import BAR_FIELDS, load_bars, build_window_plan
 from .turbulence import rolling_turbulence
 
 logger = logging.getLogger(__name__)
 
-METRIC_NAMES = ("cumulative_return", "annual_return", "annual_volatility",
-                "sharpe", "max_drawdown")
 EXIT_PROGRAM_FAULT = 1
 EXIT_USER_ERROR = 2
 
@@ -44,8 +42,9 @@ def _load_panel(cfg: RunConfig):
                      delimiter=cfg.delimiter)
 
 
-def _load_index_series(path: str, dates) -> dict[dt.date, float]:
-    """The index file's levels by date; each of `dates` must have one."""
+def _load_index_levels(path: str, dates) -> list[float]:
+    """The index file's level on each of `dates`, in order; each must have
+    one."""
     series = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -58,11 +57,11 @@ def _load_index_series(path: str, dates) -> dict[dt.date, float]:
             except (TypeError, ValueError) as exc:
                 raise InputInvalid(f"index file {path} line "
                                    f"{reader.line_num}: {exc}") from exc
-    missing = next((d for d in dates if d not in series), None)
-    if missing is not None:
+    try:
+        return [series[d] for d in dates]
+    except KeyError as exc:
         raise InputInvalid(f"index file {path} has no value for trade date "
-                           f"{missing}")
-    return series
+                           f"{exc.args[0]}") from None
 
 
 @contextlib.contextmanager
@@ -138,10 +137,10 @@ def backtest(config_path, seed, out):
     panel, _ = _load_panel(cfg)
     plan = build_window_plan(panel, cfg.in_sample_end,
                              cfg.validation_months, cfg.trade_months)
-    index_series = None
+    index_levels = None
     if cfg.index_path:  # a bad index file fails before any quarter trains
         trade = panel.date_slice(plan[0].trade.start, plan[-1].trade.end)
-        index_series = _load_index_series(
+        index_levels = _load_index_levels(
             cfg.index_path, [panel.calendar[t] for t in trade])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,14 +182,12 @@ def backtest(config_path, seed, out):
         cfg.env.fee_rate)
     _write_strategy(out_dir, "min_variance", strategies["min_variance"])
     strategies["index"] = run_index_baseline(
-        panel, plan, cfg.env.initial_balance, index_series)
+        panel, plan, cfg.env.initial_balance, index_levels)
     _write_strategy(out_dir, "index", strategies["index"])
 
-    rows = []
-    for name, curve in strategies.items():
-        report = metrics_report(curve)
-        rows.append([name] + [getattr(report, m) for m in METRIC_NAMES])
-    _write_csv(out_dir / "comparison.csv", ["strategy", *METRIC_NAMES], rows)
+    _write_csv(out_dir / "comparison.csv", ["strategy", *METRIC_NAMES],
+               [[name, *metrics_report(curve.values)]
+                for name, curve in strategies.items()])
     click.echo(f"backtest complete: {out_dir / 'comparison.csv'}")
 
 

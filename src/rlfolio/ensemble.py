@@ -16,8 +16,8 @@ import numpy as np
 
 from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
-from .errors import InsufficientData, NoScores, ZeroVolatility
-from .evaluation import EquityCurve, sharpe
+from .errors import InsufficientData, NoScores
+from .evaluation import EquityCurve, daily_returns, sharpe
 from .indicators import FeaturePanel
 from .market_data import PricePanel, WindowTriple
 from .turbulence import calibrate_threshold
@@ -76,7 +76,7 @@ class StrategyResult:
 
 def pick_best(scores: dict[str, float | None]) -> str:
     """Argmax validation Sharpe; ties resolved PPO > A2C > DDPG; undefined
-    (zero-volatility) scores never win; all-undefined falls back to PPO."""
+    (None) scores never win; all-undefined falls back to PPO."""
     if not scores:
         raise NoScores("no validation scores")
     defined = [k for k in AGENT_KINDS if scores.get(k) is not None]
@@ -108,7 +108,7 @@ def run_deterministic(agent: Agent, env: TradingEnv,
     sells, buys, prices = [], [], []
     while not env.state.done:
         state = env.state
-        action = agent.act(env.observe(), mode="deterministic")
+        action = agent.act(env.observe())
         result = env.step_state(state, action)
         sells.append(result.plan.sell_shares)
         buys.append(result.plan.buy_shares)
@@ -120,12 +120,12 @@ def run_deterministic(agent: Agent, env: TradingEnv,
                    sells, buys, prices)
 
 
-def validate_agent(agent: Agent, env: TradingEnv) -> float:
+def validate_agent(agent: Agent, env: TradingEnv) -> float | None:
     """Annualized Sharpe of a deterministic run over the env's window (a
-    validation env has the turbulence override active). Raises
-    ZeroVolatility when the agent never moves the portfolio."""
-    values = run_deterministic(agent, env).values
-    return sharpe(values[1:] / values[:-1] - 1.0)
+    validation env has the turbulence override active). None where it is
+    undefined: the agent never moves the portfolio, or the window has two
+    dates."""
+    return sharpe(daily_returns(run_deterministic(agent, env).values))
 
 
 def window_threshold(turbulence: np.ndarray, panel: PricePanel,
@@ -158,7 +158,6 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
         threshold = window_threshold(turbulence, panel, triple,
                                      turbulence_quantile)
         agents: dict[str, Agent] = {}
-        scores: dict[str, float | None] = {}
         if phase_callback:
             phase_callback(triple.index, "train")
         env = TradingEnv(panel, features,
@@ -175,11 +174,8 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
                          _interval_indices(panel, triple.validation),
                          env_config, turbulence=turbulence,
                          turbulence_threshold=threshold)
-        for kind in AGENT_KINDS:
-            try:
-                scores[kind] = validate_agent(agents[kind], env)
-            except ZeroVolatility:
-                scores[kind] = None
+        scores = {kind: validate_agent(agents[kind], env)
+                  for kind in AGENT_KINDS}
         previous = agents
         results.append(WindowResult(triple=triple, agents=agents,
                                     scores=scores, threshold=threshold))

@@ -60,9 +60,5 @@ class BufferUnderflow(RlfolioError):
     pass
 
 
-class ZeroVolatility(RlfolioError):
-    pass
-
-
 class NoScores(RlfolioError):
     pass

@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InputEmpty, InsufficientData, SingularCovariance,
-                     ZeroVolatility)
+from .errors import InputEmpty, InsufficientData, SingularCovariance
 from .market_data import PricePanel, WindowTriple
 
 PERIODS_PER_YEAR = 252
+# the columns of a `comparison.csv` row after the strategy name
+METRIC_NAMES = ("cumulative_return", "annual_return", "annual_volatility",
+                "sharpe", "max_drawdown")
 
 
 @dataclass(frozen=True)
@@ -29,79 +31,56 @@ class EquityCurve:
         if not np.all(np.isfinite(self.values) & np.greater(self.values, 0)):
             raise ValueError("equity values must be positive and finite")
 
-    def daily_returns(self) -> np.ndarray:
-        v = np.asarray(self.values, dtype=float)
-        return v[1:] / v[:-1] - 1.0
+
+def daily_returns(values: np.ndarray) -> np.ndarray:
+    """Simple return from each equity value to the next."""
+    return values[1:] / values[:-1] - 1.0
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    cumulative_return: float
-    annual_return: float
-    annual_volatility: float
-    sharpe: float | None
-    max_drawdown: float
-
-
-def cumulative_return(curve: EquityCurve | np.ndarray) -> float:
-    values = curve.values if isinstance(curve, EquityCurve) else np.asarray(curve)
+def cumulative_return(values: np.ndarray) -> float:
     if len(values) == 0:
         raise InputEmpty("empty equity curve")
     return float(values[-1] / values[0] - 1.0)
 
 
-def annual_return(curve: EquityCurve | np.ndarray,
-                  periods_per_year: int = PERIODS_PER_YEAR) -> float:
-    values = curve.values if isinstance(curve, EquityCurve) else np.asarray(curve)
+def annual_return(values: np.ndarray) -> float:
     if len(values) < 2:
         raise InputEmpty("need at least two curve points")
     growth = values[-1] / values[0]
-    return float(growth ** (periods_per_year / (len(values) - 1)) - 1.0)
+    return float(growth ** (PERIODS_PER_YEAR / (len(values) - 1)) - 1.0)
 
 
-def annual_volatility(daily_returns: np.ndarray,
-                      periods_per_year: int = PERIODS_PER_YEAR) -> float:
-    r = np.asarray(daily_returns, dtype=float)
-    if r.size < 2:
-        raise InsufficientData(needed=2, available=r.size)
-    return float(r.std(ddof=1) * np.sqrt(periods_per_year))
+def annual_volatility(daily_returns: np.ndarray) -> float:
+    """Annualized sample standard deviation; 0.0 for fewer than two
+    returns."""
+    if len(daily_returns) < 2:
+        return 0.0
+    return float(daily_returns.std(ddof=1) * np.sqrt(PERIODS_PER_YEAR))
 
 
-def sharpe(daily_returns: np.ndarray, rf_annual: float = 0.0,
-           periods_per_year: int = PERIODS_PER_YEAR) -> float:
-    r = np.asarray(daily_returns, dtype=float)
-    vol = annual_volatility(r, periods_per_year)
+def sharpe(daily_returns: np.ndarray) -> float | None:
+    """Annualized Sharpe ratio at a zero risk-free rate. None where it is
+    undefined: at zero volatility, which includes fewer than two returns."""
+    vol = annual_volatility(daily_returns)
     if vol == 0.0:
-        raise ZeroVolatility("zero return variance")
-    return float((r.mean() * periods_per_year - rf_annual) / vol)
+        return None
+    return float(daily_returns.mean() * PERIODS_PER_YEAR / vol)
 
 
-def max_drawdown(curve: EquityCurve | np.ndarray) -> float:
-    values = curve.values if isinstance(curve, EquityCurve) else np.asarray(curve)
+def max_drawdown(values: np.ndarray) -> float:
     if len(values) == 0:
         raise InputEmpty("empty equity curve")
     running_max = np.maximum.accumulate(values)
     return float((values / running_max - 1.0).min())
 
 
-def metrics_report(curve: EquityCurve, rf_annual: float = 0.0,
-                   periods_per_year: int = PERIODS_PER_YEAR) -> MetricsReport:
-    r = curve.daily_returns()
-    try:
-        sr = sharpe(r, rf_annual, periods_per_year)
-    except (ZeroVolatility, InsufficientData):
-        sr = None
-    try:
-        vol = annual_volatility(r, periods_per_year)
-    except InsufficientData:
-        vol = 0.0
-    return MetricsReport(
-        cumulative_return=cumulative_return(curve),
-        annual_return=annual_return(curve, periods_per_year),
-        annual_volatility=vol,
-        sharpe=sr,
-        max_drawdown=max_drawdown(curve),
-    )
+def metrics_report(values: np.ndarray
+                   ) -> tuple[float, float, float, float | None, float]:
+    """The `METRIC_NAMES` of an equity curve's values, in that order: one
+    `comparison.csv` row after the strategy name."""
+    r = daily_returns(values)
+    return (cumulative_return(values), annual_return(values),
+            annual_volatility(r), sharpe(r), max_drawdown(values))
 
 
 # --- baselines ----------------------------------------------------------------
@@ -177,21 +156,21 @@ def run_min_variance_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
 
 def run_index_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
                        initial_balance: float = 1_000_000.0,
-                       index_series: dict[dt.date, float] | None = None) -> EquityCurve:
-    """Buy-and-hold index: either a provided index level series or a
-    price-weighted proxy built from the panel."""
+                       index_levels: Sequence[float] | None = None) -> EquityCurve:
+    """Buy-and-hold index: either the provided index level of each trade
+    date, in calendar order (one level per trade date), or a price-weighted
+    proxy built from the panel."""
     start = plan[0].trade.start
     end = plan[-1].trade.end
     idx = panel.date_slice(start, end)
     if not idx:
         raise InsufficientData(needed="trade dates", available=0)
     dates = [panel.calendar[t] for t in idx]
-    if index_series is not None:
-        missing = [d for d in dates if d not in index_series]
-        if missing:
-            raise InsufficientData(needed=f"index level for {missing[0]}",
-                                   available=len(index_series))
-        levels = np.array([index_series[d] for d in dates], dtype=float)
+    if index_levels is not None:
+        levels = np.array(index_levels, dtype=float)
+        if len(levels) != len(dates):
+            raise InsufficientData(needed=f"{len(dates)} index levels",
+                                   available=len(levels))
     else:
         levels = panel.adj_close[list(idx)].sum(axis=1)
     values = initial_balance * levels / levels[0]

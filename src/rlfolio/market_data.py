@@ -293,8 +293,10 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     last = panel.calendar[-1]
     val_start0 = month_start(add_months(in_sample_end, -(validation_months - 1)))
     if val_start0 <= first:
-        raise InsufficientData(needed=f"history before {val_start0}",
-                               available=str(first))
+        raise InsufficientData(
+            needed=f"history before {val_start0}, where [windows] "
+                   f"in_sample_end = {in_sample_end} starts validation",
+            available=f"data from {first}")
     if last <= in_sample_end:
         raise InsufficientData(
             needed=f"trade dates after {in_sample_end}", available=str(last))

@@ -44,7 +44,9 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     `SOLVE_BLOCK` dates share one batched solve and quadratic form.
     """
     if lookback < panel.D + 1:
-        raise InputInvalid("lookback must be at least D + 1")
+        raise InputInvalid(f"[turbulence] lookback must be at least D + 1 = "
+                           f"{panel.D + 1} for D = {panel.D} assets, got "
+                           f"{lookback}")
     rets = panel_returns(panel)
     if not np.all(np.isfinite(rets)):
         raise InputInvalid("non-finite return vector")

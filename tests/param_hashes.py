@@ -9,7 +9,9 @@ run it before and after a change, from the repository root,
 and compare the lines. Each kind trains on window (50, 150) of a 3-asset
 synthetic panel with seed 7, then a second agent warm-started from it
 trains on window (50, 250) with seed 8; the hash covers the second
-agent's `parameters()`. The set-up lines hash the six `load_bars` fields
+agent's `parameters()`. The `_D30` lines hash one agent of each kind
+trained at the paper's width, on window (50, 200) of a 30-asset panel
+with seed 7 and a 96-step budget. The set-up lines hash the six `load_bars` fields
 of a generated 8-asset CSV, and `build_features().block` and
 `rolling_turbulence` of `make_panel` at D=8 and at D=30. The `bundle`
 line hashes the 13 deterministic files of an in-process `rlfolio
@@ -19,6 +21,7 @@ runs on one machine. The name keeps pytest from collecting it.
 """
 import datetime as dt
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,7 @@ from helpers import csv_stream, make_panel, panel_to_csv
 
 CONFIG = AgentConfig(hidden=(16, 16), rollout=64, warmup_steps=32,
                      batch_size=16, total_steps=450, minibatch=16, epochs=2)
+WIDE_CONFIG = replace(CONFIG, total_steps=96)
 BACKTEST_CONFIG = """\
 [data]
 path = bars.csv
@@ -80,6 +84,12 @@ def param_hashes() -> dict[str, str]:
         agent = train_agent(kind, TradingEnv(panel, features, (50, 250)),
                             CONFIG, seed=8, warm_start=donor)
         hashes[kind] = _digest(np.concatenate(agent.parameters()))
+    wide = make_panel(D=30, T=300, seed=1)
+    wide_features = build_features(wide)
+    for kind in AGENT_KINDS:
+        agent = train_agent(kind, TradingEnv(wide, wide_features, (50, 200)),
+                            WIDE_CONFIG, seed=7)
+        hashes[f"{kind}_D30"] = _digest(np.concatenate(agent.parameters()))
     return hashes
 
 

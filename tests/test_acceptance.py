@@ -260,7 +260,7 @@ def test_criterion_07_learning_smoke():
     # the bandit's observation is constant and a deterministic act answers
     # it the same way every time, so ">= 95% accuracy" is one sign test
     def picks_positive_arm(agent, env):
-        return agent.act(env.reset(), mode="deterministic")[0] > 0
+        return agent.act(env.reset())[0] > 0
 
     t0 = time.perf_counter()
     env = TwoArmedBandit()

@@ -377,7 +377,7 @@ class TestBanditLearning:
     training budgets, seeds and configs are those that check ran with."""
 
     def picks_positive_arm(self, agent, env) -> bool:
-        return agent.act(env.reset(), mode="deterministic")[0] > 0
+        return agent.act(env.reset())[0] > 0
 
     def test_a2c(self):
         env = TwoArmedBandit()

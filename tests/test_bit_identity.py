@@ -33,6 +33,9 @@ EXPECTED = {
         "PPO": "70dfc18a76f0c3f1",
         "A2C": "44e2f592a3399901",
         "DDPG": "114fc51237025604",
+        "PPO_D30": "a1ecd0cd0a7140d6",
+        "A2C_D30": "b90b363920693b91",
+        "DDPG_D30": "df2d2ddb01dd06f6",
         "load_bars": "25607618d048df05",
         "build_features_D8": "65230011ef7f3865",
         "rolling_turbulence_D8": "f0ac0a8325a15abd",

@@ -21,6 +21,7 @@ from rlfolio.indicators import IndicatorConfig
 from rlfolio.market_data import DEFAULT_SCHEMA
 
 from helpers import make_panel, panel_to_csv
+from param_hashes import BUNDLE_FILES
 
 CONFIG_TEMPLATE = """\
 [data]
@@ -482,7 +483,20 @@ class TestBacktestUserErrors:
         result = CliRunner().invoke(main, ["backtest", "--config",
                                            str(cfg_path)])
         assert result.exit_code == 2, result.output
-        assert "error:" in result.stderr
+        assert ("error: [turbulence] lookback must be at least D + 1 = 3 "
+                "for D = 2 assets, got 2") in result.stderr
+
+    def test_in_sample_end_before_the_data_exits_2(self, data_csv, tmp_path):
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        # validation would start 2016-11-01; the data start 2017-01-02
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "in_sample_end = 2018-06-30", "in_sample_end = 2017-01-31"))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert ("error: needed history before 2016-11-01, where [windows] "
+                "in_sample_end = 2017-01-31 starts validation, available "
+                "data from 2017-01-02") in result.stderr
 
     def test_negative_seed_exits_2(self, data_csv, tmp_path):
         cfg_path, _ = write_config(tmp_path, data_csv)
@@ -494,6 +508,26 @@ class TestBacktestUserErrors:
 
 class TestExitCodes:
     """0 for success, 2 for a user error, 1 for a program fault."""
+
+    def test_two_date_validation_quarter_falls_back(self, tmp_path):
+        # of the first validation quarter, April-June 2018, only 2018-06-28
+        # and 2018-06-29 remain: one daily return, so no Sharpe ratio
+        panel = make_panel(D=2, T=600, seed=12, start=dt.date(2017, 1, 1))
+        data_csv = tmp_path / "bars.csv"
+        data_csv.write_text("".join(
+            line for line in panel_to_csv(panel).splitlines(keepends=True)
+            if not "2018-04-01" <= line[:10] <= "2018-06-27"))
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert all((out_dir / name).is_file() for name in BUNDLE_FILES)
+        with open(out_dir / "trace.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert first["validation_start"] == "2018-04-01"
+        assert [first[f"sharpe_{k.lower()}"] for k in AGENT_KINDS] == \
+            ["", "", ""]
+        assert first["picked"] == "PPO"
 
     def test_min_variance_lookback_at_lower_bound(self, data_csv, tmp_path):
         interval = interval_of(RunConfig, "min_variance_lookback")

@@ -1,5 +1,5 @@
 import datetime as dt
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from rlfolio import ensemble
 from rlfolio.agents import AgentConfig
 from rlfolio.ensemble import (TRADE_COLUMNS, WindowResult, pick_best,
                               run_deterministic, run_trading,
-                              train_and_validate, window_threshold)
+                              train_and_validate, validate_agent,
+                              window_threshold)
 from rlfolio.env import EnvConfig, TradingEnv
 from rlfolio.errors import NoScores
 from rlfolio.evaluation import metrics_report
@@ -39,7 +40,7 @@ class StubAgent:
         self.action = np.asarray(action, dtype=float)
         self.calls = 0
 
-    def act(self, obs, mode="deterministic"):
+    def act(self, obs):
         self.calls += 1
         return self.action
 
@@ -50,7 +51,7 @@ class SequenceAgent:
     def __init__(self, actions):
         self.actions = iter(actions)
 
-    def act(self, obs, mode="deterministic"):
+    def act(self, obs):
         return next(self.actions)
 
 
@@ -380,6 +381,13 @@ class TestTrainAndValidate:
         with pytest.raises(IndexError):
             env.step_state(last, np.zeros(panel.D))
 
+    def test_two_date_window_scores_none(self):
+        # one daily return has no sample volatility, so no Sharpe
+        panel, features, _, _ = make_setup()
+        env = TradingEnv(panel, features, (10, 11),
+                         EnvConfig(initial_balance=50_000.0, h_max=10))
+        assert validate_agent(StubAgent([0.5, -0.5]), env) is None
+
     def test_validation_scores_populated_or_none(self):
         panel, features, turbulence, plan = make_setup(T=450)
         windows = train_and_validate(panel, features, turbulence,
@@ -401,8 +409,8 @@ class TestRunEnsembleDeterminism:
                                          env_config, TINY_CONFIGS, seed=7)
             trace = run_trading(panel, features, turbulence, windows,
                                 env_config, ENSEMBLE)["ensemble"]
-            results.append((trace, metrics_report(trace.curve)))
+            results.append((trace, metrics_report(trace.curve.values)))
         a, b = results
         np.testing.assert_array_equal(a[0].curve.values, b[0].curve.values)
         assert a[0].picks == b[0].picks
-        assert asdict(a[1]) == asdict(b[1])
+        assert a[1] == b[1]

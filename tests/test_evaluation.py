@@ -1,16 +1,14 @@
 import datetime as dt
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from rlfolio.errors import (InputEmpty, InsufficientData, SingularCovariance,
-                            ZeroVolatility)
-from rlfolio.evaluation import (EquityCurve, annual_return, annual_volatility,
-                                cumulative_return, max_drawdown,
-                                metrics_report, min_variance_weights,
-                                run_index_baseline, run_min_variance_baseline,
-                                sharpe)
+from rlfolio.errors import InputEmpty, InsufficientData, SingularCovariance
+from rlfolio.evaluation import (METRIC_NAMES, EquityCurve, annual_return,
+                                annual_volatility, cumulative_return,
+                                daily_returns, max_drawdown, metrics_report,
+                                min_variance_weights, run_index_baseline,
+                                run_min_variance_baseline, sharpe)
 from rlfolio.market_data import build_window_plan
 
 import oracles
@@ -48,16 +46,12 @@ class TestMetrics:
         r = rng.normal(0.0004, 0.01, 252)
         assert sharpe(r) == pytest.approx(oracles.sharpe_oracle(r))
 
-    def test_sharpe_risk_free_adjustment(self):
-        r = np.full(10, 0.001) + np.linspace(-1e-4, 1e-4, 10)
-        base = sharpe(r, rf_annual=0.0)
-        adj = sharpe(r, rf_annual=0.02)
-        vol = annual_volatility(r)
-        assert base - adj == pytest.approx(0.02 / vol)
-
     def test_sharpe_zero_vol_raises(self):
-        with pytest.raises(ZeroVolatility):
-            sharpe(np.full(10, 0.5))
+        assert sharpe(np.full(10, 0.5)) is None
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sharpe_of_fewer_than_two_returns_is_none(self, n):
+        assert sharpe(np.full(n, 0.01)) is None
 
     def test_max_drawdown_hand(self):
         # 100 -> 120 -> 90 -> 110: worst is 90/120 - 1 = -0.25
@@ -77,20 +71,22 @@ class TestMetrics:
             cumulative_return(np.array([]))
         with pytest.raises(InputEmpty):
             max_drawdown(np.array([]))
-        with pytest.raises(InsufficientData):
-            annual_volatility(np.array([0.01]))
+        assert annual_volatility(np.array([0.01])) == 0.0
 
     def test_metrics_report_flat_curve(self):
-        rep = metrics_report(curve_from(np.full(10, 100.0)))
-        assert rep.sharpe is None
-        assert rep.cumulative_return == 0.0
-        assert rep.max_drawdown == 0.0
+        rep = dict(zip(METRIC_NAMES, metrics_report(np.full(10, 100.0))))
+        assert rep["sharpe"] is None
+        assert rep["cumulative_return"] == 0.0
+        assert rep["max_drawdown"] == 0.0
 
     def test_metrics_report_dict_keys(self):
-        rep = metrics_report(curve_from([100.0, 101.0, 102.0]))
-        assert set(asdict(rep)) == {"cumulative_return", "annual_return",
-                                      "annual_volatility", "sharpe",
-                                      "max_drawdown"}
+        values = np.array([100.0, 101.0, 102.0])
+        r = daily_returns(values)
+        assert METRIC_NAMES == ("cumulative_return", "annual_return",
+                                "annual_volatility", "sharpe", "max_drawdown")
+        assert metrics_report(values) == (
+            cumulative_return(values), annual_return(values),
+            annual_volatility(r), sharpe(r), max_drawdown(values))
 
 
 class TestEquityCurve:
@@ -109,8 +105,8 @@ class TestEquityCurve:
                         values=np.array([1.0, 2.0]))
 
     def test_daily_returns(self):
-        c = curve_from([100.0, 110.0, 99.0])
-        np.testing.assert_allclose(c.daily_returns(), [0.1, -0.1])
+        values = np.array([100.0, 110.0, 99.0])
+        np.testing.assert_allclose(daily_returns(values), [0.1, -0.1])
 
 
 class TestMinVarianceWeights:
@@ -213,9 +209,9 @@ class TestIndexBaseline:
         idx = panel.date_slice(plan[0].trade.start,
                                plan[-1].trade.end)
         dates = [panel.calendar[t] for t in idx]
-        series = {d: 100.0 * (1.01 ** i) for i, d in enumerate(dates)}
+        levels = [100.0 * (1.01 ** i) for i in range(len(dates))]
         curve = run_index_baseline(panel, plan, initial_balance=500.0,
-                                   index_series=series)
+                                   index_levels=levels)
         assert curve.values[0] == pytest.approx(500.0)
         assert curve.values[-1] == pytest.approx(
             500.0 * 1.01 ** (len(dates) - 1))
@@ -224,5 +220,4 @@ class TestIndexBaseline:
         panel = make_panel(D=2, T=700, seed=9, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
         with pytest.raises(InsufficientData):
-            run_index_baseline(panel, plan,
-                               index_series={dt.date(2018, 1, 2): 1.0})
+            run_index_baseline(panel, plan, index_levels=[1.0])

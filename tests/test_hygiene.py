@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import rlfolio
+from rlfolio import errors
 from rlfolio.agents import AgentConfig
 from rlfolio.config import RunConfig
 from rlfolio.env import EnvConfig, ObsScaling
@@ -120,6 +121,57 @@ def test_unreferenced_names_are_caught():
 
 def test_every_public_name_is_referenced():
     assert unreferenced(package_trees(), ALLOWED_UNREFERENCED) == {}
+
+
+# The only `except` clauses that may name a package error, by module and
+# enclosing function: the CLI's exit-code boundary, and the config reader,
+# which re-raises a field's error under its INI key. Anywhere else an
+# outcome such as an undefined ratio is a value, not an exception.
+ALLOWED_CATCHES = {
+    "cli.py": {("_exit_codes", "UserError")},
+    "config.py": {("_build", "SettingInvalid")},
+}
+ERROR_CLASSES = {name for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, Exception)
+                 and obj.__module__ == errors.__name__}
+
+
+def caught_errors(tree: ast.Module, names: set[str]) -> list[tuple[str, str]]:
+    """(enclosing function, class) for each class of `names` that an
+    `except` clause in `tree` names, bare or as an attribute."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type:
+                types = (child.type.elts if isinstance(child.type, ast.Tuple)
+                         else [child.type])
+                found.extend((function, n) for n in (
+                    getattr(t, "id", getattr(t, "attr", None)) for t in types)
+                    if n in names)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_caught_errors_are_flagged():
+    tree = ast.parse("def validate(r):\n"
+                     "    try:\n        score = sharpe(r)\n"
+                     "    except ZeroVolatility:\n        score = None\n"
+                     "    try:\n        pass\n"
+                     "    except (OSError, errors.NoScores):\n        pass\n"
+                     "    except ValueError:\n        pass\n")
+    assert caught_errors(tree, {"ZeroVolatility", "NoScores"}) == [
+        ("validate", "ZeroVolatility"), ("validate", "NoScores")]
+
+
+def test_package_errors_are_caught_only_at_the_boundaries():
+    found = {name: sorted(set(caught_errors(tree, ERROR_CLASSES))
+                          - ALLOWED_CATCHES.get(name, set()))
+             for name, tree in package_trees().items()}
+    assert {name: f for name, f in found.items() if f} == {}
 
 
 CONFIG_CLASSES = (RunConfig, EnvConfig, ObsScaling, IndicatorConfig,
