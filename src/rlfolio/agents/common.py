@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BufferUnderflow, ShapeError
+from ..errors import BufferUnderflow
 from ..neural import Adam, GaussianPolicy, Mlp
 from ..settings import check_settings, setting
 
@@ -82,13 +82,6 @@ class Agent:
         self.config = config
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    def _check_obs(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=float)
-        if obs.shape != (self.obs_dim,):
-            raise ShapeError(f"observation shape {obs.shape}, "
-                             f"expected ({self.obs_dim},)")
-        return obs
-
     def act(self, obs) -> np.ndarray:
         """The deterministic policy's action, clipped to [-1, 1]."""
         raise NotImplementedError
@@ -130,7 +123,7 @@ class OnPolicyAgent(Agent):
         return [self.policy.flat, self.critic.flat]
 
     def act(self, obs) -> np.ndarray:
-        action = self.policy.mean_net.forward(self._check_obs(obs))
+        action = self.policy.mean_net.forward(obs)
         return np.minimum(np.maximum(action, -1.0), 1.0)
 
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
@@ -151,8 +144,7 @@ class OnPolicyAgent(Agent):
         obs = env.reset()
         for step in range(1, total + 1):
             action, logp = self.policy.sample(obs, self.rng)
-            next_obs, reward, done = env.step(
-                np.minimum(np.maximum(action, -1.0), 1.0))
+            next_obs, reward, done = env.step(action)
             store.add(obs, action, reward, next_obs, done, logp)
             obs = env.reset() if done else next_obs
             if len(store) == store.capacity or step == total:

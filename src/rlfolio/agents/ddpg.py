@@ -31,7 +31,7 @@ class DDPGAgent(Agent):
                 self.target_actor.flat, self.target_critic.flat]
 
     def act(self, obs) -> np.ndarray:
-        return np.tanh(self.actor.forward(self._check_obs(obs)))
+        return np.tanh(self.actor.forward(obs))
 
     def targets(self, rewards, next_obs, dones) -> np.ndarray:
         """TD targets y = r + gamma * Q'(s', mu'(s')) with terminal masking."""

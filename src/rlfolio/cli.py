@@ -5,6 +5,7 @@ import contextlib
 import csv
 import datetime as dt
 import logging
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -53,10 +54,15 @@ def _load_index_levels(path: str, dates) -> list[float]:
                                "columns")
         for row in reader:
             try:
-                series[dt.date.fromisoformat(row["date"])] = float(row["value"])
+                day = dt.date.fromisoformat(row["date"])
+                level = float(row["value"])
+                if not 0.0 < level < math.inf:
+                    raise ValueError(f"level {level} is not positive and "
+                                     "finite")
             except (TypeError, ValueError) as exc:
                 raise InputInvalid(f"index file {path} line "
                                    f"{reader.line_num}: {exc}") from exc
+            series[day] = level
     try:
         return [series[d] for d in dates]
     except KeyError as exc:
@@ -139,9 +145,8 @@ def backtest(config_path, seed, out):
                              cfg.validation_months, cfg.trade_months)
     index_levels = None
     if cfg.index_path:  # a bad index file fails before any quarter trains
-        trade = panel.date_slice(plan[0].trade.start, plan[-1].trade.end)
-        index_levels = _load_index_levels(
-            cfg.index_path, [panel.calendar[t] for t in trade])
+        index_levels = _load_index_levels(cfg.index_path, panel.calendar[
+            plan[0].trade.rows.start:plan[-1].trade.rows.stop])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
@@ -206,6 +211,10 @@ def report(run_dir):
         raw = list(csv.reader(fh))
     if not raw:
         raise InputInvalid(f"{comparison} is empty")
+    for line, row in enumerate(raw, 1):
+        if len(row) != len(raw[0]):
+            raise InputInvalid(f"{comparison} line {line} has {len(row)} "
+                               f"cells, its header {len(raw[0])}")
 
     def fmt(cell: str) -> str:
         try:
@@ -228,6 +237,9 @@ def report(run_dir):
             values = [float(r["value"]) for r in data]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputInvalid(f"{equity}: bad value column ({exc})") from exc
+        if not all(0.0 < v < math.inf for v in values):
+            raise InputInvalid(f"{equity}: equity values must be positive "
+                               "and finite")
         _write_csv(run_dir / f"cumret_{name}.csv", ["date", "cumulative_return"],
                    [[r["date"], v / values[0] - 1.0]
                     for r, v in zip(data, values)])

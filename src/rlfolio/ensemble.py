@@ -16,7 +16,7 @@ import numpy as np
 
 from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
-from .errors import InsufficientData, NoScores
+from .errors import NoScores
 from .evaluation import EquityCurve, daily_returns, sharpe
 from .indicators import FeaturePanel
 from .market_data import PricePanel, WindowTriple
@@ -87,14 +87,6 @@ def pick_best(scores: dict[str, float | None]) -> str:
     return max(defined, key=scores.__getitem__)  # first of equal maxima
 
 
-def _interval_indices(panel: PricePanel, interval) -> tuple[int, int]:
-    rng = panel.date_slice(interval.start, interval.end)
-    if len(rng) < 2:
-        raise InsufficientData(needed=f"2+ dates in {interval}",
-                               available=len(rng))
-    return rng.start, rng.stop - 1
-
-
 def run_deterministic(agent: Agent, env: TradingEnv,
                       balance: float | None = None,
                       holdings: np.ndarray | None = None) -> Rollout:
@@ -128,12 +120,10 @@ def validate_agent(agent: Agent, env: TradingEnv) -> float | None:
     return sharpe(daily_returns(run_deterministic(agent, env).values))
 
 
-def window_threshold(turbulence: np.ndarray, panel: PricePanel,
-                     triple: WindowTriple, quantile: float) -> float:
+def window_threshold(turbulence: np.ndarray, triple: WindowTriple,
+                     quantile: float) -> float:
     """Turbulence threshold from data strictly before the trade interval."""
-    trade_start_idx = panel.date_slice(triple.trade.start,
-                                       triple.trade.end).start
-    pre = turbulence[:trade_start_idx]
+    pre = turbulence[:triple.trade.rows.start]
     defined = pre[pre > 0]
     if defined.size == 0:
         return np.inf
@@ -155,13 +145,12 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
     results: list[WindowResult] = []
     previous: dict[str, Agent] = {}
     for triple in plan:
-        threshold = window_threshold(turbulence, panel, triple,
-                                     turbulence_quantile)
+        threshold = window_threshold(turbulence, triple, turbulence_quantile)
         agents: dict[str, Agent] = {}
         if phase_callback:
             phase_callback(triple.index, "train")
-        env = TradingEnv(panel, features,
-                         _interval_indices(panel, triple.train), env_config)
+        rows = triple.train.rows
+        env = TradingEnv(panel, features, (rows[0], rows[-1]), env_config)
         for k_idx, kind in enumerate(AGENT_KINDS):
             agent_seed = int(np.random.SeedSequence(
                 [seed, triple.index, k_idx]).generate_state(1)[0])
@@ -170,10 +159,9 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
                                        warm_start=previous.get(kind))
         if phase_callback:
             phase_callback(triple.index, "validate")
-        env = TradingEnv(panel, features,
-                         _interval_indices(panel, triple.validation),
-                         env_config, turbulence=turbulence,
-                         turbulence_threshold=threshold)
+        rows = triple.validation.rows
+        env = TradingEnv(panel, features, (rows[0], rows[-1]), env_config,
+                         turbulence=turbulence, turbulence_threshold=threshold)
         scores = {kind: validate_agent(agents[kind], env)
                   for kind in AGENT_KINDS}
         previous = agents
@@ -195,9 +183,9 @@ def run_trading(panel: PricePanel, features: FeaturePanel,
     runs = {name: ([], [], [], []) for name in pickers}
     carried = dict.fromkeys(pickers, (None, None))
     for w in windows:
-        env = TradingEnv(panel, features,
-                         _interval_indices(panel, w.triple.trade),
-                         env_config, turbulence=turbulence,
+        rows = w.triple.trade.rows
+        env = TradingEnv(panel, features, (rows[0], rows[-1]), env_config,
+                         turbulence=turbulence,
                          turbulence_threshold=w.threshold)
         for name, picker in pickers.items():
             picks, dates, values, trades = runs[name]

@@ -33,7 +33,7 @@ class EquityCurve:
 
 
 def daily_returns(values: np.ndarray) -> np.ndarray:
-    """Simple return from each equity value to the next."""
+    """Simple return from each value (or row of values) to the next."""
     return values[1:] / values[:-1] - 1.0
 
 
@@ -119,13 +119,9 @@ def run_min_variance_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
     Fractional shares are allowed; at each rebalance date the covariance is
     estimated from the trailing `lookback` daily returns.
     """
-    start = plan[0].trade.start
-    end = plan[-1].trade.end
-    idx = panel.date_slice(start, end)
-    if not idx:
-        raise InsufficientData(needed="trade dates", available=0)
+    idx = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
     prices = panel.adj_close
-    rets = prices[1:] / prices[:-1] - 1.0
+    rets = daily_returns(prices)
 
     values = []
     dates = []
@@ -160,11 +156,7 @@ def run_index_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
     """Buy-and-hold index: either the provided index level of each trade
     date, in calendar order (one level per trade date), or a price-weighted
     proxy built from the panel."""
-    start = plan[0].trade.start
-    end = plan[-1].trade.end
-    idx = panel.date_slice(start, end)
-    if not idx:
-        raise InsufficientData(needed="trade dates", available=0)
+    idx = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
     dates = [panel.calendar[t] for t in idx]
     if index_levels is not None:
         levels = np.array(index_levels, dtype=float)

@@ -244,12 +244,11 @@ def load_bars(source, schema: dict[str, str] | None = None,
 
 @dataclass(frozen=True)
 class DateInterval:
+    """Calendar bounds and `rows`, the panel indices of the dates within
+    them."""
     start: dt.date
     end: dt.date
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"interval start {self.start} after end {self.end}")
+    rows: range
 
 
 @dataclass(frozen=True)
@@ -286,8 +285,9 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     The first validation interval is the `validation_months` calendar months
     ending with `in_sample_end`'s month; training covers everything before
     it. Successive triples roll forward by `trade_months`, training always
-    starting at the panel start. The final trade interval is kept even if
-    the panel ends mid-quarter.
+    starting at the panel start. Every interval holds 2+ panel dates, or
+    `InsufficientData` names it. The final trade interval is cut at the
+    panel's end, and is not planned if it holds only the panel's last date.
     """
     first = panel.calendar[0]
     last = panel.calendar[-1]
@@ -297,9 +297,14 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
             needed=f"history before {val_start0}, where [windows] "
                    f"in_sample_end = {in_sample_end} starts validation",
             available=f"data from {first}")
-    if last <= in_sample_end:
-        raise InsufficientData(
-            needed=f"trade dates after {in_sample_end}", available=str(last))
+
+    def interval(k: int, role: str, start: dt.date, end: dt.date):
+        rows = panel.date_slice(start, end)
+        if len(rows) < 2:
+            raise InsufficientData(needed=f"2+ dates in window {k}'s {role} "
+                                          f"interval {start} to {end}",
+                                   available=len(rows))
+        return DateInterval(start, end, rows)
 
     triples = []
     k = 0
@@ -307,20 +312,21 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
         val_start = add_months(val_start0, k * trade_months)
         val_end = month_end(add_months(val_start, validation_months - 1))
         trade_start = val_end + dt.timedelta(days=1)
-        trade_end = month_end(add_months(trade_start, trade_months - 1))
-        if trade_start > last:
-            break
-        trade_end = min(trade_end, last)
-        if not panel.date_slice(trade_start, trade_end):
+        trade_end = min(month_end(add_months(trade_start, trade_months - 1)),
+                        last)
+        if trade_end == last and len(panel.date_slice(trade_start, last)) < 2:
             break
         triples.append(WindowTriple(
             index=k,
-            train=DateInterval(first, val_start - dt.timedelta(days=1)),
-            validation=DateInterval(val_start, val_end),
-            trade=DateInterval(trade_start, trade_end),
+            train=interval(k, "train", first,
+                           val_start - dt.timedelta(days=1)),
+            validation=interval(k, "validation", val_start, val_end),
+            trade=interval(k, "trade", trade_start, trade_end),
         ))
         k += 1
     if not triples:
-        raise InsufficientData(needed="at least one trade interval",
-                               available=str(last))
+        raise InsufficientData(
+            needed=f"2+ trade dates after the month of [windows] "
+                   f"in_sample_end = {in_sample_end}",
+            available=f"data to {last}")
     return tuple(triples)

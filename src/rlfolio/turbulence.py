@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputInvalid, InsufficientData, SingularCovariance
+from .evaluation import daily_returns
 from .market_data import PricePanel
 
 __all__ = ["DEFAULT_LOOKBACK", "DEFAULT_QUANTILE", "DEFAULT_RIDGE_SCALE",
-           "calibrate_threshold", "default_ridge", "panel_returns",
-           "rolling_turbulence"]
+           "calibrate_threshold", "default_ridge", "rolling_turbulence"]
 
 DEFAULT_LOOKBACK = 252
 DEFAULT_QUANTILE = 0.99
@@ -22,13 +22,6 @@ SOLVE_BLOCK = 64
 def default_ridge(sigma: np.ndarray) -> float:
     d = sigma.shape[0]
     return DEFAULT_RIDGE_SCALE * float(np.trace(sigma)) / d
-
-
-def panel_returns(panel: PricePanel) -> np.ndarray:
-    """Simple daily returns of adj_close; shape (T-1, D), row t is the
-    return from calendar date t to t+1."""
-    p = panel.adj_close
-    return p[1:] / p[:-1] - 1.0
 
 
 def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
@@ -47,7 +40,7 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
         raise InputInvalid(f"[turbulence] lookback must be at least D + 1 = "
                            f"{panel.D + 1} for D = {panel.D} assets, got "
                            f"{lookback}")
-    rets = panel_returns(panel)
+    rets = daily_returns(panel.adj_close)
     if not np.all(np.isfinite(rets)):
         raise InputInvalid("non-finite return vector")
     values = np.zeros(panel.T)

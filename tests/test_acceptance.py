@@ -21,11 +21,11 @@ from rlfolio.cli import main as cli_main
 from rlfolio.ensemble import (WindowResult, pick_best, run_trading,
                               train_and_validate)
 from rlfolio.env import EnvConfig, EnvState, TradingEnv, plan_trades
-from rlfolio.evaluation import (cumulative_return, max_drawdown,
-                                min_variance_weights,
+from rlfolio.evaluation import (cumulative_return, daily_returns,
+                                max_drawdown, min_variance_weights,
                                 run_min_variance_baseline)
 from rlfolio.market_data import build_window_plan
-from rlfolio.turbulence import panel_returns, rolling_turbulence
+from rlfolio.turbulence import rolling_turbulence
 from rlfolio.indicators import build_features
 
 import oracles
@@ -125,7 +125,7 @@ def test_criterion_04_turbulence():
     for seed in range(30):
         panel = make_panel(D=5, T=60, seed=seed)
         series = rolling_turbulence(panel, lookback=50)
-        rets = panel_returns(panel)
+        rets = daily_returns(panel.adj_close)
         for t in range(51, panel.T):
             assert series[t] == window_turbulence(rets, t, 50)
 

@@ -371,7 +371,7 @@ class TestBoundedMemory:
 class TestBanditLearning:
     """Each learner should discover the positive arm of a trivial bandit.
 
-    The bandit's observation is constant and `act(..., "deterministic")`
+    The bandit's observation is constant and the deterministic `act`
     answers it the same way every time, so a ">= 95% of 200 queries pick
     the positive arm" accuracy check is one sign test of one answer. The
     training budgets, seeds and configs are those that check ran with."""

@@ -20,7 +20,7 @@ from rlfolio.errors import GradInvalid, InputInvalid
 from rlfolio.indicators import IndicatorConfig
 from rlfolio.market_data import DEFAULT_SCHEMA
 
-from helpers import make_panel, panel_to_csv
+from helpers import make_panel, panel_to_csv, trading_calendar
 from param_hashes import BUNDLE_FILES
 
 CONFIG_TEMPLATE = """\
@@ -130,12 +130,20 @@ min_variance_lookback = 30
 """
 
 
+def write_bars(tmp_path, keep):
+    """The data of `data_csv` with only the dates `keep` accepts (as ISO
+    strings), written to a file in `tmp_path`."""
+    panel = make_panel(D=2, T=600, seed=12, start=dt.date(2017, 1, 1))
+    header, *lines = panel_to_csv(panel).splitlines(keepends=True)
+    path = tmp_path / "bars.csv"
+    path.write_text(header + "".join(line for line in lines
+                                     if keep(line[:10])))
+    return path
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "bars.csv"
-    panel = make_panel(D=2, T=600, seed=12, start=dt.date(2017, 1, 1))
-    path.write_text(panel_to_csv(panel))
-    return path
+    return write_bars(tmp_path_factory.mktemp("data"), lambda day: True)
 
 
 def write_config(tmp_path, data_csv, name="run"):
@@ -498,6 +506,19 @@ class TestBacktestUserErrors:
                 "in_sample_end = 2017-01-31 starts validation, available "
                 "data from 2017-01-02") in result.stderr
 
+    def test_empty_trade_quarter_exits_2(self, tmp_path):
+        # the data skip October-December 2018 but run on to 2019-04-19: the
+        # plan cannot trade that quarter, and nothing is written
+        data_csv = write_bars(tmp_path, lambda day: not (
+            "2018-10-01" <= day <= "2018-12-31"))
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert ("error: needed 2+ dates in window 1's trade interval "
+                "2018-10-01 to 2018-12-31, available 0") in result.stderr
+        assert not (out_dir / "config_snapshot.ini").exists()
+
     def test_negative_seed_exits_2(self, data_csv, tmp_path):
         cfg_path, _ = write_config(tmp_path, data_csv)
         result = CliRunner().invoke(main, ["backtest", "--config",
@@ -512,11 +533,8 @@ class TestExitCodes:
     def test_two_date_validation_quarter_falls_back(self, tmp_path):
         # of the first validation quarter, April-June 2018, only 2018-06-28
         # and 2018-06-29 remain: one daily return, so no Sharpe ratio
-        panel = make_panel(D=2, T=600, seed=12, start=dt.date(2017, 1, 1))
-        data_csv = tmp_path / "bars.csv"
-        data_csv.write_text("".join(
-            line for line in panel_to_csv(panel).splitlines(keepends=True)
-            if not "2018-04-01" <= line[:10] <= "2018-06-27"))
+        data_csv = write_bars(tmp_path, lambda day: not (
+            "2018-04-01" <= day <= "2018-06-27"))
         cfg_path, out_dir = write_config(tmp_path, data_csv)
         result = CliRunner().invoke(main, ["backtest", "--config",
                                            str(cfg_path)])
@@ -528,6 +546,23 @@ class TestExitCodes:
         assert [first[f"sharpe_{k.lower()}"] for k in AGENT_KINDS] == \
             ["", "", ""]
         assert first["picked"] == "PPO"
+
+    def test_one_date_final_trade_quarter_is_not_planned(self, tmp_path):
+        # the data end on 2018-10-01, the first trading date of a quarter:
+        # one date is not a trade quarter, so trading ends in September
+        data_csv = write_bars(tmp_path, lambda day: day <= "2018-10-01")
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert all((out_dir / name).is_file() for name in BUNDLE_FILES)
+        with open(out_dir / "trace.csv", newline="") as fh:
+            *_, last = csv.DictReader(fh)
+        assert (last["trade_start"], last["trade_end"]) == (
+            "2018-07-01", "2018-09-30")
+        with open(out_dir / "equity_ensemble.csv", newline="") as fh:
+            *_, final = csv.DictReader(fh)
+        assert final["date"] == "2018-09-28"
 
     def test_min_variance_lookback_at_lower_bound(self, data_csv, tmp_path):
         interval = interval_of(RunConfig, "min_variance_lookback")
@@ -598,6 +633,32 @@ class TestReportUserErrors:
         assert "error:" in result.stderr
         assert "equity_ppo.csv" in result.stderr
 
+    @pytest.mark.parametrize("value", ["0.0", "-1.0", "nan", "inf"])
+    def test_bad_first_equity_value_exits_2(self, tmp_path, run_dir, value):
+        # equity values are positive and finite, as `EquityCurve` writes
+        # them; 0.0 first would divide every cumulative return by zero
+        for name in ("comparison.csv", "equity_ppo.csv"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        path = tmp_path / "equity_ppo.csv"
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(header + f"{first.split(',')[0]},{value}\n"
+                        + "".join(rest))
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert (f"error: {path}: equity values must be positive and "
+                "finite") in result.stderr
+
+    def test_short_comparison_row_exits_2(self, tmp_path, run_dir):
+        path = tmp_path / "comparison.csv"
+        text = (run_dir / "comparison.csv").read_text()
+        header, first, *rest = text.splitlines(keepends=True)
+        path.write_text(header + first.rsplit(",", 1)[0] + "\n"
+                        + "".join(rest))
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path} line 2 has 5 cells, its header 6" in \
+            result.stderr
+
 
 # (text in CONFIG_TEMPLATE, its replacement, a word the error must name)
 BAD_CONFIGS = {
@@ -665,6 +726,16 @@ BAD_CONFIGS = {
 }
 
 
+def index_from_first_trade_date(first_level: str) -> str:
+    """An index file with a level on each weekday from 2018-07-02, the
+    first trade date of `CONFIG_TEMPLATE`, past the end of `data_csv`: the
+    first is `first_level`, the others 100.0."""
+    days = trading_calendar(dt.date(2018, 7, 2), 300)
+    return "date,value\n" + "".join(
+        f"{day.isoformat()},{first_level if t == 0 else '100.0'}\n"
+        for t, day in enumerate(days))
+
+
 class TestConfigUserErrors:
     """Every config error exits 2 with an `error:` line naming the cause."""
 
@@ -691,8 +762,13 @@ class TestConfigUserErrors:
         # well formed, but ends before the first trade date
         ("date,value\n2017-01-02,100.0\n2017-01-03,101.0\n",
          "has no value for trade date 2018-07-02"),
+        # a level on every trade date, the first not positive and finite
+        *((index_from_first_trade_date(level),
+           f"line 2: level {float(level)} is not positive and finite")
+          for level in ("nan", "0", "-5", "inf")),
     ], ids=["missing_column", "bad_row", "bad_row_after_blank_lines",
-            "index_lacks_a_trade_date"])
+            "index_lacks_a_trade_date", "level_nan", "level_zero",
+            "level_negative", "level_inf"])
     def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv,
                                     named):
         index_path = tmp_path / "index.csv"

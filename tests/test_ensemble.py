@@ -97,7 +97,7 @@ class TestWindowThreshold:
     def test_pre_trade_only(self):
         panel, _, turbulence, plan = make_setup()
         triple = plan[0]
-        thr = window_threshold(turbulence, panel, triple, 0.99)
+        thr = window_threshold(turbulence, triple, 0.99)
         start_idx = panel.date_slice(triple.trade.start,
                                      triple.trade.end).start
         pre = turbulence[:start_idx]
@@ -107,12 +107,12 @@ class TestWindowThreshold:
     def test_no_defined_history_is_inf(self):
         panel, _, _, plan = make_setup()
         zeros = np.zeros(panel.T)
-        assert window_threshold(zeros, panel, plan[0], 0.99) == np.inf
+        assert window_threshold(zeros, plan[0], 0.99) == np.inf
 
     def test_threshold_grows_with_quantile(self):
         panel, _, turbulence, plan = make_setup()
-        t90 = window_threshold(turbulence, panel, plan[0], 0.90)
-        t99 = window_threshold(turbulence, panel, plan[0], 0.99)
+        t90 = window_threshold(turbulence, plan[0], 0.90)
+        t99 = window_threshold(turbulence, plan[0], 0.99)
         assert t90 <= t99
 
 

@@ -123,6 +123,26 @@ def test_every_public_name_is_referenced():
     assert unreferenced(package_trees(), ALLOWED_UNREFERENCED) == {}
 
 
+def readers_of(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """The modules of `trees` that read `name` (see `references`)."""
+    return sorted(module for module, tree in trees.items()
+                  if name in references(tree))
+
+
+def test_date_slice_readers_are_caught():
+    trees = {"a.py": ast.parse("rows = panel.date_slice(start, end)\n"),
+             "b.py": ast.parse("lookup = panel.date_slice\n"),
+             "c.py": ast.parse("def date_slice(start, end): pass\n"
+                               "date_slices = panel.rows\n")}
+    assert readers_of(trees, "date_slice") == ["a.py", "b.py"]
+
+
+def test_only_the_window_plan_turns_dates_into_rows():
+    # `build_window_plan` resolves each interval's `rows` once; every other
+    # module reads those rows instead of looking the dates up again
+    assert readers_of(package_trees(), "date_slice") == ["market_data.py"]
+
+
 # The only `except` clauses that may name a package error, by module and
 # enclosing function: the CLI's exit-code boundary, and the config reader,
 # which re-raises a field's error under its INI key. Anywhere else an

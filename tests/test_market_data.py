@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from rlfolio.errors import (InputEmpty, InsufficientData,
                             RejectionRateExceeded, RlfolioError)
-from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, add_months,
-                                 build_window_plan, load_bars, month_end)
+from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, PricePanel,
+                                 add_months, build_window_plan, load_bars,
+                                 month_end)
 
 import oracles
 from helpers import csv_stream, make_panel, panel_to_csv
@@ -255,6 +256,13 @@ class TestLoadBarsOracle:
         assert report.incomplete_tickers == lacking
 
 
+def keep_dates(panel: PricePanel, keep) -> PricePanel:
+    """`panel` restricted to the dates `keep` accepts."""
+    rows = [t for t, d in enumerate(panel.calendar) if keep(d)]
+    return PricePanel(list(panel.assets), [panel.calendar[t] for t in rows],
+                      {f: panel.field(f)[rows] for f in BAR_FIELDS})
+
+
 class TestWindowPlan:
     def test_paper_dates(self):
         panel = make_panel(D=2, T=2980, seed=0, start=dt.date(2009, 1, 1))
@@ -295,6 +303,52 @@ class TestWindowPlan:
         # trade intervals tile without overlap
         for a, b in zip(plan[:-1], plan[1:]):
             assert b.trade.start == a.trade.end + dt.timedelta(days=1)
+
+    @pytest.mark.parametrize("T, start, in_sample_end", [
+        (2980, dt.date(2009, 1, 1), dt.date(2015, 12, 31)),
+        (420, dt.date(2019, 1, 1), dt.date(2019, 12, 31)),
+        (800, dt.date(2017, 1, 1), dt.date(2018, 12, 31)),
+    ])
+    def test_rows_are_each_intervals_dates(self, T, start, in_sample_end):
+        panel = make_panel(D=2, T=T, seed=0, start=start)
+        plan = build_window_plan(panel, in_sample_end, 3, 3)
+        for triple in plan:
+            for interval in (triple.train, triple.validation, triple.trade):
+                assert interval.rows == panel.date_slice(interval.start,
+                                                         interval.end)
+                assert len(interval.rows) >= 2
+        # the trade rows tile the out-of-sample span
+        for a, b in zip(plan[:-1], plan[1:]):
+            assert b.trade.rows.start == a.trade.rows.stop
+        assert plan[-1].trade.rows.stop == panel.T
+
+    @pytest.mark.parametrize("last, trade_ends", [
+        # the data end on the first trading date of a quarter: one date is
+        # not a trade quarter
+        (dt.date(2018, 10, 1), [dt.date(2018, 9, 30)]),
+        (dt.date(2018, 10, 2), [dt.date(2018, 9, 30), dt.date(2018, 10, 2)]),
+    ])
+    def test_final_trade_quarter_needs_two_dates(self, last, trade_ends):
+        panel = keep_dates(make_panel(D=2, T=600, start=dt.date(2017, 1, 1)),
+                           lambda d: d <= last)
+        plan = build_window_plan(panel, dt.date(2018, 6, 30), 3, 3)
+        assert [t.trade.end for t in plan] == trade_ends
+
+    @pytest.mark.parametrize("dropped, message", [
+        # a trade quarter with no dates inside the data
+        ((dt.date(2018, 10, 1), dt.date(2018, 12, 31)),
+         "needed 2+ dates in window 1's trade interval 2018-10-01 to "
+         "2018-12-31, available 0"),
+        # the first validation quarter keeps only 2018-06-29
+        ((dt.date(2018, 4, 1), dt.date(2018, 6, 28)),
+         "needed 2+ dates in window 0's validation interval 2018-04-01 to "
+         "2018-06-30, available 1"),
+    ], ids=["empty_trade_quarter", "one_date_validation_quarter"])
+    def test_short_interval_raises(self, dropped, message):
+        panel = keep_dates(make_panel(D=2, T=600, start=dt.date(2017, 1, 1)),
+                           lambda d: not dropped[0] <= d <= dropped[1])
+        with pytest.raises(InsufficientData, match=re.escape(message)):
+            build_window_plan(panel, dt.date(2018, 6, 30), 3, 3)
 
 
 def test_month_helpers():

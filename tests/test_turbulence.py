@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlfolio.errors import InputInvalid, InsufficientData
+from rlfolio.evaluation import daily_returns
 from rlfolio.market_data import BAR_FIELDS, PricePanel
-from rlfolio.turbulence import (calibrate_threshold, panel_returns,
-                                rolling_turbulence)
+from rlfolio.turbulence import calibrate_threshold, rolling_turbulence
 
 from helpers import make_panel, trading_calendar, window_turbulence
 
@@ -54,7 +54,7 @@ class TestTurbulenceIndex:
         lookback = 50
         panel = make_panel(D=5, T=80, seed=seed)
         series = rolling_turbulence(panel, lookback=lookback)
-        rets = panel_returns(panel)
+        rets = daily_returns(panel.adj_close)
         for t in range(lookback + 1, panel.T):
             assert series[t] == window_turbulence(rets, t, lookback)
 
@@ -75,7 +75,7 @@ class TestTurbulenceIndex:
     def test_affine_invariance(self):
         # scaling every return by c scales the window's mean by c and its
         # covariance (and so the trace-scaled ridge) by c^2
-        rets = panel_returns(make_panel(D=5, T=120, seed=4))
+        rets = daily_returns(make_panel(D=5, T=120, seed=4).adj_close)
         c = 3.7
         base = rolling_turbulence(panel_from_returns(rets), lookback=50)
         scaled = rolling_turbulence(panel_from_returns(c * rets), lookback=50)
@@ -109,7 +109,7 @@ class TestRollingTurbulence:
         for D, lookback, T in [(3, 8, 40), (8, 252, 300), (30, 252, 300)]:
             panel = make_panel(D=D, T=T, seed=5)
             series = rolling_turbulence(panel, lookback=lookback)
-            rets = panel_returns(panel)
+            rets = daily_returns(panel.adj_close)
             for t in range(lookback + 1, panel.T):
                 assert series[t] == window_turbulence(rets, t, lookback)
 
