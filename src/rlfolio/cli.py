@@ -43,9 +43,9 @@ def _load_panel(cfg: RunConfig):
                      delimiter=cfg.delimiter)
 
 
-def _load_index_levels(path: str, dates) -> list[float]:
-    """The index file's level on each of `dates`, in order; each must have
-    one."""
+def _load_index_levels(path: str, days: list[str]) -> list[float]:
+    """The index file's level on each of `days` (ISO dates), in order; each
+    must have one."""
     series = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -62,9 +62,9 @@ def _load_index_levels(path: str, dates) -> list[float]:
             except (TypeError, ValueError) as exc:
                 raise InputInvalid(f"index file {path} line "
                                    f"{reader.line_num}: {exc}") from exc
-            series[day] = level
+            series[day.isoformat()] = level
     try:
-        return [series[d] for d in dates]
+        return [series[d] for d in days]
     except KeyError as exc:
         raise InputInvalid(f"index file {path} has no value for trade date "
                            f"{exc.args[0]}") from None
@@ -123,10 +123,12 @@ def ingest(config_path, out):
                f"(missing for: {lacking})")
 
 
-def _write_strategy(out_dir: Path, name: str, curve: EquityCurve,
-                    trades=None) -> None:
+def _write_strategy(out_dir: Path, name: str, days: list[str],
+                    curve: EquityCurve, trades=None) -> None:
+    """The curve's value on each of `days` (ISO dates), one to one, and any
+    trade rows."""
     _write_csv(out_dir / f"equity_{name}.csv", ["date", "value"],
-               zip([d.isoformat() for d in curve.dates], curve.values.tolist()))
+               zip(days, curve.values.tolist(), strict=True))
     if trades is not None:
         _write_csv(out_dir / f"trades_{name}.csv", ens.TRADE_COLUMNS, trades)
 
@@ -143,10 +145,11 @@ def backtest(config_path, seed, out):
     panel, _ = _load_panel(cfg)
     plan = build_window_plan(panel, cfg.in_sample_end,
                              cfg.validation_months, cfg.trade_months)
+    trade_rows = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
+    days = [panel.calendar[t].isoformat() for t in trade_rows]
     index_levels = None
     if cfg.index_path:  # a bad index file fails before any quarter trains
-        index_levels = _load_index_levels(cfg.index_path, panel.calendar[
-            plan[0].trade.rows.start:plan[-1].trade.rows.stop])
+        index_levels = _load_index_levels(cfg.index_path, days)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
@@ -167,7 +170,7 @@ def backtest(config_path, seed, out):
     strategies: dict[str, EquityCurve] = {}
     for name, result in results.items():
         strategies[name] = result.curve
-        _write_strategy(out_dir, name, result.curve, result.trades)
+        _write_strategy(out_dir, name, days, result.curve, result.trades)
     _write_csv(out_dir / "trace.csv",
                ["window", "validation_start", "validation_end",
                 "trade_start", "trade_end",
@@ -183,12 +186,12 @@ def backtest(config_path, seed, out):
                 for w, picked in zip(windows, results["ensemble"].picks)])
 
     strategies["min_variance"] = run_min_variance_baseline(
-        panel, plan, cfg.env.initial_balance, cfg.min_variance_lookback,
+        panel, trade_rows, cfg.env.initial_balance, cfg.min_variance_lookback,
         cfg.env.fee_rate)
-    _write_strategy(out_dir, "min_variance", strategies["min_variance"])
     strategies["index"] = run_index_baseline(
-        panel, plan, cfg.env.initial_balance, index_levels)
-    _write_strategy(out_dir, "index", strategies["index"])
+        panel, trade_rows, cfg.env.initial_balance, index_levels)
+    for name in ("min_variance", "index"):
+        _write_strategy(out_dir, name, days, strategies[name])
 
     _write_csv(out_dir / "comparison.csv", ["strategy", *METRIC_NAMES],
                [[name, *metrics_report(curve.values)]

@@ -7,7 +7,6 @@ next quarter. Portfolio state carries across quarters.
 """
 from __future__ import annotations
 
-import datetime as dt
 import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
 from .errors import NoScores
 from .evaluation import EquityCurve, daily_returns, sharpe
-from .indicators import FeaturePanel
 from .market_data import PricePanel, WindowTriple
 from .turbulence import calibrate_threshold
 
@@ -31,26 +29,26 @@ TRADE_COLUMNS = ("date", "asset", "side", "shares", "price")
 
 @dataclass(frozen=True)
 class Rollout:
-    """One deterministic pass over an env window: an equity point and a date
-    per window date, the final state, and each step's sell and buy shares
-    with the price row it traded at."""
+    """One deterministic pass over an env window: an equity point per window
+    date, the final state, and each step's sell and buy shares. Step i
+    traded at panel row `env.start + i`."""
     values: np.ndarray
-    dates: list[dt.date]
     final: EnvState
-    assets: tuple[str, ...]
+    env: TradingEnv
     sells: list[np.ndarray]
     buys: list[np.ndarray]
-    prices: list[np.ndarray]
 
     def trades(self) -> list[tuple]:
         """Every nonzero trade as a `TRADE_COLUMNS` row of Python values (ISO
         date, asset, side, int shares, float price): by date, sells before
-        buys, then by asset."""
+        buys, then by asset. Date, asset and price are read from the panel
+        row each step traded at."""
+        panel, start = self.env.panel, self.env.start
         shares = np.stack([self.sells, self.buys], axis=1)  # step, side, asset
         steps, sides, assets = np.nonzero(shares)
-        prices = np.array(self.prices)[steps, assets]
-        days = [d.isoformat() for d in self.dates]
-        return [(days[t], self.assets[d], SIDES[k], n, p)
+        prices = panel.adj_close[steps + start, assets]
+        days = [d.isoformat() for d in panel.calendar[start:self.env.end]]
+        return [(days[t], panel.assets[d], SIDES[k], n, p)
                 for t, k, d, n, p in zip(
                     steps.tolist(), sides.tolist(), assets.tolist(),
                     shares[steps, sides, assets].tolist(), prices.tolist())]
@@ -91,25 +89,18 @@ def run_deterministic(agent: Agent, env: TradingEnv,
                       balance: float | None = None,
                       holdings: np.ndarray | None = None) -> Rollout:
     """Roll the agent's deterministic policy through the env window. Trade
-    rows are built only on request (`Rollout.trades`), from the share and
-    price rows kept per step."""
+    rows are built only on request (`Rollout.trades`), from the share rows
+    kept per step."""
     env.reset(balance=balance, holdings=holdings)
-    calendar = env.panel.calendar
     values = [env.state.portfolio_value]
-    dates = [calendar[env.state.t]]
-    sells, buys, prices = [], [], []
+    sells, buys = [], []
     while not env.state.done:
-        state = env.state
-        action = agent.act(env.observe())
-        result = env.step_state(state, action)
+        result = env.step_state(env.state, agent.act(env.observe()))
         sells.append(result.plan.sell_shares)
         buys.append(result.plan.buy_shares)
-        prices.append(state.prices)
         env.state = result.next_state
         values.append(env.state.portfolio_value)
-        dates.append(calendar[env.state.t])
-    return Rollout(np.array(values), dates, env.state, env.panel.assets,
-                   sells, buys, prices)
+    return Rollout(np.array(values), env.state, env, sells, buys)
 
 
 def validate_agent(agent: Agent, env: TradingEnv) -> float | None:
@@ -130,7 +121,7 @@ def window_threshold(turbulence: np.ndarray, triple: WindowTriple,
     return calibrate_threshold(defined, quantile)
 
 
-def train_and_validate(panel: PricePanel, features: FeaturePanel,
+def train_and_validate(panel: PricePanel, features: np.ndarray,
                        turbulence: np.ndarray, plan: Iterable[WindowTriple],
                        env_config: EnvConfig,
                        agent_configs: dict[str, AgentConfig],
@@ -170,7 +161,7 @@ def train_and_validate(panel: PricePanel, features: FeaturePanel,
     return results
 
 
-def run_trading(panel: PricePanel, features: FeaturePanel,
+def run_trading(panel: PricePanel, features: np.ndarray,
                 turbulence: np.ndarray, windows: Iterable[WindowResult],
                 env_config: EnvConfig,
                 pickers: dict[str, Callable[[dict[str, float | None]], str]]
@@ -179,8 +170,8 @@ def run_trading(panel: PricePanel, features: FeaturePanel,
     windows once: each quarter's trade env is built once and every strategy
     rolls its picked agent through it, carrying its own balance and
     holdings across quarter boundaries."""
-    # per strategy: picks, dates, values and trades; balance and holdings
-    runs = {name: ([], [], [], []) for name in pickers}
+    # per strategy: picks, values and trades; balance and holdings
+    runs = {name: ([], [], []) for name in pickers}
     carried = dict.fromkeys(pickers, (None, None))
     for w in windows:
         rows = w.triple.trade.rows
@@ -188,15 +179,12 @@ def run_trading(panel: PricePanel, features: FeaturePanel,
                          turbulence=turbulence,
                          turbulence_threshold=w.threshold)
         for name, picker in pickers.items():
-            picks, dates, values, trades = runs[name]
+            picks, values, trades = runs[name]
             picks.append(picker(w.scores))
             rollout = run_deterministic(w.agents[picks[-1]], env,
                                         *carried[name])
-            dates.extend(rollout.dates)
             values.extend(rollout.values)
             trades.extend(rollout.trades())
             carried[name] = rollout.final.balance, rollout.final.holdings
-    return {name: StrategyResult(picks, EquityCurve(dates=tuple(dates),
-                                                    values=np.array(values)),
-                                 trades)
-            for name, (picks, dates, values, trades) in runs.items()}
+    return {name: StrategyResult(picks, EquityCurve(np.array(values)), trades)
+            for name, (picks, values, trades) in runs.items()}

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EpisodeFinished, InsufficientData
-from .indicators import FeaturePanel
 from .market_data import PricePanel
 from .settings import check_settings, setting
 
@@ -54,7 +53,7 @@ class EnvState:
     balance: float
     holdings: np.ndarray  # int64, non-negative
     prices: np.ndarray  # positive, adj close at t (read-only panel row)
-    features: np.ndarray | None = None  # feature row at t (FeaturePanel.block)
+    features: np.ndarray | None = None  # feature row at t (`build_features`)
     turbulence: float = 0.0
     done: bool = False
     portfolio_value: float = field(init=False, repr=False, compare=False)
@@ -144,7 +143,7 @@ class TradingEnv:
     nothing after the window is reachable and every read is logged.
     """
 
-    def __init__(self, panel: PricePanel, features: FeaturePanel,
+    def __init__(self, panel: PricePanel, features: np.ndarray,
                  window: tuple[int, int], config: EnvConfig = EnvConfig(),
                  turbulence: np.ndarray | None = None,
                  turbulence_threshold: float = np.inf):
@@ -161,7 +160,7 @@ class TradingEnv:
         self.state: EnvState | None = None
         stop = self.end + 1
         self._prices = panel.adj_close[:stop]
-        self._features = features.block[:stop]
+        self._features = features[:stop]
         self._turbulence = (np.zeros(stop) if turbulence is None
                             else turbulence[:stop])
         sc = config.obs_scaling

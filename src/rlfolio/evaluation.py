@@ -5,16 +5,17 @@ sample (ddof=1) standard deviation, geometric annualization of returns.
 """
 from __future__ import annotations
 
-import datetime as dt
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputEmpty, InsufficientData, SingularCovariance
-from .market_data import PricePanel, WindowTriple
+from .market_data import PricePanel
 
 PERIODS_PER_YEAR = 252
+# added to the min-variance covariance's diagonal so its solve succeeds
+MIN_VARIANCE_RIDGE = 1e-10
 # the columns of a `comparison.csv` row after the strategy name
 METRIC_NAMES = ("cumulative_return", "annual_return", "annual_volatility",
                 "sharpe", "max_drawdown")
@@ -22,12 +23,10 @@ METRIC_NAMES = ("cumulative_return", "annual_return", "annual_volatility",
 
 @dataclass(frozen=True)
 class EquityCurve:
-    dates: tuple[dt.date, ...]
+    """A strategy's portfolio value on each date of the trade period."""
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) != len(self.values):
-            raise ValueError("dates/values length mismatch")
         if not np.all(np.isfinite(self.values) & np.greater(self.values, 0)):
             raise ValueError("equity values must be positive and finite")
 
@@ -108,27 +107,25 @@ def min_variance_weights(cov: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return w
 
 
-def run_min_variance_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
+def run_min_variance_baseline(panel: PricePanel, rows: range,
                               initial_balance: float = 1_000_000.0,
                               lookback: int = PERIODS_PER_YEAR,
-                              fee_rate: float = 0.001,
-                              ridge: float = 1e-10) -> EquityCurve:
-    """Monthly-rebalanced min-variance portfolio over the out-of-sample
-    (trade) period, with the same proportional cost model as the agents.
+                              fee_rate: float = 0.001) -> EquityCurve:
+    """Monthly-rebalanced min-variance portfolio over the panel `rows` of the
+    out-of-sample (trade) period, with the same proportional cost model as
+    the agents.
 
     Fractional shares are allowed; at each rebalance date the covariance is
     estimated from the trailing `lookback` daily returns.
     """
-    idx = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
     prices = panel.adj_close
     rets = daily_returns(prices)
 
     values = []
-    dates = []
     shares = None
     cash = initial_balance
     current_month = None
-    for t in idx:
+    for t in rows:
         p = prices[t]
         if shares is None:
             value = cash
@@ -139,31 +136,28 @@ def run_min_variance_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
             current_month = month
             window = rets[t - lookback:t]
             cov = np.cov(window, rowvar=False, bias=False)
-            w = min_variance_weights(cov, ridge=ridge)
+            w = min_variance_weights(cov, ridge=MIN_VARIANCE_RIDGE)
             held = shares * p if shares is not None else np.zeros(panel.D)
             turnover = float(np.abs(w * value - held).sum())
             value -= fee_rate * turnover
             shares = w * value / p
             cash = value - float(shares @ p)
         values.append(value)
-        dates.append(panel.calendar[t])
-    return EquityCurve(dates=tuple(dates), values=np.array(values))
+    return EquityCurve(np.array(values))
 
 
-def run_index_baseline(panel: PricePanel, plan: Sequence[WindowTriple],
+def run_index_baseline(panel: PricePanel, rows: range,
                        initial_balance: float = 1_000_000.0,
                        index_levels: Sequence[float] | None = None) -> EquityCurve:
-    """Buy-and-hold index: either the provided index level of each trade
-    date, in calendar order (one level per trade date), or a price-weighted
-    proxy built from the panel."""
-    idx = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
-    dates = [panel.calendar[t] for t in idx]
+    """Buy-and-hold index over the panel `rows` of the trade period: either
+    the provided index level of each of those dates, in calendar order, or
+    a price-weighted proxy built from the panel."""
     if index_levels is not None:
         levels = np.array(index_levels, dtype=float)
-        if len(levels) != len(dates):
-            raise InsufficientData(needed=f"{len(dates)} index levels",
+        if len(levels) != len(rows):
+            raise InsufficientData(needed=f"{len(rows)} index levels",
                                    available=len(levels))
     else:
-        levels = panel.adj_close[list(idx)].sum(axis=1)
+        levels = panel.adj_close[list(rows)].sum(axis=1)
     values = initial_balance * levels / levels[0]
-    return EquityCurve(dates=tuple(dates), values=values)
+    return EquityCurve(values)

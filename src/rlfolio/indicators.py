@@ -33,16 +33,6 @@ class IndicatorConfig:
             raise SettingInvalid("macd_fast", "must be below macd_slow")
 
 
-class FeaturePanel:
-    """The four indicators of a PricePanel as one T x 4D block, so one
-    date's features are one row: MACD of every asset, then RSI, CCI and
-    ADX. `macd`, `rsi`, `cci` and `adx` are T x D column views of it."""
-
-    def __init__(self, block: np.ndarray):
-        self.block = block
-        self.macd, self.rsi, self.cci, self.adx = np.hsplit(block, 4)
-
-
 def _check_series(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
@@ -159,8 +149,10 @@ def adx(high, low, close, period: int = 14) -> np.ndarray:
 
 
 def build_features(panel: PricePanel,
-                   config: IndicatorConfig = IndicatorConfig()) -> FeaturePanel:
-    """Compute all four indicator blocks, each in one call on the panel.
+                   config: IndicatorConfig = IndicatorConfig()) -> np.ndarray:
+    """The four indicators of the panel as one T x 4D block, so one date's
+    features are one row: MACD of every asset, then RSI, CCI and ADX. Each
+    indicator is computed in one call on the panel.
 
     Every input is on the adjusted basis: MACD and RSI run on the adjusted
     close (the trading price), and CCI and ADX also use high and low scaled
@@ -170,9 +162,9 @@ def build_features(panel: PricePanel,
     scale = adj / panel.field("close")
     high = panel.field("high") * scale
     low = panel.field("low") * scale
-    return FeaturePanel(np.hstack([
+    return np.hstack([
         macd(adj, config.macd_fast, config.macd_slow),
         rsi(adj, config.rsi_period),
         cci(high, low, adj, config.cci_period),
         adx(high, low, adj, config.adx_period),
-    ]))
+    ])

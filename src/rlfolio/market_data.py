@@ -44,7 +44,6 @@ class RejectedRow:
 @dataclass
 class LoadReport:
     total_rows: int
-    accepted_rows: int
     rejected: list[RejectedRow]
     # dates some ticker lacks, which the calendar intersection drops, and
     # the tickers that lack at least one of them
@@ -203,8 +202,7 @@ def load_bars(source, schema: dict[str, str] | None = None,
     rejected += map(RejectedRow, line[bad].tolist(),
                     [_FAULTS[f] for f in fault[bad].tolist()])
     rejected.sort(key=lambda r: r.line)
-    report = LoadReport(total_rows=total, accepted_rows=total - len(rejected),
-                        rejected=rejected)
+    report = LoadReport(total_rows=total, rejected=rejected)
     if report.rejection_rate > rejection_ceiling:
         raise RejectionRateExceeded(len(rejected), total, rejection_ceiling)
     keep = fault < 0

@@ -13,6 +13,7 @@ from .errors import GradInvalid, ShapeError
 
 LOG_STD_MIN = math.log(1e-3)
 LOG_STD_MAX = math.log(10.0)
+LOG_STD_INIT = math.log(0.5)  # a new policy's std is 0.5 on every action
 LOG_2PI = math.log(2.0 * math.pi)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -144,12 +145,11 @@ class GaussianPolicy:
     def __init__(self, obs_dim: int, action_dim: int,
                  hidden: tuple[int, ...] = (64, 64),
                  rng: np.random.Generator | None = None,
-                 log_std_init: float = math.log(0.5),
                  flat: np.ndarray | None = None):
         sizes = [obs_dim, *hidden, action_dim]
         if flat is None:
             flat = np.concatenate([Mlp(sizes, rng).flat,
-                                   np.full(action_dim, log_std_init,
+                                   np.full(action_dim, LOG_STD_INIT,
                                            dtype=np.float32)])
         self.flat = flat
         self.mean_net = Mlp(sizes, flat=flat[:-action_dim])

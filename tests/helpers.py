@@ -93,6 +93,12 @@ def panel_to_csv(panel: PricePanel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trade_rows(plan) -> range:
+    """The panel rows of a plan's whole trade period, first quarter to
+    last."""
+    return range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
+
+
 def window_turbulence(rets: np.ndarray, t: int, lookback: int,
                       ridge: float | None = None) -> float:
     """Date t's turbulence as `rolling_turbulence` defines it, from

@@ -283,12 +283,15 @@ class TradeRecord:
 
 def trades_oracle(rollout):
     """Every nonzero trade of a `Rollout` as a `TradeRecord`: by date, sells
-    before buys, then by asset. The reference for `Rollout.trades`, whose
-    rows hold the same values with the date in ISO form."""
+    before buys, then by asset. Step i of the rollout traded at panel row
+    `env.start + i`, which gives its date, asset names and prices. The
+    reference for `Rollout.trades`, whose rows hold the same values with
+    the date in ISO form."""
+    panel, start = rollout.env.panel, rollout.env.start
     shares = np.stack([rollout.sells, rollout.buys], axis=1)  # step, side, asset
     steps, sides, assets = np.nonzero(shares)
-    prices = np.array(rollout.prices)[steps, assets]
-    return [TradeRecord(rollout.dates[t], rollout.assets[d],
+    prices = panel.adj_close[start + steps, assets]
+    return [TradeRecord(panel.calendar[start + t], panel.assets[d],
                         ("sell", "buy")[k], n, p)
             for t, k, d, n, p in zip(
                 steps.tolist(), sides.tolist(), assets.tolist(),

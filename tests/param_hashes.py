@@ -12,7 +12,7 @@ trains on window (50, 250) with seed 8; the hash covers the second
 agent's `parameters()`. The `_D30` lines hash one agent of each kind
 trained at the paper's width, on window (50, 200) of a 30-asset panel
 with seed 7 and a 96-step budget. The set-up lines hash the six `load_bars` fields
-of a generated 8-asset CSV, and `build_features().block` and
+of a generated 8-asset CSV, and `build_features()` and
 `rolling_turbulence` of `make_panel` at D=8 and at D=30. The `bundle`
 line hashes the 13 deterministic files of an in-process `rlfolio
 backtest` of a 3-asset `make_panel` CSV (seed 12, tiny agents, four
@@ -99,7 +99,7 @@ def setup_hashes() -> dict[str, str]:
     hashes = {"load_bars": _digest(*(loaded.field(f) for f in BAR_FIELDS))}
     for D in (8, 30):
         panel = make_panel(D=D, T=600, seed=1)
-        hashes[f"build_features_D{D}"] = _digest(build_features(panel).block)
+        hashes[f"build_features_D{D}"] = _digest(build_features(panel))
         hashes[f"rolling_turbulence_D{D}"] = _digest(rolling_turbulence(panel))
     return hashes
 

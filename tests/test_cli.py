@@ -18,10 +18,10 @@ from rlfolio.ensemble import pick_best
 from rlfolio.env import EnvConfig, ObsScaling
 from rlfolio.errors import GradInvalid, InputInvalid
 from rlfolio.indicators import IndicatorConfig
-from rlfolio.market_data import DEFAULT_SCHEMA
+from rlfolio.market_data import DEFAULT_SCHEMA, build_window_plan
 
-from helpers import make_panel, panel_to_csv, trading_calendar
-from param_hashes import BUNDLE_FILES
+from helpers import make_panel, panel_to_csv, trade_rows, trading_calendar
+from param_hashes import BUNDLE_FILES, STRATEGIES
 
 CONFIG_TEMPLATE = """\
 [data]
@@ -394,6 +394,22 @@ class TestBacktestAndReport:
         strategies = {line.split(",")[0] for line in lines[1:]}
         assert strategies == {"ensemble", "ppo", "a2c", "ddpg",
                               "min_variance", "index"}
+
+    def test_equity_files_share_the_trade_calendar(self, run_dir):
+        # all six curves are written against one date column: the panel
+        # calendar over the plan's trade rows, strictly increasing
+        cfg = load_config(run_dir / "config_snapshot.ini")
+        panel, _ = cli._load_panel(cfg)
+        plan = build_window_plan(panel, cfg.in_sample_end,
+                                 cfg.validation_months, cfg.trade_months)
+        want = [panel.calendar[t] for t in trade_rows(plan)]
+        assert len(want) > 2 * len(plan)
+        assert all(a < b for a, b in zip(want, want[1:]))
+        for name in STRATEGIES:
+            with open(run_dir / f"equity_{name}.csv", newline="") as fh:
+                dates = [dt.date.fromisoformat(r["date"])
+                         for r in csv.DictReader(fh)]
+            assert dates == want, name
 
     def test_trace_has_one_row_per_quarter(self, run_dir):
         lines = (run_dir / "trace.csv").read_text().strip().splitlines()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rlfolio.env import (EnvConfig, EnvState, TradingEnv, plan_trades,
                          resolve_action)
 from rlfolio.errors import EpisodeFinished
-from rlfolio.indicators import FeaturePanel, build_features
+from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import rolling_turbulence
 
@@ -136,7 +136,7 @@ def two_date_env(prices, next_prices, h_max, fee_rate):
     panel = PricePanel([f"A{d}" for d in range(adj.shape[1])],
                        [dt.date(2020, 1, 2), dt.date(2020, 1, 3)],
                        {name: adj for name in BAR_FIELDS})
-    return TradingEnv(panel, FeaturePanel(np.zeros((2, 4 * adj.shape[1]))),
+    return TradingEnv(panel, np.zeros((2, 4 * adj.shape[1])),
                       (0, 1), EnvConfig(h_max=h_max, fee_rate=fee_rate))
 
 
@@ -351,7 +351,7 @@ class TestMarketAt:
         with pytest.raises(ValueError):
             prices[0] = 1.0
         np.testing.assert_array_equal(features,
-                                      build_features(panel).block[4])
+                                      build_features(panel)[4])
 
     def test_access_log_records_every_read(self):
         panel = make_panel(D=2, T=50)
@@ -395,7 +395,7 @@ class TestNoLookahead:
         for arr in fields.values():
             arr[later_prices] *= rng.uniform(0.5, 2.0,
                                              size=arr[later_prices].shape)
-        block = features.block.copy()
+        block = features.copy()
         block[later] += rng.normal(0.0, 50.0, size=block[later].shape)
         changed = turbulence.copy()
         changed[later] = rng.uniform(0.0, 2 * changed.max(),
@@ -404,7 +404,7 @@ class TestNoLookahead:
 
         obs, reward = self.observe_and_reward(panel, features, turbulence,
                                               threshold, actions)
-        obs2, reward2 = self.observe_and_reward(other, FeaturePanel(block),
+        obs2, reward2 = self.observe_and_reward(other, block,
                                                 changed, threshold, actions)
         np.testing.assert_array_equal(obs, obs2)
         assert reward == reward2

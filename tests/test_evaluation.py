@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rlfolio.errors import InputEmpty, InsufficientData, SingularCovariance
+from rlfolio.cli import _write_strategy
 from rlfolio.evaluation import (METRIC_NAMES, EquityCurve, annual_return,
                                 annual_volatility, cumulative_return,
                                 daily_returns, max_drawdown, metrics_report,
@@ -12,13 +13,11 @@ from rlfolio.evaluation import (METRIC_NAMES, EquityCurve, annual_return,
 from rlfolio.market_data import build_window_plan
 
 import oracles
-from helpers import make_panel, trading_calendar
+from helpers import make_panel, trade_rows
 
 
-def curve_from(values, start=dt.date(2020, 1, 1)):
-    values = np.asarray(values, dtype=float)
-    return EquityCurve(dates=tuple(trading_calendar(start, len(values))),
-                       values=values)
+def curve_from(values):
+    return EquityCurve(np.asarray(values, dtype=float))
 
 
 class TestMetrics:
@@ -99,10 +98,12 @@ class TestEquityCurve:
         with pytest.raises(ValueError, match="finite"):
             curve_from([100.0, bad, 101.0])
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            EquityCurve(dates=(dt.date(2020, 1, 1),),
-                        values=np.array([1.0, 2.0]))
+    def test_rejects_length_mismatch(self, tmp_path):
+        # a curve is written against the trade dates one to one; a length
+        # mismatch fails instead of truncating either side
+        for days in (["2020-01-01"], ["2020-01-01", "2020-01-02", "2020-01-03"]):
+            with pytest.raises(ValueError):
+                _write_strategy(tmp_path, "x", days, curve_from([1.0, 2.0]))
 
     def test_daily_returns(self):
         values = np.array([100.0, 110.0, 99.0])
@@ -152,9 +153,8 @@ class TestMinVarianceBaseline:
 
     def test_curve_spans_trade_period(self):
         panel, plan = self.make_setup()
-        curve = run_min_variance_baseline(panel, plan)
-        assert curve.dates[0] >= plan[0].trade.start
-        assert curve.dates[-1] <= plan[-1].trade.end
+        curve = run_min_variance_baseline(panel, trade_rows(plan))
+        assert len(curve.values) == len(trade_rows(plan))
         # day one deploys the full balance, so one round of fees is paid
         assert curve.values[0] == pytest.approx(1_000_000.0 * 0.999)
 
@@ -162,8 +162,8 @@ class TestMinVarianceBaseline:
         # independent replay: at each rebalance the value is carried by the
         # chosen weights applied to subsequent price relatives
         panel, plan = self.make_setup()
-        curve = run_min_variance_baseline(panel, plan, fee_rate=0.0,
-                                          lookback=252, ridge=1e-10)
+        curve = run_min_variance_baseline(panel, trade_rows(plan),
+                                          fee_rate=0.0, lookback=252)
         prices = panel.adj_close
         rets = prices[1:] / prices[:-1] - 1.0
         idx = panel.date_slice(plan[0].trade.start,
@@ -187,8 +187,9 @@ class TestMinVarianceBaseline:
 
     def test_fees_reduce_value(self):
         panel, plan = self.make_setup()
-        free = run_min_variance_baseline(panel, plan, fee_rate=0.0)
-        paid = run_min_variance_baseline(panel, plan, fee_rate=0.005)
+        free = run_min_variance_baseline(panel, trade_rows(plan), fee_rate=0.0)
+        paid = run_min_variance_baseline(panel, trade_rows(plan),
+                                         fee_rate=0.005)
         assert paid.values[-1] < free.values[-1]
 
 
@@ -196,7 +197,8 @@ class TestIndexBaseline:
     def test_proxy_tracks_price_sum(self):
         panel = make_panel(D=3, T=700, seed=7, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
-        curve = run_index_baseline(panel, plan, initial_balance=1000.0)
+        curve = run_index_baseline(panel, trade_rows(plan),
+                                   initial_balance=1000.0)
         idx = panel.date_slice(plan[0].trade.start,
                                plan[-1].trade.end)
         levels = panel.adj_close[list(idx)].sum(axis=1)
@@ -210,8 +212,8 @@ class TestIndexBaseline:
                                plan[-1].trade.end)
         dates = [panel.calendar[t] for t in idx]
         levels = [100.0 * (1.01 ** i) for i in range(len(dates))]
-        curve = run_index_baseline(panel, plan, initial_balance=500.0,
-                                   index_levels=levels)
+        curve = run_index_baseline(panel, trade_rows(plan),
+                                   initial_balance=500.0, index_levels=levels)
         assert curve.values[0] == pytest.approx(500.0)
         assert curve.values[-1] == pytest.approx(
             500.0 * 1.01 ** (len(dates) - 1))
@@ -220,4 +222,4 @@ class TestIndexBaseline:
         panel = make_panel(D=2, T=700, seed=9, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
         with pytest.raises(InsufficientData):
-            run_index_baseline(panel, plan, index_levels=[1.0])
+            run_index_baseline(panel, trade_rows(plan), index_levels=[1.0])

@@ -167,46 +167,51 @@ class TestProperties:
 
 
 class TestBuildFeatures:
+    """`build_features` is one T x 4D block: the MACD of every asset, then
+    RSI, CCI and ADX."""
+
+    @staticmethod
+    def blocks(panel):
+        """The block's MACD, RSI, CCI and ADX columns, each T x D."""
+        return np.hsplit(ind.build_features(panel), 4)
+
     def test_shapes_and_finiteness(self):
         panel = make_panel(D=2, T=60, seed=2)
         feats = ind.build_features(panel)
-        for block in (feats.macd, feats.rsi, feats.cci, feats.adx):
-            assert block.shape == (60, 2)
-            assert np.all(np.isfinite(block))
+        assert feats.shape == (60, 8)
+        assert np.all(np.isfinite(feats))
 
     def test_constant_panel_degenerate_values(self):
         from helpers import make_trend_panel
         panel = make_trend_panel(D=2, T=50, step=0.0)
-        feats = ind.build_features(panel)
-        np.testing.assert_allclose(feats.macd, 0.0, atol=1e-12)
-        np.testing.assert_allclose(feats.rsi, 50.0)
+        macd, rsi, _, adx = self.blocks(panel)
+        np.testing.assert_allclose(macd, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rsi, 50.0)
         # constant adj_close, but high/low offsets make TP vary around SMA
-        np.testing.assert_allclose(feats.adx, 0.0)
+        np.testing.assert_allclose(adx, 0.0)
 
     def test_per_asset_independence(self):
         panel = make_panel(D=3, T=60, seed=9)
-        feats = ind.build_features(panel)
+        macd, rsi, cci, adx = self.blocks(panel)
         adj, high, low = (panel.adj_close, panel.field("high"),
                           panel.field("low"))
         for col in range(panel.D):
             c, h, lo = adj[:, col], high[:, col], low[:, col]
-            np.testing.assert_array_equal(feats.macd[:, col], ind.macd(c))
-            np.testing.assert_array_equal(feats.rsi[:, col], ind.rsi(c))
-            np.testing.assert_array_equal(feats.cci[:, col],
-                                          ind.cci(h, lo, c))
-            np.testing.assert_array_equal(feats.adx[:, col],
-                                          ind.adx(h, lo, c))
+            np.testing.assert_array_equal(macd[:, col], ind.macd(c))
+            np.testing.assert_array_equal(rsi[:, col], ind.rsi(c))
+            np.testing.assert_array_equal(cci[:, col], ind.cci(h, lo, c))
+            np.testing.assert_array_equal(adx[:, col], ind.adx(h, lo, c))
 
     def test_split_and_dividends_move_no_indicator(self):
         # CCI and ADX mix high and low with the adjusted close; on raw
         # high/low a split or a dividend would show up as a price jump
         raw, adjusted = make_split_panel(D=2, T=300, seed=4)
         assert not np.allclose(raw.field("close"), raw.adj_close)
-        got, want = ind.build_features(raw), ind.build_features(adjusted)
-        np.testing.assert_array_equal(got.macd, want.macd)
-        np.testing.assert_array_equal(got.rsi, want.rsi)
-        np.testing.assert_allclose(got.cci, want.cci, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(got.adx, want.adx, rtol=1e-9, atol=1e-9)
+        got, want = self.blocks(raw), self.blocks(adjusted)
+        np.testing.assert_array_equal(got[0], want[0])  # MACD
+        np.testing.assert_array_equal(got[1], want[1])  # RSI
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got[3], want[3], rtol=1e-9, atol=1e-9)
 
 
 class TestPanelCalls:

@@ -101,7 +101,7 @@ class TestLoadBars:
         text += row("2020-01-02", "AAA", c=10.8, adj=10.8)
         text += row("2020-01-03", "AAA")
         panel, report = load_bars(csv_stream(text), rejection_ceiling=0.5)
-        assert report.accepted_rows == 2
+        assert report.total_rows == 3
         assert [(r.line, r.reason) for r in report.rejected] == [
             (3, "duplicate row")]
         assert panel.adj_close[0, 0] == 10.5  # the first bar is kept
@@ -251,7 +251,6 @@ class TestLoadBarsOracle:
             assert got.tobytes() == fields[name].tobytes(), name
         assert [(r.line, r.reason) for r in report.rejected] == rejected
         assert report.total_rows == total
-        assert report.accepted_rows == total - len(rejected)
         assert report.dropped_dates == dropped
         assert report.incomplete_tickers == lacking
 
