@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GradInvalid
 from ..neural import Adam
 from .common import OnPolicyAgent
 
@@ -31,6 +30,6 @@ class A2CAgent(OnPolicyAgent):
         actor_loss = -float((logp * adv).mean())
         critic_loss = float(((v[:, 0] - targets) ** 2).mean())
         if not np.isfinite(actor_loss) or not np.isfinite(critic_loss):
-            raise GradInvalid("non-finite loss")
+            raise FloatingPointError("non-finite loss")
         actor_opt.step(actor_grad)
         critic_opt.step(critic_grad)

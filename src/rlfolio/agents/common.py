@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BufferUnderflow
 from ..neural import Adam, GaussianPolicy, Mlp
 from ..settings import check_settings, setting
 
@@ -66,7 +65,7 @@ class TransitionStore:
     def sample(self, n: int, rng: np.random.Generator):
         """`rows` at n slots drawn uniformly with replacement."""
         if self.size < n:
-            raise BufferUnderflow(f"buffer has {self.size} < {n}")
+            raise ValueError(f"buffer has {self.size} < {n}")
         return self.rows(rng.integers(0, self.size, size=n))
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GradInvalid
 from ..neural import Adam, Mlp
 from .common import Agent, AgentConfig, TransitionStore
 
@@ -49,7 +48,7 @@ class DDPGAgent(Agent):
         q, cache = self.critic.forward_cache(np.concatenate([obs, actions], axis=1))
         critic_loss = float(((q[:, 0] - y) ** 2).mean())
         if not np.isfinite(critic_loss):
-            raise GradInvalid("non-finite critic loss")
+            raise FloatingPointError("non-finite critic loss")
         critic_grad, _ = self.critic.backward(cache, (2.0 / n) * (q - y[:, None]))
         critic_opt.step(critic_grad)
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GradInvalid
 from ..neural import Adam
 from .common import OnPolicyAgent
 
@@ -46,7 +45,7 @@ class PPOAgent(OnPolicyAgent):
                 actor_grad = -backward(coeff) / m
                 objective = float(surrogate.mean())
                 if not np.isfinite(objective):
-                    raise GradInvalid("non-finite surrogate")
+                    raise FloatingPointError("non-finite surrogate")
                 actor_opt.step(actor_grad)
 
                 v, cache = self.critic.forward_cache(obs[idx])

@@ -45,8 +45,8 @@ def _load_panel(cfg: RunConfig):
 
 def _load_index_levels(path: str, days: list[str]) -> list[float]:
     """The index file's level on each of `days` (ISO dates), in order; each
-    must have one."""
-    series = {}
+    must have one, and no date may repeat."""
+    series = {}  # ISO date -> (line, level)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not {"date", "value"} <= set(reader.fieldnames or ()):
@@ -54,7 +54,7 @@ def _load_index_levels(path: str, days: list[str]) -> list[float]:
                                "columns")
         for row in reader:
             try:
-                day = dt.date.fromisoformat(row["date"])
+                day = dt.date.fromisoformat(row["date"]).isoformat()
                 level = float(row["value"])
                 if not 0.0 < level < math.inf:
                     raise ValueError(f"level {level} is not positive and "
@@ -62,9 +62,13 @@ def _load_index_levels(path: str, days: list[str]) -> list[float]:
             except (TypeError, ValueError) as exc:
                 raise InputInvalid(f"index file {path} line "
                                    f"{reader.line_num}: {exc}") from exc
-            series[day.isoformat()] = level
+            if day in series:
+                raise InputInvalid(f"index file {path} line "
+                                   f"{reader.line_num}: date {day} repeats "
+                                   f"line {series[day][0]}")
+            series[day] = reader.line_num, level
     try:
-        return [series[d] for d in days]
+        return [series[d][1] for d in days]
     except KeyError as exc:
         raise InputInvalid(f"index file {path} has no value for trade date "
                            f"{exc.args[0]}") from None
@@ -150,13 +154,13 @@ def backtest(config_path, seed, out):
     index_levels = None
     if cfg.index_path:  # a bad index file fails before any quarter trains
         index_levels = _load_index_levels(cfg.index_path, days)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
-
+    # before anything is written: a lookback too short for D is a user error
     features = build_features(panel, cfg.indicators)
     turb = rolling_turbulence(panel, cfg.turbulence_lookback,
                               cfg.turbulence_ridge)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
 
     logger.info("training %d quarters x %d agents", len(plan), len(AGENT_KINDS))
     windows = ens.train_and_validate(

@@ -15,7 +15,6 @@ import numpy as np
 
 from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
-from .errors import NoScores
 from .evaluation import EquityCurve, daily_returns, sharpe
 from .market_data import PricePanel, WindowTriple
 from .turbulence import calibrate_threshold
@@ -76,7 +75,7 @@ def pick_best(scores: dict[str, float | None]) -> str:
     """Argmax validation Sharpe; ties resolved PPO > A2C > DDPG; undefined
     (None) scores never win; all-undefined falls back to PPO."""
     if not scores:
-        raise NoScores("no validation scores")
+        raise ValueError("no validation scores")
     defined = [k for k in AGENT_KINDS if scores.get(k) is not None]
     if not defined:
         logger.warning("all validation Sharpe scores undefined; "

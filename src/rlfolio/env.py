@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EpisodeFinished, InsufficientData
+from .errors import InsufficientData
 from .market_data import PricePanel
 from .settings import check_settings, setting
 
@@ -206,7 +206,7 @@ class TradingEnv:
     def step_state(self, state: EnvState, action) -> StepResult:
         """Pure transition: resolve trades at t, settle at t+1."""
         if state.done:
-            raise EpisodeFinished(f"episode already done at t={state.t}")
+            raise RuntimeError(f"episode already done at t={state.t}")
         cfg = self.config
         plan, triggered = plan_trades(state, action, cfg.h_max, cfg.fee_rate,
                                       self.threshold)

@@ -1,13 +1,9 @@
-"""Exception hierarchy shared across the package. A `UserError` is bad
-input: a config value, an input or index file, or data too short for the
-run. Every other error is a program fault."""
+"""User errors. A `UserError` is bad input: a config value, an input or
+index file, or data too short for the run. A program fault raises one of
+Python's own exception types."""
 
 
-class RlfolioError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class UserError(RlfolioError):
+class UserError(Exception):
     """Bad input from the user; the CLI prints it and exits 2."""
 
 
@@ -38,27 +34,3 @@ class InsufficientData(UserError):
     def __init__(self, needed, available):
         super().__init__(f"needed {needed}, available {available}")
 
-
-# program faults: the CLI exits 1
-class SingularCovariance(RlfolioError):
-    pass
-
-
-class ShapeError(RlfolioError, ValueError):
-    pass
-
-
-class GradInvalid(RlfolioError):
-    pass
-
-
-class EpisodeFinished(RlfolioError):
-    pass
-
-
-class BufferUnderflow(RlfolioError):
-    pass
-
-
-class NoScores(RlfolioError):
-    pass

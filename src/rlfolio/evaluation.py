@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputEmpty, InsufficientData, SingularCovariance
+from .errors import InputEmpty, InsufficientData
 from .market_data import PricePanel
 
 PERIODS_PER_YEAR = 252
@@ -90,13 +90,10 @@ def min_variance_weights(cov: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     d = cov.shape[0]
     reg = cov + ridge * np.eye(d)
-    try:
-        base = np.linalg.solve(reg, np.ones(d))
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
+    base = np.linalg.solve(reg, np.ones(d))
     total = base.sum()
     if total == 0.0:
-        raise SingularCovariance("degenerate normalization")
+        raise np.linalg.LinAlgError("degenerate normalization")
     w = base / total
     w = np.clip(w, 0.0, None)
     s = w.sum()

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from .errors import GradInvalid, ShapeError
 
 LOG_STD_MIN = math.log(1e-3)
 LOG_STD_MAX = math.log(10.0)
@@ -31,7 +30,7 @@ class Mlp:
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
                  flat: np.ndarray | None = None):
         if len(sizes) < 2:
-            raise ShapeError("need at least input and output sizes")
+            raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
         self.n_layers = len(sizes) - 1
         shapes = [shape for n_in, n_out in zip(sizes[:-1], sizes[1:])
@@ -40,7 +39,7 @@ class Mlp:
         fresh = flat is None
         self.flat = np.zeros(size, dtype=np.float32) if fresh else flat
         if self.flat.shape != (size,):
-            raise ShapeError(f"flat shape {self.flat.shape}, expected ({size},)")
+            raise ValueError(f"flat shape {self.flat.shape}, expected ({size},)")
         self.params, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
@@ -61,7 +60,7 @@ class Mlp:
         if single:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
-            raise ShapeError(f"input shape {x.shape}, expected (*, {self.sizes[0]})")
+            raise ValueError(f"input shape {x.shape}, expected (*, {self.sizes[0]})")
         return x, single
 
     def forward(self, x) -> np.ndarray:
@@ -90,7 +89,7 @@ class Mlp:
         if single:
             g = g[None, :]
         if g.shape[-1] != self.sizes[-1]:
-            raise ShapeError(f"upstream shape {g.shape}")
+            raise ValueError(f"upstream shape {g.shape}")
         grads: list[np.ndarray] = [None] * len(self.params)
         for layer in reversed(range(self.n_layers)):
             a_in = acts[layer]
@@ -119,9 +118,9 @@ class Adam:
     def step(self, g: np.ndarray) -> None:
         p = self.p
         if p.shape != np.shape(g):
-            raise ShapeError(f"grad shape {np.shape(g)} vs param {p.shape}")
+            raise ValueError(f"grad shape {np.shape(g)} vs param {p.shape}")
         if not np.all(np.isfinite(g)):
-            raise GradInvalid("non-finite gradient")
+            raise FloatingPointError("non-finite gradient")
         if self._m is None:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputInvalid, InsufficientData, SingularCovariance
+from .errors import InputInvalid, InsufficientData
 from .evaluation import daily_returns
 from .market_data import PricePanel
 
@@ -59,10 +59,7 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
             np.add(sigma, r * eye, out=reg[k])
             np.subtract(rets[t - 1], mean, out=dev[k, 0])
         n = len(dates)
-        try:
-            solved = np.linalg.solve(reg[:n], dev[:n].transpose(0, 2, 1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(str(exc)) from exc
+        solved = np.linalg.solve(reg[:n], dev[:n].transpose(0, 2, 1))
         # each 1 x D by D x 1 product is the dot the solve-then-dot oracle
         # takes, so the bits match (einsum and a summed product add in
         # another order); the clamp is max(0.0, q)

@@ -6,6 +6,7 @@ import re
 import typing
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -16,7 +17,7 @@ from rlfolio.config import (RunConfig, load_config, parse_config,
                             snapshot_config)
 from rlfolio.ensemble import pick_best
 from rlfolio.env import EnvConfig, ObsScaling
-from rlfolio.errors import GradInvalid, InputInvalid
+from rlfolio.errors import InputInvalid
 from rlfolio.indicators import IndicatorConfig
 from rlfolio.market_data import DEFAULT_SCHEMA, build_window_plan
 
@@ -500,7 +501,7 @@ class TestBacktestUserErrors:
     """User-caused failures after the load phase exit 2 with a message."""
 
     def test_short_turbulence_lookback_exits_2(self, data_csv, tmp_path):
-        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
         # two assets need a lookback of at least three days
         cfg_path.write_text(cfg_path.read_text().replace(
             "[turbulence]\nlookback = 60", "[turbulence]\nlookback = 2"))
@@ -509,6 +510,7 @@ class TestBacktestUserErrors:
         assert result.exit_code == 2, result.output
         assert ("error: [turbulence] lookback must be at least D + 1 = 3 "
                 "for D = 2 assets, got 2") in result.stderr
+        assert not (out_dir / "config_snapshot.ini").exists()
 
     def test_in_sample_end_before_the_data_exits_2(self, data_csv, tmp_path):
         cfg_path, _ = write_config(tmp_path, data_csv)
@@ -596,11 +598,17 @@ class TestExitCodes:
                 values = [float(row["value"]) for row in csv.DictReader(fh)]
             assert values and all(0 < v < math.inf for v in values), path
 
+    # the built-in types the program raises on a fault; a plain
+    # `ValueError` exits 1, though `SettingInvalid`, also a `UserError`,
+    # exits 2
+    @pytest.mark.parametrize("fault_type", [
+        ValueError, FloatingPointError, RuntimeError, np.linalg.LinAlgError],
+        ids=lambda t: t.__name__)
     @pytest.mark.parametrize("verbose", [False, True])
     def test_program_fault_exits_1(self, data_csv, tmp_path, monkeypatch,
-                                   verbose):
+                                   verbose, fault_type):
         def fault(*args, **kwargs):
-            raise GradInvalid("planted fault")
+            raise fault_type("planted fault")
 
         monkeypatch.setattr(cli, "build_features", fault)
         cfg_path, _ = write_config(tmp_path, data_csv)
@@ -608,9 +616,9 @@ class TestExitCodes:
             "backtest", "--config", str(cfg_path)])
         assert result.exit_code == 1, result.output
         lines = result.stderr.splitlines()
-        assert [line for line in lines if "internal error" in line] == [
-            "internal error: GradInvalid: planted fault"]
-        assert lines[-1] == "internal error: GradInvalid: planted fault"
+        want = f"internal error: {fault_type.__name__}: planted fault"
+        assert [line for line in lines if "internal error" in line] == [want]
+        assert lines[-1] == want
         assert ("Traceback" in result.stderr) == verbose
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -623,7 +631,8 @@ class TestExitCodes:
         result = CliRunner().invoke(main, ["backtest", "--config",
                                            str(cfg_path)])
         assert result.exit_code == 1, result.output
-        assert "internal error: GradInvalid: non-finite" in result.stderr
+        assert ("internal error: FloatingPointError: non-finite gradient"
+                in result.stderr)
         assert "update skipped" not in result.stderr
         assert "Traceback" not in result.stderr
 
@@ -773,6 +782,8 @@ class TestConfigUserErrors:
     @pytest.mark.parametrize("index_csv, named", [
         ("date,level\n2017-01-02,100.0\n", "needs date and value"),
         ("date,value\n2017-01-02,100.0\n2017-01-03,n/a\n", "line 3"),
+        ("date,value\n2017-01-02,100.0\n2017-01-02,101.0\n",
+         "line 3: date 2017-01-02 repeats line 2"),
         # blank lines are skipped rows but still physical lines
         ("date,value\n\n2017-01-02,100.0\n\n2017-01-03,n/a\n", "line 5"),
         # well formed, but ends before the first trade date
@@ -782,7 +793,8 @@ class TestConfigUserErrors:
         *((index_from_first_trade_date(level),
            f"line 2: level {float(level)} is not positive and finite")
           for level in ("nan", "0", "-5", "inf")),
-    ], ids=["missing_column", "bad_row", "bad_row_after_blank_lines",
+    ], ids=["missing_column", "bad_row", "duplicate_date",
+            "bad_row_after_blank_lines",
             "index_lacks_a_trade_date", "level_nan", "level_zero",
             "level_negative", "level_inf"])
     def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv,

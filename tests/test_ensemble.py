@@ -11,7 +11,6 @@ from rlfolio.ensemble import (TRADE_COLUMNS, WindowResult, pick_best,
                               train_and_validate, validate_agent,
                               window_threshold)
 from rlfolio.env import EnvConfig, TradingEnv
-from rlfolio.errors import NoScores
 from rlfolio.evaluation import metrics_report
 from rlfolio.indicators import build_features
 from rlfolio.market_data import build_window_plan
@@ -89,7 +88,7 @@ class TestPickBest:
         assert pick_best({"PPO": None, "A2C": None, "DDPG": None}) == "PPO"
 
     def test_empty_raises(self):
-        with pytest.raises(NoScores):
+        with pytest.raises(ValueError, match="no validation scores"):
             pick_best({})
 
 

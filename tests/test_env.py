@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rlfolio.env import (EnvConfig, EnvState, TradingEnv, plan_trades,
                          resolve_action)
-from rlfolio.errors import EpisodeFinished
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import rolling_turbulence
@@ -229,7 +228,7 @@ class TestStep:
         done = False
         while not done:
             _, _, done = env.step(np.zeros(2))
-        with pytest.raises(EpisodeFinished):
+        with pytest.raises(RuntimeError, match="episode already done"):
             env.step(np.zeros(2))
 
     def test_reward_scaling(self):

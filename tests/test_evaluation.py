@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from rlfolio.errors import InputEmpty, InsufficientData, SingularCovariance
+from rlfolio.errors import InputEmpty, InsufficientData
 from rlfolio.cli import _write_strategy
 from rlfolio.evaluation import (METRIC_NAMES, EquityCurve, annual_return,
                                 annual_volatility, cumulative_return,
@@ -140,7 +140,7 @@ class TestMinVarianceWeights:
         assert w.sum() == pytest.approx(1.0)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularCovariance):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             min_variance_weights(np.zeros((3, 3)))
 
 

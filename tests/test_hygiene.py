@@ -181,10 +181,10 @@ def test_caught_errors_are_flagged():
                      "    try:\n        score = sharpe(r)\n"
                      "    except ZeroVolatility:\n        score = None\n"
                      "    try:\n        pass\n"
-                     "    except (OSError, errors.NoScores):\n        pass\n"
+                     "    except (OSError, errors.InputEmpty):\n        pass\n"
                      "    except ValueError:\n        pass\n")
-    assert caught_errors(tree, {"ZeroVolatility", "NoScores"}) == [
-        ("validate", "ZeroVolatility"), ("validate", "NoScores")]
+    assert caught_errors(tree, {"ZeroVolatility", "InputEmpty"}) == [
+        ("validate", "ZeroVolatility"), ("validate", "InputEmpty")]
 
 
 def test_package_errors_are_caught_only_at_the_boundaries():
@@ -192,6 +192,15 @@ def test_package_errors_are_caught_only_at_the_boundaries():
                           - ALLOWED_CATCHES.get(name, set()))
              for name, tree in package_trees().items()}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_every_package_error_is_a_user_error():
+    # a program fault raises one of Python's own exception types: the CLI
+    # tells the two kinds apart by `UserError` alone
+    defined = {name: obj for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert sorted(name for name, obj in defined.items()
+                  if not issubclass(obj, errors.UserError)) == []
 
 
 CONFIG_CLASSES = (RunConfig, EnvConfig, ObsScaling, IndicatorConfig,

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio.errors import (InputEmpty, InsufficientData,
-                            RejectionRateExceeded, RlfolioError)
+                            RejectionRateExceeded, UserError)
 from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, PricePanel,
                                  add_months, build_window_plan, load_bars,
                                  month_end)
@@ -237,7 +237,7 @@ class TestLoadBarsOracle:
     def test_matches_row_by_row_oracle(self, text):
         try:
             want = oracles.load_bars_oracle(text, DEFAULT_SCHEMA)
-        except RlfolioError as exc:
+        except UserError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 load_bars(csv_stream(text), rejection_ceiling=1.0)
             return
