@@ -15,7 +15,7 @@ import click
 from . import ensemble as ens
 from .config import RunConfig, load_config, snapshot_config
 from .agents import AGENT_KINDS
-from .errors import InputInvalid, UserError
+from .errors import UserError
 from .evaluation import (METRIC_NAMES, EquityCurve, metrics_report,
                          run_index_baseline, run_min_variance_baseline)
 from .indicators import build_features
@@ -50,8 +50,7 @@ def _load_index_levels(path: str, days: list[str]) -> list[float]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not {"date", "value"} <= set(reader.fieldnames or ()):
-            raise InputInvalid(f"index file {path} needs date and value "
-                               "columns")
+            raise UserError(f"index file {path} needs date and value columns")
         for row in reader:
             try:
                 day = dt.date.fromisoformat(row["date"]).isoformat()
@@ -60,18 +59,18 @@ def _load_index_levels(path: str, days: list[str]) -> list[float]:
                     raise ValueError(f"level {level} is not positive and "
                                      "finite")
             except (TypeError, ValueError) as exc:
-                raise InputInvalid(f"index file {path} line "
-                                   f"{reader.line_num}: {exc}") from exc
+                raise UserError(f"index file {path} line "
+                                f"{reader.line_num}: {exc}") from exc
             if day in series:
-                raise InputInvalid(f"index file {path} line "
-                                   f"{reader.line_num}: date {day} repeats "
-                                   f"line {series[day][0]}")
+                raise UserError(f"index file {path} line "
+                                f"{reader.line_num}: date {day} repeats "
+                                f"line {series[day][0]}")
             series[day] = reader.line_num, level
     try:
         return [series[d][1] for d in days]
     except KeyError as exc:
-        raise InputInvalid(f"index file {path} has no value for trade date "
-                           f"{exc.args[0]}") from None
+        raise UserError(f"index file {path} has no value for trade date "
+                        f"{exc.args[0]}") from None
 
 
 @contextlib.contextmanager
@@ -154,13 +153,9 @@ def backtest(config_path, seed, out):
     index_levels = None
     if cfg.index_path:  # a bad index file fails before any quarter trains
         index_levels = _load_index_levels(cfg.index_path, days)
-    # before anything is written: a lookback too short for D is a user error
     features = build_features(panel, cfg.indicators)
     turb = rolling_turbulence(panel, cfg.turbulence_lookback,
                               cfg.turbulence_ridge)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
 
     logger.info("training %d quarters x %d agents", len(plan), len(AGENT_KINDS))
     windows = ens.train_and_validate(
@@ -171,10 +166,23 @@ def backtest(config_path, seed, out):
                **{k.lower(): (lambda scores, k=k: k) for k in AGENT_KINDS}}
     results = ens.run_trading(panel, features, turb, windows, cfg.env,
                               pickers)
-    strategies: dict[str, EquityCurve] = {}
-    for name, result in results.items():
-        strategies[name] = result.curve
-        _write_strategy(out_dir, name, days, result.curve, result.trades)
+    strategies = {name: result.curve for name, result in results.items()}
+    strategies["min_variance"] = run_min_variance_baseline(
+        panel, trade_rows, cfg.env.initial_balance, cfg.min_variance_lookback,
+        cfg.env.fee_rate)
+    strategies["index"] = run_index_baseline(
+        panel, trade_rows, cfg.env.initial_balance, index_levels)
+    comparison = [[name, *metrics_report(curve.values)]
+                  for name, curve in strategies.items()]
+
+    # every result exists before the first write, so a failed run leaves
+    # out_dir as it was
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
+    for name, curve in strategies.items():
+        trades = results[name].trades if name in results else None
+        _write_strategy(out_dir, name, days, curve, trades)
     _write_csv(out_dir / "trace.csv",
                ["window", "validation_start", "validation_end",
                 "trade_start", "trade_end",
@@ -188,18 +196,8 @@ def backtest(config_path, seed, out):
                  *(w.scores[k] for k in AGENT_KINDS),
                  picked, w.threshold]
                 for w, picked in zip(windows, results["ensemble"].picks)])
-
-    strategies["min_variance"] = run_min_variance_baseline(
-        panel, trade_rows, cfg.env.initial_balance, cfg.min_variance_lookback,
-        cfg.env.fee_rate)
-    strategies["index"] = run_index_baseline(
-        panel, trade_rows, cfg.env.initial_balance, index_levels)
-    for name in ("min_variance", "index"):
-        _write_strategy(out_dir, name, days, strategies[name])
-
     _write_csv(out_dir / "comparison.csv", ["strategy", *METRIC_NAMES],
-               [[name, *metrics_report(curve.values)]
-                for name, curve in strategies.items()])
+               comparison)
     click.echo(f"backtest complete: {out_dir / 'comparison.csv'}")
 
 
@@ -213,15 +211,15 @@ def report(run_dir):
     run_dir = Path(run_dir)
     comparison = run_dir / "comparison.csv"
     if not comparison.exists():
-        raise InputInvalid(f"missing {comparison}")
+        raise UserError(f"missing {comparison}")
     with open(comparison, newline="") as fh:
         raw = list(csv.reader(fh))
     if not raw:
-        raise InputInvalid(f"{comparison} is empty")
+        raise UserError(f"{comparison} is empty")
     for line, row in enumerate(raw, 1):
         if len(row) != len(raw[0]):
-            raise InputInvalid(f"{comparison} line {line} has {len(row)} "
-                               f"cells, its header {len(raw[0])}")
+            raise UserError(f"{comparison} line {line} has {len(row)} "
+                            f"cells, its header {len(raw[0])}")
 
     def fmt(cell: str) -> str:
         try:
@@ -243,10 +241,10 @@ def report(run_dir):
         try:
             values = [float(r["value"]) for r in data]
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputInvalid(f"{equity}: bad value column ({exc})") from exc
+            raise UserError(f"{equity}: bad value column ({exc})") from exc
         if not all(0.0 < v < math.inf for v in values):
-            raise InputInvalid(f"{equity}: equity values must be positive "
-                               "and finite")
+            raise UserError(f"{equity}: equity values must be positive "
+                            "and finite")
         _write_csv(run_dir / f"cumret_{name}.csv", ["date", "cumulative_return"],
                    [[r["date"], v / values[0] - 1.0]
                     for r, v in zip(data, values)])

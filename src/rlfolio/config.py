@@ -6,7 +6,7 @@ sets every kind's `AgentConfig`, overridable per kind in [agents.ppo] /
 [agents.a2c] / [agents.ddpg]; [data] also takes `col_<name>` keys that rename
 input columns. Values are taken literally (no `%` interpolation). Unknown
 sections and keys, unparsable values and out-of-range values raise
-`InputInvalid`.
+`UserError`.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .agents import AGENT_KINDS, AgentConfig
 from .env import EnvConfig, ObsScaling
-from .errors import InputInvalid, SettingInvalid
+from .errors import SettingInvalid, UserError
 from .indicators import IndicatorConfig
 from .market_data import DEFAULT_SCHEMA
 from .settings import check_settings, setting
@@ -123,7 +123,7 @@ def _read(values: dict[str, str], section: str, cls,
             try:
                 out[name] = _cast(hints[name], text)
             except ValueError as exc:
-                raise InputInvalid(f"[{section}] {key}: {exc}") from exc
+                raise UserError(f"[{section}] {key}: {exc}") from exc
     return out
 
 
@@ -133,7 +133,7 @@ def _build(cls, kwargs: dict, section: str | None = None):
         return cls(**kwargs)
     except SettingInvalid as exc:
         where, key = _PLACES[cls, exc.name]
-        raise InputInvalid(f"[{section or where}] {key} {exc.problem}") from exc
+        raise UserError(f"[{section or where}] {key} {exc.problem}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -141,7 +141,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InputInvalid(f"cannot read config {path}: {exc.strerror}") from exc
+        raise UserError(f"cannot read config {path}: {exc.strerror}") from exc
     return parse_config(text, overrides)
 
 
@@ -154,13 +154,13 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         parser.read_string(text)
         raw = {section: dict(parser[section]) for section in parser.sections()}
     except configparser.Error as exc:
-        raise InputInvalid(f"config: {exc}") from exc
+        raise UserError(f"config: {exc}") from exc
     kwargs = {cls: {} for _, cls, _ in _SECTIONS}
     for section, cls, keys in _SECTIONS:
         kwargs[cls].update(_read(raw.get(section, {}), section, cls, keys))
     run = kwargs[RunConfig]
     if "data_path" not in run:
-        raise InputInvalid("config must set [data] path")
+        raise UserError("config must set [data] path")
     data = raw.get("data", {})
     run["schema"] = {name: data.pop(key) for key, name in _COLUMN_KEYS.items()
                      if key in data}
@@ -180,7 +180,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     unknown = [f"[{s}] {key}" for s, values in raw.items() if s in known
                for key in values] + [f"[{s}]" for s in raw if s not in known]
     if unknown:
-        raise InputInvalid(f"unknown section or key: {', '.join(unknown)}")
+        raise UserError(f"unknown section or key: {', '.join(unknown)}")
     run.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return _build(RunConfig, run)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData
 from .market_data import PricePanel
 from .settings import check_settings, setting
 
@@ -148,11 +147,11 @@ class TradingEnv:
                  turbulence: np.ndarray | None = None,
                  turbulence_threshold: float = np.inf):
         if window[1] <= window[0]:
-            raise InsufficientData(needed="window of at least 2 dates",
-                                   available=window[1] - window[0] + 1)
+            raise ValueError("needed window of at least 2 dates, available "
+                             f"{window[1] - window[0] + 1}")
         if window[0] < 0 or window[1] >= panel.T:
-            raise InsufficientData(needed=f"window {window} inside panel",
-                                   available=panel.T)
+            raise ValueError(f"needed window {window} inside panel, "
+                             f"available {panel.T}")
         self.panel = panel
         self.start, self.end = window
         self.config = config

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputEmpty, InsufficientData
 from .market_data import PricePanel
 
 PERIODS_PER_YEAR = 252
@@ -38,13 +37,13 @@ def daily_returns(values: np.ndarray) -> np.ndarray:
 
 def cumulative_return(values: np.ndarray) -> float:
     if len(values) == 0:
-        raise InputEmpty("empty equity curve")
+        raise ValueError("empty equity curve")
     return float(values[-1] / values[0] - 1.0)
 
 
 def annual_return(values: np.ndarray) -> float:
     if len(values) < 2:
-        raise InputEmpty("need at least two curve points")
+        raise ValueError("need at least two curve points")
     growth = values[-1] / values[0]
     return float(growth ** (PERIODS_PER_YEAR / (len(values) - 1)) - 1.0)
 
@@ -68,7 +67,7 @@ def sharpe(daily_returns: np.ndarray) -> float | None:
 
 def max_drawdown(values: np.ndarray) -> float:
     if len(values) == 0:
-        raise InputEmpty("empty equity curve")
+        raise ValueError("empty equity curve")
     running_max = np.maximum.accumulate(values)
     return float((values / running_max - 1.0).min())
 
@@ -152,8 +151,8 @@ def run_index_baseline(panel: PricePanel, rows: range,
     if index_levels is not None:
         levels = np.array(index_levels, dtype=float)
         if len(levels) != len(rows):
-            raise InsufficientData(needed=f"{len(rows)} index levels",
-                                   available=len(levels))
+            raise ValueError(f"needed {len(rows)} index levels, available "
+                             f"{len(levels)}")
     else:
         levels = panel.adj_close[list(rows)].sum(axis=1)
     values = initial_balance * levels / levels[0]

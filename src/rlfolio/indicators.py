@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputEmpty, SettingInvalid
+from .errors import SettingInvalid
 from .market_data import PricePanel
 from .settings import check_settings, setting
 
@@ -36,7 +36,7 @@ class IndicatorConfig:
 def _check_series(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
-        raise InputEmpty("empty price series")
+        raise ValueError("empty price series")
     return x
 
 

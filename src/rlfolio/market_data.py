@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InputEmpty,
-    InsufficientData,
-    RejectionRateExceeded,
-)
+from .errors import UserError
 
 BAR_FIELDS = ("open", "high", "low", "close", "adj_close", "volume")
 
@@ -67,7 +63,7 @@ class PricePanel:
     def __init__(self, assets: list[str], calendar: list[dt.date],
                  fields: dict[str, np.ndarray]):
         if not assets or not calendar:
-            raise InputEmpty("panel must have at least one asset and one date")
+            raise ValueError("panel must have at least one asset and one date")
         self.assets = tuple(assets)
         self.calendar = tuple(calendar)
         self._fields = {k: np.ascontiguousarray(v, dtype=float)
@@ -157,10 +153,10 @@ def load_bars(source, schema: dict[str, str] | None = None,
         reader = csv.reader(source, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
-            raise InputEmpty("no header row")
+            raise UserError("no header row")
         missing = [col for col in schema.values() if col not in header]
         if missing:
-            raise InputEmpty(f"header missing columns: {missing}")
+            raise UserError(f"header missing columns: {missing}")
         pos = {name: i for i, name in enumerate(header)}  # last one wins
         di, ti = pos[schema["date"]], pos[schema["ticker"]]
         value_cols = [pos[schema[name]] for name in BAR_FIELDS]
@@ -189,7 +185,7 @@ def load_bars(source, schema: dict[str, str] | None = None,
                 continue
             rejected.append(RejectedRow(reader.line_num, reason))
         if total == 0:
-            raise InputEmpty("source has a header but no data rows")
+            raise UserError("source has a header but no data rows")
     finally:
         if close_after:
             source.close()
@@ -204,10 +200,11 @@ def load_bars(source, schema: dict[str, str] | None = None,
     rejected.sort(key=lambda r: r.line)
     report = LoadReport(total_rows=total, rejected=rejected)
     if report.rejection_rate > rejection_ceiling:
-        raise RejectionRateExceeded(len(rejected), total, rejection_ceiling)
+        raise UserError(f"{len(rejected)}/{total} rows rejected, above "
+                        f"ceiling {rejection_ceiling:.2%}")
     keep = fault < 0
     if not keep.any():
-        raise InputEmpty("no valid rows in source")
+        raise UserError("no valid rows in source")
 
     bars, tick, day = bars[keep], tick[keep], day[keep]
     names, dates = list(ticker_ids), list(date_ids)
@@ -217,7 +214,7 @@ def load_bars(source, schema: dict[str, str] | None = None,
     present = present[held]              # one row per asset, in asset order
     common, seen = present.all(axis=0), present.any(axis=0)
     if not common.any():
-        raise InsufficientData(needed="a shared trading date", available=0)
+        raise UserError("needed a shared trading date, available 0")
     on_calendar = sorted(np.flatnonzero(common).tolist(),
                          key=dates.__getitem__)
     assets = [names[i] for i in held]
@@ -284,24 +281,22 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     ending with `in_sample_end`'s month; training covers everything before
     it. Successive triples roll forward by `trade_months`, training always
     starting at the panel start. Every interval holds 2+ panel dates, or
-    `InsufficientData` names it. The final trade interval is cut at the
+    a `UserError` names it. The final trade interval is cut at the
     panel's end, and is not planned if it holds only the panel's last date.
     """
     first = panel.calendar[0]
     last = panel.calendar[-1]
     val_start0 = month_start(add_months(in_sample_end, -(validation_months - 1)))
     if val_start0 <= first:
-        raise InsufficientData(
-            needed=f"history before {val_start0}, where [windows] "
-                   f"in_sample_end = {in_sample_end} starts validation",
-            available=f"data from {first}")
+        raise UserError(f"needed history before {val_start0}, where [windows] "
+                        f"in_sample_end = {in_sample_end} starts validation, "
+                        f"available data from {first}")
 
     def interval(k: int, role: str, start: dt.date, end: dt.date):
         rows = panel.date_slice(start, end)
         if len(rows) < 2:
-            raise InsufficientData(needed=f"2+ dates in window {k}'s {role} "
-                                          f"interval {start} to {end}",
-                                   available=len(rows))
+            raise UserError(f"needed 2+ dates in window {k}'s {role} interval "
+                            f"{start} to {end}, available {len(rows)}")
         return DateInterval(start, end, rows)
 
     triples = []
@@ -323,8 +318,7 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
         ))
         k += 1
     if not triples:
-        raise InsufficientData(
-            needed=f"2+ trade dates after the month of [windows] "
-                   f"in_sample_end = {in_sample_end}",
-            available=f"data to {last}")
+        raise UserError(f"needed 2+ trade dates after the month of [windows] "
+                        f"in_sample_end = {in_sample_end}, available data to "
+                        f"{last}")
     return tuple(triples)

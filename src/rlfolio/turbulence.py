@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputInvalid, InsufficientData
+from .errors import UserError
 from .evaluation import daily_returns
 from .market_data import PricePanel
 
@@ -37,12 +37,12 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     `SOLVE_BLOCK` dates share one batched solve and quadratic form.
     """
     if lookback < panel.D + 1:
-        raise InputInvalid(f"[turbulence] lookback must be at least D + 1 = "
-                           f"{panel.D + 1} for D = {panel.D} assets, got "
-                           f"{lookback}")
+        raise UserError(f"[turbulence] lookback must be at least D + 1 = "
+                        f"{panel.D + 1} for D = {panel.D} assets, got "
+                        f"{lookback}")
     rets = daily_returns(panel.adj_close)
     if not np.all(np.isfinite(rets)):
-        raise InputInvalid("non-finite return vector")
+        raise UserError("non-finite return vector")
     values = np.zeros(panel.T)
     eye = np.eye(panel.D)
     reg = np.empty((SOLVE_BLOCK, panel.D, panel.D))
@@ -72,8 +72,7 @@ def calibrate_threshold(values: np.ndarray, quantile: float) -> float:
     """Lower empirical quantile, in (0, 1], of the positive values."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        raise InsufficientData(needed="at least one turbulence value",
-                               available=0)
+        raise ValueError("needed at least one turbulence value, available 0")
     ordered = np.sort(values)
     idx = int(np.ceil(quantile * ordered.size)) - 1
     return float(ordered[max(idx, 0)])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlfolio.errors import InputEmpty, InsufficientData, RejectionRateExceeded
+from rlfolio.errors import UserError
 
 
 def ema_oracle(x, span):
@@ -113,10 +113,10 @@ def load_bars_oracle(text, schema, rejection_ceiling=1.0):
                   ("open", "high", "low", "close", "adj_close", "volume")]
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
-        raise InputEmpty("no header row")
+        raise UserError("no header row")
     missing = [col for col in schema.values() if col not in reader.fieldnames]
     if missing:
-        raise InputEmpty(f"header missing columns: {missing}")
+        raise UserError(f"header missing columns: {missing}")
     by_asset = {}
     rejected = []
     total = 0
@@ -146,15 +146,16 @@ def load_bars_oracle(text, schema, rejection_ceiling=1.0):
                 continue
         rejected.append((reader.line_num, reason))
     if total == 0:
-        raise InputEmpty("source has a header but no data rows")
+        raise UserError("source has a header but no data rows")
     if len(rejected) / total > rejection_ceiling:
-        raise RejectionRateExceeded(len(rejected), total, rejection_ceiling)
+        raise UserError(f"{len(rejected)}/{total} rows rejected, above "
+                        f"ceiling {rejection_ceiling:.2%}")
     if not by_asset:
-        raise InputEmpty("no valid rows in source")
+        raise UserError("no valid rows in source")
     assets = sorted(by_asset)
     common = set.intersection(*(set(bars) for bars in by_asset.values()))
     if not common:
-        raise InsufficientData(needed="a shared trading date", available=0)
+        raise UserError("needed a shared trading date, available 0")
     calendar = sorted(common)
     seen = set().union(*by_asset.values())
     incomplete = [a for a in assets if len(by_asset[a]) < len(seen)]

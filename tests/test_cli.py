@@ -17,7 +17,7 @@ from rlfolio.config import (RunConfig, load_config, parse_config,
                             snapshot_config)
 from rlfolio.ensemble import pick_best
 from rlfolio.env import EnvConfig, ObsScaling
-from rlfolio.errors import InputInvalid
+from rlfolio.errors import UserError
 from rlfolio.indicators import IndicatorConfig
 from rlfolio.market_data import DEFAULT_SCHEMA, build_window_plan
 
@@ -210,7 +210,7 @@ class TestConfig:
         if valid:
             parse_config(text)
         else:
-            with pytest.raises(InputInvalid,
+            with pytest.raises(UserError,
                                match=re.escape(f"[{section}] {key} ")):
                 parse_config(text)
 
@@ -247,11 +247,14 @@ class TestConfig:
         assert cfg.turbulence_ridge == ridge
 
     def test_missing_data_path(self):
-        with pytest.raises(InputInvalid):
+        with pytest.raises(UserError,
+                           match=re.escape("config must set [data] path")):
             parse_config("[run]\nseed = 1\n")
 
     def test_missing_file(self):
-        with pytest.raises(InputInvalid):
+        with pytest.raises(UserError, match=re.escape(
+                "cannot read config /nonexistent/config.ini: No such file or "
+                "directory")):
             load_config("/nonexistent/config.ini")
 
     def test_snapshot_roundtrip(self, data_csv, tmp_path):
@@ -635,6 +638,31 @@ class TestExitCodes:
                 in result.stderr)
         assert "update skipped" not in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_failed_rerun_leaves_the_bundle_untouched(self, data_csv,
+                                                      tmp_path):
+        # a run writes only once every result exists: a rerun that fails in
+        # training leaves the previous bundle whole, and makes no directory
+        # where there was none
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert set(before) == set(BUNDLE_FILES)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "[agents]\n", "[agents]\ncritic_lr = 1e200\n"))
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 1, result.output
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        fresh = tmp_path / "fresh" / "run"
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path), "--out", str(fresh)])
+        assert result.exit_code == 1, result.output
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestReportUserErrors:

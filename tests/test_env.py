@@ -1,5 +1,6 @@
 import datetime as dt
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rlfolio.env import (EnvConfig, EnvState, TradingEnv, plan_trades,
                          resolve_action)
+from rlfolio.errors import UserError
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import rolling_turbulence
@@ -50,6 +52,20 @@ class TestReset:
         np.testing.assert_array_equal(obs1, obs2)
         assert s1.balance == env.state.balance
         np.testing.assert_array_equal(s1.prices, env.state.prices)
+
+
+class TestWindow:
+    # a window is a range of the window plan's rows, never user input, so a
+    # bad one is a program fault
+    @pytest.mark.parametrize("window, message", [
+        ((5, 5), "needed window of at least 2 dates, available 1"),
+        ((30, 40), "needed window (30, 40) inside panel, available 40"),
+    ], ids=["one_date", "past_panel_end"])
+    def test_bad_window_is_a_program_fault(self, window, message):
+        panel = make_panel(D=2, T=40, seed=4)
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            TradingEnv(panel, build_features(panel), window)
+        assert not isinstance(exc.value, UserError)
 
 
 class TestResolveAction:

@@ -3,7 +3,6 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from rlfolio.errors import InputEmpty, InsufficientData
 from rlfolio.cli import _write_strategy
 from rlfolio.evaluation import (METRIC_NAMES, EquityCurve, annual_return,
                                 annual_volatility, cumulative_return,
@@ -66,9 +65,9 @@ class TestMetrics:
             oracles.max_drawdown_bruteforce(values), abs=1e-12)
 
     def test_empty_inputs(self):
-        with pytest.raises(InputEmpty):
+        with pytest.raises(ValueError, match="^empty equity curve$"):
             cumulative_return(np.array([]))
-        with pytest.raises(InputEmpty):
+        with pytest.raises(ValueError, match="^empty equity curve$"):
             max_drawdown(np.array([]))
         assert annual_volatility(np.array([0.01])) == 0.0
 
@@ -221,5 +220,7 @@ class TestIndexBaseline:
     def test_missing_level_raises(self):
         panel = make_panel(D=2, T=700, seed=9, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
-        with pytest.raises(InsufficientData):
-            run_index_baseline(panel, trade_rows(plan), index_levels=[1.0])
+        rows = trade_rows(plan)
+        with pytest.raises(ValueError, match=f"^needed {len(rows)} index "
+                                             "levels, available 1$"):
+            run_index_baseline(panel, rows, index_levels=[1.0])

@@ -181,10 +181,11 @@ def test_caught_errors_are_flagged():
                      "    try:\n        score = sharpe(r)\n"
                      "    except ZeroVolatility:\n        score = None\n"
                      "    try:\n        pass\n"
-                     "    except (OSError, errors.InputEmpty):\n        pass\n"
+                     "    except (OSError, errors.SettingInvalid):\n"
+                     "        pass\n"
                      "    except ValueError:\n        pass\n")
-    assert caught_errors(tree, {"ZeroVolatility", "InputEmpty"}) == [
-        ("validate", "ZeroVolatility"), ("validate", "InputEmpty")]
+    assert caught_errors(tree, {"ZeroVolatility", "SettingInvalid"}) == [
+        ("validate", "ZeroVolatility"), ("validate", "SettingInvalid")]
 
 
 def test_package_errors_are_caught_only_at_the_boundaries():
@@ -201,6 +202,42 @@ def test_every_package_error_is_a_user_error():
                if isinstance(obj, type) and obj.__module__ == errors.__name__}
     assert sorted(name for name, obj in defined.items()
                   if not issubclass(obj, errors.UserError)) == []
+
+
+# The modules that read outside input: a config, bars or index file, a run
+# directory, and the settings and lookback checked against it. Only these
+# may raise a user error; elsewhere a failed check is a program fault.
+USER_INPUT_MODULES = {"cli.py", "config.py", "settings.py", "market_data.py",
+                      "turbulence.py", "indicators.py"}
+
+
+def raisers_of(trees: dict[str, ast.Module], names: set[str]) -> list[str]:
+    """The modules of `trees` with a `raise` of a class of `names`, called
+    or not, bare or as an attribute."""
+    def raised(node: ast.Raise) -> str | None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None))
+
+    return sorted(module for module, tree in trees.items()
+                  if any(isinstance(node, ast.Raise) and node.exc is not None
+                         and raised(node) in names
+                         for node in ast.walk(tree)))
+
+
+def test_raised_errors_are_caught():
+    trees = {"a.py": ast.parse("def f():\n    raise UserError('x')\n"),
+             "b.py": ast.parse("raise errors.SettingInvalid('k', 'p')\n"),
+             "c.py": ast.parse("raise UserError\n"),
+             "d.py": ast.parse("try:\n    pass\nexcept UserError:\n"
+                               "    raise\nraise ValueError('x')\n"),
+             "e.py": ast.parse("exc = UserError('x')\n")}
+    assert raisers_of(trees, {"UserError", "SettingInvalid"}) == [
+        "a.py", "b.py", "c.py"]
+
+
+def test_only_input_readers_raise_user_errors():
+    raisers = raisers_of(package_trees(), ERROR_CLASSES)
+    assert [m for m in raisers if m not in USER_INPUT_MODULES] == []
 
 
 CONFIG_CLASSES = (RunConfig, EnvConfig, ObsScaling, IndicatorConfig,

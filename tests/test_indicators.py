@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio import indicators as ind
-from rlfolio.errors import InputEmpty
 
 import oracles
 from helpers import make_panel, make_split_panel
@@ -37,7 +36,7 @@ class TestMacd:
         np.testing.assert_allclose(ind.macd([5.0]), [0.0])
 
     def test_empty_raises(self):
-        with pytest.raises(InputEmpty):
+        with pytest.raises(ValueError, match="^empty price series$"):
             ind.macd([])
 
     def test_bad_periods(self):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlfolio.errors import (InputEmpty, InsufficientData,
-                            RejectionRateExceeded, UserError)
+from rlfolio.errors import UserError
 from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, PricePanel,
                                  add_months, build_window_plan, load_bars,
                                  month_end)
@@ -105,7 +104,8 @@ class TestLoadBars:
         assert [(r.line, r.reason) for r in report.rejected] == [
             (3, "duplicate row")]
         assert panel.adj_close[0, 0] == 10.5  # the first bar is kept
-        with pytest.raises(RejectionRateExceeded):
+        with pytest.raises(UserError, match=re.escape(
+                "1/3 rows rejected, above ceiling 20.00%")):
             load_bars(csv_stream(text), rejection_ceiling=0.2)
 
     def test_malformed_duplicate_keeps_its_invariant_reason(self):
@@ -133,16 +133,18 @@ class TestLoadBars:
             assert panel.field(name).flags.c_contiguous
 
     def test_empty_source(self):
-        with pytest.raises(InputEmpty):
+        with pytest.raises(UserError, match="^no header row$"):
             load_bars(csv_stream(""))
-        with pytest.raises(InputEmpty):
+        with pytest.raises(UserError,
+                           match="^source has a header but no data rows$"):
             load_bars(csv_stream(HEADER))
 
     def test_rejection_ceiling_aborts(self):
         text = HEADER
         text += row("2020-01-02", "AAA")
         text += row("2020-01-03", "AAA", o=-5)
-        with pytest.raises(RejectionRateExceeded):
+        with pytest.raises(UserError, match=re.escape(
+                "1/2 rows rejected, above ceiling 1.00%")):
             load_bars(csv_stream(text), rejection_ceiling=0.01)
 
     def test_schema_mapping(self):
@@ -284,8 +286,11 @@ class TestWindowPlan:
 
     def test_insufficient_history(self):
         panel = make_panel(D=2, T=100, start=dt.date(2020, 1, 1))
-        with pytest.raises(InsufficientData):
-            build_window_plan(panel, panel.calendar[-1], 3, 3)
+        last = panel.calendar[-1]
+        with pytest.raises(UserError, match=re.escape(
+                "needed 2+ trade dates after the month of [windows] "
+                f"in_sample_end = {last}, available data to {last}")):
+            build_window_plan(panel, last, 3, 3)
 
     def test_disjoint_and_growing(self):
         panel = make_panel(D=2, T=800, start=dt.date(2017, 1, 1))
@@ -346,7 +351,7 @@ class TestWindowPlan:
     def test_short_interval_raises(self, dropped, message):
         panel = keep_dates(make_panel(D=2, T=600, start=dt.date(2017, 1, 1)),
                            lambda d: not dropped[0] <= d <= dropped[1])
-        with pytest.raises(InsufficientData, match=re.escape(message)):
+        with pytest.raises(UserError, match=re.escape(message)):
             build_window_plan(panel, dt.date(2018, 6, 30), 3, 3)
 
 

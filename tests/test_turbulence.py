@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlfolio.errors import InputInvalid, InsufficientData
+from rlfolio.errors import UserError
 from rlfolio.evaluation import daily_returns
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import calibrate_threshold, rolling_turbulence
@@ -64,7 +65,7 @@ class TestTurbulenceIndex:
         fields = {name: panel.field(name).copy() for name in BAR_FIELDS}
         fields["adj_close"][-1, 2] = np.inf
         bad = PricePanel(list(panel.assets), list(panel.calendar), fields)
-        with pytest.raises(InputInvalid):
+        with pytest.raises(UserError, match="^non-finite return vector$"):
             rolling_turbulence(bad, lookback=50)
 
     def test_nonnegative(self):
@@ -134,12 +135,14 @@ class TestRollingTurbulence:
         fields = {name: panel.field(name).copy() for name in BAR_FIELDS}
         fields["adj_close"][30, 1] = np.nan
         bad = PricePanel(list(panel.assets), list(panel.calendar), fields)
-        with pytest.raises(InputInvalid):
+        with pytest.raises(UserError, match="^non-finite return vector$"):
             rolling_turbulence(bad, lookback=10)
 
     def test_lookback_too_small(self):
         panel = make_panel(D=5, T=100)
-        with pytest.raises(InputInvalid):
+        with pytest.raises(UserError, match=re.escape(
+                "[turbulence] lookback must be at least D + 1 = 6 for D = 5 "
+                "assets, got 4")):
             rolling_turbulence(panel, lookback=4)
 
 
@@ -158,7 +161,8 @@ class TestCalibrateThreshold:
             assert calibrate_threshold(values, q) == 4.2
 
     def test_empty_raises(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ValueError, match="^needed at least one "
+                                             "turbulence value, available 0$"):
             calibrate_threshold(np.array([]), 0.5)
 
     @given(st.integers(0, 1000))
