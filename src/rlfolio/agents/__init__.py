@@ -36,7 +36,7 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
         for dst, src in zip(agent.parameters(), warm_start.parameters()):
             dst[...] = src
     if config.total_steps > 0:
-        agent.train(env, config.total_steps)
+        agent.train(env)
     return agent
 
 

@@ -97,7 +97,8 @@ class Agent:
         return (Adam(actor, self.config.actor_lr),
                 Adam(critic, self.config.critic_lr))
 
-    def train(self, env, total_steps: int | None = None) -> None:
+    def train(self, env) -> None:
+        """Train for `config.total_steps` env steps."""
         raise NotImplementedError
 
 
@@ -135,8 +136,8 @@ class OnPolicyAgent(Agent):
         targets = rewards + self.config.gamma * v_next * (1.0 - dones)
         return targets - v_s, targets
 
-    def train(self, env, total_steps: int | None = None) -> None:
-        total = self.config.total_steps if total_steps is None else total_steps
+    def train(self, env) -> None:
+        total = self.config.total_steps
         store = TransitionStore(min(self.config.rollout, total),
                                 self.obs_dim, self.action_dim)
         opts = self.optimizers()

@@ -65,14 +65,13 @@ class DDPGAgent(Agent):
         soft_update(self.target_actor, self.actor, self.config.tau)
         soft_update(self.target_critic, self.critic, self.config.tau)
 
-    def train(self, env, total_steps: int | None = None) -> None:
+    def train(self, env) -> None:
         cfg = self.config
-        total = cfg.total_steps if total_steps is None else total_steps
-        store = TransitionStore(min(cfg.buffer_capacity, total),
+        store = TransitionStore(min(cfg.buffer_capacity, cfg.total_steps),
                                 self.obs_dim, self.action_dim)
         opts = self.optimizers()
         obs = env.reset()
-        for _ in range(total):
+        for _ in range(cfg.total_steps):
             # exploration: Gaussian noise on the policy's action, clipped
             noise = cfg.noise_scale * self.rng.standard_normal(self.action_dim)
             action = np.minimum(np.maximum(self.act(obs) + noise, -1.0), 1.0)

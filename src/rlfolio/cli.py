@@ -38,9 +38,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_panel(cfg: RunConfig):
-    return load_bars(cfg.data_path, schema=cfg.schema or None,
-                     rejection_ceiling=cfg.rejection_ceiling,
-                     delimiter=cfg.delimiter)
+    return load_bars(cfg.data.path, schema=cfg.schema or None,
+                     rejection_ceiling=cfg.data.rejection_ceiling,
+                     delimiter=cfg.data.delimiter)
 
 
 def _load_index_levels(path: str, days: list[str]) -> list[float]:
@@ -110,7 +110,7 @@ def ingest(config_path, out):
     row-rejection report."""
     cfg = load_config(config_path, {"out_dir": out})
     panel, report = _load_panel(cfg)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = [panel.field(f).tolist() for f in BAR_FIELDS]
     _write_csv(out_dir / "panel_cache.csv", ["date", "ticker", *BAR_FIELDS],
@@ -146,21 +146,22 @@ def backtest(config_path, seed, out):
     strategies, and both baselines; write the full report bundle."""
     cfg = load_config(config_path, {"seed": seed, "out_dir": out})
     panel, _ = _load_panel(cfg)
-    plan = build_window_plan(panel, cfg.in_sample_end,
-                             cfg.validation_months, cfg.trade_months)
+    w = cfg.windows
+    plan = build_window_plan(panel, w.in_sample_end, w.validation_months,
+                             w.trade_months)
     trade_rows = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
     days = [panel.calendar[t].isoformat() for t in trade_rows]
     index_levels = None
-    if cfg.index_path:  # a bad index file fails before any quarter trains
-        index_levels = _load_index_levels(cfg.index_path, days)
+    if cfg.data.index_path:  # a bad index file fails before any training
+        index_levels = _load_index_levels(cfg.data.index_path, days)
     features = build_features(panel, cfg.indicators)
-    turb = rolling_turbulence(panel, cfg.turbulence_lookback,
-                              cfg.turbulence_ridge)
+    turb = rolling_turbulence(panel, cfg.turbulence.lookback,
+                              cfg.turbulence.ridge)
 
     logger.info("training %d quarters x %d agents", len(plan), len(AGENT_KINDS))
     windows = ens.train_and_validate(
-        panel, features, turb, plan, cfg.env, cfg.agent_configs,
-        seed=cfg.seed, turbulence_quantile=cfg.turbulence_quantile)
+        panel, features, turb, plan, cfg.env, cfg.agents,
+        seed=cfg.run.seed, turbulence_quantile=cfg.turbulence.quantile)
 
     pickers = {"ensemble": ens.pick_best,
                **{k.lower(): (lambda scores, k=k: k) for k in AGENT_KINDS}}
@@ -168,17 +169,19 @@ def backtest(config_path, seed, out):
                               pickers)
     strategies = {name: result.curve for name, result in results.items()}
     strategies["min_variance"] = run_min_variance_baseline(
-        panel, trade_rows, cfg.env.initial_balance, cfg.min_variance_lookback,
-        cfg.env.fee_rate)
+        panel, trade_rows, cfg.env.initial_balance,
+        cfg.baselines.min_variance_lookback, cfg.env.fee_rate)
     strategies["index"] = run_index_baseline(
         panel, trade_rows, cfg.env.initial_balance, index_levels)
     comparison = [[name, *metrics_report(curve.values)]
                   for name, curve in strategies.items()]
 
     # every result exists before the first write, so a failed run leaves
-    # out_dir as it was
-    out_dir = Path(cfg.out_dir)
+    # out_dir as it was; `report`'s curves of an earlier run go with it
+    out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("cumret_*.csv"):
+        stale.unlink()
     (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
     for name, curve in strategies.items():
         trades = results[name].trades if name in results else None

@@ -1,12 +1,12 @@
 """Run configuration: one INI file, read into the config dataclasses.
 
-Each section sets the fields of one dataclass (`_SECTIONS`), so a key's name,
-type and default live only there; an empty value keeps the default. [agents]
-sets every kind's `AgentConfig`, overridable per kind in [agents.ppo] /
-[agents.a2c] / [agents.ddpg]; [data] also takes `col_<name>` keys that rename
-input columns. Values are taken literally (no `%` interpolation). Unknown
-sections and keys, unparsable values and out-of-range values raise
-`UserError`.
+Each section is one dataclass (`_SECTIONS`) whose field names are the
+section's keys, so a key's name, type and default live only there; an empty
+value keeps the default. [agents] sets every kind's `AgentConfig`,
+overridable per kind in [agents.ppo] / [agents.a2c] / [agents.ddpg]; [data]
+also takes `col_<name>` keys that rename input columns. Values are taken
+literally (no `%` interpolation). Unknown sections and keys, unparsable
+values and out-of-range values raise `UserError`.
 """
 from __future__ import annotations
 
@@ -14,83 +14,85 @@ import configparser
 import datetime as dt
 import io
 import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .agents import AGENT_KINDS, AgentConfig
-from .env import EnvConfig, ObsScaling
-from .errors import SettingInvalid, UserError
+from .env import EnvConfig
+from .errors import UserError
 from .indicators import IndicatorConfig
 from .market_data import DEFAULT_SCHEMA
 from .settings import check_settings, setting
-from .turbulence import DEFAULT_LOOKBACK, DEFAULT_QUANTILE
+from .turbulence import DEFAULT_LOOKBACK
 
 
-@dataclass
-class RunConfig:
-    data_path: str
-    schema: dict[str, str] = field(default_factory=dict)
+@dataclass(frozen=True)
+class DataConfig:
+    path: str
     delimiter: str = ","
     rejection_ceiling: float = setting(0.01, "[0, 1]")
     index_path: str | None = None
 
+    __post_init__ = check_settings
+
+
+@dataclass(frozen=True)
+class WindowsConfig:
     in_sample_end: dt.date = dt.date(2015, 12, 31)
     validation_months: int = setting(3, "[1, inf)")
     trade_months: int = setting(3, "[1, inf)")
 
-    env: EnvConfig = field(default_factory=EnvConfig)
-    indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
+    __post_init__ = check_settings
 
+
+@dataclass(frozen=True)
+class TurbulenceConfig:
     # rolling_turbulence also needs lookback >= D + 1, known once data loads
-    turbulence_lookback: int = setting(DEFAULT_LOOKBACK, "[2, inf)")
-    turbulence_quantile: float = setting(DEFAULT_QUANTILE, "(0, 1]")
-    turbulence_ridge: float | None = setting(None, "[0, inf)")
+    lookback: int = setting(DEFAULT_LOOKBACK, "[2, inf)")
+    quantile: float = setting(0.99, "(0, 1]")
+    ridge: float | None = setting(None, "[0, inf)")
 
-    agent_configs: dict[str, AgentConfig] = field(default_factory=dict)
+    __post_init__ = check_settings
 
+
+@dataclass(frozen=True)
+class RunOptions:
     seed: int = setting(0, "[0, inf)")
     out_dir: str = "run_output"
+
+    __post_init__ = check_settings
+
+
+@dataclass(frozen=True)
+class BaselinesConfig:
     # np.cov of one return is NaN
     min_variance_lookback: int = setting(252, "[2, inf)")
 
-    def __post_init__(self):
-        check_settings(self)
-        for kind in AGENT_KINDS:
-            self.agent_configs.setdefault(kind, AgentConfig())
+    __post_init__ = check_settings
 
 
-def _keys(cls, prefix: str = "") -> dict[str, str]:
-    """INI key -> field name for each field of `cls` but nested dataclasses."""
-    return {prefix + name: name
-            for name, tp in typing.get_type_hints(cls).items()
-            if not is_dataclass(tp)}
+@dataclass
+class RunConfig:
+    """One attribute per INI section; `agents` holds each kind's
+    [agents.<kind>] and `schema` the [data] `col_*` keys."""
+    data: DataConfig
+    windows: WindowsConfig
+    env: EnvConfig
+    indicators: IndicatorConfig
+    turbulence: TurbulenceConfig
+    agents: dict[str, AgentConfig]
+    run: RunOptions
+    baselines: BaselinesConfig
+    schema: dict[str, str]
 
 
-def _same(*names: str) -> dict[str, str]:
-    return {name: name for name in names}
-
-
-# (section, dataclass, key -> field), in snapshot order. [agents] is written
-# back once per kind, as [agents.<kind>].
-_SECTIONS = (
-    ("data", RunConfig, {"path": "data_path", **_same(
-        "delimiter", "rejection_ceiling", "index_path")}),
-    ("windows", RunConfig, _same(
-        "in_sample_end", "validation_months", "trade_months")),
-    ("env", EnvConfig, _keys(EnvConfig)),
-    ("env", ObsScaling, _keys(ObsScaling, "obs_scale_")),
-    ("indicators", IndicatorConfig, _keys(IndicatorConfig)),
-    ("turbulence", RunConfig, {"lookback": "turbulence_lookback",
-                               "quantile": "turbulence_quantile",
-                               "ridge": "turbulence_ridge"}),
-    ("agents", AgentConfig, _keys(AgentConfig)),
-    ("run", RunConfig, _same("seed", "out_dir")),
-    ("baselines", RunConfig, _same("min_variance_lookback")),
-)
-_PLACES = {(cls, name): (section, key) for section, cls, keys in _SECTIONS
-           for key, name in keys.items()}
+# in snapshot order; [agents] is written back once per kind, as
+# [agents.<kind>]
+_SECTIONS = {"data": DataConfig, "windows": WindowsConfig, "env": EnvConfig,
+             "indicators": IndicatorConfig, "turbulence": TurbulenceConfig,
+             "agents": AgentConfig, "run": RunOptions,
+             "baselines": BaselinesConfig}
 _AGENT_SECTIONS = {kind: f"agents.{kind.lower()}" for kind in AGENT_KINDS}
-_COLUMN_KEYS = {f"col_{name}": name for name in DEFAULT_SCHEMA}
 
 
 def _cast(tp, text: str):
@@ -112,28 +114,21 @@ def _format(value) -> str:
     return "" if value is None else str(value)
 
 
-def _read(values: dict[str, str], section: str, cls,
-          keys: dict[str, str]) -> dict:
-    """Take `keys` out of `values`; return the fields they set non-empty."""
+def _build(cls, values: dict, section: str):
+    """`cls` from the key values of INI `section`, each cast to its field's
+    type; a value that does not parse or lies out of range is reported under
+    `[section]`."""
     hints = typing.get_type_hints(cls)
-    out = {}
-    for key, name in keys.items():
-        text = values.pop(key, "")
-        if text:
-            try:
-                out[name] = _cast(hints[name], text)
-            except ValueError as exc:
-                raise UserError(f"[{section}] {key}: {exc}") from exc
-    return out
-
-
-def _build(cls, kwargs: dict, section: str | None = None):
-    """`cls(**kwargs)`; a field out of range is named by its INI key."""
+    kwargs = {}
+    for key, text in values.items():
+        try:
+            kwargs[key] = _cast(hints[key], text)
+        except ValueError as exc:
+            raise UserError(f"[{section}] {key}: {exc}") from exc
     try:
         return cls(**kwargs)
-    except SettingInvalid as exc:
-        where, key = _PLACES[cls, exc.name]
-        raise UserError(f"[{section or where}] {key} {exc.problem}") from exc
+    except UserError as exc:
+        raise UserError(f"[{section}] {exc}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -146,58 +141,53 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse config text. `overrides` (such as CLI flags) are `RunConfig`
-    field values that replace the file's before validation; a None
-    override replaces nothing."""
+    """Parse config text. `overrides` (such as CLI flags) are [run] key
+    values that replace the file's before validation; a None override
+    replaces nothing."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-        raw = {section: dict(parser[section]) for section in parser.sections()}
     except configparser.Error as exc:
         raise UserError(f"config: {exc}") from exc
-    kwargs = {cls: {} for _, cls, _ in _SECTIONS}
-    for section, cls, keys in _SECTIONS:
-        kwargs[cls].update(_read(raw.get(section, {}), section, cls, keys))
-    run = kwargs[RunConfig]
-    if "data_path" not in run:
-        raise UserError("config must set [data] path")
-    data = raw.get("data", {})
-    run["schema"] = {name: data.pop(key) for key, name in _COLUMN_KEYS.items()
-                     if key in data}
-    run["env"] = _build(EnvConfig, {
-        **kwargs[EnvConfig],
-        "obs_scaling": _build(ObsScaling, kwargs[ObsScaling])})
-    run["indicators"] = _build(IndicatorConfig, kwargs[IndicatorConfig])
-    # shared values are checked alone first, so their errors name [agents]
-    _build(AgentConfig, kwargs[AgentConfig])
-    run["agent_configs"] = {
-        kind: _build(AgentConfig, {
-            **kwargs[AgentConfig],
-            **_read(raw.get(section, {}), section, AgentConfig,
-                    _keys(AgentConfig))}, section)
-        for kind, section in _AGENT_SECTIONS.items()}
-    known = {s for s, _, _ in _SECTIONS} | set(_AGENT_SECTIONS.values())
+    raw = {section: dict(parser[section]) for section in parser.sections()}
+    data = raw.setdefault("data", {})
+    schema = {name: data.pop(f"col_{name}") for name in DEFAULT_SCHEMA
+              if f"col_{name}" in data}
+    known = {**_SECTIONS, **dict.fromkeys(_AGENT_SECTIONS.values(),
+                                          AgentConfig)}
     unknown = [f"[{s}] {key}" for s, values in raw.items() if s in known
-               for key in values] + [f"[{s}]" for s in raw if s not in known]
+               for key in values
+               if key not in {f.name for f in fields(known[s])}]
+    unknown += [f"[{s}]" for s in raw if s not in known]
     if unknown:
         raise UserError(f"unknown section or key: {', '.join(unknown)}")
-    run.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return _build(RunConfig, run)
+    raw = {s: {key: v for key, v in values.items() if v}
+           for s, values in raw.items()}
+    if "path" not in raw["data"]:
+        raise UserError("config must set [data] path")
+    raw.setdefault("run", {}).update(
+        {k: v for k, v in (overrides or {}).items() if v is not None})
+    cfg = {}
+    for section, cls in _SECTIONS.items():
+        values = raw.get(section, {})
+        cfg[section] = _build(cls, values, section)
+        if cls is AgentConfig:  # built alone, so its errors name [agents]
+            cfg[section] = {kind: _build(cls, {**values, **raw.get(s, {})}, s)
+                            for kind, s in _AGENT_SECTIONS.items()}
+    return RunConfig(**cfg, schema=schema)
 
 
 def snapshot_config(cfg: RunConfig) -> str:
     """Render a configuration as INI text that `parse_config` reads back to
     an equal `RunConfig`."""
-    objects = {RunConfig: cfg, EnvConfig: cfg.env,
-               ObsScaling: cfg.env.obs_scaling, IndicatorConfig: cfg.indicators}
     parser = configparser.ConfigParser(interpolation=None)
-    for section, cls, keys in _SECTIONS:
-        targets = ({_AGENT_SECTIONS[kind]: cfg.agent_configs[kind]
-                    for kind in AGENT_KINDS} if cls is AgentConfig
-                   else {section: objects[cls]})
-        for name, obj in targets.items():
-            parser.read_dict({name: {key: _format(getattr(obj, attr))
-                                     for key, attr in keys.items()}})
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
+        targets = ({_AGENT_SECTIONS[kind]: obj[kind] for kind in AGENT_KINDS}
+                   if section == "agents" else {section: obj})
+        for name, target in targets.items():
+            parser.read_dict({name: {f.name: _format(getattr(target, f.name))
+                                     for f in fields(target)}})
     parser.read_dict({"data": {f"col_{name}": col
                                for name, col in cfg.schema.items()}})
     out = io.StringIO()

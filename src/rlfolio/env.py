@@ -18,23 +18,16 @@ from .settings import check_settings, setting
 
 
 @dataclass(frozen=True)
-class ObsScaling:
-    price: float = setting(100.0, "(0, inf)")
-    macd: float = setting(100.0, "(0, inf)")
-    rsi: float = setting(100.0, "(0, inf)")
-    cci: float = setting(250.0, "(0, inf)")
-    adx: float = setting(100.0, "(0, inf)")
-
-    __post_init__ = check_settings
-
-
-@dataclass(frozen=True)
 class EnvConfig:
     initial_balance: float = setting(1_000_000.0, "(0, inf)")
     h_max: int = setting(100, "[1, inf)")
     fee_rate: float = setting(0.001, "[0, 1)")
     reward_scale: float = setting(1e-4, "(0, inf)")
-    obs_scaling: ObsScaling = field(default_factory=ObsScaling)
+    obs_scale_price: float = setting(100.0, "(0, inf)")
+    obs_scale_macd: float = setting(100.0, "(0, inf)")
+    obs_scale_rsi: float = setting(100.0, "(0, inf)")
+    obs_scale_cci: float = setting(250.0, "(0, inf)")
+    obs_scale_adx: float = setting(100.0, "(0, inf)")
 
     __post_init__ = check_settings
 
@@ -162,10 +155,10 @@ class TradingEnv:
         self._features = features[:stop]
         self._turbulence = (np.zeros(stop) if turbulence is None
                             else turbulence[:stop])
-        sc = config.obs_scaling
         self._obs_scale = np.repeat(
-            [config.initial_balance, sc.price, config.h_max, sc.macd, sc.rsi,
-             sc.cci, sc.adx], [1] + [panel.D] * 6)
+            [config.initial_balance, config.obs_scale_price, config.h_max,
+             config.obs_scale_macd, config.obs_scale_rsi,
+             config.obs_scale_cci, config.obs_scale_adx], [1] + [panel.D] * 6)
 
     @property
     def D(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SettingInvalid
+from .errors import UserError
 from .market_data import PricePanel
 from .settings import check_settings, setting
 
@@ -30,7 +30,7 @@ class IndicatorConfig:
     def __post_init__(self):
         check_settings(self)
         if self.macd_fast >= self.macd_slow:
-            raise SettingInvalid("macd_fast", "must be below macd_slow")
+            raise UserError("macd_fast must be below macd_slow")
 
 
 def _check_series(x) -> np.ndarray:

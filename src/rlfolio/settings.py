@@ -2,7 +2,7 @@
 field, and the one check of it that the config dataclasses run."""
 from dataclasses import field, fields
 
-from .errors import SettingInvalid
+from .errors import UserError
 
 
 def setting(default, interval: str):
@@ -13,8 +13,8 @@ def setting(default, interval: str):
 
 
 def check_settings(obj) -> None:
-    """Raise `SettingInvalid` for the first field of dataclass `obj` whose
-    value lies outside its declared interval."""
+    """Raise `UserError`, naming the field, for the first field of dataclass
+    `obj` whose value lies outside its declared interval."""
     for f in fields(obj):
         interval, value = f.metadata.get("interval"), getattr(obj, f.name)
         if interval is None or value is None:
@@ -23,5 +23,5 @@ def check_settings(obj) -> None:
         for v in value if isinstance(value, tuple) else (value,):
             if not ((lo <= v if interval[0] == "[" else lo < v)
                     and (v <= hi if interval[-1] == "]" else v < hi)):
-                raise SettingInvalid(f.name,
-                                     f"must be in {interval}, got {value}")
+                raise UserError(f"{f.name} must be in {interval}, "
+                                f"got {value}")

@@ -8,11 +8,10 @@ from .errors import UserError
 from .evaluation import daily_returns
 from .market_data import PricePanel
 
-__all__ = ["DEFAULT_LOOKBACK", "DEFAULT_QUANTILE", "DEFAULT_RIDGE_SCALE",
-           "calibrate_threshold", "default_ridge", "rolling_turbulence"]
+__all__ = ["DEFAULT_LOOKBACK", "DEFAULT_RIDGE_SCALE", "calibrate_threshold",
+           "default_ridge", "rolling_turbulence"]
 
 DEFAULT_LOOKBACK = 252
-DEFAULT_QUANTILE = 0.99
 DEFAULT_RIDGE_SCALE = 1e-8
 # Dates per batched solve in `rolling_turbulence`: its scratch is
 # SOLVE_BLOCK * D * D floats (0.46 MB at the paper's D=30), whatever T is.

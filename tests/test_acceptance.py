@@ -265,25 +265,26 @@ def test_criterion_07_learning_smoke():
     t0 = time.perf_counter()
     env = TwoArmedBandit()
     a2c = A2CAgent(1, 1, AgentConfig(hidden=(16,), actor_lr=3e-3,
-                                     critic_lr=3e-3, rollout=64), seed=0)
-    a2c.train(env, total_steps=4000)  # 4000/64 < 2000 updates
+                                     critic_lr=3e-3, rollout=64,
+                                     total_steps=4000), seed=0)
+    a2c.train(env)  # 4000/64 < 2000 updates
     assert picks_positive_arm(a2c, env)
     assert time.perf_counter() - t0 < 120.0
 
     t0 = time.perf_counter()
     ppo = PPOAgent(1, 1, AgentConfig(hidden=(16,), actor_lr=3e-3,
                                      critic_lr=3e-3, rollout=64, epochs=4,
-                                     minibatch=32), seed=0)
-    ppo.train(env, total_steps=2000)
+                                     minibatch=32, total_steps=2000), seed=0)
+    ppo.train(env)
     assert picks_positive_arm(ppo, env)
     assert time.perf_counter() - t0 < 120.0
 
     t0 = time.perf_counter()
     ddpg = DDPGAgent(1, 1, AgentConfig(hidden=(16,), actor_lr=3e-3,
                                        critic_lr=3e-3, warmup_steps=64,
-                                       batch_size=32, noise_scale=0.3),
-                     seed=0)
-    ddpg.train(env, total_steps=1500)  # < 2000 post-warmup updates
+                                       batch_size=32, noise_scale=0.3,
+                                       total_steps=1500), seed=0)
+    ddpg.train(env)  # < 2000 post-warmup updates
     assert picks_positive_arm(ddpg, env)
     assert time.perf_counter() - t0 < 120.0
 

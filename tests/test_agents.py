@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from rlfolio.agents.a2c import A2CAgent
 from rlfolio.agents.common import AgentConfig, TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
+from rlfolio.errors import UserError
 from rlfolio.neural import Adam, Mlp
 
 import oracles
@@ -60,7 +62,8 @@ class TestPPOClip:
 
     def test_bad_epsilon(self):
         # checked once, where the PPO settings are declared
-        with pytest.raises(ValueError, match="clip_epsilon"):
+        with pytest.raises(UserError, match=re.escape(
+                "clip_epsilon must be in (0, inf), got 0.0")):
             AgentConfig(clip_epsilon=0.0)
 
 
@@ -245,24 +248,24 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", AGENT_KINDS)
     def test_same_seed_same_params(self, kind):
         cfg = AgentConfig(hidden=(8,), rollout=32, warmup_steps=16,
-                          batch_size=8)
+                          batch_size=8, total_steps=64)
         runs = []
         for _ in range(2):
             env = TwoArmedBandit()
             agent = make_agent(kind, env.obs_dim, env.action_dim, cfg, seed=11)
-            agent.train(env, total_steps=64)
+            agent.train(env)
             runs.append(flat(agent))
         np.testing.assert_array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("kind", AGENT_KINDS)
     def test_different_seed_diverges(self, kind):
         cfg = AgentConfig(hidden=(8,), rollout=32, warmup_steps=16,
-                          batch_size=8)
+                          batch_size=8, total_steps=64)
         outs = []
         for seed in (1, 2):
             env = TwoArmedBandit()
             agent = make_agent(kind, env.obs_dim, env.action_dim, cfg, seed=seed)
-            agent.train(env, total_steps=64)
+            agent.train(env)
             outs.append(flat(agent))
         assert not np.array_equal(outs[0], outs[1])
 
@@ -386,23 +389,25 @@ class TestBanditLearning:
     def test_a2c(self):
         env = TwoArmedBandit()
         cfg = AgentConfig(hidden=(16,), actor_lr=3e-3, critic_lr=3e-3,
-                          rollout=64)
+                          rollout=64, total_steps=4000)
         agent = A2CAgent(env.obs_dim, env.action_dim, cfg, seed=0)
-        agent.train(env, total_steps=4000)
+        agent.train(env)
         assert self.picks_positive_arm(agent, env)
 
     def test_ppo(self):
         env = TwoArmedBandit()
         cfg = AgentConfig(hidden=(16,), actor_lr=3e-3, critic_lr=3e-3,
-                          rollout=64, epochs=4, minibatch=32)
+                          rollout=64, epochs=4, minibatch=32,
+                          total_steps=2000)
         agent = PPOAgent(env.obs_dim, env.action_dim, cfg, seed=0)
-        agent.train(env, total_steps=2000)
+        agent.train(env)
         assert self.picks_positive_arm(agent, env)
 
     def test_ddpg(self):
         env = TwoArmedBandit()
         cfg = AgentConfig(hidden=(16,), actor_lr=3e-3, critic_lr=3e-3,
-                          warmup_steps=64, batch_size=32, noise_scale=0.3)
+                          warmup_steps=64, batch_size=32, noise_scale=0.3,
+                          total_steps=1500)
         agent = DDPGAgent(env.obs_dim, env.action_dim, cfg, seed=0)
-        agent.train(env, total_steps=1500)
+        agent.train(env)
         assert self.picks_positive_arm(agent, env)

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rlfolio.agents import AGENT_KINDS, AgentConfig
+from rlfolio.agents import AGENT_KINDS
 from rlfolio import cli, config
 from rlfolio.cli import main
-from rlfolio.config import (RunConfig, load_config, parse_config,
-                            snapshot_config)
+from rlfolio.config import (BaselinesConfig, DataConfig, load_config,
+                            parse_config, snapshot_config)
 from rlfolio.ensemble import pick_best
-from rlfolio.env import EnvConfig, ObsScaling
 from rlfolio.errors import UserError
-from rlfolio.indicators import IndicatorConfig
 from rlfolio.market_data import DEFAULT_SCHEMA, build_window_plan
 
 from helpers import make_panel, panel_to_csv, trade_rows, trading_calendar
@@ -166,13 +164,13 @@ def bound_cases():
     nearest value outside must not. An int field has no value at an
     infinite bound."""
     cases = []
-    for section, cls, keys in config._SECTIONS:
+    for section, cls in config._SECTIONS.items():
         hints = typing.get_type_hints(cls)
-        for key, name in keys.items():
-            interval = interval_of(cls, name)
+        for key in hints:
+            interval = interval_of(cls, key)
             if interval is None:
                 continue
-            integral = int in (hints[name], *typing.get_args(hints[name]))
+            integral = int in (hints[key], *typing.get_args(hints[key]))
             lo, hi = (float(b) for b in interval[1:-1].split(","))
             ends = ((lo, interval[0] == "[", math.inf),
                     (hi, interval[-1] == "]", -math.inf))
@@ -216,27 +214,27 @@ class TestConfig:
 
     def test_defaults(self, data_csv):
         cfg = parse_config(f"[data]\npath = {data_csv}\n")
-        assert cfg.in_sample_end == dt.date(2015, 12, 31)
+        assert cfg.windows.in_sample_end == dt.date(2015, 12, 31)
         assert cfg.env.initial_balance == 1_000_000.0
         assert cfg.env.fee_rate == 0.001
-        assert cfg.turbulence_lookback == 252
-        assert set(cfg.agent_configs) == {"PPO", "A2C", "DDPG"}
+        assert cfg.turbulence.lookback == 252
+        assert set(cfg.agents) == {"PPO", "A2C", "DDPG"}
 
     def test_kind_specific_override(self, data_csv):
         text = (f"[data]\npath = {data_csv}\n"
                 "[agents]\ngamma = 0.95\n"
                 "[agents.ppo]\nclip_epsilon = 0.1\n")
         cfg = parse_config(text)
-        assert cfg.agent_configs["PPO"].clip_epsilon == 0.1
-        assert cfg.agent_configs["PPO"].gamma == 0.95
-        assert cfg.agent_configs["A2C"].gamma == 0.95
-        assert cfg.agent_configs["DDPG"].clip_epsilon == 0.2
+        assert cfg.agents["PPO"].clip_epsilon == 0.1
+        assert cfg.agents["PPO"].gamma == 0.95
+        assert cfg.agents["A2C"].gamma == 0.95
+        assert cfg.agents["DDPG"].clip_epsilon == 0.2
 
     def test_huge_finite_learning_rate_accepted(self, data_csv):
         # any positive finite rate is a valid setting, however it trains
         cfg = parse_config(f"[data]\npath = {data_csv}\n"
                            "[agents]\ncritic_lr = 1e200\n")
-        assert cfg.agent_configs["DDPG"].critic_lr == 1e200
+        assert cfg.agents["DDPG"].critic_lr == 1e200
 
     @pytest.mark.parametrize("text, ridge", [("", None), ("0", 0.0),
                                              ("1e-6", 1e-6)])
@@ -244,7 +242,7 @@ class TestConfig:
         # empty keeps the trace-scaled default; zero is a valid ridge
         cfg = parse_config(f"[data]\npath = {data_csv}\n"
                            f"[turbulence]\nridge = {text}\n")
-        assert cfg.turbulence_ridge == ridge
+        assert cfg.turbulence.ridge == ridge
 
     def test_missing_data_path(self):
         with pytest.raises(UserError,
@@ -261,28 +259,31 @@ class TestConfig:
         cfg_path, _ = write_config(tmp_path, data_csv)
         cfg = load_config(cfg_path)
         again = parse_config(snapshot_config(cfg))
-        assert again.seed == cfg.seed
+        assert again.run.seed == cfg.run.seed
         assert again.env == cfg.env
-        assert again.agent_configs == cfg.agent_configs
-        assert again.in_sample_end == cfg.in_sample_end
+        assert again.agents == cfg.agents
+        assert again.windows.in_sample_end == cfg.windows.in_sample_end
 
     def test_percent_in_values_is_literal(self, tmp_path):
         path = str(tmp_path / "bars%20.csv")
         cfg = parse_config(f"[data]\npath = {path}\n[run]\nout_dir = out%%\n")
-        assert cfg.data_path == path
-        assert cfg.out_dir == "out%%"
+        assert cfg.data.path == path
+        assert cfg.run.out_dir == "out%%"
         again = parse_config(snapshot_config(cfg))
         assert again == cfg
 
     def test_snapshot_roundtrip_every_key(self):
         cfg = parse_config(EVERY_KEY_CONFIG)
-        defaults = [(cfg, RunConfig(data_path="")), (cfg.env, EnvConfig()),
-                    (cfg.env.obs_scaling, ObsScaling()),
-                    (cfg.indicators, IndicatorConfig())]
-        defaults += [(cfg.agent_configs[k], AgentConfig()) for k in AGENT_KINDS]
-        for obj, default in defaults:
-            for f in fields(obj):
-                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+        for section, cls in config._SECTIONS.items():
+            default = cls(path="") if cls is DataConfig else cls()
+            objs = (cfg.agents.values() if section == "agents"
+                    else [getattr(cfg, section)])
+            for obj in objs:
+                for f in fields(cls):
+                    assert getattr(obj, f.name) != getattr(default, f.name), \
+                        f.name
+        assert all(cfg.schema[name] != column
+                   for name, column in DEFAULT_SCHEMA.items())
 
         snapshot = snapshot_config(cfg)
         assert parse_config(snapshot) == cfg
@@ -294,16 +295,43 @@ class TestConfig:
                                 *(f"col_{name}" for name in DEFAULT_SCHEMA)}
         assert keys["windows"] == {"in_sample_end", "validation_months",
                                    "trade_months"}
-        assert keys["env"] == (
-            {f.name for f in fields(EnvConfig)} - {"obs_scaling"}
-            | {f"obs_scale_{f.name}" for f in fields(ObsScaling)})
-        assert keys["indicators"] == {f.name for f in fields(IndicatorConfig)}
         assert keys["turbulence"] == {"lookback", "quantile", "ridge"}
-        for kind in AGENT_KINDS:
-            assert keys[f"agents.{kind.lower()}"] == {
-                f.name for f in fields(AgentConfig)}
         assert keys["run"] == {"seed", "out_dir"}
         assert keys["baselines"] == {"min_variance_lookback"}
+        # each section's keys are the field names of its one dataclass
+        for section, cls in config._SECTIONS.items():
+            names = {f.name for f in fields(cls)}
+            if section == "data":
+                names |= {f"col_{name}" for name in DEFAULT_SCHEMA}
+            for written in ([f"agents.{k.lower()}" for k in AGENT_KINDS]
+                            if section == "agents" else [section]):
+                assert keys[written] == names, written
+
+    def test_snapshot_section_and_key_order(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(snapshot_config(parse_config(EVERY_KEY_CONFIG)))
+        agent_keys = ["gamma", "hidden", "actor_lr", "critic_lr",
+                      "total_steps", "rollout", "epochs", "minibatch",
+                      "clip_epsilon", "buffer_capacity", "batch_size", "tau",
+                      "noise_scale", "warmup_steps"]
+        assert [(s, list(parser[s])) for s in parser.sections()] == [
+            ("data", ["path", "delimiter", "rejection_ceiling", "index_path",
+                      "col_date", "col_ticker", "col_open", "col_high",
+                      "col_low", "col_close", "col_adj_close", "col_volume"]),
+            ("windows", ["in_sample_end", "validation_months",
+                         "trade_months"]),
+            ("env", ["initial_balance", "h_max", "fee_rate", "reward_scale",
+                     "obs_scale_price", "obs_scale_macd", "obs_scale_rsi",
+                     "obs_scale_cci", "obs_scale_adx"]),
+            ("indicators", ["macd_fast", "macd_slow", "rsi_period",
+                            "cci_period", "adx_period"]),
+            ("turbulence", ["lookback", "quantile", "ridge"]),
+            ("agents.ppo", agent_keys),
+            ("agents.a2c", agent_keys),
+            ("agents.ddpg", agent_keys),
+            ("run", ["seed", "out_dir"]),
+            ("baselines", ["min_variance_lookback"]),
+        ]
 
 
 class TestIngest:
@@ -404,8 +432,9 @@ class TestBacktestAndReport:
         # calendar over the plan's trade rows, strictly increasing
         cfg = load_config(run_dir / "config_snapshot.ini")
         panel, _ = cli._load_panel(cfg)
-        plan = build_window_plan(panel, cfg.in_sample_end,
-                                 cfg.validation_months, cfg.trade_months)
+        plan = build_window_plan(panel, cfg.windows.in_sample_end,
+                                 cfg.windows.validation_months,
+                                 cfg.windows.trade_months)
         want = [panel.calendar[t] for t in trade_rows(plan)]
         assert len(want) > 2 * len(plan)
         assert all(a < b for a, b in zip(want, want[1:]))
@@ -471,7 +500,7 @@ class TestBacktestAndReport:
 
     def test_snapshot_is_loadable(self, run_dir):
         cfg = load_config(run_dir / "config_snapshot.ini")
-        assert cfg.seed == 3
+        assert cfg.run.seed == 3
 
     def test_report_prints_table_and_curves(self, run_dir):
         result = CliRunner().invoke(main, ["report", "--out", str(run_dir)])
@@ -498,6 +527,21 @@ class TestBacktestAndReport:
                      "trades_ensemble.csv", "equity_ppo.csv"):
             assert (out_dir / name).read_bytes() == \
                 (run_dir / name).read_bytes()
+
+    def test_rerun_deletes_the_report_curves(self, data_csv, tmp_path):
+        # `report`'s curves are made from one bundle: a backtest that writes
+        # a new bundle into the directory deletes them with the old one
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        for args in (["backtest", "--config", str(cfg_path)],
+                     ["report", "--out", str(out_dir)]):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+        assert len(list(out_dir.glob("cumret_*.csv"))) == 6
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path), "--seed", "9"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            sorted(BUNDLE_FILES)
 
 
 class TestBacktestUserErrors:
@@ -586,7 +630,7 @@ class TestExitCodes:
         assert final["date"] == "2018-09-28"
 
     def test_min_variance_lookback_at_lower_bound(self, data_csv, tmp_path):
-        interval = interval_of(RunConfig, "min_variance_lookback")
+        interval = interval_of(BaselinesConfig, "min_variance_lookback")
         lower = interval[1:-1].split(",")[0]
         cfg_path, out_dir = write_config(tmp_path, data_csv)
         cfg_path.write_text(cfg_path.read_text().replace(
@@ -601,9 +645,7 @@ class TestExitCodes:
                 values = [float(row["value"]) for row in csv.DictReader(fh)]
             assert values and all(0 < v < math.inf for v in values), path
 
-    # the built-in types the program raises on a fault; a plain
-    # `ValueError` exits 1, though `SettingInvalid`, also a `UserError`,
-    # exits 2
+    # the built-in types the program raises on a fault
     @pytest.mark.parametrize("fault_type", [
         ValueError, FloatingPointError, RuntimeError, np.linalg.LinAlgError],
         ids=lambda t: t.__name__)

@@ -6,11 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import rlfolio
-from rlfolio import errors
-from rlfolio.agents import AgentConfig
-from rlfolio.config import RunConfig
-from rlfolio.env import EnvConfig, ObsScaling
-from rlfolio.indicators import IndicatorConfig
+from rlfolio import config, errors
 from rlfolio.settings import setting
 
 PACKAGE = Path(rlfolio.__file__).parent
@@ -145,11 +141,11 @@ def test_only_the_window_plan_turns_dates_into_rows():
 
 # The only `except` clauses that may name a package error, by module and
 # enclosing function: the CLI's exit-code boundary, and the config reader,
-# which re-raises a field's error under its INI key. Anywhere else an
+# which re-raises a field's error under its INI section. Anywhere else an
 # outcome such as an undefined ratio is a value, not an exception.
 ALLOWED_CATCHES = {
     "cli.py": {("_exit_codes", "UserError")},
-    "config.py": {("_build", "SettingInvalid")},
+    "config.py": {("_build", "UserError")},
 }
 ERROR_CLASSES = {name for name, obj in vars(errors).items()
                  if isinstance(obj, type) and issubclass(obj, Exception)
@@ -181,11 +177,11 @@ def test_caught_errors_are_flagged():
                      "    try:\n        score = sharpe(r)\n"
                      "    except ZeroVolatility:\n        score = None\n"
                      "    try:\n        pass\n"
-                     "    except (OSError, errors.SettingInvalid):\n"
+                     "    except (OSError, errors.UserError):\n"
                      "        pass\n"
                      "    except ValueError:\n        pass\n")
-    assert caught_errors(tree, {"ZeroVolatility", "SettingInvalid"}) == [
-        ("validate", "ZeroVolatility"), ("validate", "SettingInvalid")]
+    assert caught_errors(tree, {"ZeroVolatility", "UserError"}) == [
+        ("validate", "ZeroVolatility"), ("validate", "UserError")]
 
 
 def test_package_errors_are_caught_only_at_the_boundaries():
@@ -226,12 +222,12 @@ def raisers_of(trees: dict[str, ast.Module], names: set[str]) -> list[str]:
 
 def test_raised_errors_are_caught():
     trees = {"a.py": ast.parse("def f():\n    raise UserError('x')\n"),
-             "b.py": ast.parse("raise errors.SettingInvalid('k', 'p')\n"),
+             "b.py": ast.parse("raise errors.UserError('k')\n"),
              "c.py": ast.parse("raise UserError\n"),
              "d.py": ast.parse("try:\n    pass\nexcept UserError:\n"
                                "    raise\nraise ValueError('x')\n"),
              "e.py": ast.parse("exc = UserError('x')\n")}
-    assert raisers_of(trees, {"UserError", "SettingInvalid"}) == [
+    assert raisers_of(trees, {"UserError"}) == [
         "a.py", "b.py", "c.py"]
 
 
@@ -240,8 +236,8 @@ def test_only_input_readers_raise_user_errors():
     assert [m for m in raisers if m not in USER_INPUT_MODULES] == []
 
 
-CONFIG_CLASSES = (RunConfig, EnvConfig, ObsScaling, IndicatorConfig,
-                  AgentConfig)
+# one dataclass per INI section
+CONFIG_CLASSES = tuple(config._SECTIONS.values())
 
 
 def undeclared_ranges(cls) -> list[str]:

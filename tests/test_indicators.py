@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio import indicators as ind
+from rlfolio.errors import UserError
 
 import oracles
 from helpers import make_panel, make_split_panel
@@ -41,7 +42,8 @@ class TestMacd:
 
     def test_bad_periods(self):
         # checked once, where the periods are declared
-        with pytest.raises(ValueError, match="macd_fast"):
+        with pytest.raises(UserError,
+                           match="^macd_fast must be below macd_slow$"):
             ind.IndicatorConfig(macd_fast=26, macd_slow=12)
 
 
