@@ -31,7 +31,7 @@ EXIT_USER_ERROR = 2
 def _write_csv(path: Path, header, rows) -> None:
     """Write a header and rows of Python values (`.tolist()`, not NumPy
     scalars): `csv` writes None as an empty cell and a float by `repr`."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -43,11 +43,22 @@ def _load_panel(cfg: RunConfig):
                      delimiter=cfg.data.delimiter)
 
 
+@contextlib.contextmanager
+def _open_csv(path):
+    """The user's file at `path`, open as UTF-8 text for `csv`; a byte that
+    does not decode is a user error naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path} is not UTF-8: {exc.reason}") from exc
+
+
 def _load_index_levels(path: str, days: list[str]) -> list[float]:
     """The index file's level on each of `days` (ISO dates), in order; each
     must have one, and no date may repeat."""
     series = {}  # ISO date -> (line, level)
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if not {"date", "value"} <= set(reader.fieldnames or ()):
             raise UserError(f"index file {path} needs date and value columns")
@@ -182,7 +193,8 @@ def backtest(config_path, seed, out):
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("cumret_*.csv"):
         stale.unlink()
-    (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg))
+    (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg),
+                                                 encoding="utf-8")
     for name, curve in strategies.items():
         trades = results[name].trades if name in results else None
         _write_strategy(out_dir, name, days, curve, trades)
@@ -210,12 +222,13 @@ def backtest(config_path, seed, out):
 @_exit_codes()
 def report(run_dir):
     """Print the comparison table and write plot-ready cumulative-return
-    curves for every strategy."""
+    curves for every strategy. Every file is checked before the first
+    write."""
     run_dir = Path(run_dir)
     comparison = run_dir / "comparison.csv"
     if not comparison.exists():
         raise UserError(f"missing {comparison}")
-    with open(comparison, newline="") as fh:
+    with _open_csv(comparison) as fh:
         raw = list(csv.reader(fh))
     if not raw:
         raise UserError(f"{comparison} is empty")
@@ -223,6 +236,23 @@ def report(run_dir):
         if len(row) != len(raw[0]):
             raise UserError(f"{comparison} line {line} has {len(row)} "
                             f"cells, its header {len(raw[0])}")
+
+    curves = []  # (name, rows, values) of each equity file with rows
+    for equity in sorted(run_dir.glob("equity_*.csv")):
+        with _open_csv(equity) as fh:
+            reader = csv.DictReader(fh)
+            if not {"date", "value"} <= set(reader.fieldnames or ()):
+                raise UserError(f"{equity} needs date and value columns")
+            data = list(reader)
+        try:
+            values = [float(r["value"]) for r in data]
+        except (TypeError, ValueError) as exc:
+            raise UserError(f"{equity}: bad value column ({exc})") from exc
+        if not all(0.0 < v < math.inf for v in values):
+            raise UserError(f"{equity}: equity values must be positive "
+                            "and finite")
+        if data:
+            curves.append((equity.stem.removeprefix("equity_"), data, values))
 
     def fmt(cell: str) -> str:
         try:
@@ -234,20 +264,7 @@ def report(run_dir):
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-
-    for equity in sorted(run_dir.glob("equity_*.csv")):
-        name = equity.stem.removeprefix("equity_")
-        with open(equity, newline="") as fh:
-            data = list(csv.DictReader(fh))
-        if not data:
-            continue
-        try:
-            values = [float(r["value"]) for r in data]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UserError(f"{equity}: bad value column ({exc})") from exc
-        if not all(0.0 < v < math.inf for v in values):
-            raise UserError(f"{equity}: equity values must be positive "
-                            "and finite")
+    for name, data, values in curves:
         _write_csv(run_dir / f"cumret_{name}.csv", ["date", "cumulative_return"],
                    [[r["date"], v / values[0] - 1.0]
                     for r, v in zip(data, values)])

@@ -33,7 +33,11 @@ class DataConfig:
     rejection_ceiling: float = setting(0.01, "[0, 1]")
     index_path: str | None = None
 
-    __post_init__ = check_settings
+    def __post_init__(self):
+        check_settings(self)
+        if len(self.delimiter) != 1:
+            raise UserError("delimiter must be one character, got "
+                            f"{self.delimiter!r}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,11 @@ def _build(cls, values: dict, section: str):
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Read and parse the config file at `path` (see `parse_config`)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UserError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UserError(f"config {path} is not UTF-8: {exc.reason}") from exc
     return parse_config(text, overrides)
 
 

@@ -95,8 +95,8 @@ def run_deterministic(agent: Agent, env: TradingEnv,
     sells, buys = [], []
     while not env.state.done:
         result = env.step_state(env.state, agent.act(env.observe()))
-        sells.append(result.plan.sell_shares)
-        buys.append(result.plan.buy_shares)
+        sells.append(result.sell_shares)
+        buys.append(result.buy_shares)
         env.state = result.next_state
         values.append(env.state.portfolio_value)
     return Rollout(np.array(values), env.state, env, sells, buys)

@@ -56,40 +56,30 @@ class EnvState:
 
 
 @dataclass(frozen=True)
-class TradePlan:
-    sell_shares: np.ndarray  # int64 >= 0 per asset
-    buy_shares: np.ndarray  # int64 >= 0 per asset
-
-
-@dataclass(frozen=True)
 class StepResult:
     next_state: EnvState
     reward: float  # scaled by config.reward_scale
     reward_unscaled: float
     cost: float
-    plan: TradePlan
+    sell_shares: np.ndarray  # int64 >= 0 per asset
+    buy_shares: np.ndarray  # int64 >= 0 per asset
     turbulence_triggered: bool
 
 
-def clip_action(raw) -> np.ndarray:
-    """`raw` as floats clipped to [-1, 1]; NaN and -0.0 pass through, as
-    with `np.clip`, without its wrapper's overhead."""
-    return np.minimum(np.maximum(np.asarray(raw, dtype=float), -1.0), 1.0)
-
-
 def resolve_action(state: EnvState, action, h_max: int,
-                   fee_rate: float) -> TradePlan:
-    """Turn a [-1, 1] action vector into integer share trades.
+                   fee_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Turn an action vector into integer (sell, buy) share trades.
 
-    Desired shares are truncated toward zero from raw * h_max; a NaN
-    component desires none. Sells are capped at current holdings and
+    The action is clipped to [-1, 1] as by `np.clip`, without its wrapper's
+    overhead, and desired shares truncated toward zero from raw * h_max; a
+    NaN component desires none. Sells are capped at current holdings and
     credit the balance (net of fees) before buys, which are processed in
     ascending asset index, each capped at what the remaining cash affords
     including the fee. Unaffordable remainder is dropped, so the post-trade
     balance can never go negative. The buy loop runs on Python floats and
     ints, which round exactly as numpy scalars do.
     """
-    raw = clip_action(action)
+    raw = np.minimum(np.maximum(np.asarray(action, dtype=float), -1.0), 1.0)
     raw[np.isnan(raw)] = 0.0
     desired = np.trunc(raw * h_max).astype(np.int64)
     sell = np.minimum(np.maximum(-desired, 0), state.holdings)
@@ -104,22 +94,7 @@ def resolve_action(state: EnvState, action, h_max: int,
             if k:
                 cash -= k * unit
             buy[d] = k
-    return TradePlan(sell_shares=sell,
-                     buy_shares=np.array(buy, dtype=np.int64))
-
-
-def plan_trades(state: EnvState, action, h_max: int, fee_rate: float,
-                threshold: float) -> tuple[TradePlan, bool]:
-    """The trades of one step and whether the turbulence override fired.
-
-    Above the threshold the override (Kritzman & Li's halt) sells every
-    held share, not capped by h_max, and buys nothing; otherwise the
-    action is resolved by `resolve_action`.
-    """
-    if state.turbulence > threshold:
-        return TradePlan(sell_shares=state.holdings.copy(),
-                         buy_shares=np.zeros_like(state.holdings)), True
-    return resolve_action(state, action, h_max, fee_rate), False
+    return sell, np.array(buy, dtype=np.int64)
 
 
 class TradingEnv:
@@ -150,6 +125,8 @@ class TradingEnv:
         self.config = config
         self.threshold = turbulence_threshold
         self.state: EnvState | None = None
+        self.action_dim = panel.D
+        self.obs_dim = 1 + 6 * panel.D
         stop = self.end + 1
         self._prices = panel.adj_close[:stop]
         self._features = features[:stop]
@@ -159,18 +136,6 @@ class TradingEnv:
             [config.initial_balance, config.obs_scale_price, config.h_max,
              config.obs_scale_macd, config.obs_scale_rsi,
              config.obs_scale_cci, config.obs_scale_adx], [1] + [panel.D] * 6)
-
-    @property
-    def D(self) -> int:
-        return self.panel.D
-
-    @property
-    def obs_dim(self) -> int:
-        return 1 + 6 * self.D
-
-    @property
-    def action_dim(self) -> int:
-        return self.D
 
     def market_at(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Date t's prices, feature row and turbulence value; logged in
@@ -190,24 +155,32 @@ class TradingEnv:
     def reset(self, balance: float | None = None,
               holdings: np.ndarray | None = None) -> np.ndarray:
         bal = self.config.initial_balance if balance is None else float(balance)
-        hold = (np.zeros(self.D, dtype=np.int64) if holdings is None
+        hold = (np.zeros(self.action_dim, dtype=np.int64) if holdings is None
                 else np.asarray(holdings, dtype=np.int64).copy())
         self.state = self._state_at(self.start, bal, hold)
         return self.observe()
 
     def step_state(self, state: EnvState, action) -> StepResult:
-        """Pure transition: resolve trades at t, settle at t+1."""
+        """Pure transition: decide trades at t, settle at t+1.
+
+        Above the turbulence threshold the override (Kritzman & Li's halt)
+        sells every held share, not capped by h_max, and buys nothing;
+        otherwise the action is resolved by `resolve_action`.
+        """
         if state.done:
             raise RuntimeError(f"episode already done at t={state.t}")
         cfg = self.config
-        plan, triggered = plan_trades(state, action, cfg.h_max, cfg.fee_rate,
-                                      self.threshold)
+        triggered = state.turbulence > self.threshold
+        if triggered:
+            sell, buy = state.holdings.copy(), np.zeros_like(state.holdings)
+        else:
+            sell, buy = resolve_action(state, action, cfg.h_max, cfg.fee_rate)
         p_t = state.prices
-        sell_notional = float((p_t * plan.sell_shares).sum())
-        buy_notional = float((p_t * plan.buy_shares).sum())
+        sell_notional = float((p_t * sell).sum())
+        buy_notional = float((p_t * buy).sum())
         cost = cfg.fee_rate * (sell_notional + buy_notional)
         balance = state.balance + sell_notional - buy_notional - cost
-        holdings = state.holdings - plan.sell_shares + plan.buy_shares
+        holdings = state.holdings - sell + buy
 
         t_next = state.t + 1
         next_state = self._state_at(t_next, balance, holdings,
@@ -216,7 +189,7 @@ class TradingEnv:
         return StepResult(next_state=next_state,
                           reward=reward_unscaled * cfg.reward_scale,
                           reward_unscaled=reward_unscaled,
-                          cost=cost, plan=plan,
+                          cost=cost, sell_shares=sell, buy_shares=buy,
                           turbulence_triggered=triggered)
 
     def step(self, action) -> tuple[np.ndarray, float, bool]:

@@ -141,7 +141,7 @@ def load_bars(source, schema: dict[str, str] | None = None,
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     close_after = isinstance(source, str)
     if close_after:
-        source = open(source, "r", newline="")
+        source = open(source, "r", newline="", encoding="utf-8")
 
     values = array("d")                  # six bar values per parsed row
     ticker_col, date_col, line_col = array("q"), array("q"), array("q")
@@ -186,6 +186,9 @@ def load_bars(source, schema: dict[str, str] | None = None,
             rejected.append(RejectedRow(reader.line_num, reason))
         if total == 0:
             raise UserError("source has a header but no data rows")
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{getattr(source, 'name', 'source')} is not UTF-8: "
+                        f"{exc.reason}") from exc
     finally:
         if close_after:
             source.close()

@@ -169,17 +169,9 @@ class GaussianPolicy:
         std = self.std()
         noise = rng.standard_normal(mean.shape)
         action = mean + std * noise
-        return action, self._log_prob(action, mean, std)
-
-    def log_prob(self, obs, action) -> np.ndarray | float:
-        mean = self.mean_net.forward(obs)
-        return self._log_prob(np.asarray(action, dtype=float), mean, self.std())
-
-    @staticmethod
-    def _log_prob(action, mean, std):
         z = (action - mean) / std
         per_dim = -0.5 * z ** 2 - np.log(std) - 0.5 * LOG_2PI
-        return per_dim.sum(axis=-1)
+        return action, per_dim.sum(axis=-1)
 
     def log_prob_grads(self, obs, action):
         """Per-sample log-probs plus machinery to backprop a weighting.

@@ -220,7 +220,7 @@ def reward_components(state, result):
     identity is reward + cost == r_H - r_S + r_B.
     """
     dp = result.next_state.prices - state.prices
-    sell, buy = result.plan.sell_shares, result.plan.buy_shares
+    sell, buy = result.sell_shares, result.buy_shares
     hold_mask = (sell == 0) & (buy == 0)
     return {"r_H": float((dp * state.holdings * hold_mask).sum()),
             "r_S": float((dp * (sell - state.holdings) * (sell > 0)).sum()),

@@ -20,7 +20,7 @@ from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.cli import main as cli_main
 from rlfolio.ensemble import (WindowResult, pick_best, run_trading,
                               train_and_validate)
-from rlfolio.env import EnvConfig, EnvState, TradingEnv, plan_trades
+from rlfolio.env import EnvConfig, EnvState, TradingEnv
 from rlfolio.evaluation import (cumulative_return, daily_returns,
                                 max_drawdown, min_variance_weights,
                                 run_min_variance_baseline)
@@ -87,8 +87,8 @@ def test_criterion_02_cost_model():
     for _ in range(5_000):
         state = env.state
         result = env.step_state(state, rng.uniform(-1, 1, size=3))
-        notional = float((state.prices * result.plan.sell_shares).sum()
-                         + (state.prices * result.plan.buy_shares).sum())
+        notional = float((state.prices * result.sell_shares).sum()
+                         + (state.prices * result.buy_shares).sum())
         assert result.cost == pytest.approx(0.001 * notional, rel=1e-9,
                                             abs=1e-12)
         env.state = result.next_state
@@ -134,6 +134,8 @@ def test_criterion_04_turbulence():
     defined = series[253:]
     assert abs(defined.mean() - 5) / 5 < 0.2
 
+    env = fresh_env(D=4, T=40, h_max=10 ** 9)
+    env.threshold = 5.0
     rng = np.random.default_rng(9)
     for _ in range(200):
         holdings = rng.integers(0, 50, size=4)
@@ -141,11 +143,9 @@ def test_criterion_04_turbulence():
                          holdings=holdings.astype(np.int64),
                          prices=rng.uniform(10, 200, size=4),
                          turbulence=10.0)
-        plan, triggered = plan_trades(state, rng.uniform(-1, 1, size=4),
-                                      h_max=10 ** 9, fee_rate=0.001,
-                                      threshold=5.0)
-        assert triggered
-        final = state.holdings - plan.sell_shares + plan.buy_shares
+        result = env.step_state(state, rng.uniform(-1, 1, size=4))
+        assert result.turbulence_triggered
+        final = state.holdings - result.sell_shares + result.buy_shares
         assert np.all(final == 0)
 
 
@@ -170,7 +170,8 @@ def test_criterion_05_gradient_checks():
         def a2c_loss(vec, agent=agent, obs=obs, acts=acts, adv=adv):
             probe = agent.policy.clone()
             probe.flat[:] = vec
-            return -float((probe.log_prob(obs, acts) * adv).mean())
+            logp, _ = probe.log_prob_grads(obs, acts)
+            return -float((logp * adv).mean())
 
         _, backward = agent.policy.log_prob_grads(obs, acts)
         grad = -backward(adv) / len(obs)
@@ -181,14 +182,15 @@ def test_criterion_05_gradient_checks():
         # ratio 1, so its analytic gradient must also match FD there
         ppo = float64_twin(PPOAgent(3, 2, AgentConfig(hidden=(6,)),
                                     seed=seed))
-        logp0 = ppo.policy.log_prob(obs, acts)
+        logp0, _ = ppo.policy.log_prob_grads(obs, acts)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         def ppo_loss(vec, ppo=ppo, obs=obs, acts=acts, adv_n=adv_n,
                      logp0=logp0):
             probe = ppo.policy.clone()
             probe.flat[:] = vec
-            ratio = np.exp(probe.log_prob(obs, acts) - logp0)
+            logp, _ = probe.log_prob_grads(obs, acts)
+            ratio = np.exp(logp - logp0)
             return -float((ratio * adv_n).mean())
 
         logp, backward = ppo.policy.log_prob_grads(obs, acts)
@@ -248,7 +250,7 @@ def test_criterion_06_algorithm_semantics():
         obs = env.reset()
     ppo.update(store.rows(), *ppo.optimizers())
     stacked_obs, stacked_act, _, _, _, old = store.rows()
-    new = ppo.policy.log_prob(stacked_obs, stacked_act)
+    new, _ = ppo.policy.log_prob_grads(stacked_obs, stacked_act)
     ratio = np.exp(new - old)
     inside = (ratio >= 1 - eps - 0.05) & (ratio <= 1 + eps + 0.05)
     assert inside.mean() >= 0.99

@@ -160,7 +160,8 @@ class TestGradientChecks:
         def neg_objective(vec):
             probe = agent.policy.clone()
             probe.flat[:] = vec
-            return -float((probe.log_prob(obs, actions) * adv).mean())
+            logp, _ = probe.log_prob_grads(obs, actions)
+            return -float((logp * adv).mean())
 
         _, backward = agent.policy.log_prob_grads(obs, actions)
         grad = -backward(adv) / len(obs)

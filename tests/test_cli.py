@@ -743,6 +743,19 @@ class TestReportUserErrors:
         assert (f"error: {path}: equity values must be positive and "
                 "finite") in result.stderr
 
+    def test_equity_without_a_date_column_exits_2_writing_nothing(
+            self, tmp_path, run_dir):
+        # `equity_ppo.csv` sorts after curves that are fine: none of them
+        # gets a `cumret_*.csv` either
+        for path in (run_dir / "comparison.csv", *run_dir.glob("equity_*")):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        path = tmp_path / "equity_ppo.csv"
+        path.write_text(path.read_text().replace("date,", "day,", 1))
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path} needs date and value columns" in result.stderr
+        assert list(tmp_path.glob("cumret_*.csv")) == []
+
     def test_short_comparison_row_exits_2(self, tmp_path, run_dir):
         path = tmp_path / "comparison.csv"
         text = (run_dir / "comparison.csv").read_text()
@@ -753,6 +766,58 @@ class TestReportUserErrors:
         assert result.exit_code == 2, result.output
         assert f"error: {path} line 2 has 5 cells, its header 6" in \
             result.stderr
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any file the user gives exits 2 with an
+    `error:` line naming the file."""
+
+    @staticmethod
+    def spoil(path):
+        """Put a 0xff byte, never valid UTF-8, at the end of `path`'s
+        second line."""
+        first, second, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([first, second + b"\xff", *rest]))
+
+    def assert_exits_2_naming(self, args, path):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"error: {path} is not UTF-8" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_config(self, data_csv, tmp_path):
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path.write_bytes(cfg_path.read_bytes() + b"# \xff\n")
+        self.assert_exits_2_naming(["backtest", "--config", str(cfg_path)],
+                                   f"config {cfg_path}")
+
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_bars_file(self, data_csv, tmp_path, command):
+        bars = tmp_path / "bars.csv"
+        bars.write_bytes(data_csv.read_bytes())
+        self.spoil(bars)
+        cfg_path, _ = write_config(tmp_path, bars)
+        self.assert_exits_2_naming([command, "--config", str(cfg_path)],
+                                   bars)
+
+    def test_index_file(self, data_csv, tmp_path):
+        index_path = tmp_path / "index.csv"
+        index_path.write_text(index_from_first_trade_date("100.0"))
+        self.spoil(index_path)
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "[windows]", f"index_path = {index_path}\n\n[windows]"))
+        self.assert_exits_2_naming(["backtest", "--config", str(cfg_path)],
+                                   index_path)
+
+    @pytest.mark.parametrize("name", ["comparison.csv", "equity_ppo.csv"])
+    def test_run_directory_file(self, tmp_path, run_dir, name):
+        for path in (run_dir / "comparison.csv", run_dir / "equity_ppo.csv"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        self.spoil(tmp_path / name)
+        self.assert_exits_2_naming(["report", "--out", str(tmp_path)],
+                                   tmp_path / name)
+        assert list(tmp_path.glob("cumret_*.csv")) == []
 
 
 # (text in CONFIG_TEMPLATE, its replacement, a word the error must name)
@@ -808,6 +873,8 @@ BAD_CONFIGS = {
                         "error: [agents] noise_scale"),
     "clip_epsilon_inf": ("[agents]\n", "[agents]\nclip_epsilon = inf\n",
                          "error: [agents] clip_epsilon"),
+    "delimiter_two_characters": ("[windows]", "delimiter = ;;\n\n[windows]",
+                                 "error: [data] delimiter"),
     "rejection_ceiling_nan": ("[windows]",
                               "rejection_ceiling = nan\n\n[windows]",
                               "error: [data] rejection_ceiling"),

@@ -159,8 +159,8 @@ class TestRunDeterministic:
             state = env.state
             result = env.step_state(state, action)
             fired += result.turbulence_triggered
-            for side, shares in (("sell", result.plan.sell_shares),
-                                 ("buy", result.plan.buy_shares)):
+            for side, shares in (("sell", result.sell_shares),
+                                 ("buy", result.buy_shares)):
                 for d in np.flatnonzero(shares):
                     expected.append((
                         panel.calendar[state.t].isoformat(), panel.assets[d],

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlfolio.env import (EnvConfig, EnvState, TradingEnv, plan_trades,
-                         resolve_action)
+from rlfolio.env import EnvConfig, EnvState, TradingEnv, resolve_action
 from rlfolio.errors import UserError
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
@@ -71,47 +70,48 @@ class TestWindow:
 class TestResolveAction:
     def test_zero_action_holds(self):
         s = state_with([100.0, 50.0], [3, 4], 1000.0)
-        plan = resolve_action(s, [0.0, 0.0], h_max=100, fee_rate=0.001)
-        np.testing.assert_array_equal(plan.sell_shares, [0, 0])
-        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
+        sell, buy = resolve_action(s, [0.0, 0.0], h_max=100, fee_rate=0.001)
+        np.testing.assert_array_equal(sell, [0, 0])
+        np.testing.assert_array_equal(buy, [0, 0])
 
     def test_sell_capped_at_holdings(self):
         s = state_with([100.0], [10], 0.0)
-        plan = resolve_action(s, [-1.0], h_max=100, fee_rate=0.001)
-        np.testing.assert_array_equal(plan.sell_shares, [10])
+        sell, buy = resolve_action(s, [-1.0], h_max=100, fee_rate=0.001)
+        np.testing.assert_array_equal(sell, [10])
 
     def test_buy_capped_by_affordability_with_fee(self):
         s = state_with([100.0], [0], 1000.0)
-        plan = resolve_action(s, [1.0], h_max=100, fee_rate=0.001)
+        sell, buy = resolve_action(s, [1.0], h_max=100, fee_rate=0.001)
         # 9 * 100 * 1.001 = 900.9 affordable; 10 would cost 1001
-        np.testing.assert_array_equal(plan.buy_shares, [9])
+        np.testing.assert_array_equal(buy, [9])
 
     def test_truncation_toward_zero(self):
         s = state_with([1.0, 1.0], [5, 5], 1000.0)
-        plan = resolve_action(s, [0.19, -0.19], h_max=10, fee_rate=0.0)
-        np.testing.assert_array_equal(plan.buy_shares, [1, 0])
-        np.testing.assert_array_equal(plan.sell_shares, [0, 1])
+        sell, buy = resolve_action(s, [0.19, -0.19], h_max=10, fee_rate=0.0)
+        np.testing.assert_array_equal(buy, [1, 0])
+        np.testing.assert_array_equal(sell, [0, 1])
 
     def test_buys_ration_ascending_index(self):
         s = state_with([100.0, 100.0], [0, 0], 1000.0)
-        plan = resolve_action(s, [1.0, 1.0], h_max=5, fee_rate=0.0)
-        np.testing.assert_array_equal(plan.buy_shares, [5, 5])
+        sell, buy = resolve_action(s, [1.0, 1.0], h_max=5, fee_rate=0.0)
+        np.testing.assert_array_equal(buy, [5, 5])
         s2 = state_with([100.0, 100.0], [0, 0], 700.0)
-        plan2 = resolve_action(s2, [1.0, 1.0], h_max=5, fee_rate=0.0)
-        np.testing.assert_array_equal(plan2.buy_shares, [5, 2])
+        _, buy2 = resolve_action(s2, [1.0, 1.0], h_max=5, fee_rate=0.0)
+        np.testing.assert_array_equal(buy2, [5, 2])
 
     def test_sell_proceeds_fund_buys(self):
         s = state_with([100.0, 10.0], [5, 0], 0.0)
-        plan = resolve_action(s, [-1.0, 1.0], h_max=10, fee_rate=0.0)
-        np.testing.assert_array_equal(plan.sell_shares, [5, 0])
-        np.testing.assert_array_equal(plan.buy_shares, [0, 10])
+        sell, buy = resolve_action(s, [-1.0, 1.0], h_max=10, fee_rate=0.0)
+        np.testing.assert_array_equal(sell, [5, 0])
+        np.testing.assert_array_equal(buy, [0, 10])
 
     @pytest.mark.filterwarnings("error")
     def test_nan_action_holds_without_a_cast_warning(self):
         s = state_with([100.0, 10.0], [5, 3], 1000.0)
-        plan = resolve_action(s, [np.nan, np.nan], h_max=10, fee_rate=0.001)
-        np.testing.assert_array_equal(plan.sell_shares, [0, 0])
-        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
+        sell, buy = resolve_action(s, [np.nan, np.nan], h_max=10,
+                                   fee_rate=0.001)
+        np.testing.assert_array_equal(sell, [0, 0])
+        np.testing.assert_array_equal(buy, [0, 0])
 
 
 @st.composite
@@ -185,16 +185,16 @@ class TestStepOracle:
         sell, buy, cost, new_balance, new_holdings, reward = step_oracle(
             state, np.array(next_prices), action, h_max, fee_rate)
 
-        plan = resolve_action(state, action, h_max, fee_rate)
+        got_sell, got_buy = resolve_action(state, action, h_max, fee_rate)
         ref_sell, ref_buy = resolve_action_oracle(state, action, h_max,
                                                   fee_rate)
-        np.testing.assert_array_equal(plan.sell_shares, ref_sell)
-        np.testing.assert_array_equal(plan.buy_shares, ref_buy)
-        assert plan.buy_shares.dtype == ref_buy.dtype == np.int64
+        np.testing.assert_array_equal(got_sell, ref_sell)
+        np.testing.assert_array_equal(got_buy, ref_buy)
+        assert got_buy.dtype == ref_buy.dtype == np.int64
 
         result = env.step_state(state, action)
-        np.testing.assert_array_equal(result.plan.sell_shares, sell)
-        np.testing.assert_array_equal(result.plan.buy_shares, buy)
+        np.testing.assert_array_equal(result.sell_shares, sell)
+        np.testing.assert_array_equal(result.buy_shares, buy)
         assert result.cost == cost
         assert result.next_state.balance == new_balance
         np.testing.assert_array_equal(result.next_state.holdings,
@@ -219,7 +219,7 @@ class TestStep:
         env = make_env(panel, config)
         env.reset()
         result = env.step_state(env.state, np.array([1.0]))
-        np.testing.assert_array_equal(result.plan.buy_shares, [10])
+        np.testing.assert_array_equal(result.buy_shares, [10])
         assert result.cost == pytest.approx(1.0)
         assert result.reward_unscaled == pytest.approx(-1.0)
 
@@ -277,8 +277,8 @@ class TestAccountingFuzz:
             assert result.reward_unscaled + result.cost == pytest.approx(
                 decomposed, rel=1e-9, abs=1e-9)
             notional = float(
-                (state.prices * result.plan.sell_shares).sum()
-                + (state.prices * result.plan.buy_shares).sum())
+                (state.prices * result.sell_shares).sum()
+                + (state.prices * result.buy_shares).sum())
             assert result.cost == pytest.approx(0.001 * notional, rel=1e-9,
                                                 abs=1e-12)
             assert result.next_state.balance >= 0
@@ -289,31 +289,36 @@ class TestAccountingFuzz:
 
 
 class TestTurbulenceOverride:
+    @staticmethod
+    def step(state, action, fee_rate=0.0, threshold=5.0):
+        """`step_state` from `state` in a two-date env with h_max 100."""
+        env = two_date_env(state.prices.tolist(), state.prices.tolist(),
+                           100, fee_rate)
+        env.threshold = threshold
+        return env.step_state(state, action)
+
     def test_forces_liquidation(self):
         s = state_with([10.0, 10.0], [3, 0], 100.0, turbulence=10.0)
-        plan, triggered = plan_trades(s, [1.0, 1.0], h_max=100, fee_rate=0.0,
-                                      threshold=5.0)
-        assert triggered
-        np.testing.assert_array_equal(plan.sell_shares, [3, 0])
-        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
+        result = self.step(s, [1.0, 1.0])
+        assert result.turbulence_triggered
+        np.testing.assert_array_equal(result.sell_shares, [3, 0])
+        np.testing.assert_array_equal(result.buy_shares, [0, 0])
 
     def test_below_threshold_passthrough(self):
         s = state_with([10.0], [3], 100.0, turbulence=4.0)
-        plan, triggered = plan_trades(s, [0.4], h_max=100, fee_rate=0.0,
-                                      threshold=5.0)
-        assert not triggered
-        # the plan of the action itself, [0.4]
-        expected = resolve_action(s, [0.4], h_max=100, fee_rate=0.0)
-        np.testing.assert_array_equal(plan.sell_shares, expected.sell_shares)
-        np.testing.assert_array_equal(plan.buy_shares, expected.buy_shares)
+        result = self.step(s, [0.4])
+        assert not result.turbulence_triggered
+        # the trades of the action itself, [0.4]
+        sell, buy = resolve_action(s, [0.4], h_max=100, fee_rate=0.0)
+        np.testing.assert_array_equal(result.sell_shares, sell)
+        np.testing.assert_array_equal(result.buy_shares, buy)
 
     def test_nothing_to_sell(self):
         s = state_with([10.0, 10.0], [0, 0], 100.0, turbulence=10.0)
-        plan, triggered = plan_trades(s, [1.0, -1.0], h_max=100,
-                                      fee_rate=0.001, threshold=5.0)
-        assert triggered
-        np.testing.assert_array_equal(plan.sell_shares, [0, 0])
-        np.testing.assert_array_equal(plan.buy_shares, [0, 0])
+        result = self.step(s, [1.0, -1.0], fee_rate=0.001)
+        assert result.turbulence_triggered
+        np.testing.assert_array_equal(result.sell_shares, [0, 0])
+        np.testing.assert_array_equal(result.buy_shares, [0, 0])
 
     def test_override_supremacy_in_step(self):
         panel = make_panel(D=2, T=50, seed=3)

@@ -36,11 +36,16 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 def public_definitions(tree: ast.Module) -> set[str]:
     """Public top-level classes, functions and assigned names, except
-    functions registered by a decorator (the click commands)."""
+    functions registered by a decorator (the click commands), and the
+    public methods of those classes as `Class.method`."""
     names = set()
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) or (
-                isinstance(node, ast.FunctionDef) and not node.decorator_list):
+        if isinstance(node, ast.ClassDef):
+            names.add(node.name)
+            names |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")}
+        elif isinstance(node, ast.FunctionDef) and not node.decorator_list:
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
@@ -54,6 +59,8 @@ def public_definitions(tree: ast.Module) -> set[str]:
 ALLOWED_UNREFERENCED = {
     # perfbench's fingerprint reads it; ROADMAP item 1 deletes both
     "__init__.py": {"KERNEL_BACKEND"},
+    # the no-lookahead gates turn it on to log every date an env reads
+    "market_data.py": {"PricePanel.enable_access_tracking"},
 }
 
 
@@ -74,11 +81,13 @@ def references(tree: ast.Module) -> set[str]:
 
 def unreferenced(trees: dict[str, ast.Module],
                  allowed: dict[str, set[str]]) -> dict[str, list[str]]:
-    """Per module, the public top-level names nothing in `trees` reads,
-    but those `allowed` for that module."""
+    """Per module, the public top-level names and methods nothing in
+    `trees` reads, but those `allowed` for that module. A method counts as
+    read where any attribute of its name is."""
     refs = set().union(*map(references, trees.values()))
-    found = {name: sorted(public_definitions(tree) - refs
-                          - allowed.get(name, set()))
+    found = {name: sorted(d for d in public_definitions(tree)
+                          if d.rpartition(".")[2] not in refs
+                          and d not in allowed.get(name, set()))
              for name, tree in trees.items()}
     return {name: names for name, names in found.items() if names}
 
@@ -113,6 +122,22 @@ def test_unreferenced_names_are_caught():
              "b.py": ast.parse("from a import f\n")}
     assert unreferenced(trees, {"a.py": {"kept"}}) == {
         "a.py": ["Dead", "dead", "listed"]}
+
+
+def test_unreferenced_methods_are_caught():
+    trees = {"a.py": ast.parse(
+                 "class Panel:\n"
+                 "    def __init__(self): self._cache()\n"
+                 "    def _cache(self): pass\n"
+                 "    def read(self): pass\n"
+                 "    def unread(self): pass\n"
+                 "    def kept(self): pass\n"
+                 "    @property\n    def size(self): return 1\n"
+                 "    @property\n    def shape(self): return 1\n"),
+             "b.py": ast.parse("from a import Panel\n"
+                               "p = Panel()\np.read()\nprint(p.size)\n")}
+    assert unreferenced(trees, {"a.py": {"Panel.kept"}}) == {
+        "a.py": ["Panel.shape", "Panel.unread"]}
 
 
 def test_every_public_name_is_referenced():

@@ -136,12 +136,22 @@ class TestProperties:
         assert np.all((out >= 0) & (out <= 100))
 
     @given(st.integers(0, 10_000), st.floats(0.1, 50.0))
+    # MACD is -2.9e-4 at index 31, and the two sides differ by 1.8e-12
+    @example(seed=411, scale=43.9296875)
     @settings(max_examples=25, deadline=None)
     def test_scale_behavior(self, seed, scale):
         high, low, close = random_hlc(seed, 70)
+        # An EMA step rounds three values no larger than M = scale *
+        # max|close|, and the recursion shrinks an earlier error by
+        # (1 - alpha) a step, so an EMA is off by at most 3 (eps / 2) M /
+        # alpha: 20 eps M for the slow one (alpha = 2/27), 10 eps M for the
+        # fast (2/13). Each side of the comparison carries both EMAs'
+        # error, 60 eps M in all; rounding `close * scale`, the difference
+        # and the product `scale * macd` adds at most 2 eps M more.
+        bound = 64 * np.finfo(float).eps * scale * np.abs(close).max()
         np.testing.assert_allclose(ind.macd(close * scale),
-                                   scale * ind.macd(close), rtol=1e-9,
-                                   atol=1e-12)
+                                   scale * ind.macd(close), rtol=0,
+                                   atol=bound)
         np.testing.assert_allclose(ind.rsi(close * scale, 14),
                                    ind.rsi(close, 14), rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(
@@ -150,6 +160,25 @@ class TestProperties:
         np.testing.assert_allclose(
             ind.adx(high * scale, low * scale, close * scale, 14),
             ind.adx(high, low, close, 14), rtol=1e-9, atol=1e-9)
+
+    # a power-of-two scale multiplies exactly, and a float operation on
+    # scaled operands returns the scaled result (nothing here over- or
+    # underflows): each indicator scales bit for bit
+    @given(st.integers(0, 10_000),
+           st.sampled_from([2.0 ** k for k in (-3, -1, 1, 2, 5)]))
+    @settings(max_examples=25, deadline=None)
+    def test_power_of_two_scale_is_exact(self, seed, scale):
+        high, low, close = random_hlc(seed, 70)
+        np.testing.assert_array_equal(ind.macd(close * scale),
+                                      scale * ind.macd(close))
+        np.testing.assert_array_equal(ind.rsi(close * scale, 14),
+                                      ind.rsi(close, 14))
+        np.testing.assert_array_equal(
+            ind.cci(high * scale, low * scale, close * scale, 14),
+            ind.cci(high, low, close, 14))
+        np.testing.assert_array_equal(
+            ind.adx(high * scale, low * scale, close * scale, 14),
+            ind.adx(high, low, close, 14))
 
     def test_shift_equivariance(self):
         # smoothing memory decays geometrically, so compare well past warmup

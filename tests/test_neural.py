@@ -150,9 +150,9 @@ class TestGaussianPolicy:
         pol.log_std[:] = 0.0  # std = 1
         obs = np.zeros(1)
         mean = float(pol.mean_net.forward(obs)[0])
-        lp = pol.log_prob(obs, [mean])
+        lp, _ = pol.log_prob_grads(obs, [mean])
         assert lp == pytest.approx(-0.5 * math.log(2 * math.pi))
-        lp1 = pol.log_prob(obs, [mean + 1.0])
+        lp1, _ = pol.log_prob_grads(obs, [mean + 1.0])
         assert lp1 == pytest.approx(-0.5 - 0.5 * math.log(2 * math.pi))
 
     def test_sample_logprob_consistent(self):
@@ -160,7 +160,9 @@ class TestGaussianPolicy:
         rng = np.random.default_rng(3)
         obs = np.array([0.1, 0.9])
         action, lp = pol.sample(obs, rng)
-        assert lp == pytest.approx(float(pol.log_prob(obs, action)))
+        # `sample` and `log_prob_grads` compute the log-prob separately
+        logp, _ = pol.log_prob_grads(obs, action)
+        assert lp == pytest.approx(logp[0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_log_prob_grads_finite_difference(self, seed):
@@ -173,7 +175,8 @@ class TestGaussianPolicy:
         def loss(vec):
             probe = pol.clone()
             probe.flat[:] = vec
-            return float((probe.log_prob(obs, actions) * coeff).sum())
+            logp, _ = probe.log_prob_grads(obs, actions)
+            return float((logp * coeff).sum())
 
         _, backward = pol.log_prob_grads(obs, actions)
         fd = oracles.finite_difference(loss, pol.flat.copy())
