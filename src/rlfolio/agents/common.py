@@ -123,8 +123,9 @@ class OnPolicyAgent(Agent):
         return [self.policy.flat, self.critic.flat]
 
     def act(self, obs) -> np.ndarray:
-        action = self.policy.mean_net.forward(obs)
-        return np.minimum(np.maximum(action, -1.0), 1.0)
+        action = self.policy.mean_net.forward(obs)  # a fresh array
+        np.maximum(action, -1.0, out=action)
+        return np.minimum(action, 1.0, out=action)
 
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
                            next_obs: np.ndarray, dones: np.ndarray):

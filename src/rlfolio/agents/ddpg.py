@@ -30,7 +30,8 @@ class DDPGAgent(Agent):
                 self.target_actor.flat, self.target_critic.flat]
 
     def act(self, obs) -> np.ndarray:
-        return np.tanh(self.actor.forward(obs))
+        action = self.actor.forward(obs)  # a fresh array
+        return np.tanh(action, out=action)
 
     def targets(self, rewards, next_obs, dones) -> np.ndarray:
         """TD targets y = r + gamma * Q'(s', mu'(s')) with terminal masking."""

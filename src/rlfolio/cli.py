@@ -38,17 +38,26 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_panel(cfg: RunConfig):
-    return load_bars(cfg.data.path, schema=cfg.schema or None,
-                     rejection_ceiling=cfg.data.rejection_ceiling,
-                     delimiter=cfg.data.delimiter)
+    """The bars file's panel and load report; each user error names the
+    file."""
+    path = cfg.data.path
+    try:
+        return load_bars(path, schema=cfg.schema or None,
+                         rejection_ceiling=cfg.data.rejection_ceiling,
+                         delimiter=cfg.data.delimiter)
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path} is not UTF-8: {exc.reason}") from exc
+    except UserError as exc:
+        raise UserError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager
 def _open_csv(path):
-    """The user's file at `path`, open as UTF-8 text for `csv`; a byte that
-    does not decode is a user error naming the file."""
+    """The user's file at `path`, open as UTF-8 text for `csv`, a leading
+    byte-order mark skipped; a byte that does not decode is a user error
+    naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise UserError(f"{path} is not UTF-8: {exc.reason}") from exc

@@ -136,9 +136,10 @@ def _build(cls, values: dict, section: str):
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read and parse the config file at `path` (see `parse_config`)."""
+    """Read and parse the config file at `path`, UTF-8 with any leading
+    byte-order mark skipped (see `parse_config`)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UserError(f"cannot read config {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

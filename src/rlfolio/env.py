@@ -32,13 +32,16 @@ class EnvConfig:
     __post_init__ = check_settings
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EnvState:
     """Portfolio at date t and the market inputs read for t.
 
     `portfolio_value`, balance plus holdings at t's prices, is computed once
     at construction; it stays right because no code mutates `prices` or
-    `holdings` in place (a step makes new arrays).
+    `holdings` in place (a step makes new arrays). Slotted, not frozen: a
+    frozen `__init__` sets each field through the slower
+    `object.__setattr__`. No code assigns a field after construction, and
+    `dataclasses.replace` builds a new state.
     """
 
     t: int
@@ -51,12 +54,16 @@ class EnvState:
     portfolio_value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "portfolio_value",
-                           self.balance + float(self.prices @ self.holdings))
+        # np.dot: the BLAS dot that `@` calls, with less dispatch
+        self.portfolio_value = self.balance + float(np.dot(self.prices,
+                                                           self.holdings))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
+    """One transition; slotted and never assigned after construction, as
+    `EnvState`."""
+
     next_state: EnvState
     reward: float  # scaled by config.reward_scale
     reward_unscaled: float
@@ -66,35 +73,40 @@ class StepResult:
     turbulence_triggered: bool
 
 
-def resolve_action(state: EnvState, action, h_max: int,
-                   fee_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Turn an action vector into integer (sell, buy) share trades.
+def resolve_action(state: EnvState, action, h_max: int, fee_rate: float
+                   ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Turn an action vector into integer (sell, buy) share trades, and the
+    sells' notional at the state's prices.
 
     The action is clipped to [-1, 1] as by `np.clip`, without its wrapper's
-    overhead, and desired shares truncated toward zero from raw * h_max; a
-    NaN component desires none. Sells are capped at current holdings and
-    credit the balance (net of fees) before buys, which are processed in
-    ascending asset index, each capped at what the remaining cash affords
-    including the fee. Unaffordable remainder is dropped, so the post-trade
-    balance can never go negative. The buy loop runs on Python floats and
-    ints, which round exactly as numpy scalars do.
+    overhead, and desired shares truncated toward zero from raw * h_max (the
+    int64 cast truncates); a NaN component desires none. Sells are capped at
+    current holdings and credit the balance (net of fees) before buys,
+    which are processed in ascending asset index, each capped at what the
+    remaining cash affords including the fee. Unaffordable remainder is
+    dropped, so the post-trade balance can never go negative. The buy loop
+    runs on Python floats and ints, which round exactly as numpy scalars do.
+    A notional is `np.add.reduce`, the sum `ndarray.sum` runs, without its
+    Python wrapper.
     """
     raw = np.minimum(np.maximum(np.asarray(action, dtype=float), -1.0), 1.0)
     raw[np.isnan(raw)] = 0.0
-    desired = np.trunc(raw * h_max).astype(np.int64)
-    sell = np.minimum(np.maximum(-desired, 0), state.holdings)
+    desired = (raw * h_max).astype(np.int64)
+    sell = np.maximum(-desired, 0)
+    np.minimum(sell, state.holdings, out=sell)
+    sell_notional = float(np.add.reduce(state.prices * sell))
 
-    cash = state.balance + float((state.prices * sell).sum()) * (1.0 - fee_rate)
+    cash = state.balance + sell_notional * (1.0 - fee_rate)
     prices = state.prices.tolist()
-    buy = np.maximum(desired, 0).tolist()
-    for d, requested in enumerate(buy):
-        if requested:
+    buy = [0] * len(prices)
+    for d, requested in enumerate(desired.tolist()):
+        if requested > 0:
             unit = prices[d] * (1.0 + fee_rate)
             k = max(min(requested, math.floor(cash / unit)), 0)
             if k:
                 cash -= k * unit
-            buy[d] = k
-    return sell, np.array(buy, dtype=np.int64)
+                buy[d] = k
+    return sell, np.array(buy, dtype=np.int64), sell_notional
 
 
 class TradingEnv:
@@ -136,6 +148,9 @@ class TradingEnv:
             [config.initial_balance, config.obs_scale_price, config.h_max,
              config.obs_scale_macd, config.obs_scale_rsi,
              config.obs_scale_cci, config.obs_scale_adx], [1] + [panel.D] * 6)
+        # `observe` fills this row in place; its blocks are views into it
+        self._row = np.empty(self.obs_dim)
+        self._row_blocks = np.split(self._row[1:], [panel.D, 2 * panel.D])
 
     def market_at(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Date t's prices, feature row and turbulence value; logged in
@@ -145,19 +160,13 @@ class TradingEnv:
             self.panel.access_log.append(t)
         return self._prices[t], self._features[t], float(self._turbulence[t])
 
-    def _state_at(self, t: int, balance: float, holdings: np.ndarray,
-                  done: bool = False) -> EnvState:
-        prices, features, turbulence = self.market_at(t)
-        return EnvState(t=t, balance=balance, holdings=holdings,
-                        prices=prices, features=features,
-                        turbulence=turbulence, done=done)
-
     def reset(self, balance: float | None = None,
               holdings: np.ndarray | None = None) -> np.ndarray:
         bal = self.config.initial_balance if balance is None else float(balance)
         hold = (np.zeros(self.action_dim, dtype=np.int64) if holdings is None
                 else np.asarray(holdings, dtype=np.int64).copy())
-        self.state = self._state_at(self.start, bal, hold)
+        self.state = EnvState(self.start, bal, hold,
+                              *self.market_at(self.start))
         return self.observe()
 
     def step_state(self, state: EnvState, action) -> StepResult:
@@ -173,24 +182,22 @@ class TradingEnv:
         triggered = state.turbulence > self.threshold
         if triggered:
             sell, buy = state.holdings.copy(), np.zeros_like(state.holdings)
+            sell_notional = float(np.add.reduce(state.prices * sell))
         else:
-            sell, buy = resolve_action(state, action, cfg.h_max, cfg.fee_rate)
-        p_t = state.prices
-        sell_notional = float((p_t * sell).sum())
-        buy_notional = float((p_t * buy).sum())
+            sell, buy, sell_notional = resolve_action(state, action, cfg.h_max,
+                                                      cfg.fee_rate)
+        buy_notional = float(np.add.reduce(state.prices * buy))
         cost = cfg.fee_rate * (sell_notional + buy_notional)
         balance = state.balance + sell_notional - buy_notional - cost
-        holdings = state.holdings - sell + buy
+        holdings = state.holdings - sell
+        holdings += buy
 
-        t_next = state.t + 1
-        next_state = self._state_at(t_next, balance, holdings,
-                                    done=t_next >= self.end)
+        t = state.t + 1
+        next_state = EnvState(t, balance, holdings, *self.market_at(t),
+                              t >= self.end)
         reward_unscaled = next_state.portfolio_value - state.portfolio_value
-        return StepResult(next_state=next_state,
-                          reward=reward_unscaled * cfg.reward_scale,
-                          reward_unscaled=reward_unscaled,
-                          cost=cost, sell_shares=sell, buy_shares=buy,
-                          turbulence_triggered=triggered)
+        return StepResult(next_state, reward_unscaled * cfg.reward_scale,
+                          reward_unscaled, cost, sell, buy, triggered)
 
     def step(self, action) -> tuple[np.ndarray, float, bool]:
         """Gym-style wrapper over `step_state`; mutates the held state."""
@@ -202,5 +209,10 @@ class TradingEnv:
         """Scaled balance, prices, holdings and features of the state; reads
         nothing beyond the state."""
         state = self.state if state is None else state
-        return np.concatenate([[state.balance], state.prices, state.holdings,
-                               state.features]) / self._obs_scale
+        row = self._row
+        prices, holdings, features = self._row_blocks
+        row[0] = state.balance
+        prices[...] = state.prices
+        holdings[...] = state.holdings
+        features[...] = state.features
+        return row / self._obs_scale

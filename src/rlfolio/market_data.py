@@ -129,11 +129,12 @@ def load_bars(source, schema: dict[str, str] | None = None,
               delimiter: str = ",") -> tuple[PricePanel, LoadReport]:
     """Load delimited OHLCV text into an aligned panel.
 
-    `source` is a text file object or a string path. `schema` maps
-    canonical names (date, ticker, open, ...) to the file's column headers.
-    Rows are parsed into flat columns (the six `BAR_FIELDS` values, ticker
-    and date ids, physical line numbers), their invariants checked over
-    all rows at once, and the accepted bars scattered into the panel's
+    `source` is a text file object or a string path, read as UTF-8 with
+    any leading byte-order mark skipped. `schema` maps canonical names
+    (date, ticker, open, ...) to the file's column headers. Rows are
+    parsed into flat columns (the six `BAR_FIELDS` values, ticker and date
+    ids, physical line numbers), their invariants checked over all rows at
+    once, and the accepted bars scattered into the panel's
     arrays. Rows violating bar invariants, and repeats of an accepted
     (ticker, date), are rejected and listed in the report by line of the
     file; a rejection rate above `rejection_ceiling` aborts.
@@ -141,7 +142,7 @@ def load_bars(source, schema: dict[str, str] | None = None,
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     close_after = isinstance(source, str)
     if close_after:
-        source = open(source, "r", newline="", encoding="utf-8")
+        source = open(source, "r", newline="", encoding="utf-8-sig")
 
     values = array("d")                  # six bar values per parsed row
     ticker_col, date_col, line_col = array("q"), array("q"), array("q")
@@ -186,9 +187,6 @@ def load_bars(source, schema: dict[str, str] | None = None,
             rejected.append(RejectedRow(reader.line_num, reason))
         if total == 0:
             raise UserError("source has a header but no data rows")
-    except UnicodeDecodeError as exc:
-        raise UserError(f"{getattr(source, 'name', 'source')} is not UTF-8: "
-                        f"{exc.reason}") from exc
     finally:
         if close_after:
             source.close()

@@ -22,9 +22,11 @@ class Mlp:
 
     All parameters live in one vector, `flat`: layer by layer, the weight
     (in x out, row-major) then the bias. `params` holds views into it in
-    that order. A new net is float32 and Glorot-uniform initialized;
-    passing `flat` wraps an existing vector, of any float dtype, instead.
-    Inputs and upstream gradients are cast to the vector's dtype.
+    that order, each bias as a 1 x out row, which a one-row input adds
+    without broadcasting. A new net is float32 and Glorot-uniform
+    initialized; passing `flat` wraps an existing vector, of any float
+    dtype, instead. Inputs and upstream gradients are cast to the vector's
+    dtype.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
@@ -34,7 +36,7 @@ class Mlp:
         self.sizes = list(sizes)
         self.n_layers = len(sizes) - 1
         shapes = [shape for n_in, n_out in zip(sizes[:-1], sizes[1:])
-                  for shape in ((n_in, n_out), (n_out,))]
+                  for shape in ((n_in, n_out), (1, n_out))]
         size = sum(map(math.prod, shapes))
         fresh = flat is None
         self.flat = np.zeros(size, dtype=np.float32) if fresh else flat
@@ -74,9 +76,12 @@ class Mlp:
         h = x
         for layer in range(self.n_layers):
             w, b = self.params[2 * layer], self.params[2 * layer + 1]
-            h = h @ w + b
+            # np.dot makes the BLAS call `@` makes, with less dispatch; its
+            # product is a fresh array, so the bias and tanh apply in place
+            h = np.dot(h, w)
+            h += b
             if layer < self.n_layers - 1:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         out = h[0] if single else h
         return out, (acts, single)

@@ -228,8 +228,9 @@ def reward_components(state, result):
 
 
 def mlp_forward_oracle(params, x, n_layers):
-    """Explicit matrix arithmetic: tanh hidden layers, identity output."""
-    h = np.asarray(x, float)
+    """Explicit matrix arithmetic: tanh hidden layers, identity output, in
+    the dtype of `x` and the params."""
+    h = np.asarray(x)
     for layer in range(n_layers):
         w, b = params[2 * layer], params[2 * layer + 1]
         h = h @ w + b

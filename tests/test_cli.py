@@ -401,6 +401,44 @@ class TestIngest:
         assert result.exit_code == 2
 
 
+BARS_HEADER = "date,ticker,open,high,low,close,adj_close,volume\n"
+BAR = "10,11,9,10.5,10.5,100\n"
+
+
+class TestBarsFileUserErrors:
+    """Each user error in the bars file exits 2 with an `error:` line that
+    starts with the file's path."""
+
+    @pytest.mark.parametrize("text, ceiling, message", [
+        ("", 0.01, "no header row"),
+        (BARS_HEADER, 0.01, "source has a header but no data rows"),
+        ("date,ticker,open\n2020-01-02,AAA,10\n", 0.01,
+         "header missing columns: ['high', 'low', 'close', 'adj_close', "
+         "'volume']"),
+        (BARS_HEADER + "2020-01-02,AAA," + BAR + "2020-01-03,AAA,x," + BAR,
+         0.01, "1/2 rows rejected, above ceiling 1.00%"),
+        (BARS_HEADER + "2020-01-02,AAA,x," + BAR, 1.0,
+         "no valid rows in source"),
+        (BARS_HEADER + "2020-01-02,AAA," + BAR + "2020-01-03,BBB," + BAR,
+         0.01, "needed a shared trading date, available 0"),
+    ], ids=["no_header", "no_rows", "missing_columns", "above_ceiling",
+            "no_valid_rows", "no_shared_date"])
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_error_names_the_file(self, tmp_path, command, text, ceiling,
+                                  message):
+        data = tmp_path / "bars.csv"
+        data.write_text(text)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[data]\npath = {data}\n"
+                       f"rejection_ceiling = {ceiling}\n"
+                       f"[windows]\nin_sample_end = 2020-01-02\n"
+                       f"[run]\nout_dir = {tmp_path / 'out'}\n")
+        result = CliRunner().invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {data}: {message}\n" in result.stderr
+        assert "Traceback" not in result.output
+
+
 @pytest.fixture(scope="module")
 def run_dir(data_csv, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bt")
@@ -818,6 +856,77 @@ class TestNonUtf8Input:
         self.assert_exits_2_naming(["report", "--out", str(tmp_path)],
                                    tmp_path / name)
         assert list(tmp_path.glob("cumret_*.csv")) == []
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A user's file that starts with a UTF-8 byte-order mark, as
+    spreadsheet programs save CSV, reads as the same file without it: every
+    output is byte-identical."""
+
+    @staticmethod
+    def mark(path):
+        path.write_bytes(BOM + path.read_bytes())
+        return path
+
+    @staticmethod
+    def backtest(cfg_path):
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 0, result.output
+
+    @staticmethod
+    def assert_same_bundle(out_dir, reference):
+        # the snapshot records the input paths, which differ
+        for name in BUNDLE_FILES:
+            if name != "config_snapshot.ini":
+                assert (out_dir / name).read_bytes() == \
+                    (reference / name).read_bytes(), name
+
+    def test_config(self, data_csv, tmp_path, run_dir):
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        self.backtest(self.mark(cfg_path))
+        self.assert_same_bundle(out_dir, run_dir)
+
+    def test_bars_file(self, data_csv, tmp_path, run_dir):
+        bars = tmp_path / "bars.csv"
+        bars.write_bytes(data_csv.read_bytes())
+        cfg_path, out_dir = write_config(tmp_path, self.mark(bars))
+        self.backtest(cfg_path)
+        self.assert_same_bundle(out_dir, run_dir)
+
+    def test_index_file(self, data_csv, tmp_path):
+        out_dirs = []
+        for name, marked in (("plain", False), ("marked", True)):
+            index_path = tmp_path / f"index_{name}.csv"
+            index_path.write_text(index_from_first_trade_date("100.0"))
+            if marked:
+                self.mark(index_path)
+            cfg_path, out_dir = write_config(tmp_path, data_csv, name)
+            cfg_path.write_text(cfg_path.read_text().replace(
+                "[windows]", f"index_path = {index_path}\n\n[windows]"))
+            self.backtest(cfg_path)
+            out_dirs.append(out_dir)
+        self.assert_same_bundle(out_dirs[1], out_dirs[0])
+
+    @pytest.mark.parametrize("name", ["comparison.csv", "equity_ppo.csv"])
+    def test_run_directory_file(self, tmp_path, run_dir, name):
+        outputs = []
+        for label in ("plain", "marked"):
+            copy = tmp_path / label
+            copy.mkdir()
+            for path in (run_dir / "comparison.csv",
+                         run_dir / "equity_ppo.csv"):
+                (copy / path.name).write_bytes(path.read_bytes())
+            if label == "marked":
+                self.mark(copy / name)
+            result = CliRunner().invoke(main, ["report", "--out", str(copy)])
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output.replace(str(copy), "<run dir>"),
+                            (copy / "cumret_ppo.csv").read_bytes()))
+        assert outputs[1] == outputs[0]
 
 
 # (text in CONFIG_TEMPLATE, its replacement, a word the error must name)

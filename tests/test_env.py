@@ -70,46 +70,51 @@ class TestWindow:
 class TestResolveAction:
     def test_zero_action_holds(self):
         s = state_with([100.0, 50.0], [3, 4], 1000.0)
-        sell, buy = resolve_action(s, [0.0, 0.0], h_max=100, fee_rate=0.001)
+        sell, buy, sold = resolve_action(s, [0.0, 0.0], h_max=100,
+                                         fee_rate=0.001)
         np.testing.assert_array_equal(sell, [0, 0])
         np.testing.assert_array_equal(buy, [0, 0])
+        assert sold == 0.0
 
     def test_sell_capped_at_holdings(self):
         s = state_with([100.0], [10], 0.0)
-        sell, buy = resolve_action(s, [-1.0], h_max=100, fee_rate=0.001)
+        sell, buy, sold = resolve_action(s, [-1.0], h_max=100, fee_rate=0.001)
         np.testing.assert_array_equal(sell, [10])
+        assert sold == 1000.0
 
     def test_buy_capped_by_affordability_with_fee(self):
         s = state_with([100.0], [0], 1000.0)
-        sell, buy = resolve_action(s, [1.0], h_max=100, fee_rate=0.001)
+        sell, buy, _ = resolve_action(s, [1.0], h_max=100, fee_rate=0.001)
         # 9 * 100 * 1.001 = 900.9 affordable; 10 would cost 1001
         np.testing.assert_array_equal(buy, [9])
 
     def test_truncation_toward_zero(self):
         s = state_with([1.0, 1.0], [5, 5], 1000.0)
-        sell, buy = resolve_action(s, [0.19, -0.19], h_max=10, fee_rate=0.0)
+        sell, buy, _ = resolve_action(s, [0.19, -0.19], h_max=10, fee_rate=0.0)
         np.testing.assert_array_equal(buy, [1, 0])
         np.testing.assert_array_equal(sell, [0, 1])
 
     def test_buys_ration_ascending_index(self):
         s = state_with([100.0, 100.0], [0, 0], 1000.0)
-        sell, buy = resolve_action(s, [1.0, 1.0], h_max=5, fee_rate=0.0)
+        sell, buy, _ = resolve_action(s, [1.0, 1.0], h_max=5, fee_rate=0.0)
         np.testing.assert_array_equal(buy, [5, 5])
         s2 = state_with([100.0, 100.0], [0, 0], 700.0)
-        _, buy2 = resolve_action(s2, [1.0, 1.0], h_max=5, fee_rate=0.0)
+        _, buy2, _ = resolve_action(s2, [1.0, 1.0], h_max=5, fee_rate=0.0)
         np.testing.assert_array_equal(buy2, [5, 2])
 
     def test_sell_proceeds_fund_buys(self):
         s = state_with([100.0, 10.0], [5, 0], 0.0)
-        sell, buy = resolve_action(s, [-1.0, 1.0], h_max=10, fee_rate=0.0)
+        sell, buy, sold = resolve_action(s, [-1.0, 1.0], h_max=10,
+                                         fee_rate=0.0)
         np.testing.assert_array_equal(sell, [5, 0])
         np.testing.assert_array_equal(buy, [0, 10])
+        assert sold == 500.0
 
     @pytest.mark.filterwarnings("error")
     def test_nan_action_holds_without_a_cast_warning(self):
         s = state_with([100.0, 10.0], [5, 3], 1000.0)
-        sell, buy = resolve_action(s, [np.nan, np.nan], h_max=10,
-                                   fee_rate=0.001)
+        sell, buy, _ = resolve_action(s, [np.nan, np.nan], h_max=10,
+                                      fee_rate=0.001)
         np.testing.assert_array_equal(sell, [0, 0])
         np.testing.assert_array_equal(buy, [0, 0])
 
@@ -117,11 +122,12 @@ class TestResolveAction:
 @st.composite
 def step_cases(draw):
     """Prices at t and t+1, holdings, balance and action of one step, with
-    its h_max and fee rate. The balance is often the exact cost of every
-    requested buy up to some asset plus part of that asset's request, or
-    one ulp either side of it, so that buy lands where `floor(cash / unit)`
-    steps."""
-    n = draw(st.integers(1, 6))
+    its h_max and fee rate, over 1 to 32 assets: numpy sums 8 or more
+    elements in another order than one by one. The balance is often the
+    exact cost of every requested buy up to some asset plus part of that
+    asset's request, or one ulp either side of it, so that buy lands where
+    `floor(cash / unit)` steps."""
+    n = draw(st.integers(1, 32))
 
     def vector(elements):
         return draw(st.lists(elements, min_size=n, max_size=n))
@@ -144,6 +150,18 @@ def step_cases(draw):
         [exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)]))
     return (prices, vector(st.floats(0.01, 5000.0)), holdings,
             float(balance), action, h_max, fee_rate)
+
+
+def alternating_case(n, a, b, h_max):
+    """A step over n assets that buys h_max shares of each even asset and
+    sells h_max of each odd one, at prices (a * k**2 + b) mod 997 rounded
+    to cents; the a, b and h_max used below were picked so that numpy's
+    sum of both the buy and the sell notional differs from the one-by-one
+    sum."""
+    prices = [round((a * k * k + b) % 997 + 0.01, 2) for k in range(n)]
+    return (prices, [round(p * 1.01, 2) for p in prices],
+            [0 if k % 2 == 0 else 50 for k in range(n)], 1e7,
+            [(-1.0) ** k for k in range(n)], h_max, 0.001)
 
 
 def two_date_env(prices, next_prices, h_max, fee_rate):
@@ -173,6 +191,9 @@ class TestStepOracle:
     # last share only if it is reduced by k * unit exactly as the loop does
     @example(([3647.640625, 1.0, 1.0, 1.0, 1.0], [1.0] * 5, [0] * 5,
               47479.760453124996, [1.0, 0.0, 1.0, 0.0, 0.0], 13, 0.001))
+    # the widths of the workloads and of the paper
+    @example(alternating_case(8, 1.13, 0.5, 13))
+    @example(alternating_case(30, 0.37, 101.7, 37))
     @settings(max_examples=500, deadline=None)
     # the oracle still casts a NaN action to int64's minimum, which holds
     # on both sides as the env's explicit NaN-to-zero does
@@ -185,11 +206,13 @@ class TestStepOracle:
         sell, buy, cost, new_balance, new_holdings, reward = step_oracle(
             state, np.array(next_prices), action, h_max, fee_rate)
 
-        got_sell, got_buy = resolve_action(state, action, h_max, fee_rate)
+        got_sell, got_buy, sold = resolve_action(state, action, h_max,
+                                                 fee_rate)
         ref_sell, ref_buy = resolve_action_oracle(state, action, h_max,
                                                   fee_rate)
         np.testing.assert_array_equal(got_sell, ref_sell)
         np.testing.assert_array_equal(got_buy, ref_buy)
+        assert sold == float((state.prices * ref_sell).sum())
         assert got_buy.dtype == ref_buy.dtype == np.int64
 
         result = env.step_state(state, action)
@@ -309,7 +332,7 @@ class TestTurbulenceOverride:
         result = self.step(s, [0.4])
         assert not result.turbulence_triggered
         # the trades of the action itself, [0.4]
-        sell, buy = resolve_action(s, [0.4], h_max=100, fee_rate=0.0)
+        sell, buy, _ = resolve_action(s, [0.4], h_max=100, fee_rate=0.0)
         np.testing.assert_array_equal(result.sell_shares, sell)
         np.testing.assert_array_equal(result.buy_shares, buy)
 
@@ -358,6 +381,40 @@ class TestObserve:
         obs = env.reset()
         assert obs[0] == 1.0
         np.testing.assert_allclose(obs[1:3], env.state.prices / 100.0)
+
+    @pytest.mark.parametrize("D", [3, 8, 30])
+    def test_matches_concatenation_and_is_never_reused(self, D):
+        """Bit for bit the scaled concatenation of balance, prices, holdings
+        and features, over random states; an observation already returned
+        stays as it was through later `observe` and `step` calls."""
+        panel = make_panel(D=D, T=40, seed=D)
+        config = EnvConfig(initial_balance=5000.0, h_max=10,
+                           obs_scale_price=7.0, obs_scale_macd=3.0,
+                           obs_scale_rsi=50.0, obs_scale_cci=11.0,
+                           obs_scale_adx=13.0)
+        env = make_env(panel, config)
+        scale = np.repeat([config.initial_balance, config.obs_scale_price,
+                           config.h_max, config.obs_scale_macd,
+                           config.obs_scale_rsi, config.obs_scale_cci,
+                           config.obs_scale_adx], [1] + [D] * 6)
+
+        def expected(state):
+            return np.concatenate([[state.balance], state.prices,
+                                   state.holdings, state.features]) / scale
+
+        rng = np.random.default_rng(D)
+        returned = [(env.reset(), expected(env.state))]
+        for _ in range(30):
+            prices, features, _ = env.market_at(int(rng.integers(panel.T)))
+            state = EnvState(0, float(rng.uniform(0.0, 1e7)),
+                             rng.integers(0, 10_000, D), prices, features)
+            returned.append((env.observe(state), expected(state)))
+            obs, _, done = env.step(rng.uniform(-1.0, 1.0, D))
+            returned.append((obs, expected(env.state)))
+            if done:
+                returned.append((env.reset(), expected(env.state)))
+            for got, want in returned:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestMarketAt:

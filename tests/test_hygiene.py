@@ -165,11 +165,12 @@ def test_only_the_window_plan_turns_dates_into_rows():
 
 
 # The only `except` clauses that may name a package error, by module and
-# enclosing function: the CLI's exit-code boundary, and the config reader,
-# which re-raises a field's error under its INI section. Anywhere else an
-# outcome such as an undefined ratio is a value, not an exception.
+# enclosing function: the CLI's exit-code boundary, the CLI's bars-file
+# reader, which re-raises a load error under the file's path, and the config
+# reader, which re-raises a field's error under its INI section. Anywhere
+# else an outcome such as an undefined ratio is a value, not an exception.
 ALLOWED_CATCHES = {
-    "cli.py": {("_exit_codes", "UserError")},
+    "cli.py": {("_exit_codes", "UserError"), ("_load_panel", "UserError")},
     "config.py": {("_build", "UserError")},
 }
 ERROR_CLASSES = {name for name, obj in vars(errors).items()

@@ -13,11 +13,22 @@ from helpers import float64_twin
 class TestMlpForward:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_matrix_oracle(self, seed):
+        """Bit for bit, float32 and float64, on a batch and on each of its
+        rows alone, for a small net and the nets of the workloads at D=8
+        and D=30."""
         rng = np.random.default_rng(seed)
-        net = float64_twin(Mlp([4, 8, 8, 3], rng))
-        x = rng.normal(size=(7, 4))
-        expected = oracles.mlp_forward_oracle(net.params, x, net.n_layers)
-        np.testing.assert_allclose(net.forward(x), expected, atol=1e-12)
+        for sizes in ([4, 8, 8, 3], [49, 64, 64, 8], [181, 64, 64, 30]):
+            float32_net = Mlp(sizes, rng)
+            x = rng.normal(size=(7, sizes[0]))
+            for net in (float32_net, float64_twin(float32_net)):
+                cast = x.astype(net.flat.dtype)
+                expected = oracles.mlp_forward_oracle(net.params, cast,
+                                                      net.n_layers)
+                np.testing.assert_array_equal(net.forward(x), expected)
+                for i in range(len(x)):
+                    expected = oracles.mlp_forward_oracle(
+                        net.params, cast[i:i + 1], net.n_layers)[0]
+                    np.testing.assert_array_equal(net.forward(x[i]), expected)
 
     def test_hand_example_linear(self):
         net = Mlp([2, 1])
