@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from ..neural import Adam, GaussianPolicy, Mlp
 from ..settings import check_settings, setting
@@ -79,7 +80,7 @@ class Agent:
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.config = config
-        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self.rng = default_rng(SeedSequence(seed))
 
     def act(self, obs) -> np.ndarray:
         """The deterministic policy's action, clipped to [-1, 1]."""
@@ -114,8 +115,7 @@ class OnPolicyAgent(Agent):
     def __init__(self, obs_dim: int, action_dim: int,
                  config: AgentConfig = AgentConfig(), seed: int = 0):
         super().__init__(obs_dim, action_dim, config, seed)
-        init_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, self.init_salt]))
+        init_rng = default_rng(SeedSequence([seed, self.init_salt]))
         self.policy = GaussianPolicy(obs_dim, action_dim, config.hidden, init_rng)
         self.critic = Mlp([obs_dim, *config.hidden, 1], init_rng)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from ..neural import Adam, Mlp
 from .common import Agent, AgentConfig, TransitionStore
@@ -18,7 +19,7 @@ class DDPGAgent(Agent):
     def __init__(self, obs_dim: int, action_dim: int,
                  config: AgentConfig = AgentConfig(), seed: int = 0):
         super().__init__(obs_dim, action_dim, config, seed)
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        init_rng = default_rng(SeedSequence([seed, 3]))
         # actor output passes through tanh to stay inside [-1, 1]
         self.actor = Mlp([obs_dim, *config.hidden, action_dim], init_rng)
         self.critic = Mlp([obs_dim + action_dim, *config.hidden, 1], init_rng)

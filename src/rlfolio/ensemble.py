@@ -12,6 +12,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
@@ -142,7 +143,7 @@ def train_and_validate(panel: PricePanel, features: np.ndarray,
         rows = triple.train.rows
         env = TradingEnv(panel, features, (rows[0], rows[-1]), env_config)
         for k_idx, kind in enumerate(AGENT_KINDS):
-            agent_seed = int(np.random.SeedSequence(
+            agent_seed = int(SeedSequence(
                 [seed, triple.index, k_idx]).generate_state(1)[0])
             agents[kind] = train_agent(kind, env, agent_configs[kind],
                                        agent_seed,

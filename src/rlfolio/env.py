@@ -20,7 +20,7 @@ from .settings import check_settings, setting
 @dataclass(frozen=True)
 class EnvConfig:
     initial_balance: float = setting(1_000_000.0, "(0, inf)")
-    h_max: int = setting(100, "[1, inf)")
+    h_max: int = setting(100, "[1, 9007199254740992]")
     fee_rate: float = setting(0.001, "[0, 1)")
     reward_scale: float = setting(1e-4, "(0, inf)")
     obs_scale_price: float = setting(100.0, "(0, inf)")

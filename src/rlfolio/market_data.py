@@ -255,22 +255,9 @@ class WindowTriple:
     trade: DateInterval
 
 
-def add_months(d: dt.date, n: int) -> dt.date:
-    """Shift by n calendar months, clamping the day to the month's length."""
-    month0 = d.year * 12 + (d.month - 1) + n
-    year, month = divmod(month0, 12)
-    month += 1
-    last = (dt.date(year + month // 12, month % 12 + 1, 1)
-            - dt.timedelta(days=1)).day
-    return dt.date(year, month, min(d.day, last))
-
-
-def month_start(d: dt.date) -> dt.date:
-    return d.replace(day=1)
-
-
-def month_end(d: dt.date) -> dt.date:
-    return add_months(month_start(d), 1) - dt.timedelta(days=1)
+def _month_first(month: int) -> dt.date:
+    """First day of `month`, counted as year * 12 + month - 1."""
+    return dt.date(month // 12, month % 12 + 1, 1)
 
 
 def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
@@ -287,7 +274,8 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     """
     first = panel.calendar[0]
     last = panel.calendar[-1]
-    val_start0 = month_start(add_months(in_sample_end, -(validation_months - 1)))
+    month0 = in_sample_end.year * 12 + in_sample_end.month - validation_months
+    val_start0 = _month_first(month0)
     if val_start0 <= first:
         raise UserError(f"needed history before {val_start0}, where [windows] "
                         f"in_sample_end = {in_sample_end} starts validation, "
@@ -303,11 +291,13 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     triples = []
     k = 0
     while True:
-        val_start = add_months(val_start0, k * trade_months)
-        val_end = month_end(add_months(val_start, validation_months - 1))
-        trade_start = val_end + dt.timedelta(days=1)
-        trade_end = min(month_end(add_months(trade_start, trade_months - 1)),
-                        last)
+        val_month = month0 + k * trade_months
+        trade_month = val_month + validation_months
+        val_start = _month_first(val_month)
+        trade_start = _month_first(trade_month)
+        val_end = trade_start - dt.timedelta(days=1)
+        trade_end = min(_month_first(trade_month + trade_months)
+                        - dt.timedelta(days=1), last)
         if trade_end == last and len(panel.date_slice(trade_start, last)) < 2:
             break
         triples.append(WindowTriple(

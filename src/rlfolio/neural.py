@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import default_rng
 
 
 LOG_STD_MIN = math.log(1e-3)
@@ -48,7 +49,7 @@ class Mlp:
             self.params.append(self.flat[offset:offset + size].reshape(shape))
             offset += size
         if fresh:
-            rng = rng or np.random.default_rng(0)
+            rng = rng or default_rng(0)
             for w in self.params[::2]:
                 bound = math.sqrt(6.0 / sum(w.shape))
                 w[...] = rng.uniform(-bound, bound, size=w.shape)

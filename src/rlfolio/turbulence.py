@@ -3,6 +3,7 @@ trailing history, plus the halt-threshold calibration."""
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UserError
 from .evaluation import daily_returns
@@ -13,14 +14,15 @@ __all__ = ["DEFAULT_LOOKBACK", "DEFAULT_RIDGE_SCALE", "calibrate_threshold",
 
 DEFAULT_LOOKBACK = 252
 DEFAULT_RIDGE_SCALE = 1e-8
-# Dates per batched solve in `rolling_turbulence`: its scratch is
-# SOLVE_BLOCK * D * D floats (0.46 MB at the paper's D=30), whatever T is.
-SOLVE_BLOCK = 64
+# Bytes of centred windows per block of dates in `rolling_turbulence`, so its
+# scratch stays flat in T: 65 dates at D=8 and 17 at D=30, lookback 252.
+_BLOCK_BYTES = 1 << 20
 
 
-def default_ridge(sigma: np.ndarray) -> float:
-    d = sigma.shape[0]
-    return DEFAULT_RIDGE_SCALE * float(np.trace(sigma)) / d
+def default_ridge(sigma: np.ndarray) -> np.ndarray:
+    """Trace-scaled ridge of each covariance in a (..., D, D) stack."""
+    d = sigma.shape[-1]
+    return DEFAULT_RIDGE_SCALE * np.trace(sigma, axis1=-2, axis2=-1) / d
 
 
 def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
@@ -32,8 +34,8 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     trace-scaled default per window. Each date is
     (y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0, over its window's
     mean and covariance, bit for bit what `tests/oracles.quad_form_oracle`
-    gives: the statistics are computed date by date, and every
-    `SOLVE_BLOCK` dates share one batched solve and quadratic form.
+    gives: each block of dates takes its windows as one strided view of the
+    returns and shares one batched mean, covariance, solve and quadratic form.
     """
     if lookback < panel.D + 1:
         raise UserError(f"[turbulence] lookback must be at least D + 1 = "
@@ -43,27 +45,27 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
     if not np.all(np.isfinite(rets)):
         raise UserError("non-finite return vector")
     values = np.zeros(panel.T)
-    eye = np.eye(panel.D)
-    reg = np.empty((SOLVE_BLOCK, panel.D, panel.D))
-    dev = np.empty((SOLVE_BLOCK, 1, panel.D))
-    # return r[t-1] belongs to date t; history window is r[t-1-lookback : t-1]
-    for start in range(lookback + 1, panel.T, SOLVE_BLOCK):
-        dates = range(start, min(start + SOLVE_BLOCK, panel.T))
-        for k, t in enumerate(dates):
-            window = rets[t - 1 - lookback:t - 1]
-            mean = window.mean(axis=0)
-            xc = (window - mean).T  # np.cov(window, rowvar=False)'s own steps
-            sigma = np.dot(xc, xc.T) * (1 / (lookback - 1))
-            r = default_ridge(sigma) if ridge is None else ridge
-            np.add(sigma, r * eye, out=reg[k])
-            np.subtract(rets[t - 1], mean, out=dev[k, 0])
-        n = len(dates)
-        solved = np.linalg.solve(reg[:n], dev[:n].transpose(0, 2, 1))
-        # each 1 x D by D x 1 product is the dot the solve-then-dot oracle
-        # takes, so the bits match (einsum and a summed product add in
-        # another order); the clamp is max(0.0, q)
-        quad = np.matmul(dev[:n], solved)[:, 0, 0]
-        values[start:start + n] = np.where(quad > 0.0, quad, 0.0)
+    if panel.T <= lookback + 1:
+        return values
+    # date lookback + 1 + s scores return r[lookback + s] against window s,
+    # the returns r[s : lookback + s] before it
+    windows = sliding_window_view(rets[:-1], lookback, axis=0).swapaxes(1, 2)
+    latest, scored = rets[lookback:, None], values[lookback + 1:]
+    block = max(1, _BLOCK_BYTES // (8 * lookback * panel.D))
+    for s in range(0, len(windows), block):
+        window = windows[s:s + block]
+        # window.mean(axis=1) and np.cov's own steps, one matrix per date
+        mean = np.add.reduce(window, axis=1, keepdims=True) / lookback
+        xc = window - mean
+        sigma = np.matmul(xc.swapaxes(1, 2), xc) * (1 / (lookback - 1))
+        r = default_ridge(sigma)[:, None, None] if ridge is None else ridge
+        dev = latest[s:s + block] - mean
+        solved = np.linalg.solve(sigma + r * np.eye(panel.D),
+                                 dev.swapaxes(1, 2))
+        # one 1 x D by D x 1 product per date adds in the oracle's dot order
+        # (einsum and a summed product do not); the clamp is max(0.0, q)
+        quad = np.matmul(dev, solved)[:, 0, 0]
+        scored[s:s + block] = np.where(quad > 0.0, quad, 0.0)
     return values
 
 

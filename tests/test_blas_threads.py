@@ -1,7 +1,8 @@
 """`import rlfolio` runs BLAS on one thread unless the caller set a thread
 variable, so trained bits do not depend on the machine's core count. Each
 case runs in a fresh interpreter, since BLAS reads its thread variables
-once, when numpy is first imported."""
+once, when numpy is first imported. The last case checks what
+`import rlfolio.cli` loads."""
 import os
 import subprocess
 import sys
@@ -70,3 +71,10 @@ def test_import_leaves_numpy_unimported():
     code = "import sys, rlfolio; print('numpy' in sys.modules)"
     assert run_python(code) == "False"
 
+
+
+def test_cli_import_loads_numpy_random():
+    # numpy.random's import then counts in set-up, not in the first
+    # quarter's training
+    code = "import sys, rlfolio.cli; print('numpy.random' in sys.modules)"
+    assert run_python(code) == "True"

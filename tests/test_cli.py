@@ -941,6 +941,8 @@ BAD_CONFIGS = {
                           "fee_rate"),
     "fee_rate_one": ("[env]\n", "[env]\nfee_rate = 1\n", "fee_rate"),
     "h_max": ("h_max = 5", "h_max = 0", "h_max"),
+    # above 2^53 raw * h_max no longer casts to int64 exactly
+    "h_max_2_63": ("h_max = 5", f"h_max = {2**63}", "error: [env] h_max"),
     "validation_months": ("[windows]\n",
                           "[windows]\nvalidation_months = 0\n",
                           "validation_months"),

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from rlfolio.errors import UserError
 from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, PricePanel,
-                                 add_months, build_window_plan, load_bars,
-                                 month_end)
+                                 build_window_plan, load_bars)
 
 import oracles
 from helpers import csv_stream, make_panel, panel_to_csv
@@ -354,9 +353,3 @@ class TestWindowPlan:
         with pytest.raises(UserError, match=re.escape(message)):
             build_window_plan(panel, dt.date(2018, 6, 30), 3, 3)
 
-
-def test_month_helpers():
-    assert add_months(dt.date(2020, 1, 31), 1) == dt.date(2020, 2, 29)
-    assert add_months(dt.date(2019, 11, 30), 3) == dt.date(2020, 2, 29)
-    assert month_end(dt.date(2020, 2, 10)) == dt.date(2020, 2, 29)
-    assert add_months(dt.date(2020, 3, 15), -3) == dt.date(2019, 12, 15)

@@ -97,6 +97,14 @@ class TestRollingTurbulence:
         np.testing.assert_array_equal(series[:61], 0.0)
         assert np.any(series[61:] > 0)
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_no_dated_window_is_all_zero(self, extra):
+        # T = lookback + 1 leaves lookback returns, all of them history for
+        # a date past the panel's end
+        panel = make_panel(D=3, T=20 + extra, seed=3)
+        np.testing.assert_array_equal(rolling_turbulence(panel, lookback=20),
+                                      np.zeros(panel.T))
+
     def test_window_mean_return_scores_zero(self):
         # craft prices whose final return equals the trailing mean return
         lookback = 6
@@ -107,7 +115,10 @@ class TestRollingTurbulence:
 
     def test_each_value_is_turbulence_index_of_its_window(self):
         # D=30 is the paper's Dow-30 width; 252 its one-year lookback
-        for D, lookback, T in [(3, 8, 40), (8, 252, 300), (30, 252, 300)]:
+        # (8, 252, 400) and (30, 252, 300) cross two block boundaries and
+        # end mid-block
+        for D, lookback, T in [(3, 8, 40), (8, 252, 300), (8, 252, 400),
+                               (30, 252, 300)]:
             panel = make_panel(D=D, T=T, seed=5)
             series = rolling_turbulence(panel, lookback=lookback)
             rets = daily_returns(panel.adj_close)
@@ -115,9 +126,9 @@ class TestRollingTurbulence:
                 assert series[t] == window_turbulence(rets, t, lookback)
 
     def test_scratch_is_bounded_at_dow30_width(self):
-        # the solves run in fixed blocks of dates, so beyond the returns
-        # and the output (0.24 MB per 1000 dates at D=30) the peak stays
-        # flat in T
+        # each block of dates holds a fixed byte budget of centred windows,
+        # so beyond the returns and the output (0.24 MB per 1000 dates at
+        # D=30) the peak stays flat in T
         peaks = {}
         for T in (2000, 4000):
             panel = make_panel(D=30, T=T, seed=0)
