@@ -16,18 +16,17 @@ import numpy as np
 from .market_data import PricePanel
 from .settings import check_settings, setting
 
+# divisors of the observation's price block and MACD, RSI, CCI, ADX blocks
+PRICE_SCALE = 100.0
+FEATURE_SCALES = (100.0, 100.0, 250.0, 100.0)
+
 
 @dataclass(frozen=True)
 class EnvConfig:
-    initial_balance: float = setting(1_000_000.0, "(0, inf)")
+    initial_balance: float = setting(1_000_000.0, "(0, 1e15]")
     h_max: int = setting(100, "[1, 9007199254740992]")
     fee_rate: float = setting(0.001, "[0, 1)")
-    reward_scale: float = setting(1e-4, "(0, inf)")
-    obs_scale_price: float = setting(100.0, "(0, inf)")
-    obs_scale_macd: float = setting(100.0, "(0, inf)")
-    obs_scale_rsi: float = setting(100.0, "(0, inf)")
-    obs_scale_cci: float = setting(250.0, "(0, inf)")
-    obs_scale_adx: float = setting(100.0, "(0, inf)")
+    reward_scale: float = setting(1e-4, "(0, 1]")
 
     __post_init__ = check_settings
 
@@ -145,9 +144,8 @@ class TradingEnv:
         self._turbulence = (np.zeros(stop) if turbulence is None
                             else turbulence[:stop])
         self._obs_scale = np.repeat(
-            [config.initial_balance, config.obs_scale_price, config.h_max,
-             config.obs_scale_macd, config.obs_scale_rsi,
-             config.obs_scale_cci, config.obs_scale_adx], [1] + [panel.D] * 6)
+            [config.initial_balance, PRICE_SCALE, config.h_max,
+             *FEATURE_SCALES], [1] + [panel.D] * 6)
         # `observe` fills this row in place; its blocks are views into it
         self._row = np.empty(self.obs_dim)
         self._row_blocks = np.split(self._row[1:], [panel.D, 2 * panel.D])
@@ -206,8 +204,8 @@ class TradingEnv:
         return self.observe(), result.reward, result.next_state.done
 
     def observe(self, state: EnvState | None = None) -> np.ndarray:
-        """Scaled balance, prices, holdings and features of the state; reads
-        nothing beyond the state."""
+        """The state's balance over `initial_balance`, holdings over `h_max`,
+        prices and features over the fixed scales; reads nothing else."""
         state = self.state if state is None else state
         row = self._row
         prices, holdings, features = self._row_blocks

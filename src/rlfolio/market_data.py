@@ -274,12 +274,15 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     """
     first = panel.calendar[0]
     last = panel.calendar[-1]
+    # month indices are compared first: `dt.date` holds years 1 to 9999
+    last_month = last.year * 12 + last.month - 1
     month0 = in_sample_end.year * 12 + in_sample_end.month - validation_months
-    val_start0 = _month_first(month0)
-    if val_start0 <= first:
-        raise UserError(f"needed history before {val_start0}, where [windows] "
-                        f"in_sample_end = {in_sample_end} starts validation, "
-                        f"available data from {first}")
+    if (month0 < first.year * 12 + first.month - 1
+            or _month_first(month0) <= first):
+        year, month = divmod(month0, 12)
+        raise UserError(f"needed history before {year:04d}-{month + 1:02d}-01"
+                        f", where [windows] in_sample_end = {in_sample_end} "
+                        f"starts validation, available data from {first}")
 
     def interval(k: int, role: str, start: dt.date, end: dt.date):
         rows = panel.date_slice(start, end)
@@ -293,11 +296,14 @@ def build_window_plan(panel: PricePanel, in_sample_end: dt.date,
     while True:
         val_month = month0 + k * trade_months
         trade_month = val_month + validation_months
+        if trade_month > last_month:
+            break
         val_start = _month_first(val_month)
         trade_start = _month_first(trade_month)
         val_end = trade_start - dt.timedelta(days=1)
-        trade_end = min(_month_first(trade_month + trade_months)
-                        - dt.timedelta(days=1), last)
+        trade_end = (last if trade_month + trade_months > last_month else
+                     _month_first(trade_month + trade_months)
+                     - dt.timedelta(days=1))
         if trade_end == last and len(panel.date_slice(trade_start, last)) < 2:
             break
         triples.append(WindowTriple(

@@ -41,7 +41,7 @@ EXPECTED = {
         "rolling_turbulence_D8": "f0ac0a8325a15abd",
         "build_features_D30": "b722f55a0d82e79c",
         "rolling_turbulence_D30": "9b99e28378710b7b",
-        "bundle": "217bd856c7f1b618",
+        "bundle": "a9d9bd4a9a2d5d25",
     },
 }
 

@@ -3,6 +3,7 @@ import csv
 import datetime as dt
 import math
 import re
+import sys
 import typing
 from dataclasses import fields
 
@@ -77,11 +78,6 @@ initial_balance = 50000.0
 h_max = 7
 fee_rate = 0.002
 reward_scale = 0.001
-obs_scale_price = 10.0
-obs_scale_macd = 20.0
-obs_scale_rsi = 30.0
-obs_scale_cci = 40.0
-obs_scale_adx = 50.0
 
 [indicators]
 macd_fast = 5
@@ -320,9 +316,7 @@ class TestConfig:
                       "col_low", "col_close", "col_adj_close", "col_volume"]),
             ("windows", ["in_sample_end", "validation_months",
                          "trade_months"]),
-            ("env", ["initial_balance", "h_max", "fee_rate", "reward_scale",
-                     "obs_scale_price", "obs_scale_macd", "obs_scale_rsi",
-                     "obs_scale_cci", "obs_scale_adx"]),
+            ("env", ["initial_balance", "h_max", "fee_rate", "reward_scale"]),
             ("indicators", ["macd_fast", "macd_slow", "rsi_period",
                             "cci_period", "adx_period"]),
             ("turbulence", ["lookback", "quantile", "ridge"]),
@@ -630,8 +624,62 @@ class TestBacktestUserErrors:
         assert "error:" in result.stderr
 
 
+def backtest_with(data_csv, tmp_path, values: dict):
+    """`backtest` of the tiny config with `values`, {section: {key: text}},
+    set over it; the result and the run's out_dir."""
+    cfg_path, out_dir = write_config(tmp_path, data_csv)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(cfg_path)
+    parser.read_dict(values)
+    with open(cfg_path, "w") as fh:
+        parser.write(fh)
+    return CliRunner().invoke(main, ["backtest", "--config",
+                                     str(cfg_path)]), out_dir
+
+
+# every valid value `bound_cases` yields, and the two month counts, whose
+# open bounds yield none; no huge value of an int field that scales the
+# work (`total_steps`, `hidden`, `rollout`...), which would run for hours
+RUN_CASES = [case[:3] for case in BOUND_CASES if case[3]] + [
+    ("windows", "validation_months", "1000000"),
+    ("windows", "trade_months", "1000000")]
+
+
 class TestExitCodes:
     """0 for success, 2 for a user error, 1 for a program fault."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("section, key, value", RUN_CASES,
+                             ids=[f"{s}.{k}={v}" for s, k, v in RUN_CASES])
+    def test_backtest_at_each_valid_bound(self, data_csv, tmp_path, section,
+                                          key, value):
+        # the tiny run at one in-range value completes with every bundle
+        # file, or exits 2 and writes nothing
+        values = {section: {key: value}}
+        if key == "macd_slow":  # must stay above macd_fast
+            values[section]["macd_fast"] = "1"
+        result, out_dir = backtest_with(data_csv, tmp_path, values)
+        if key.endswith("_lr") and float(value) == sys.float_info.max:
+            # a learning rate at the largest float overflows an update, a
+            # program fault until ROADMAP item 3 skips and counts it
+            assert result.exit_code == 1, result.output
+            assert "internal error: FloatingPointError" in result.stderr
+            assert not out_dir.exists()
+        elif result.exit_code == 0:
+            assert sorted(p.name for p in out_dir.iterdir()) == \
+                sorted(BUNDLE_FILES)
+        else:
+            assert result.exit_code == 2, result.output
+            assert "error:" in result.stderr
+            assert not out_dir.exists()
+
+    def test_env_caps_together_complete(self, data_csv, tmp_path):
+        result, out_dir = backtest_with(data_csv, tmp_path, {"env": {
+            "initial_balance": "1e15", "reward_scale": "1"}})
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            sorted(BUNDLE_FILES)
 
     def test_two_date_validation_quarter_falls_back(self, tmp_path):
         # of the first validation quarter, April-June 2018, only 2018-06-28
@@ -948,6 +996,11 @@ BAD_CONFIGS = {
                           "validation_months"),
     "trade_months": ("[windows]\n", "[windows]\ntrade_months = 0\n",
                      "trade_months"),
+    # the first validation month would lie before year 1
+    "validation_months_huge": ("[windows]\n",
+                               "[windows]\nvalidation_months = 1000000\n",
+                               "where [windows] in_sample_end = 2018-06-30 "
+                               "starts validation"),
     # a shared [agents] value is reported under [agents], not a kind's section
     "gamma": ("[agents]\n", "[agents]\ngamma = 1.5\n", "error: [agents] gamma"),
     "gamma_per_kind": ("[run]", "[agents.ppo]\ngamma = 1.5\n\n[run]",
@@ -978,8 +1031,16 @@ BAD_CONFIGS = {
                               "error: [baselines] min_variance_lookback"),
     "reward_scale": ("[env]\n", "[env]\nreward_scale = -1\n",
                      "error: [env] reward_scale"),
-    "obs_scale_price": ("[env]\n", "[env]\nobs_scale_price = -1\n",
-                        "error: [env] obs_scale_price"),
+    # the observation's scales are constants, no longer settings
+    "obs_scale_price": ("[env]\n", "[env]\nobs_scale_price = 100\n",
+                        "unknown section or key: [env] obs_scale_price"),
+    # just above the finite caps: an equity curve or a reward would overflow
+    "initial_balance_above_cap": ("initial_balance = 100000",
+                                  "initial_balance = 1.0000000000000002e15",
+                                  "error: [env] initial_balance"),
+    "reward_scale_above_cap": ("[env]\n",
+                               "[env]\nreward_scale = 1.0000000000000002\n",
+                               "error: [env] reward_scale"),
     "noise_scale_inf": ("[agents]\n", "[agents]\nnoise_scale = inf\n",
                         "error: [agents] noise_scale"),
     "clip_epsilon_inf": ("[agents]\n", "[agents]\nclip_epsilon = inf\n",

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlfolio.env import EnvConfig, EnvState, TradingEnv, resolve_action
+from rlfolio.env import (FEATURE_SCALES, PRICE_SCALE, EnvConfig, EnvState,
+                        TradingEnv, resolve_action)
 from rlfolio.errors import UserError
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
@@ -388,15 +389,10 @@ class TestObserve:
         and features, over random states; an observation already returned
         stays as it was through later `observe` and `step` calls."""
         panel = make_panel(D=D, T=40, seed=D)
-        config = EnvConfig(initial_balance=5000.0, h_max=10,
-                           obs_scale_price=7.0, obs_scale_macd=3.0,
-                           obs_scale_rsi=50.0, obs_scale_cci=11.0,
-                           obs_scale_adx=13.0)
+        config = EnvConfig(initial_balance=5000.0, h_max=10)
         env = make_env(panel, config)
-        scale = np.repeat([config.initial_balance, config.obs_scale_price,
-                           config.h_max, config.obs_scale_macd,
-                           config.obs_scale_rsi, config.obs_scale_cci,
-                           config.obs_scale_adx], [1] + [D] * 6)
+        scale = np.repeat([config.initial_balance, PRICE_SCALE, config.h_max,
+                           *FEATURE_SCALES], [1] + [D] * 6)
 
         def expected(state):
             return np.concatenate([[state.balance], state.prices,

@@ -307,6 +307,17 @@ class TestWindowPlan:
         for a, b in zip(plan[:-1], plan[1:]):
             assert b.trade.start == a.trade.end + dt.timedelta(days=1)
 
+    def test_huge_trade_months_plans_one_interval_to_the_end(self):
+        # the first trade interval would end past year 9999: it is cut at
+        # the panel's last date, and no later interval is planned
+        panel = make_panel(D=2, T=600, start=dt.date(2017, 1, 1))
+        plan = build_window_plan(panel, dt.date(2018, 6, 30), 3, 10**6)
+        assert len(plan) == 1
+        assert plan[0].validation.start == dt.date(2018, 4, 1)
+        assert plan[0].trade.start == dt.date(2018, 7, 1)
+        assert plan[0].trade.end == panel.calendar[-1]
+        assert plan[0].trade.rows.stop == panel.T
+
     @pytest.mark.parametrize("T, start, in_sample_end", [
         (2980, dt.date(2009, 1, 1), dt.date(2015, 12, 31)),
         (420, dt.date(2019, 1, 1), dt.date(2019, 12, 31)),
