@@ -26,7 +26,8 @@ class AgentConfig:
     buffer_capacity: int = setting(100_000, "[1, inf)")
     batch_size: int = setting(64, "[1, inf)")
     tau: float = setting(0.005, "(0, 1]")
-    noise_scale: float = setting(0.1, "[0, inf)")
+    # the action is clipped to [-1, 1], so a few units already saturate it
+    noise_scale: float = setting(0.1, "[0, 10]")
     warmup_steps: int = setting(256, "[0, inf)")
 
     __post_init__ = check_settings

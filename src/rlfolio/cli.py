@@ -42,9 +42,7 @@ def _load_panel(cfg: RunConfig):
     file."""
     path = cfg.data.path
     try:
-        return load_bars(path, schema=cfg.schema or None,
-                         rejection_ceiling=cfg.data.rejection_ceiling,
-                         delimiter=cfg.data.delimiter)
+        return load_bars(path, rejection_ceiling=cfg.data.rejection_ceiling)
     except UnicodeDecodeError as exc:
         raise UserError(f"{path} is not UTF-8: {exc.reason}") from exc
     except UserError as exc:
@@ -174,9 +172,8 @@ def backtest(config_path, seed, out):
     index_levels = None
     if cfg.data.index_path:  # a bad index file fails before any training
         index_levels = _load_index_levels(cfg.data.index_path, days)
-    features = build_features(panel, cfg.indicators)
-    turb = rolling_turbulence(panel, cfg.turbulence.lookback,
-                              cfg.turbulence.ridge)
+    features = build_features(panel)
+    turb = rolling_turbulence(panel, cfg.turbulence.lookback)
 
     logger.info("training %d quarters x %d agents", len(plan), len(AGENT_KINDS))
     windows = ens.train_and_validate(

@@ -3,10 +3,9 @@
 Each section is one dataclass (`_SECTIONS`) whose field names are the
 section's keys, so a key's name, type and default live only there; an empty
 value keeps the default. [agents] sets every kind's `AgentConfig`,
-overridable per kind in [agents.ppo] / [agents.a2c] / [agents.ddpg]; [data]
-also takes `col_<name>` keys that rename input columns. Values are taken
-literally (no `%` interpolation). Unknown sections and keys, unparsable
-values and out-of-range values raise `UserError`.
+overridable per kind in [agents.ppo] / [agents.a2c] / [agents.ddpg].
+Values are taken literally (no `%` interpolation). Unknown sections and
+keys, unparsable values and out-of-range values raise `UserError`.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ from pathlib import Path
 from .agents import AGENT_KINDS, AgentConfig
 from .env import EnvConfig
 from .errors import UserError
-from .indicators import IndicatorConfig
-from .market_data import DEFAULT_SCHEMA
 from .settings import check_settings, setting
 from .turbulence import DEFAULT_LOOKBACK
 
@@ -29,15 +26,10 @@ from .turbulence import DEFAULT_LOOKBACK
 @dataclass(frozen=True)
 class DataConfig:
     path: str
-    delimiter: str = ","
     rejection_ceiling: float = setting(0.01, "[0, 1]")
     index_path: str | None = None
 
-    def __post_init__(self):
-        check_settings(self)
-        if len(self.delimiter) != 1:
-            raise UserError("delimiter must be one character, got "
-                            f"{self.delimiter!r}")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -54,7 +46,6 @@ class TurbulenceConfig:
     # rolling_turbulence also needs lookback >= D + 1, known once data loads
     lookback: int = setting(DEFAULT_LOOKBACK, "[2, inf)")
     quantile: float = setting(0.99, "(0, 1]")
-    ridge: float | None = setting(None, "[0, inf)")
 
     __post_init__ = check_settings
 
@@ -78,24 +69,21 @@ class BaselinesConfig:
 @dataclass
 class RunConfig:
     """One attribute per INI section; `agents` holds each kind's
-    [agents.<kind>] and `schema` the [data] `col_*` keys."""
+    [agents.<kind>]."""
     data: DataConfig
     windows: WindowsConfig
     env: EnvConfig
-    indicators: IndicatorConfig
     turbulence: TurbulenceConfig
     agents: dict[str, AgentConfig]
     run: RunOptions
     baselines: BaselinesConfig
-    schema: dict[str, str]
 
 
 # in snapshot order; [agents] is written back once per kind, as
 # [agents.<kind>]
 _SECTIONS = {"data": DataConfig, "windows": WindowsConfig, "env": EnvConfig,
-             "indicators": IndicatorConfig, "turbulence": TurbulenceConfig,
-             "agents": AgentConfig, "run": RunOptions,
-             "baselines": BaselinesConfig}
+             "turbulence": TurbulenceConfig, "agents": AgentConfig,
+             "run": RunOptions, "baselines": BaselinesConfig}
 _AGENT_SECTIONS = {kind: f"agents.{kind.lower()}" for kind in AGENT_KINDS}
 
 
@@ -157,9 +145,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise UserError(f"config: {exc}") from exc
     raw = {section: dict(parser[section]) for section in parser.sections()}
-    data = raw.setdefault("data", {})
-    schema = {name: data.pop(f"col_{name}") for name in DEFAULT_SCHEMA
-              if f"col_{name}" in data}
     known = {**_SECTIONS, **dict.fromkeys(_AGENT_SECTIONS.values(),
                                           AgentConfig)}
     unknown = [f"[{s}] {key}" for s, values in raw.items() if s in known
@@ -170,7 +155,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise UserError(f"unknown section or key: {', '.join(unknown)}")
     raw = {s: {key: v for key, v in values.items() if v}
            for s, values in raw.items()}
-    if "path" not in raw["data"]:
+    if "path" not in raw.get("data", {}):
         raise UserError("config must set [data] path")
     raw.setdefault("run", {}).update(
         {k: v for k, v in (overrides or {}).items() if v is not None})
@@ -181,7 +166,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if cls is AgentConfig:  # built alone, so its errors name [agents]
             cfg[section] = {kind: _build(cls, {**values, **raw.get(s, {})}, s)
                             for kind, s in _AGENT_SECTIONS.items()}
-    return RunConfig(**cfg, schema=schema)
+    return RunConfig(**cfg)
 
 
 def snapshot_config(cfg: RunConfig) -> str:
@@ -195,8 +180,6 @@ def snapshot_config(cfg: RunConfig) -> str:
         for name, target in targets.items():
             parser.read_dict({name: {f.name: _format(getattr(target, f.name))
                                      for f in fields(target)}})
-    parser.read_dict({"data": {f"col_{name}": col
-                               for name, col in cfg.schema.items()}})
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

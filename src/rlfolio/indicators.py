@@ -10,27 +10,13 @@ column-by-column calls bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import UserError
 from .market_data import PricePanel
-from .settings import check_settings, setting
 
-
-@dataclass(frozen=True)
-class IndicatorConfig:
-    macd_fast: int = setting(12, "[1, inf)")
-    macd_slow: int = setting(26, "[2, inf)")
-    rsi_period: int = setting(14, "[1, inf)")
-    cci_period: int = setting(14, "[1, inf)")
-    adx_period: int = setting(14, "[1, inf)")
-
-    def __post_init__(self):
-        check_settings(self)
-        if self.macd_fast >= self.macd_slow:
-            raise UserError("macd_fast must be below macd_slow")
+# The periods `build_features` uses: 12/26-day MACD, 14-day RSI, CCI and ADX.
+MACD_FAST, MACD_SLOW = 12, 26
+RSI_PERIOD = CCI_PERIOD = ADX_PERIOD = 14
 
 
 def _check_series(x) -> np.ndarray:
@@ -64,7 +50,7 @@ def _wilder(x: np.ndarray, period: int, first: int) -> np.ndarray:
     return out
 
 
-def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
+def macd(close, fast: int = MACD_FAST, slow: int = MACD_SLOW) -> np.ndarray:
     """MACD line: EMA(fast) - EMA(slow), both EMAs in one pass over a
     (..., 2) stack of the series."""
     close = _check_series(close)
@@ -73,7 +59,7 @@ def macd(close, fast: int = 12, slow: int = 26) -> np.ndarray:
     return ema[..., 0] - ema[..., 1]
 
 
-def rsi(close, period: int = 14) -> np.ndarray:
+def rsi(close, period: int = RSI_PERIOD) -> np.ndarray:
     """Wilder-smoothed RSI in [0, 100]; first `period` entries are 50."""
     close = _check_series(close)
     period = int(period)
@@ -93,7 +79,7 @@ def rsi(close, period: int = 14) -> np.ndarray:
     return out
 
 
-def cci(high, low, close, period: int = 14) -> np.ndarray:
+def cci(high, low, close, period: int = CCI_PERIOD) -> np.ndarray:
     """Commodity channel index; zero mean deviation maps to 0."""
     tp = (_check_series(high) + _check_series(low)
           + _check_series(close)) / 3.0
@@ -116,7 +102,7 @@ def cci(high, low, close, period: int = 14) -> np.ndarray:
     return out
 
 
-def adx(high, low, close, period: int = 14) -> np.ndarray:
+def adx(high, low, close, period: int = ADX_PERIOD) -> np.ndarray:
     """Wilder ADX in [0, 100]; warmup (first 2*period-1 entries) is 0."""
     high = _check_series(high)
     low = _check_series(low)
@@ -148,8 +134,7 @@ def adx(high, low, close, period: int = 14) -> np.ndarray:
     return _wilder(dx, period, 2 * period - 1)
 
 
-def build_features(panel: PricePanel,
-                   config: IndicatorConfig = IndicatorConfig()) -> np.ndarray:
+def build_features(panel: PricePanel) -> np.ndarray:
     """The four indicators of the panel as one T x 4D block, so one date's
     features are one row: MACD of every asset, then RSI, CCI and ADX. Each
     indicator is computed in one call on the panel.
@@ -163,8 +148,8 @@ def build_features(panel: PricePanel,
     high = panel.field("high") * scale
     low = panel.field("low") * scale
     return np.hstack([
-        macd(adj, config.macd_fast, config.macd_slow),
-        rsi(adj, config.rsi_period),
-        cci(high, low, adj, config.cci_period),
-        adx(high, low, adj, config.adx_period),
+        macd(adj, MACD_FAST, MACD_SLOW),
+        rsi(adj, RSI_PERIOD),
+        cci(high, low, adj, CCI_PERIOD),
+        adx(high, low, adj, ADX_PERIOD),
     ])

@@ -1,7 +1,7 @@
 """OHLCV ingestion, calendar alignment, and the walk-forward window plan.
 
-Input is delimited text with a header row; columns are mapped through a
-schema so arbitrary vendor files can be loaded. After alignment the panel
+Input is comma-separated text whose header row names the columns `date`,
+`ticker` and the `BAR_FIELDS`, in any order. After alignment the panel
 is dense: every (date, asset) cell is populated, the calendar being the
 intersection of the per-asset calendars.
 """
@@ -18,17 +18,6 @@ import numpy as np
 from .errors import UserError
 
 BAR_FIELDS = ("open", "high", "low", "close", "adj_close", "volume")
-
-DEFAULT_SCHEMA = {
-    "date": "date",
-    "ticker": "ticker",
-    "open": "open",
-    "high": "high",
-    "low": "low",
-    "close": "close",
-    "adj_close": "adj_close",
-    "volume": "volume",
-}
 
 
 @dataclass
@@ -102,7 +91,8 @@ class PricePanel:
 
 # A row's faults, in the order they are checked: the first one it has is
 # its rejection reason.
-_FAULTS = ("non-positive or non-finite price", "negative volume",
+_FAULTS = ("non-positive or non-finite price",
+           "negative or non-finite volume",
            "low/high do not bracket open/close", "duplicate row")
 
 
@@ -124,22 +114,19 @@ def _bar_faults(bars: np.ndarray, key: np.ndarray) -> np.ndarray:
     return fault
 
 
-def load_bars(source, schema: dict[str, str] | None = None,
-              rejection_ceiling: float = 0.01,
-              delimiter: str = ",") -> tuple[PricePanel, LoadReport]:
-    """Load delimited OHLCV text into an aligned panel.
+def load_bars(source, rejection_ceiling: float = 0.01
+              ) -> tuple[PricePanel, LoadReport]:
+    """Load comma-separated OHLCV text into an aligned panel.
 
     `source` is a text file object or a string path, read as UTF-8 with
-    any leading byte-order mark skipped. `schema` maps canonical names
-    (date, ticker, open, ...) to the file's column headers. Rows are
-    parsed into flat columns (the six `BAR_FIELDS` values, ticker and date
-    ids, physical line numbers), their invariants checked over all rows at
-    once, and the accepted bars scattered into the panel's
-    arrays. Rows violating bar invariants, and repeats of an accepted
-    (ticker, date), are rejected and listed in the report by line of the
-    file; a rejection rate above `rejection_ceiling` aborts.
+    any leading byte-order mark skipped. Rows are parsed into flat columns
+    (the six `BAR_FIELDS` values, ticker and date ids, physical line
+    numbers), their invariants checked over all rows at once, and the
+    accepted bars scattered into the panel's arrays. Rows violating bar
+    invariants, and repeats of an accepted (ticker, date), are rejected and
+    listed in the report by line of the file; a rejection rate above
+    `rejection_ceiling` aborts.
     """
-    schema = {**DEFAULT_SCHEMA, **(schema or {})}
     close_after = isinstance(source, str)
     if close_after:
         source = open(source, "r", newline="", encoding="utf-8-sig")
@@ -151,16 +138,17 @@ def load_bars(source, schema: dict[str, str] | None = None,
     rejected: list[RejectedRow] = []
     total = 0
     try:
-        reader = csv.reader(source, delimiter=delimiter)
+        reader = csv.reader(source)
         header = next(reader, None)
         if header is None:
             raise UserError("no header row")
-        missing = [col for col in schema.values() if col not in header]
+        missing = [col for col in ("date", "ticker", *BAR_FIELDS)
+                   if col not in header]
         if missing:
             raise UserError(f"header missing columns: {missing}")
         pos = {name: i for i, name in enumerate(header)}  # last one wins
-        di, ti = pos[schema["date"]], pos[schema["ticker"]]
-        value_cols = [pos[schema[name]] for name in BAR_FIELDS]
+        di, ti = pos["date"], pos["ticker"]
+        value_cols = [pos[name] for name in BAR_FIELDS]
         for row in reader:
             if not row:
                 continue                 # a blank line is no record

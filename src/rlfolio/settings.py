@@ -7,8 +7,8 @@ from .errors import UserError
 
 def setting(default, interval: str):
     """A dataclass field whose value must lie in `interval`, written as in
-    mathematics: "(0, 1]", "[1, inf)". Each element of a tuple must; None
-    passes, and NaN lies in no interval."""
+    mathematics: "(0, 1]", "[1, inf)". Each element of a tuple must, and NaN
+    lies in no interval."""
     return field(default=default, metadata={"interval": interval})
 
 
@@ -17,7 +17,7 @@ def check_settings(obj) -> None:
     `obj` whose value lies outside its declared interval."""
     for f in fields(obj):
         interval, value = f.metadata.get("interval"), getattr(obj, f.name)
-        if interval is None or value is None:
+        if interval is None:
             continue
         lo, hi = (float(bound) for bound in interval[1:-1].split(","))
         for v in value if isinstance(value, tuple) else (value,):

@@ -103,18 +103,18 @@ def adx_oracle(high, low, close, period):
     return np.array(out)
 
 
-def load_bars_oracle(text, schema, rejection_ceiling=1.0):
+def load_bars_oracle(text, rejection_ceiling=1.0):
     """Row-by-row ingest of CSV `text`: each row is checked as it is read
     and kept in a per-ticker dict of dates, the first accepted row of a
     (ticker, date) winning. Rejections carry the row's physical line.
     Returns (assets, calendar, fields, rejected (line, reason) pairs, total
     rows, dropped dates, incomplete tickers); raises as `load_bars` does."""
-    value_cols = [schema[name] for name in
-                  ("open", "high", "low", "close", "adj_close", "volume")]
+    value_cols = ("open", "high", "low", "close", "adj_close", "volume")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise UserError("no header row")
-    missing = [col for col in schema.values() if col not in reader.fieldnames]
+    missing = [col for col in ("date", "ticker", *value_cols)
+               if col not in reader.fieldnames]
     if missing:
         raise UserError(f"header missing columns: {missing}")
     by_asset = {}
@@ -123,8 +123,8 @@ def load_bars_oracle(text, schema, rejection_ceiling=1.0):
     for raw in reader:
         total += 1
         try:
-            date = dt.date.fromisoformat(raw[schema["date"]].strip())
-            ticker = raw[schema["ticker"]].strip()
+            date = dt.date.fromisoformat(raw["date"].strip())
+            ticker = raw["ticker"].strip()
             if not ticker:
                 raise ValueError("empty ticker")
             o, h, lo, c, adj, v = (float(raw[col]) for col in value_cols)
@@ -136,7 +136,7 @@ def load_bars_oracle(text, schema, rejection_ceiling=1.0):
             if not all(math.isfinite(p) and p > 0 for p in (o, h, lo, c, adj)):
                 reason = "non-positive or non-finite price"
             elif v < 0 or not math.isfinite(v):
-                reason = "negative volume"
+                reason = "negative or non-finite volume"
             elif not (lo <= min(o, c) and max(o, c) <= h):
                 reason = "low/high do not bracket open/close"
             elif date in by_asset.get(ticker, {}):

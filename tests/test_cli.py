@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import typing
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +19,7 @@ from rlfolio.config import (BaselinesConfig, DataConfig, load_config,
                             parse_config, snapshot_config)
 from rlfolio.ensemble import pick_best
 from rlfolio.errors import UserError
-from rlfolio.market_data import DEFAULT_SCHEMA, build_window_plan
+from rlfolio.market_data import build_window_plan
 
 from helpers import make_panel, panel_to_csv, trade_rows, trading_calendar
 from param_hashes import BUNDLE_FILES, STRATEGIES
@@ -56,17 +57,8 @@ min_variance_lookback = 60
 EVERY_KEY_CONFIG = """\
 [data]
 path = bars.csv
-delimiter = |
 rejection_ceiling = 0.05
 index_path = index.csv
-col_date = Date
-col_ticker = Symbol
-col_open = Open
-col_high = High
-col_low = Low
-col_close = Close
-col_adj_close = Adj Close
-col_volume = Volume
 
 [windows]
 in_sample_end = 2017-06-30
@@ -79,17 +71,9 @@ h_max = 7
 fee_rate = 0.002
 reward_scale = 0.001
 
-[indicators]
-macd_fast = 5
-macd_slow = 20
-rsi_period = 7
-cci_period = 8
-adx_period = 9
-
 [turbulence]
 lookback = 100
 quantile = 0.95
-ridge = 1e-06
 
 [agents]
 gamma = 0.9
@@ -196,8 +180,6 @@ class TestConfig:
     def test_declared_bounds(self, section, key, value, valid):
         sections = {"data": {"path": "bars.csv"}}
         sections.setdefault(section, {})[key] = value
-        if key == "macd_slow":  # must stay above macd_fast
-            sections[section]["macd_fast"] = "1"
         text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
                                                for k, v in values.items())
                        for name, values in sections.items())
@@ -231,14 +213,6 @@ class TestConfig:
         cfg = parse_config(f"[data]\npath = {data_csv}\n"
                            "[agents]\ncritic_lr = 1e200\n")
         assert cfg.agents["DDPG"].critic_lr == 1e200
-
-    @pytest.mark.parametrize("text, ridge", [("", None), ("0", 0.0),
-                                             ("1e-6", 1e-6)])
-    def test_ridge_bounds(self, data_csv, text, ridge):
-        # empty keeps the trace-scaled default; zero is a valid ridge
-        cfg = parse_config(f"[data]\npath = {data_csv}\n"
-                           f"[turbulence]\nridge = {text}\n")
-        assert cfg.turbulence.ridge == ridge
 
     def test_missing_data_path(self):
         with pytest.raises(UserError,
@@ -278,27 +252,21 @@ class TestConfig:
                 for f in fields(cls):
                     assert getattr(obj, f.name) != getattr(default, f.name), \
                         f.name
-        assert all(cfg.schema[name] != column
-                   for name, column in DEFAULT_SCHEMA.items())
 
         snapshot = snapshot_config(cfg)
         assert parse_config(snapshot) == cfg
         parser = configparser.ConfigParser()
         parser.read_string(snapshot)
         keys = {section: set(parser[section]) for section in parser.sections()}
-        assert keys["data"] == {"path", "delimiter", "rejection_ceiling",
-                                "index_path",
-                                *(f"col_{name}" for name in DEFAULT_SCHEMA)}
+        assert keys["data"] == {"path", "rejection_ceiling", "index_path"}
         assert keys["windows"] == {"in_sample_end", "validation_months",
                                    "trade_months"}
-        assert keys["turbulence"] == {"lookback", "quantile", "ridge"}
+        assert keys["turbulence"] == {"lookback", "quantile"}
         assert keys["run"] == {"seed", "out_dir"}
         assert keys["baselines"] == {"min_variance_lookback"}
         # each section's keys are the field names of its one dataclass
         for section, cls in config._SECTIONS.items():
             names = {f.name for f in fields(cls)}
-            if section == "data":
-                names |= {f"col_{name}" for name in DEFAULT_SCHEMA}
             for written in ([f"agents.{k.lower()}" for k in AGENT_KINDS]
                             if section == "agents" else [section]):
                 assert keys[written] == names, written
@@ -311,15 +279,11 @@ class TestConfig:
                       "clip_epsilon", "buffer_capacity", "batch_size", "tau",
                       "noise_scale", "warmup_steps"]
         assert [(s, list(parser[s])) for s in parser.sections()] == [
-            ("data", ["path", "delimiter", "rejection_ceiling", "index_path",
-                      "col_date", "col_ticker", "col_open", "col_high",
-                      "col_low", "col_close", "col_adj_close", "col_volume"]),
+            ("data", ["path", "rejection_ceiling", "index_path"]),
             ("windows", ["in_sample_end", "validation_months",
                          "trade_months"]),
             ("env", ["initial_balance", "h_max", "fee_rate", "reward_scale"]),
-            ("indicators", ["macd_fast", "macd_slow", "rsi_period",
-                            "cci_period", "adx_period"]),
-            ("turbulence", ["lookback", "quantile", "ridge"]),
+            ("turbulence", ["lookback", "quantile"]),
             ("agents.ppo", agent_keys),
             ("agents.a2c", agent_keys),
             ("agents.ddpg", agent_keys),
@@ -648,19 +612,20 @@ RUN_CASES = [case[:3] for case in BOUND_CASES if case[3]] + [
 class TestExitCodes:
     """0 for success, 2 for a user error, 1 for a program fault."""
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("section, key, value", RUN_CASES,
                              ids=[f"{s}.{k}={v}" for s, k, v in RUN_CASES])
     def test_backtest_at_each_valid_bound(self, data_csv, tmp_path, section,
                                           key, value):
         # the tiny run at one in-range value completes with every bundle
-        # file, or exits 2 and writes nothing
-        values = {section: {key: value}}
-        if key == "macd_slow":  # must stay above macd_fast
-            values[section]["macd_fast"] = "1"
-        result, out_dir = backtest_with(data_csv, tmp_path, values)
-        if key.endswith("_lr") and float(value) == sys.float_info.max:
+        # file, or exits 2 and writes nothing, and no numpy operation warns
+        # on the way
+        huge_lr = key.endswith("_lr") and float(value) == sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if huge_lr else "error",
+                                  RuntimeWarning)
+            result, out_dir = backtest_with(data_csv, tmp_path,
+                                            {section: {key: value}})
+        if huge_lr:
             # a learning rate at the largest float overflows an update, a
             # program fault until ROADMAP item 3 skips and counts it
             assert result.exit_code == 1, result.output
@@ -1019,12 +984,6 @@ BAD_CONFIGS = {
                           "error: [agents] actor_lr"),
     "critic_lr_inf": ("[agents]\n", "[agents]\ncritic_lr = inf\n",
                       "error: [agents] critic_lr"),
-    "ridge_negative": ("lookback = 60", "lookback = 60\nridge = -1",
-                       "error: [turbulence] ridge"),
-    "ridge_nan": ("lookback = 60", "lookback = 60\nridge = nan",
-                  "error: [turbulence] ridge"),
-    "macd_fast": ("[run]", "[indicators]\nmacd_fast = 30\n\n[run]",
-                  "macd_fast"),
     # outside a declared range: named by section and key before any output
     "min_variance_lookback": ("min_variance_lookback = 60",
                               "min_variance_lookback = 1",
@@ -1045,8 +1004,6 @@ BAD_CONFIGS = {
                         "error: [agents] noise_scale"),
     "clip_epsilon_inf": ("[agents]\n", "[agents]\nclip_epsilon = inf\n",
                          "error: [agents] clip_epsilon"),
-    "delimiter_two_characters": ("[windows]", "delimiter = ;;\n\n[windows]",
-                                 "error: [data] delimiter"),
     "rejection_ceiling_nan": ("[windows]",
                               "rejection_ceiling = nan\n\n[windows]",
                               "error: [data] rejection_ceiling"),
@@ -1087,6 +1044,21 @@ class TestConfigUserErrors:
         assert named in result.stderr
         assert "Traceback" not in result.output
         assert not (out_dir / "config_snapshot.ini").exists()
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("data", "delimiter", ",", "[data] delimiter"),
+        ("data", "col_date", "date", "[data] col_date"),
+        ("indicators", "macd_fast", "12", "[indicators]"),
+        ("turbulence", "ridge", "0", "[turbulence] ridge")],
+        ids=["delimiter", "col_date", "indicators", "ridge"])
+    def test_deleted_setting_exits_2(self, data_csv, tmp_path, section, key,
+                                     value, named):
+        # no longer settings, so even a value that used to run is unknown
+        result, out_dir = backtest_with(data_csv, tmp_path,
+                                        {section: {key: value}})
+        assert result.exit_code == 2, result.output
+        assert f"error: unknown section or key: {named}\n" in result.stderr
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("index_csv, named", [
         ("date,level\n2017-01-02,100.0\n", "needs date and value"),

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio import indicators as ind
-from rlfolio.errors import UserError
 
 import oracles
 from helpers import make_panel, make_split_panel
@@ -39,12 +38,6 @@ class TestMacd:
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="^empty price series$"):
             ind.macd([])
-
-    def test_bad_periods(self):
-        # checked once, where the periods are declared
-        with pytest.raises(UserError,
-                           match="^macd_fast must be below macd_slow$"):
-            ind.IndicatorConfig(macd_fast=26, macd_slow=12)
 
 
 class TestRsi:
@@ -225,12 +218,13 @@ class TestBuildFeatures:
         macd, rsi, cci, adx = self.blocks(panel)
         adj, high, low = (panel.adj_close, panel.field("high"),
                           panel.field("low"))
+        # at the literal periods: 12/26-day MACD, 14-day RSI, CCI and ADX
         for col in range(panel.D):
             c, h, lo = adj[:, col], high[:, col], low[:, col]
-            np.testing.assert_array_equal(macd[:, col], ind.macd(c))
-            np.testing.assert_array_equal(rsi[:, col], ind.rsi(c))
-            np.testing.assert_array_equal(cci[:, col], ind.cci(h, lo, c))
-            np.testing.assert_array_equal(adx[:, col], ind.adx(h, lo, c))
+            np.testing.assert_array_equal(macd[:, col], ind.macd(c, 12, 26))
+            np.testing.assert_array_equal(rsi[:, col], ind.rsi(c, 14))
+            np.testing.assert_array_equal(cci[:, col], ind.cci(h, lo, c, 14))
+            np.testing.assert_array_equal(adx[:, col], ind.adx(h, lo, c, 14))
 
     def test_split_and_dividends_move_no_indicator(self):
         # CCI and ADX mix high and low with the adjusted close; on raw

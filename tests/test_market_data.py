@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlfolio.errors import UserError
-from rlfolio.market_data import (BAR_FIELDS, DEFAULT_SCHEMA, PricePanel,
-                                 build_window_plan, load_bars)
+from rlfolio.market_data import (BAR_FIELDS, PricePanel, build_window_plan,
+                                 load_bars)
 
 import oracles
 from helpers import csv_stream, make_panel, panel_to_csv
@@ -83,13 +83,17 @@ class TestLoadBars:
         text += row("2020-01-03", "AAA", o=-5)
         text += row("2020-01-06", "AAA", adj="nan")
         text += row("2020-01-07", "AAA", v=-1)
-        text += row("2020-01-08", "AAA", h=10.2)  # high below close
-        text += row("2020-01-09", " ")
+        text += row("2020-01-08", "AAA", v="nan")
+        text += row("2020-01-09", "AAA", v="inf")
+        text += row("2020-01-10", "AAA", h=10.2)  # high below close
+        text += row("2020-01-13", " ")
         _, report = load_bars(csv_stream(text), rejection_ceiling=1.0)
         assert [r.reason for r in report.rejected] == [
             "non-positive or non-finite price",
             "non-positive or non-finite price",
-            "negative volume",
+            "negative or non-finite volume",
+            "negative or non-finite volume",
+            "negative or non-finite volume",
             "low/high do not bracket open/close",
             "empty ticker",
         ]
@@ -145,13 +149,6 @@ class TestLoadBars:
         with pytest.raises(UserError, match=re.escape(
                 "1/2 rows rejected, above ceiling 1.00%")):
             load_bars(csv_stream(text), rejection_ceiling=0.01)
-
-    def test_schema_mapping(self):
-        text = "Day,Sym,O,H,L,C,AC,Vol\n2020-01-02,AAA,10,11,9,10.5,10.5,100\n"
-        schema = {"date": "Day", "ticker": "Sym", "open": "O", "high": "H",
-                  "low": "L", "close": "C", "adj_close": "AC", "volume": "Vol"}
-        panel, _ = load_bars(csv_stream(text), schema=schema)
-        assert panel.assets == ("AAA",)
 
     def test_roundtrip_synthetic(self):
         panel = make_panel(D=2, T=30, seed=3)
@@ -237,7 +234,7 @@ class TestLoadBarsOracle:
     @settings(max_examples=150, deadline=None)
     def test_matches_row_by_row_oracle(self, text):
         try:
-            want = oracles.load_bars_oracle(text, DEFAULT_SCHEMA)
+            want = oracles.load_bars_oracle(text)
         except UserError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 load_bars(csv_stream(text), rejection_ceiling=1.0)
