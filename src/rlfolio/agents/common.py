@@ -17,18 +17,16 @@ class AgentConfig:
     actor_lr: float = setting(3e-4, "(0, inf)")
     critic_lr: float = setting(1e-3, "(0, inf)")
     total_steps: int = setting(30_000, "[0, inf)")
-    rollout: int = setting(2048, "[1, inf)")
-    # PPO
-    epochs: int = setting(10, "[0, inf)")
-    minibatch: int = setting(64, "[1, inf)")
-    clip_epsilon: float = setting(0.2, "(0, inf)")
-    # DDPG
-    buffer_capacity: int = setting(100_000, "[1, inf)")
-    batch_size: int = setting(64, "[1, inf)")
-    tau: float = setting(0.005, "(0, 1]")
+    rollout: int = setting(2048, "[1, inf)", kinds=("PPO", "A2C"))
+    epochs: int = setting(10, "[0, inf)", kinds=("PPO",))
+    minibatch: int = setting(64, "[1, inf)", kinds=("PPO",))
+    clip_epsilon: float = setting(0.2, "(0, inf)", kinds=("PPO",))
+    buffer_capacity: int = setting(100_000, "[1, inf)", kinds=("DDPG",))
+    batch_size: int = setting(64, "[1, inf)", kinds=("DDPG",))
+    tau: float = setting(0.005, "(0, 1]", kinds=("DDPG",))
     # the action is clipped to [-1, 1], so a few units already saturate it
-    noise_scale: float = setting(0.1, "[0, 10]")
-    warmup_steps: int = setting(256, "[0, inf)")
+    noise_scale: float = setting(0.1, "[0, 10]", kinds=("DDPG",))
+    warmup_steps: int = setting(256, "[0, inf)", kinds=("DDPG",))
 
     __post_init__ = check_settings
 

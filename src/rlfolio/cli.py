@@ -41,12 +41,11 @@ def _load_panel(cfg: RunConfig):
     """The bars file's panel and load report; each user error names the
     file."""
     path = cfg.data.path
-    try:
-        return load_bars(path, rejection_ceiling=cfg.data.rejection_ceiling)
-    except UnicodeDecodeError as exc:
-        raise UserError(f"{path} is not UTF-8: {exc.reason}") from exc
-    except UserError as exc:
-        raise UserError(f"{path}: {exc}") from exc
+    with _open_csv(path) as fh:
+        try:
+            return load_bars(fh, rejection_ceiling=cfg.data.rejection_ceiling)
+        except UserError as exc:
+            raise UserError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager

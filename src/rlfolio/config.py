@@ -2,8 +2,10 @@
 
 Each section is one dataclass (`_SECTIONS`) whose field names are the
 section's keys, so a key's name, type and default live only there; an empty
-value keeps the default. [agents] sets every kind's `AgentConfig`,
-overridable per kind in [agents.ppo] / [agents.a2c] / [agents.ddpg].
+value keeps the default. An `AgentConfig` field declares the learners that
+read it (`setting`'s `kinds`): [agents.ppo] / [agents.a2c] / [agents.ddpg]
+take only their learner's keys, and [agents] sets each key for every
+learner that reads it, under that learner's own section.
 Values are taken literally (no `%` interpolation). Unknown sections and
 keys, unparsable values and out-of-range values raise `UserError`.
 """
@@ -85,6 +87,11 @@ _SECTIONS = {"data": DataConfig, "windows": WindowsConfig, "env": EnvConfig,
              "turbulence": TurbulenceConfig, "agents": AgentConfig,
              "run": RunOptions, "baselines": BaselinesConfig}
 _AGENT_SECTIONS = {kind: f"agents.{kind.lower()}" for kind in AGENT_KINDS}
+# each INI section's keys, in snapshot order
+_KEYS = {**{s: [f.name for f in fields(cls)] for s, cls in _SECTIONS.items()},
+         **{s: [f.name for f in fields(AgentConfig)
+                if kind in (f.metadata["kinds"] or AGENT_KINDS)]
+            for kind, s in _AGENT_SECTIONS.items()}}
 
 
 def _cast(tp, text: str):
@@ -145,12 +152,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise UserError(f"config: {exc}") from exc
     raw = {section: dict(parser[section]) for section in parser.sections()}
-    known = {**_SECTIONS, **dict.fromkeys(_AGENT_SECTIONS.values(),
-                                          AgentConfig)}
-    unknown = [f"[{s}] {key}" for s, values in raw.items() if s in known
-               for key in values
-               if key not in {f.name for f in fields(known[s])}]
-    unknown += [f"[{s}]" for s in raw if s not in known]
+    unknown = [f"[{s}] {key}" for s, values in raw.items() if s in _KEYS
+               for key in values if key not in _KEYS[s]]
+    unknown += [f"[{s}]" for s in raw if s not in _KEYS]
     if unknown:
         raise UserError(f"unknown section or key: {', '.join(unknown)}")
     raw = {s: {key: v for key, v in values.items() if v}
@@ -164,22 +168,24 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         values = raw.get(section, {})
         cfg[section] = _build(cls, values, section)
         if cls is AgentConfig:  # built alone, so its errors name [agents]
-            cfg[section] = {kind: _build(cls, {**values, **raw.get(s, {})}, s)
-                            for kind, s in _AGENT_SECTIONS.items()}
+            cfg[section] = {kind: _build(cls, {
+                **{k: v for k, v in values.items() if k in _KEYS[s]},
+                **raw.get(s, {})}, s) for kind, s in _AGENT_SECTIONS.items()}
     return RunConfig(**cfg)
 
 
 def snapshot_config(cfg: RunConfig) -> str:
-    """Render a configuration as INI text that `parse_config` reads back to
-    an equal `RunConfig`."""
+    """Render a configuration from `parse_config` as INI text that it reads
+    back to an equal `RunConfig`; a learner's section lists only the keys
+    that learner reads."""
     parser = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
         obj = getattr(cfg, section)
-        targets = ({_AGENT_SECTIONS[kind]: obj[kind] for kind in AGENT_KINDS}
+        targets = ({s: obj[kind] for kind, s in _AGENT_SECTIONS.items()}
                    if section == "agents" else {section: obj})
         for name, target in targets.items():
-            parser.read_dict({name: {f.name: _format(getattr(target, f.name))
-                                     for f in fields(target)}})
+            parser.read_dict({name: {key: _format(getattr(target, key))
+                                     for key in _KEYS[name]}})
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -118,66 +118,57 @@ def load_bars(source, rejection_ceiling: float = 0.01
               ) -> tuple[PricePanel, LoadReport]:
     """Load comma-separated OHLCV text into an aligned panel.
 
-    `source` is a text file object or a string path, read as UTF-8 with
-    any leading byte-order mark skipped. Rows are parsed into flat columns
-    (the six `BAR_FIELDS` values, ticker and date ids, physical line
-    numbers), their invariants checked over all rows at once, and the
-    accepted bars scattered into the panel's arrays. Rows violating bar
-    invariants, and repeats of an accepted (ticker, date), are rejected and
-    listed in the report by line of the file; a rejection rate above
-    `rejection_ceiling` aborts.
+    `source` is a text stream, such as a file opened with `newline=""`.
+    Rows are parsed into flat columns (the six `BAR_FIELDS` values, ticker
+    and date ids, physical line numbers), their invariants checked over all
+    rows at once, and the accepted bars scattered into the panel's arrays.
+    Rows violating bar invariants, and repeats of an accepted (ticker,
+    date), are rejected and listed in the report by line of the file; a
+    rejection rate above `rejection_ceiling` aborts.
     """
-    close_after = isinstance(source, str)
-    if close_after:
-        source = open(source, "r", newline="", encoding="utf-8-sig")
-
     values = array("d")                  # six bar values per parsed row
     ticker_col, date_col, line_col = array("q"), array("q"), array("q")
     ticker_ids: dict[str, int] = {}
     date_ids: dict[dt.date, int] = {}
     rejected: list[RejectedRow] = []
     total = 0
-    try:
-        reader = csv.reader(source)
-        header = next(reader, None)
-        if header is None:
-            raise UserError("no header row")
-        missing = [col for col in ("date", "ticker", *BAR_FIELDS)
-                   if col not in header]
-        if missing:
-            raise UserError(f"header missing columns: {missing}")
-        pos = {name: i for i, name in enumerate(header)}  # last one wins
-        di, ti = pos["date"], pos["ticker"]
-        value_cols = [pos[name] for name in BAR_FIELDS]
-        for row in reader:
-            if not row:
-                continue                 # a blank line is no record
-            total += 1
-            # the first cell that fails names the reason: the date, the
-            # ticker, then each value in BAR_FIELDS order
-            try:
-                d = date_ids.setdefault(
-                    dt.date.fromisoformat(row[di].strip()), len(date_ids))
-                ticker = row[ti].strip()
-                if not ticker:
-                    raise ValueError("empty ticker")
-                t = ticker_ids.setdefault(ticker, len(ticker_ids))
-                values.fromlist([float(row[i]) for i in value_cols])
-            except IndexError:           # a short row ends before the cell
-                reason = "missing column value"
-            except ValueError as exc:
-                reason = str(exc)
-            else:
-                ticker_col.append(t)
-                date_col.append(d)
-                line_col.append(reader.line_num)
-                continue
-            rejected.append(RejectedRow(reader.line_num, reason))
-        if total == 0:
-            raise UserError("source has a header but no data rows")
-    finally:
-        if close_after:
-            source.close()
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise UserError("no header row")
+    missing = [col for col in ("date", "ticker", *BAR_FIELDS)
+               if col not in header]
+    if missing:
+        raise UserError(f"header missing columns: {missing}")
+    pos = {name: i for i, name in enumerate(header)}  # last one wins
+    di, ti = pos["date"], pos["ticker"]
+    value_cols = [pos[name] for name in BAR_FIELDS]
+    for row in reader:
+        if not row:
+            continue                     # a blank line is no record
+        total += 1
+        # the first cell that fails names the reason: the date, the
+        # ticker, then each value in BAR_FIELDS order
+        try:
+            d = date_ids.setdefault(
+                dt.date.fromisoformat(row[di].strip()), len(date_ids))
+            ticker = row[ti].strip()
+            if not ticker:
+                raise ValueError("empty ticker")
+            t = ticker_ids.setdefault(ticker, len(ticker_ids))
+            values.fromlist([float(row[i]) for i in value_cols])
+        except IndexError:               # a short row ends before the cell
+            reason = "missing column value"
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            ticker_col.append(t)
+            date_col.append(d)
+            line_col.append(reader.line_num)
+            continue
+        rejected.append(RejectedRow(reader.line_num, reason))
+    if total == 0:
+        raise UserError("source has a header but no data rows")
 
     bars = np.frombuffer(values).reshape(-1, len(BAR_FIELDS))
     tick, day, line = (np.frombuffer(col, np.int64)

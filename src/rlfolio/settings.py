@@ -5,11 +5,13 @@ from dataclasses import field, fields
 from .errors import UserError
 
 
-def setting(default, interval: str):
+def setting(default, interval: str, kinds: tuple[str, ...] | None = None):
     """A dataclass field whose value must lie in `interval`, written as in
     mathematics: "(0, 1]", "[1, inf)". Each element of a tuple must, and NaN
-    lies in no interval."""
-    return field(default=default, metadata={"interval": interval})
+    lies in no interval. `kinds` names the learners that read an agent
+    setting; None is every learner."""
+    return field(default=default,
+                 metadata={"interval": interval, "kinds": kinds})
 
 
 def check_settings(obj) -> None:

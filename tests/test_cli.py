@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rlfolio.agents import AGENT_KINDS
+from rlfolio.agents import AGENT_KINDS, AgentConfig
 from rlfolio import cli, config
 from rlfolio.cli import main
 from rlfolio.config import (BaselinesConfig, DataConfig, load_config,
@@ -107,6 +107,16 @@ out_dir = elsewhere
 [baselines]
 min_variance_lookback = 30
 """
+
+
+# the `AgentConfig` fields each learner reads, in field order: the keys of its
+# [agents.<kind>] section and of its snapshot
+SHARED_KEYS = ["gamma", "hidden", "actor_lr", "critic_lr", "total_steps"]
+LEARNER_KEYS = {
+    "PPO": SHARED_KEYS + ["rollout", "epochs", "minibatch", "clip_epsilon"],
+    "A2C": SHARED_KEYS + ["rollout"],
+    "DDPG": SHARED_KEYS + ["buffer_capacity", "batch_size", "tau",
+                           "noise_scale", "warmup_steps"]}
 
 
 def write_bars(tmp_path, keep):
@@ -208,6 +218,15 @@ class TestConfig:
         assert cfg.agents["A2C"].gamma == 0.95
         assert cfg.agents["DDPG"].clip_epsilon == 0.2
 
+    @pytest.mark.parametrize("key, value, readers", [
+        ("tau", "0.5", {"DDPG"}), ("rollout", "7", {"PPO", "A2C"})])
+    def test_shared_key_reaches_only_its_readers(self, key, value, readers):
+        cfg = parse_config(f"[data]\npath = bars.csv\n[agents]\n"
+                           f"{key} = {value}\n")
+        default = getattr(AgentConfig(), key)
+        assert {kind for kind, agent in cfg.agents.items()
+                if getattr(agent, key) != default} == readers
+
     def test_huge_finite_learning_rate_accepted(self, data_csv):
         # any positive finite rate is a valid setting, however it trains
         cfg = parse_config(f"[data]\npath = {data_csv}\n"
@@ -246,12 +265,15 @@ class TestConfig:
         cfg = parse_config(EVERY_KEY_CONFIG)
         for section, cls in config._SECTIONS.items():
             default = cls(path="") if cls is DataConfig else cls()
-            objs = (cfg.agents.values() if section == "agents"
-                    else [getattr(cfg, section)])
-            for obj in objs:
+            objs = (cfg.agents.items() if section == "agents"
+                    else [(None, getattr(cfg, section))])
+            for kind, obj in objs:
                 for f in fields(cls):
-                    assert getattr(obj, f.name) != getattr(default, f.name), \
-                        f.name
+                    # a learner's config holds every key it reads, and the
+                    # default of every key it does not
+                    read = kind is None or f.name in LEARNER_KEYS[kind]
+                    assert (getattr(obj, f.name)
+                            != getattr(default, f.name)) == read, f.name
 
         snapshot = snapshot_config(cfg)
         assert parse_config(snapshot) == cfg
@@ -264,29 +286,26 @@ class TestConfig:
         assert keys["turbulence"] == {"lookback", "quantile"}
         assert keys["run"] == {"seed", "out_dir"}
         assert keys["baselines"] == {"min_variance_lookback"}
-        # each section's keys are the field names of its one dataclass
+        # each section's keys are the field names of its one dataclass,
+        # and each learner's those of `AgentConfig` it reads
         for section, cls in config._SECTIONS.items():
-            names = {f.name for f in fields(cls)}
-            for written in ([f"agents.{k.lower()}" for k in AGENT_KINDS]
-                            if section == "agents" else [section]):
-                assert keys[written] == names, written
+            if section != "agents":
+                assert keys[section] == {f.name for f in fields(cls)}, section
+        for kind in AGENT_KINDS:
+            assert keys[f"agents.{kind.lower()}"] == set(LEARNER_KEYS[kind])
 
     def test_snapshot_section_and_key_order(self):
         parser = configparser.ConfigParser()
         parser.read_string(snapshot_config(parse_config(EVERY_KEY_CONFIG)))
-        agent_keys = ["gamma", "hidden", "actor_lr", "critic_lr",
-                      "total_steps", "rollout", "epochs", "minibatch",
-                      "clip_epsilon", "buffer_capacity", "batch_size", "tau",
-                      "noise_scale", "warmup_steps"]
         assert [(s, list(parser[s])) for s in parser.sections()] == [
             ("data", ["path", "rejection_ceiling", "index_path"]),
             ("windows", ["in_sample_end", "validation_months",
                          "trade_months"]),
             ("env", ["initial_balance", "h_max", "fee_rate", "reward_scale"]),
             ("turbulence", ["lookback", "quantile"]),
-            ("agents.ppo", agent_keys),
-            ("agents.a2c", agent_keys),
-            ("agents.ddpg", agent_keys),
+            ("agents.ppo", LEARNER_KEYS["PPO"]),
+            ("agents.a2c", LEARNER_KEYS["A2C"]),
+            ("agents.ddpg", LEARNER_KEYS["DDPG"]),
             ("run", ["seed", "out_dir"]),
             ("baselines", ["min_variance_lookback"]),
         ]
@@ -1049,11 +1068,17 @@ class TestConfigUserErrors:
         ("data", "delimiter", ",", "[data] delimiter"),
         ("data", "col_date", "date", "[data] col_date"),
         ("indicators", "macd_fast", "12", "[indicators]"),
-        ("turbulence", "ridge", "0", "[turbulence] ridge")],
-        ids=["delimiter", "col_date", "indicators", "ridge"])
+        ("turbulence", "ridge", "0", "[turbulence] ridge"),
+        # a learner's section takes only the keys that learner reads
+        ("agents.a2c", "epochs", "3", "[agents.a2c] epochs"),
+        ("agents.ddpg", "rollout", "5", "[agents.ddpg] rollout"),
+        ("agents.ppo", "tau", "0.9", "[agents.ppo] tau")],
+        ids=["delimiter", "col_date", "indicators", "ridge", "a2c_epochs",
+             "ddpg_rollout", "ppo_tau"])
     def test_deleted_setting_exits_2(self, data_csv, tmp_path, section, key,
                                      value, named):
-        # no longer settings, so even a value that used to run is unknown
+        # not settings (of that section), so even a value that used to run
+        # is unknown
         result, out_dir = backtest_with(data_csv, tmp_path,
                                         {section: {key: value}})
         assert result.exit_code == 2, result.output

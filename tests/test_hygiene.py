@@ -7,6 +7,7 @@ from pathlib import Path
 
 import rlfolio
 from rlfolio import config, errors
+from rlfolio.agents import AGENT_KINDS, AgentConfig
 from rlfolio.settings import setting
 
 PACKAGE = Path(rlfolio.__file__).parent
@@ -300,3 +301,63 @@ def test_undeclared_ranges_are_caught():
 def test_every_numeric_setting_declares_its_range():
     assert {cls.__name__: undeclared_ranges(cls) for cls in CONFIG_CLASSES
             if undeclared_ranges(cls)} == {}
+
+
+def config_reads(trees: dict[str, ast.Module],
+                 names: set[str]) -> dict[str, set[str]]:
+    """Per learner class of `trees` (one that assigns `kind`), keyed by that
+    kind: the `names` read as an attribute in the class, its bases within
+    `trees`, or `train_agent`, which every learner runs through."""
+    classes = {node.name: node for tree in trees.values()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def reads(node: ast.AST) -> set[str]:
+        return {n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr in names}
+
+    def lineage(cls: ast.ClassDef) -> list[ast.ClassDef]:
+        return [cls] + [c for base in cls.bases
+                        if getattr(base, "id", None) in classes
+                        for c in lineage(classes[base.id])]
+
+    def kind(cls: ast.ClassDef) -> str | None:
+        return next((node.value.value for node in cls.body
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Constant)
+                     and any(getattr(t, "id", None) == "kind"
+                             for t in node.targets)), None)
+
+    shared = set().union(*(reads(node) for tree in trees.values()
+                           for node in tree.body
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name == "train_agent"))
+    return {kind(cls): shared.union(*map(reads, lineage(cls)))
+            for cls in classes.values() if kind(cls)}
+
+
+def test_config_reads_are_caught():
+    trees = {"base.py": ast.parse(
+                 "class Base:\n    kind = '?'\n"
+                 "    def lr(self): return self.config.lr\n"
+                 "class Store:\n    def f(self): return self.config.tau\n"),
+             "a.py": ast.parse(
+                 "from base import Base\nclass A(Base):\n    kind = 'A'\n"
+                 "    def f(self):\n        cfg = self.config\n"
+                 "        return cfg.epochs, self.other\n"),
+             "b.py": ast.parse("class B:\n    kind = 'B'\n"
+                               "def train_agent(config): config.steps\n")}
+    assert config_reads(trees, {"lr", "tau", "epochs", "steps"}) == {
+        "?": {"lr", "steps"}, "A": {"epochs", "lr", "steps"}, "B": {"steps"}}
+
+
+def test_each_learner_reads_exactly_the_settings_declared_for_it():
+    # `[agents.<kind>]` and the snapshot take their keys from the
+    # declarations, so a key a learner never reads is a setting that does
+    # nothing, and one it reads undeclared cannot be set for it
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((PACKAGE / "agents").glob("*.py"))}
+    declared = {kind: {f.name for f in fields(AgentConfig)
+                       if kind in (f.metadata.get("kinds") or AGENT_KINDS)}
+                for kind in AGENT_KINDS}
+    reads = config_reads(trees, {f.name for f in fields(AgentConfig)})
+    assert {kind: reads.get(kind) for kind in AGENT_KINDS} == declared
