@@ -19,7 +19,7 @@ from .errors import UserError
 from .evaluation import (METRIC_NAMES, EquityCurve, metrics_report,
                          run_index_baseline, run_min_variance_baseline)
 from .indicators import build_features
-from .market_data import BAR_FIELDS, load_bars, build_window_plan
+from .market_data import load_bars, build_window_plan
 from .turbulence import rolling_turbulence
 
 logger = logging.getLogger(__name__)
@@ -46,6 +46,18 @@ def _load_panel(cfg: RunConfig):
             return load_bars(fh, rejection_ceiling=cfg.data.rejection_ceiling)
         except UserError as exc:
             raise UserError(f"{path}: {exc}") from exc
+
+
+def _report_load(out_dir: Path, panel, report) -> None:
+    """Make `out_dir` and write each rejected row's line and reason to its
+    `rejections.csv`; print the panel's shape and what the load dropped."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "rejections.csv", ["line", "reason"],
+               [[r.line, r.reason] for r in report.rejected])
+    click.echo(f"panel: {panel.D} assets x {panel.T} dates; "
+               f"{len(report.rejected)}/{report.total_rows} rows rejected")
+    click.echo(f"calendar: {report.dropped_dates} dates dropped (missing for: "
+               f"{', '.join(report.incomplete_tickers) or 'none'})")
 
 
 @contextlib.contextmanager
@@ -123,24 +135,11 @@ def main(verbose):
               help="output directory override")
 @_exit_codes()
 def ingest(config_path, out):
-    """Load and align raw bars; persist the panel cache and the
-    row-rejection report."""
+    """Load and align the bars file, the check of it that needs no
+    training; write its `rejections.csv` and print what the load dropped."""
     cfg = load_config(config_path, {"out_dir": out})
     panel, report = _load_panel(cfg)
-    out_dir = Path(cfg.run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fields = [panel.field(f).tolist() for f in BAR_FIELDS]
-    _write_csv(out_dir / "panel_cache.csv", ["date", "ticker", *BAR_FIELDS],
-               ([date.isoformat(), asset, *(f[t][d] for f in fields)]
-                for t, date in enumerate(panel.calendar)
-                for d, asset in enumerate(panel.assets)))
-    _write_csv(out_dir / "rejections.csv", ["line", "reason"],
-               [[r.line, r.reason] for r in report.rejected])
-    click.echo(f"panel: {panel.D} assets x {panel.T} dates; "
-               f"{len(report.rejected)}/{report.total_rows} rows rejected")
-    lacking = ", ".join(report.incomplete_tickers) or "none"
-    click.echo(f"calendar: {report.dropped_dates} dates dropped "
-               f"(missing for: {lacking})")
+    _report_load(Path(cfg.run.out_dir), panel, report)
 
 
 def _write_strategy(out_dir: Path, name: str, days: list[str],
@@ -162,7 +161,7 @@ def backtest(config_path, seed, out):
     """Run the ensemble walk-forward backtest, the three single-agent
     strategies, and both baselines; write the full report bundle."""
     cfg = load_config(config_path, {"seed": seed, "out_dir": out})
-    panel, _ = _load_panel(cfg)
+    panel, load = _load_panel(cfg)
     w = cfg.windows
     plan = build_window_plan(panel, w.in_sample_end, w.validation_months,
                              w.trade_months)
@@ -195,7 +194,7 @@ def backtest(config_path, seed, out):
     # every result exists before the first write, so a failed run leaves
     # out_dir as it was; `report`'s curves of an earlier run go with it
     out_dir = Path(cfg.run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _report_load(out_dir, panel, load)
     for stale in out_dir.glob("cumret_*.csv"):
         stale.unlink()
     (out_dir / "config_snapshot.ini").write_text(snapshot_config(cfg),

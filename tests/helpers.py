@@ -5,12 +5,14 @@ import copy
 import datetime as dt
 import io
 
-import numpy as np
-
+# rlfolio before numpy, so a probe that imports this module first runs BLAS
+# on one thread, as the program does
 from rlfolio.agents import A2CAgent, AgentConfig
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.neural import GaussianPolicy, Mlp
 from rlfolio.turbulence import default_ridge
+
+import numpy as np
 
 import oracles
 

@@ -14,7 +14,7 @@ trained at the paper's width, on window (50, 200) of a 30-asset panel
 with seed 7 and a 96-step budget. The set-up lines hash the six `load_bars` fields
 of a generated 8-asset CSV, and `build_features()` and
 `rolling_turbulence` of `make_panel` at D=8 and at D=30. The `bundle`
-line hashes the 13 deterministic files of an in-process `rlfolio
+line hashes the 14 deterministic files of an in-process `rlfolio
 backtest` of a 3-asset `make_panel` CSV (seed 12, tiny agents, four
 quarters). The bytes depend on the BLAS build and the CPU, so compare
 runs on one machine. The name keeps pytest from collecting it.
@@ -24,15 +24,16 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-from click.testing import CliRunner
-
+# rlfolio before numpy, so BLAS runs on one thread, as in the program
 from rlfolio.agents import AGENT_KINDS, AgentConfig, train_agent
 from rlfolio.cli import main
 from rlfolio.env import TradingEnv
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, load_bars
 from rlfolio.turbulence import rolling_turbulence
+
+import numpy as np
+from click.testing import CliRunner
 
 from helpers import csv_stream, make_panel, panel_to_csv
 
@@ -64,7 +65,7 @@ min_variance_lookback = 60
 STRATEGIES = ("ensemble", "ppo", "a2c", "ddpg", "min_variance", "index")
 BUNDLE_FILES = ("config_snapshot.ini", "trace.csv", "comparison.csv",
                 *(f"equity_{s}.csv" for s in STRATEGIES),
-                *(f"trades_{s}.csv" for s in STRATEGIES[:4]))
+                *(f"trades_{s}.csv" for s in STRATEGIES[:4]), "rejections.csv")
 
 
 def _digest(*arrays: np.ndarray) -> str:

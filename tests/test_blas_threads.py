@@ -58,6 +58,9 @@ def test_trained_bits_do_not_depend_on_the_core_count():
     # numpy first: too late to reach BLAS, so the environment, which child
     # processes inherit, keeps what the caller set
     ("numpy, rlfolio", {}, "None None None"),
+    # the test session and the probes built on the test helpers pin too
+    ("conftest", {}, "1 1 1"),
+    ("helpers", {}, "1 1 1"),
 ])
 def test_pin_only_before_numpy_and_when_the_caller_set_none(imports, blas_vars,
                                                              expected):
@@ -70,7 +73,6 @@ def test_import_leaves_numpy_unimported():
     # The pin works only if it runs before numpy loads BLAS.
     code = "import sys, rlfolio; print('numpy' in sys.modules)"
     assert run_python(code) == "False"
-
 
 
 def test_cli_import_loads_numpy_random():

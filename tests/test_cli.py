@@ -312,48 +312,48 @@ class TestConfig:
 
 
 class TestIngest:
-    def test_writes_cache_and_rejections(self, data_csv, tmp_path):
+    def test_writes_rejections_and_no_cache(self, data_csv, tmp_path):
         cfg_path, out_dir = write_config(tmp_path, data_csv, "ingest")
         result = CliRunner().invoke(main, ["ingest", "--config",
                                            str(cfg_path)])
         assert result.exit_code == 0, result.output
-        assert (out_dir / "panel_cache.csv").exists()
-        assert (out_dir / "rejections.csv").exists()
+        # no panel_cache.csv: nothing read it
+        assert [p.name for p in out_dir.iterdir()] == ["rejections.csv"]
         assert "2 assets x 600 dates" in result.output
 
-    def test_rejected_rows_reported(self, tmp_path):
-        data = tmp_path / "bad.csv"
-        data.write_text(
-            "date,ticker,open,high,low,close,adj_close,volume\n"
-            "2020-01-02,AAA,10,11,9,10.5,10.5,100\n"
-            "2020-01-03,AAA,10,8,12,10.5,10.5,100\n"
-            "2020-01-06,AAA,10,11,9,10.5,10.5,100\n")
-        cfg = tmp_path / "c.ini"
-        out = tmp_path / "out"
-        cfg.write_text(f"[data]\npath = {data}\nrejection_ceiling = 0.5\n"
-                       f"[run]\nout_dir = {out}\n")
-        result = CliRunner().invoke(main, ["ingest", "--config", str(cfg)])
+    # `backtest` reports its load as `ingest` does: the same rejections.csv
+    # bytes and the same first two lines
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_rejected_rows_reported(self, data_csv, tmp_path, command):
+        lines = data_csv.read_text().splitlines(keepends=True)
+        lines[3] = "2017-01-03,AST0,10,8,12,10.5,10.5,100\n"  # high < low
+        data = tmp_path / "bars.csv"
+        data.write_text("".join(lines))
+        cfg_path, out_dir = write_config(tmp_path, data, command)
+        result = CliRunner().invoke(main, [command, "--config",
+                                           str(cfg_path)])
         assert result.exit_code == 0, result.output
-        lines = (out / "rejections.csv").read_text().strip().splitlines()
-        assert len(lines) == 2  # header + the inverted-range row
-        assert lines[1].startswith("3,")
+        assert (out_dir / "rejections.csv").read_text() == (
+            "line,reason\n4,low/high do not bracket open/close\n")
+        assert result.stdout.splitlines()[:2] == [
+            "panel: 2 assets x 599 dates; 1/1200 rows rejected",
+            "calendar: 1 dates dropped (missing for: AST0)"]
 
-    def test_dropped_dates_printed(self, tmp_path):
-        data = tmp_path / "gappy.csv"
-        lines = ["date,ticker,open,high,low,close,adj_close,volume"]
-        for day in ("02", "03", "06", "07"):
-            for ticker in ("AAA", "BBB"):
-                if ticker == "BBB" and day in ("03", "07"):
-                    continue
-                lines.append(f"2020-01-{day},{ticker},10,11,9,10.5,10.5,100")
-        data.write_text("\n".join(lines) + "\n")
-        cfg = tmp_path / "c.ini"
-        cfg.write_text(f"[data]\npath = {data}\n"
-                       f"[run]\nout_dir = {tmp_path / 'out'}\n")
-        result = CliRunner().invoke(main, ["ingest", "--config", str(cfg)])
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_dropped_dates_printed(self, data_csv, tmp_path, command):
+        # AST1 lacks two dates
+        lines = data_csv.read_text().splitlines(keepends=True)
+        data = tmp_path / "bars.csv"
+        data.write_text("".join(line for line in lines if not line.startswith(
+            ("2017-01-03,AST1", "2017-01-05,AST1"))))
+        cfg_path, out_dir = write_config(tmp_path, data, command)
+        result = CliRunner().invoke(main, [command, "--config",
+                                           str(cfg_path)])
         assert result.exit_code == 0, result.output
-        assert "2 assets x 2 dates" in result.output
-        assert "calendar: 2 dates dropped (missing for: BBB)" in result.output
+        assert (out_dir / "rejections.csv").read_text() == "line,reason\n"
+        assert result.stdout.splitlines()[:2] == [
+            "panel: 2 assets x 598 dates; 0/1198 rows rejected",
+            "calendar: 2 dates dropped (missing for: AST1)"]
 
     def test_out_is_a_file_exits_2(self, data_csv, tmp_path):
         cfg_path, _ = write_config(tmp_path, data_csv, "ingest")
@@ -474,8 +474,8 @@ class TestBacktestAndReport:
 
     def test_csv_cells_are_plain_values(self, data_csv, tmp_path,
                                         monkeypatch):
-        # every CSV the program writes: the bundle, the panel cache and
-        # rejections, and the report's cumulative-return curves
+        # every CSV the program writes: the bundle with its rejections, and
+        # the report's cumulative-return curves
         write_csv, cell_types = cli._write_csv, set()
 
         def recording_write_csv(path, header, rows):
@@ -495,7 +495,7 @@ class TestBacktestAndReport:
         text = {"date", "ticker", "asset", "side", "strategy", "picked",
                 "reason"}
         paths = sorted(out_dir.glob("*.csv"))
-        assert {"panel_cache.csv", "trades_ddpg.csv",
+        assert {"rejections.csv", "trades_ddpg.csv",
                 "cumret_index.csv"} <= {p.name for p in paths}
         for path in paths:
             with open(path, newline="") as fh:
