@@ -72,14 +72,15 @@ def _open_csv(path):
         raise UserError(f"{path} is not UTF-8: {exc.reason}") from exc
 
 
-def _load_index_levels(path: str, days: list[str]) -> list[float]:
-    """The index file's level on each of `days` (ISO dates), in order; each
-    must have one, and no date may repeat."""
-    series = {}  # ISO date -> (line, level)
+def _read_levels(path) -> dict[str, tuple[int, float]]:
+    """A `date,value` file as ISO date -> (line, level), in file order; a
+    missing column, a date that does not parse or repeats, or a level that
+    is not positive and finite is a user error naming the file and line."""
+    series = {}
     with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if not {"date", "value"} <= set(reader.fieldnames or ()):
-            raise UserError(f"index file {path} needs date and value columns")
+            raise UserError(f"{path} needs date and value columns")
         for row in reader:
             try:
                 day = dt.date.fromisoformat(row["date"]).isoformat()
@@ -87,14 +88,20 @@ def _load_index_levels(path: str, days: list[str]) -> list[float]:
                 if not 0.0 < level < math.inf:
                     raise ValueError(f"level {level} is not positive and "
                                      "finite")
+                if day in series:
+                    raise ValueError(f"date {day} repeats line "
+                                     f"{series[day][0]}")
             except (TypeError, ValueError) as exc:
-                raise UserError(f"index file {path} line "
-                                f"{reader.line_num}: {exc}") from exc
-            if day in series:
-                raise UserError(f"index file {path} line "
-                                f"{reader.line_num}: date {day} repeats "
-                                f"line {series[day][0]}")
+                raise UserError(f"{path} line {reader.line_num}: "
+                                f"{exc}") from exc
             series[day] = reader.line_num, level
+    return series
+
+
+def _load_index_levels(path: str, days: list[str]) -> list[float]:
+    """The index file's level on each of `days` (ISO dates), in order; each
+    must have one."""
+    series = _read_levels(path)
     try:
         return [series[d][1] for d in days]
     except KeyError as exc:
@@ -241,22 +248,11 @@ def report(run_dir):
             raise UserError(f"{comparison} line {line} has {len(row)} "
                             f"cells, its header {len(raw[0])}")
 
-    curves = []  # (name, rows, values) of each equity file with rows
+    curves = []  # (name, ISO date -> (line, level)) of each file with rows
     for equity in sorted(run_dir.glob("equity_*.csv")):
-        with _open_csv(equity) as fh:
-            reader = csv.DictReader(fh)
-            if not {"date", "value"} <= set(reader.fieldnames or ()):
-                raise UserError(f"{equity} needs date and value columns")
-            data = list(reader)
-        try:
-            values = [float(r["value"]) for r in data]
-        except (TypeError, ValueError) as exc:
-            raise UserError(f"{equity}: bad value column ({exc})") from exc
-        if not all(0.0 < v < math.inf for v in values):
-            raise UserError(f"{equity}: equity values must be positive "
-                            "and finite")
-        if data:
-            curves.append((equity.stem.removeprefix("equity_"), data, values))
+        series = _read_levels(equity)
+        if series:
+            curves.append((equity.stem.removeprefix("equity_"), series))
 
     def fmt(cell: str) -> str:
         try:
@@ -268,10 +264,10 @@ def report(run_dir):
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    for name, data, values in curves:
+    for name, series in curves:
+        first = next(iter(series.values()))[1]
         _write_csv(run_dir / f"cumret_{name}.csv", ["date", "cumulative_return"],
-                   [[r["date"], v / values[0] - 1.0]
-                    for r, v in zip(data, values)])
+                   [[d, v / first - 1.0] for d, (_, v) in series.items()])
     click.echo(f"cumulative-return curves written to {run_dir}")
 
 

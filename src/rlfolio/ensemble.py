@@ -18,7 +18,6 @@ from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
 from .evaluation import EquityCurve, daily_returns, sharpe
 from .market_data import PricePanel, WindowTriple
-from .turbulence import calibrate_threshold
 
 logger = logging.getLogger(__name__)
 
@@ -111,14 +110,17 @@ def validate_agent(agent: Agent, env: TradingEnv) -> float | None:
     return sharpe(daily_returns(run_deterministic(agent, env).values))
 
 
-def window_threshold(turbulence: np.ndarray, triple: WindowTriple,
+def window_threshold(turbulence: np.ndarray, stop: int,
                      quantile: float) -> float:
-    """Turbulence threshold from data strictly before the trade interval."""
-    pre = turbulence[:triple.trade.rows.start]
-    defined = pre[pre > 0]
-    if defined.size == 0:
+    """The turbulence threshold of a trade quarter whose first panel row is
+    `stop`: the lower empirical `quantile`, in (0, 1], of the positive
+    values before `stop`, or inf where there are none."""
+    pre = turbulence[:stop]
+    ordered = np.sort(pre[pre > 0])
+    if ordered.size == 0:
         return np.inf
-    return calibrate_threshold(defined, quantile)
+    idx = int(np.ceil(quantile * ordered.size)) - 1
+    return float(ordered[max(idx, 0)])
 
 
 def train_and_validate(panel: PricePanel, features: np.ndarray,
@@ -136,7 +138,8 @@ def train_and_validate(panel: PricePanel, features: np.ndarray,
     results: list[WindowResult] = []
     previous: dict[str, Agent] = {}
     for triple in plan:
-        threshold = window_threshold(turbulence, triple, turbulence_quantile)
+        threshold = window_threshold(turbulence, triple.trade.rows.start,
+                                     turbulence_quantile)
         agents: dict[str, Agent] = {}
         if phase_callback:
             phase_callback(triple.index, "train")

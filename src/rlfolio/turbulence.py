@@ -1,5 +1,5 @@
 """Financial turbulence: Mahalanobis distance of daily returns from their
-trailing history, plus the halt-threshold calibration."""
+trailing history."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,8 +9,8 @@ from .errors import UserError
 from .evaluation import daily_returns
 from .market_data import PricePanel
 
-__all__ = ["DEFAULT_LOOKBACK", "DEFAULT_RIDGE_SCALE", "calibrate_threshold",
-           "default_ridge", "rolling_turbulence"]
+__all__ = ["DEFAULT_LOOKBACK", "DEFAULT_RIDGE_SCALE", "default_ridge",
+           "rolling_turbulence"]
 
 DEFAULT_LOOKBACK = 252
 DEFAULT_RIDGE_SCALE = 1e-8
@@ -68,12 +68,3 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
         scored[s:s + block] = np.where(quad > 0.0, quad, 0.0)
     return values
 
-
-def calibrate_threshold(values: np.ndarray, quantile: float) -> float:
-    """Lower empirical quantile, in (0, 1], of the positive values."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("needed at least one turbulence value, available 0")
-    ordered = np.sort(values)
-    idx = int(np.ceil(quantile * ordered.size)) - 1
-    return float(ordered[max(idx, 0)])

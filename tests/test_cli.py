@@ -777,6 +777,36 @@ class TestExitCodes:
         assert not (tmp_path / "fresh").exists()
 
 
+def index_from_first_trade_date(first_level: str) -> str:
+    """An index file with a level on each weekday from 2018-07-02, the
+    first trade date of `CONFIG_TEMPLATE`, past the end of `data_csv`: the
+    first is `first_level`, the others 100.0."""
+    days = trading_calendar(dt.date(2018, 7, 2), 300)
+    return "date,value\n" + "".join(
+        f"{day.isoformat()},{first_level if t == 0 else '100.0'}\n"
+        for t, day in enumerate(days))
+
+
+# Rows of a `date,value` file, the index file or an equity curve, that
+# `cli._read_levels` rejects, and the error each gives after the file's path
+BAD_LEVEL_ROWS = {
+    "bad_row": ("date,value\n2017-01-02,100.0\n2017-01-03,n/a\n", "line 3"),
+    "bad_date": ("date,value\n2017-01-02,100.0\n2017-02-30,101.0\n",
+                 "line 3: day is out of range for month"),
+    "duplicate_date": ("date,value\n2017-01-02,100.0\n2017-01-02,101.0\n",
+                       "line 3: date 2017-01-02 repeats line 2"),
+    # blank lines are skipped rows but still physical lines
+    "bad_row_after_blank_lines": (
+        "date,value\n\n2017-01-02,100.0\n\n2017-01-03,n/a\n", "line 5"),
+    # a level on every trade date, the first not positive and finite
+    **{f"level_{name}": (index_from_first_trade_date(level),
+                         f"line 2: level {float(level)} is not positive and "
+                         "finite")
+       for name, level in (("nan", "nan"), ("zero", "0"), ("negative", "-5"),
+                           ("inf", "inf"))},
+}
+
+
 class TestReportUserErrors:
     """A damaged run directory makes `report` exit 2 naming the file."""
 
@@ -810,8 +840,32 @@ class TestReportUserErrors:
                         + "".join(rest))
         result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
-        assert (f"error: {path}: equity values must be positive and "
-                "finite") in result.stderr
+        assert (f"error: {path} line 2: level {float(value)} is not positive "
+                "and finite") in result.stderr
+
+    @pytest.mark.parametrize("equity_csv, named", BAD_LEVEL_ROWS.values(),
+                             ids=BAD_LEVEL_ROWS)
+    def test_bad_equity_row_exits_2_writing_nothing(self, tmp_path, run_dir,
+                                                    equity_csv, named):
+        # the index file's reader and its messages, line for line
+        for path in (run_dir / "comparison.csv", *run_dir.glob("equity_*")):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        path = tmp_path / "equity_ppo.csv"
+        path.write_text(equity_csv)
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path} {named}" in result.stderr
+        assert list(tmp_path.glob("cumret_*.csv")) == []
+
+    def test_header_only_equity_file_gets_no_curve(self, tmp_path, run_dir):
+        for path in (run_dir / "comparison.csv", *run_dir.glob("equity_*")):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "equity_ppo.csv").write_text("date,value\n")
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.glob("cumret_*.csv")) == [
+            f"cumret_{name}.csv" for name in sorted(STRATEGIES)
+            if name != "ppo"]
 
     def test_equity_without_a_date_column_exits_2_writing_nothing(
             self, tmp_path, run_dir):
@@ -1036,16 +1090,6 @@ BAD_CONFIGS = {
 }
 
 
-def index_from_first_trade_date(first_level: str) -> str:
-    """An index file with a level on each weekday from 2018-07-02, the
-    first trade date of `CONFIG_TEMPLATE`, past the end of `data_csv`: the
-    first is `first_level`, the others 100.0."""
-    days = trading_calendar(dt.date(2018, 7, 2), 300)
-    return "date,value\n" + "".join(
-        f"{day.isoformat()},{first_level if t == 0 else '100.0'}\n"
-        for t, day in enumerate(days))
-
-
 class TestConfigUserErrors:
     """Every config error exits 2 with an `error:` line naming the cause."""
 
@@ -1087,22 +1131,11 @@ class TestConfigUserErrors:
 
     @pytest.mark.parametrize("index_csv, named", [
         ("date,level\n2017-01-02,100.0\n", "needs date and value"),
-        ("date,value\n2017-01-02,100.0\n2017-01-03,n/a\n", "line 3"),
-        ("date,value\n2017-01-02,100.0\n2017-01-02,101.0\n",
-         "line 3: date 2017-01-02 repeats line 2"),
-        # blank lines are skipped rows but still physical lines
-        ("date,value\n\n2017-01-02,100.0\n\n2017-01-03,n/a\n", "line 5"),
+        *BAD_LEVEL_ROWS.values(),
         # well formed, but ends before the first trade date
         ("date,value\n2017-01-02,100.0\n2017-01-03,101.0\n",
          "has no value for trade date 2018-07-02"),
-        # a level on every trade date, the first not positive and finite
-        *((index_from_first_trade_date(level),
-           f"line 2: level {float(level)} is not positive and finite")
-          for level in ("nan", "0", "-5", "inf")),
-    ], ids=["missing_column", "bad_row", "duplicate_date",
-            "bad_row_after_blank_lines",
-            "index_lacks_a_trade_date", "level_nan", "level_zero",
-            "level_negative", "level_inf"])
+    ], ids=["missing_column", *BAD_LEVEL_ROWS, "index_lacks_a_trade_date"])
     def test_bad_index_file_exits_2(self, data_csv, tmp_path, index_csv,
                                     named):
         index_path = tmp_path / "index.csv"

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlfolio import ensemble
 from rlfolio.agents import AgentConfig
@@ -93,10 +95,13 @@ class TestPickBest:
 
 
 class TestWindowThreshold:
+    """The one turbulence-threshold rule: the lower empirical quantile of
+    the positive values before the trade quarter's first row."""
+
     def test_pre_trade_only(self):
         panel, _, turbulence, plan = make_setup()
         triple = plan[0]
-        thr = window_threshold(turbulence, triple, 0.99)
+        thr = window_threshold(turbulence, triple.trade.rows.start, 0.99)
         start_idx = panel.date_slice(triple.trade.start,
                                      triple.trade.end).start
         pre = turbulence[:start_idx]
@@ -105,14 +110,48 @@ class TestWindowThreshold:
 
     def test_no_defined_history_is_inf(self):
         panel, _, _, plan = make_setup()
-        zeros = np.zeros(panel.T)
-        assert window_threshold(zeros, plan[0], 0.99) == np.inf
+        stop = plan[0].trade.rows.start
+        assert window_threshold(np.zeros(panel.T), stop, 0.99) == np.inf
+        assert window_threshold(np.array([]), 0, 0.99) == np.inf
 
     def test_threshold_grows_with_quantile(self):
-        panel, _, turbulence, plan = make_setup()
-        t90 = window_threshold(turbulence, plan[0], 0.90)
-        t99 = window_threshold(turbulence, plan[0], 0.99)
+        _, _, turbulence, plan = make_setup()
+        stop = plan[0].trade.rows.start
+        t90 = window_threshold(turbulence, stop, 0.90)
+        t99 = window_threshold(turbulence, stop, 0.99)
         assert t90 <= t99
+
+    def test_reads_only_positive_values_before_stop(self):
+        _, _, turbulence, plan = make_setup()
+        stop = plan[0].trade.rows.start
+        thr = window_threshold(turbulence, stop, 0.99)
+        later = turbulence.copy()
+        later[stop:] = np.linspace(1e6, 1e7, len(later) - stop)
+        assert window_threshold(later, stop, 0.99) == thr
+        for pad in (np.zeros(5), np.full(5, -1e6)):
+            padded = np.concatenate([pad, turbulence])
+            assert window_threshold(padded, stop + len(pad), 0.99) == thr
+
+    def test_order_statistics(self):
+        values = np.arange(1.0, 101.0)
+        assert window_threshold(values, len(values), 0.99) == 99.0
+
+    def test_quantile_one_is_max(self):
+        values = np.array([3.0, 7.0, 5.0])
+        assert window_threshold(values, len(values), 1.0) == 7.0
+
+    def test_constant_series(self):
+        values = np.full(10, 4.2)
+        for q in (0.01, 0.5, 0.99, 1.0):
+            assert window_threshold(values, len(values), q) == 4.2
+
+    @given(st.integers(0, 1000))
+    @settings(max_examples=25, deadline=None)
+    def test_monotone_in_quantile(self, seed):
+        values = np.random.default_rng(seed).exponential(size=50)
+        qs = np.linspace(0.05, 1.0, 12)
+        ts = [window_threshold(values, len(values), q) for q in qs]
+        assert all(a <= b for a, b in zip(ts, ts[1:]))
 
 
 class TestRunDeterministic:

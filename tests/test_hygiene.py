@@ -165,6 +165,71 @@ def test_only_the_window_plan_turns_dates_into_rows():
     assert readers_of(package_trees(), "date_slice") == ["market_data.py"]
 
 
+def callers_of(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """`module:definition` of each call of `name`, bare or as an attribute,
+    by the top-level function or class around it (`<module>` outside
+    any)."""
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            around = node.name if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            found.extend(f"{module}:{around}" for call in ast.walk(node)
+                         if isinstance(call, ast.Call) and name in (
+                             getattr(call.func, "id", None),
+                             getattr(call.func, "attr", None)))
+    return sorted(found)
+
+
+def test_dict_reader_callers_are_caught():
+    trees = {"a.py": ast.parse("def f(fh):\n    return csv.DictReader(fh)\n"
+                               "def g(fh):\n    return DictReader(fh)\n"),
+             "b.py": ast.parse("reader = csv.DictReader(open('x'))\n"
+                               "def h():\n    return csv.DictReader\n")}
+    assert callers_of(trees, "DictReader") == ["a.py:f", "a.py:g",
+                                                "b.py:<module>"]
+
+
+def test_only_the_levels_reader_parses_date_value_files():
+    # the index file and every equity curve go through one reader, so each
+    # fault in a `date,value` file has one message
+    assert callers_of(package_trees(), "DictReader") == ["cli.py:_read_levels"]
+
+
+def module_bindings(tree: ast.Module) -> set[str]:
+    """The names a module's top-level statements define or import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def stale_exports(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Per module, the `__all__` entries it does not define or import."""
+    found = {name: sorted(exported(tree) - module_bindings(tree))
+             for name, tree in trees.items()}
+    return {name: names for name, names in found.items() if names}
+
+
+def test_stale_exports_are_caught():
+    trees = {"a.py": ast.parse("from x import y\nimport z.w\nN: int = 1\n"
+                               "__all__ = ['f', 'C', 'K', 'N', 'y', 'z', "
+                               "'gone']\n"
+                               "def f(): pass\nclass C: pass\nK = 2\n")}
+    assert stale_exports(trees) == {"a.py": ["gone"]}
+
+
+def test_every_export_is_defined():
+    assert stale_exports(package_trees()) == {}
+
+
 # The only `except` clauses that may name a package error, by module and
 # enclosing function: the CLI's exit-code boundary, the CLI's bars-file
 # reader, which re-raises a load error under the file's path, and the config

@@ -4,13 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rlfolio.errors import UserError
 from rlfolio.evaluation import daily_returns
 from rlfolio.market_data import BAR_FIELDS, PricePanel
-from rlfolio.turbulence import calibrate_threshold, rolling_turbulence
+from rlfolio.turbulence import rolling_turbulence
 
 from helpers import make_panel, trading_calendar, window_turbulence
 
@@ -156,30 +154,3 @@ class TestRollingTurbulence:
                 "assets, got 4")):
             rolling_turbulence(panel, lookback=4)
 
-
-class TestCalibrateThreshold:
-    def test_order_statistics(self):
-        values = np.arange(1.0, 101.0)
-        assert calibrate_threshold(values, 0.99) == 99.0
-
-    def test_quantile_one_is_max(self):
-        values = np.array([3.0, 7.0, 5.0])
-        assert calibrate_threshold(values, 1.0) == 7.0
-
-    def test_constant_series(self):
-        values = np.full(10, 4.2)
-        for q in (0.01, 0.5, 0.99, 1.0):
-            assert calibrate_threshold(values, q) == 4.2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="^needed at least one "
-                                             "turbulence value, available 0$"):
-            calibrate_threshold(np.array([]), 0.5)
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=25, deadline=None)
-    def test_monotone_in_quantile(self, seed):
-        values = np.random.default_rng(seed).exponential(size=50)
-        qs = np.linspace(0.05, 1.0, 12)
-        ts = [calibrate_threshold(values, q) for q in qs]
-        assert all(a <= b for a, b in zip(ts, ts[1:]))
