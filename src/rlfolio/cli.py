@@ -52,8 +52,7 @@ def _report_load(out_dir: Path, panel, report) -> None:
     """Make `out_dir` and write each rejected row's line and reason to its
     `rejections.csv`; print the panel's shape and what the load dropped."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "rejections.csv", ["line", "reason"],
-               [[r.line, r.reason] for r in report.rejected])
+    _write_csv(out_dir / "rejections.csv", ["line", "reason"], report.rejected)
     click.echo(f"panel: {panel.D} assets x {panel.T} dates; "
                f"{len(report.rejected)}/{report.total_rows} rows rejected")
     click.echo(f"calendar: {report.dropped_dates} dates dropped (missing for: "

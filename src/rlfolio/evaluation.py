@@ -93,14 +93,9 @@ def min_variance_weights(cov: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     total = base.sum()
     if total == 0.0:
         raise np.linalg.LinAlgError("degenerate normalization")
-    w = base / total
-    w = np.clip(w, 0.0, None)
-    s = w.sum()
-    if s == 0.0:
-        w = np.full(d, 1.0 / d)
-    else:
-        w = w / s
-    return w
+    # base / total sums to 1, so the clip keeps a weight of about 1/d or more
+    w = np.clip(base / total, 0.0, None)
+    return w / w.sum()
 
 
 def run_min_variance_baseline(panel: PricePanel, rows: range,
@@ -118,23 +113,19 @@ def run_min_variance_baseline(panel: PricePanel, rows: range,
     rets = daily_returns(prices)
 
     values = []
-    shares = None
+    shares = np.zeros(panel.D)           # a fresh portfolio, as in the env
     cash = initial_balance
     current_month = None
     for t in rows:
         p = prices[t]
-        if shares is None:
-            value = cash
-        else:
-            value = cash + float(shares @ p)
+        value = cash + float(shares @ p)
         month = (panel.calendar[t].year, panel.calendar[t].month)
         if month != current_month and t >= lookback:
             current_month = month
             window = rets[t - lookback:t]
             cov = np.cov(window, rowvar=False, bias=False)
             w = min_variance_weights(cov, ridge=MIN_VARIANCE_RIDGE)
-            held = shares * p if shares is not None else np.zeros(panel.D)
-            turnover = float(np.abs(w * value - held).sum())
+            turnover = float(np.abs(w * value - shares * p).sum())
             value -= fee_rate * turnover
             shares = w * value / p
             cash = value - float(shares @ p)

@@ -11,7 +11,7 @@ import bisect
 import csv
 import datetime as dt
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +21,13 @@ BAR_FIELDS = ("open", "high", "low", "close", "adj_close", "volume")
 
 
 @dataclass
-class RejectedRow:
-    line: int
-    reason: str
-
-
-@dataclass
 class LoadReport:
     total_rows: int
-    rejected: list[RejectedRow]
+    rejected: list[tuple[int, str]]     # (line, reason) rows, by line
     # dates some ticker lacks, which the calendar intersection drops, and
     # the tickers that lack at least one of them
-    dropped_dates: int = 0
-    incomplete_tickers: list[str] = field(default_factory=list)
-
-    @property
-    def rejection_rate(self) -> float:
-        return len(self.rejected) / self.total_rows if self.total_rows else 0.0
+    dropped_dates: int
+    incomplete_tickers: list[str]
 
 
 class PricePanel:
@@ -130,7 +120,7 @@ def load_bars(source, rejection_ceiling: float = 0.01
     ticker_col, date_col, line_col = array("q"), array("q"), array("q")
     ticker_ids: dict[str, int] = {}
     date_ids: dict[dt.date, int] = {}
-    rejected: list[RejectedRow] = []
+    rejected: list[tuple[int, str]] = []
     total = 0
     reader = csv.reader(source)
     header = next(reader, None)
@@ -166,7 +156,7 @@ def load_bars(source, rejection_ceiling: float = 0.01
             date_col.append(d)
             line_col.append(reader.line_num)
             continue
-        rejected.append(RejectedRow(reader.line_num, reason))
+        rejected.append((reader.line_num, reason))
     if total == 0:
         raise UserError("source has a header but no data rows")
 
@@ -175,11 +165,10 @@ def load_bars(source, rejection_ceiling: float = 0.01
                        for col in (ticker_col, date_col, line_col))
     fault = _bar_faults(bars, tick * len(date_ids) + day)
     bad = np.flatnonzero(fault >= 0)
-    rejected += map(RejectedRow, line[bad].tolist(),
+    rejected += zip(line[bad].tolist(),
                     [_FAULTS[f] for f in fault[bad].tolist()])
-    rejected.sort(key=lambda r: r.line)
-    report = LoadReport(total_rows=total, rejected=rejected)
-    if report.rejection_rate > rejection_ceiling:
+    rejected.sort()                      # by line: none is rejected twice
+    if len(rejected) / total > rejection_ceiling:
         raise UserError(f"{len(rejected)}/{total} rows rejected, above "
                         f"ceiling {rejection_ceiling:.2%}")
     keep = fault < 0
@@ -199,9 +188,9 @@ def load_bars(source, rejection_ceiling: float = 0.01
                          key=dates.__getitem__)
     assets = [names[i] for i in held]
     n_seen = int(seen.sum())
-    report.dropped_dates = n_seen - len(on_calendar)
-    report.incomplete_tickers = [a for a, n in zip(assets, present.sum(axis=1))
-                                 if n < n_seen]
+    report = LoadReport(total, rejected, n_seen - len(on_calendar),
+                        [a for a, n in zip(assets, present.sum(axis=1))
+                         if n < n_seen])
 
     column = np.empty(len(names), dtype=np.int64)
     column[held] = np.arange(len(held))

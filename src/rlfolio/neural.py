@@ -161,11 +161,6 @@ class GaussianPolicy:
         self.log_std = flat[-action_dim:]
         self.action_dim = action_dim
 
-    def clone(self) -> "GaussianPolicy":
-        sizes = self.mean_net.sizes
-        return GaussianPolicy(sizes[0], self.action_dim, tuple(sizes[1:-1]),
-                              flat=self.flat.copy())
-
     def std(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX))
 

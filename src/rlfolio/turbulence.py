@@ -31,7 +31,8 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
 
     Date t uses the trailing `lookback` return observations strictly before
     t's return; dates without enough history get 0. `ridge=None` picks the
-    trace-scaled default per window. Each date is
+    trace-scaled default per window, a `UserError` where it is 0: each
+    asset's returns are constant over that window. Each date is
     (y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0, over its window's
     mean and covariance, bit for bit what `tests/oracles.quad_form_oracle`
     gives: each block of dates takes its windows as one strided view of the
@@ -59,6 +60,11 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
         xc = window - mean
         sigma = np.matmul(xc.swapaxes(1, 2), xc) * (1 / (lookback - 1))
         r = default_ridge(sigma)[:, None, None] if ridge is None else ridge
+        if ridge is None and not r.all():
+            day = panel.calendar[lookback + 1 + s + int(np.argmin(r))]
+            raise UserError(f"needed price movement in the {lookback} returns "
+                            f"before {day} ([turbulence] lookback), "
+                            "available none")
         dev = latest[s:s + block] - mean
         solved = np.linalg.solve(sigma + r * np.eye(panel.D),
                                  dev.swapaxes(1, 2))

@@ -288,13 +288,15 @@ def trades_oracle(rollout):
     before buys, then by asset. Step i of the rollout traded at panel row
     `env.start + i`, which gives its date, asset names and prices. The
     reference for `Rollout.trades`, whose rows hold the same values with
-    the date in ISO form."""
+    the date in ISO form; built one step and one side at a time, not by
+    its batched `np.nonzero` ordering."""
     panel, start = rollout.env.panel, rollout.env.start
-    shares = np.stack([rollout.sells, rollout.buys], axis=1)  # step, side, asset
-    steps, sides, assets = np.nonzero(shares)
-    prices = panel.adj_close[start + steps, assets]
-    return [TradeRecord(panel.calendar[start + t], panel.assets[d],
-                        ("sell", "buy")[k], n, p)
-            for t, k, d, n, p in zip(
-                steps.tolist(), sides.tolist(), assets.tolist(),
-                shares[steps, sides, assets].tolist(), prices.tolist())]
+    records = []
+    for t, sells, buys in zip(range(start, rollout.env.end), rollout.sells,
+                              rollout.buys, strict=True):
+        for side, shares in (("sell", sells), ("buy", buys)):
+            records.extend(TradeRecord(panel.calendar[t], panel.assets[d],
+                                       side, int(shares[d]),
+                                       float(panel.adj_close[t, d]))
+                           for d in np.flatnonzero(shares))
+    return records

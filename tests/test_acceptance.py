@@ -25,6 +25,7 @@ from rlfolio.evaluation import (cumulative_return, daily_returns,
                                 max_drawdown, min_variance_weights,
                                 run_min_variance_baseline)
 from rlfolio.market_data import build_window_plan
+from rlfolio.neural import GaussianPolicy
 from rlfolio.turbulence import rolling_turbulence
 from rlfolio.indicators import build_features
 
@@ -168,8 +169,7 @@ def test_criterion_05_gradient_checks():
         adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
 
         def a2c_loss(vec, agent=agent, obs=obs, acts=acts, adv=adv):
-            probe = agent.policy.clone()
-            probe.flat[:] = vec
+            probe = GaussianPolicy(3, 2, (6,), flat=vec)
             logp, _ = probe.log_prob_grads(obs, acts)
             return -float((logp * adv).mean())
 
@@ -187,8 +187,7 @@ def test_criterion_05_gradient_checks():
 
         def ppo_loss(vec, ppo=ppo, obs=obs, acts=acts, adv_n=adv_n,
                      logp0=logp0):
-            probe = ppo.policy.clone()
-            probe.flat[:] = vec
+            probe = GaussianPolicy(3, 2, (6,), flat=vec)
             logp, _ = probe.log_prob_grads(obs, acts)
             ratio = np.exp(logp - logp0)
             return -float((ratio * adv_n).mean())

@@ -12,7 +12,7 @@ from rlfolio.agents.common import AgentConfig, TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
 from rlfolio.agents.ppo import PPOAgent, ppo_clip_objective
 from rlfolio.errors import UserError
-from rlfolio.neural import Adam, Mlp
+from rlfolio.neural import Adam, GaussianPolicy, Mlp
 
 import oracles
 from helpers import TwoArmedBandit, advantage, float64_twin
@@ -158,8 +158,7 @@ class TestGradientChecks:
         adv, _ = agent.compute_advantages(obs, rewards, next_obs, dones)
 
         def neg_objective(vec):
-            probe = agent.policy.clone()
-            probe.flat[:] = vec
+            probe = GaussianPolicy(3, 2, cfg.hidden, flat=vec)
             logp, _ = probe.log_prob_grads(obs, actions)
             return -float((logp * adv).mean())
 

@@ -19,7 +19,7 @@ from rlfolio.config import (BaselinesConfig, DataConfig, load_config,
                             parse_config, snapshot_config)
 from rlfolio.ensemble import pick_best
 from rlfolio.errors import UserError
-from rlfolio.market_data import build_window_plan
+from rlfolio.market_data import BAR_FIELDS, PricePanel, build_window_plan
 
 from helpers import make_panel, panel_to_csv, trade_rows, trading_calendar
 from param_hashes import BUNDLE_FILES, STRATEGIES
@@ -598,6 +598,26 @@ class TestBacktestUserErrors:
         assert ("error: needed 2+ dates in window 1's trade interval "
                 "2018-10-01 to 2018-12-31, available 0") in result.stderr
         assert not (out_dir / "config_snapshot.ini").exists()
+
+    def test_flat_turbulence_window_exits_2(self, tmp_path):
+        # both assets hold one price on the first lookback + 1 = 61 dates,
+        # so the first turbulence window's covariance is 0
+        panel = make_panel(D=2, T=600, seed=12, start=dt.date(2017, 1, 1))
+        fields = {name: panel.field(name).copy() for name in BAR_FIELDS}
+        for name in BAR_FIELDS[:5]:
+            fields[name][:61] = 100.0
+        data_csv = tmp_path / "bars.csv"
+        data_csv.write_text(panel_to_csv(PricePanel(
+            list(panel.assets), list(panel.calendar), fields)))
+        cfg_path, out_dir = write_config(tmp_path, data_csv)
+        result = CliRunner().invoke(main, ["backtest", "--config",
+                                           str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: needed price movement in the 60 returns before "
+            f"{panel.calendar[61]} ([turbulence] lookback), available "
+            "none\n")
+        assert not out_dir.exists()
 
     def test_negative_seed_exits_2(self, data_csv, tmp_path):
         cfg_path, _ = write_config(tmp_path, data_csv)

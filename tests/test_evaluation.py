@@ -120,12 +120,25 @@ class TestMinVarianceWeights:
         np.testing.assert_allclose(w, 0.2)
 
     def test_sums_to_one_nonnegative(self):
+        # positive definite and symmetric indefinite matrices, each scaled
+        # from 1e-12 to 1e12: base / total sums to 1, so some weight
+        # survives the clip and the renormalized weights are finite
         rng = np.random.default_rng(2)
+        covs = []
         for _ in range(50):
             a = rng.normal(size=(4, 4))
-            w = min_variance_weights(a @ a.T + 0.1 * np.eye(4))
-            assert w.sum() == pytest.approx(1.0)
-            assert np.all(w >= 0)
+            covs.append(a @ a.T + 0.1 * np.eye(4))
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            eig = rng.uniform(0.1, 2.0, 4) * [1, -1, *rng.choice([-1, 1], 2)]
+            cov = (q * eig) @ q.T
+            covs.append((cov + cov.T) / 2)
+        for scale in np.logspace(-12, 12, 9):
+            for cov in covs:
+                w = min_variance_weights(scale * cov)
+                assert np.all(np.isfinite(w)) and np.all(w >= 0)
+                assert w.sum() == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_negative_weight_clipped(self):
         # strong correlation makes the unconstrained solution short one asset

@@ -230,6 +230,88 @@ def test_every_export_is_defined():
     assert stale_exports(package_trees()) == {}
 
 
+def dataclass_fields(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Per class of `trees` decorated `@dataclass` or `@dataclass(...)`,
+    the names its body annotates."""
+    def is_dataclass(cls: ast.ClassDef) -> bool:
+        names = set()
+        for dec in cls.decorator_list:
+            dec = getattr(dec, "func", dec)      # `@dataclass(...)`
+            names |= {getattr(dec, "id", None), getattr(dec, "attr", None)}
+        return "dataclass" in names
+
+    return {node.name: {item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)}
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and is_dataclass(node)}
+
+
+def late_field_stores(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line target` of each store to a dataclass field after its
+    object is built. Outside a class's own methods, that is any store to an
+    attribute named after a field of a dataclass of `trees`; in a
+    dataclass's methods, a store to one of its fields on `self` anywhere
+    but `__post_init__`."""
+    own = dataclass_fields(trees)
+    every = set().union(*own.values())
+    found = []
+
+    def visit(node: ast.AST, cls: str | None, method: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                # a function nested in a method is part of that method
+                visit(child, cls, child.name if cls and not method
+                      else method)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)):
+                if method and getattr(child.value, "id", None) == "self":
+                    late = (child.attr in own.get(cls, set())
+                            and method != "__post_init__")
+                else:
+                    late = child.attr in every
+                if late:
+                    found.append(f"{module}:{child.lineno} "
+                                 f"{ast.unparse(child)}")
+            visit(child, cls, method)
+
+    for module, tree in trees.items():
+        visit(tree, None, None)
+    return found
+
+
+def test_late_field_stores_are_caught():
+    trees = {"a.py": ast.parse(
+                 "from dataclasses import dataclass\n"
+                 "@dataclass\nclass Report:\n"
+                 "    total: int\n    dropped: int = 0\n"
+                 "    def __post_init__(self):\n"
+                 "        self.dropped = max(self.dropped, 0)\n"
+                 "    def bump(self):\n        self.total += 1\n"
+                 "@dataclasses.dataclass(frozen=True)\nclass Point:\n"
+                 "    x: float\n"
+                 "class Plain:\n    def __init__(self, report):\n"
+                 "        self.total = 0\n        report.total = 1\n"
+                 "def load(rows):\n    report = Report(len(rows))\n"
+                 "    report.dropped = 2\n    report.other = 3\n"
+                 "    def mark(self):\n        self.x = 1\n"),
+             "b.py": ast.parse("def f(p, r):\n    r.total -= 1\n"
+                               "    p.x, p.y = 1, 2\n")}
+    assert late_field_stores(trees) == [
+        "a.py:9 self.total", "a.py:16 report.total", "a.py:19 report.dropped",
+        "a.py:22 self.x", "b.py:2 r.total", "b.py:3 p.x"]
+
+
+def test_dataclass_fields_are_set_only_when_built():
+    # `EnvState` caches `portfolio_value` at construction, and the slotted
+    # states are not frozen: a field assigned later would leave it stale
+    assert late_field_stores(package_trees()) == []
+
+
 # The only `except` clauses that may name a package error, by module and
 # enclosing function: the CLI's exit-code boundary, the CLI's bars-file
 # reader, which re-raises a load error under the file's path, and the config

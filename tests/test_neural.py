@@ -184,8 +184,7 @@ class TestGaussianPolicy:
         coeff = rng.normal(size=6)
 
         def loss(vec):
-            probe = pol.clone()
-            probe.flat[:] = vec
+            probe = GaussianPolicy(3, 2, (5,), flat=vec)
             logp, _ = probe.log_prob_grads(obs, actions)
             return float((logp * coeff).sum())
 

@@ -147,6 +147,37 @@ class TestRollingTurbulence:
         with pytest.raises(UserError, match="^non-finite return vector$"):
             rolling_turbulence(bad, lookback=10)
 
+    @pytest.mark.parametrize("first", [0, 300])
+    def test_window_of_constant_returns_raises_naming_its_date(self, first):
+        # panel rows first to first + lookback hold one price, so window
+        # `first` holds only zero returns: its covariance, and the
+        # trace-scaled ridge, are 0. At D=2 and lookback 252 a block holds
+        # 260 windows, so window 300 is in the second block.
+        lookback = 252
+        rets = np.random.default_rng(6).normal(0, 0.01, size=(600, 2))
+        rets[first:first + lookback] = 0.0
+        panel = panel_from_returns(rets)
+        day = panel.calendar[first + lookback + 1]
+        with pytest.raises(UserError, match="^" + re.escape(
+                f"needed price movement in the 252 returns before {day} "
+                "([turbulence] lookback), available none") + "$"):
+            rolling_turbulence(panel, lookback=lookback)
+        # an explicit ridge is not checked
+        series = rolling_turbulence(panel, lookback=lookback, ridge=1e-6)
+        assert np.all(np.isfinite(series))
+
+    def test_one_flat_asset_keeps_the_default_ridge(self):
+        # one moving asset keeps each window's trace, and so its ridge,
+        # positive
+        lookback = 20
+        rets = np.random.default_rng(7).normal(0, 0.01, size=(60, 2))
+        rets[:, 0] = 0.0
+        panel = panel_from_returns(rets)
+        series = rolling_turbulence(panel, lookback=lookback)
+        rets = daily_returns(panel.adj_close)
+        for t in range(lookback + 1, panel.T):
+            assert series[t] == window_turbulence(rets, t, lookback)
+
     def test_lookback_too_small(self):
         panel = make_panel(D=5, T=100)
         with pytest.raises(UserError, match=re.escape(
