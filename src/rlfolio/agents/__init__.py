@@ -6,15 +6,14 @@ from .common import Agent, AgentConfig, TransitionStore
 from .ddpg import DDPGAgent
 from .ppo import PPOAgent, ppo_clip_objective
 
-AGENT_KINDS = ("PPO", "A2C", "DDPG")
-
-_CLASSES = {"A2C": A2CAgent, "PPO": PPOAgent, "DDPG": DDPGAgent}
+_CLASSES = {cls.kind: cls for cls in (PPOAgent, A2CAgent, DDPGAgent)}
+AGENT_KINDS = tuple(_CLASSES)
 
 
 def make_agent(kind: str, obs_dim: int, action_dim: int,
                config: AgentConfig = AgentConfig(), seed: int = 0) -> Agent:
     try:
-        cls = _CLASSES[kind.upper()]
+        cls = _CLASSES[kind]
     except KeyError:
         raise ValueError(f"unknown agent kind {kind!r}") from None
     return cls(obs_dim, action_dim, config, seed)

@@ -15,8 +15,6 @@ class A2CAgent(OnPolicyAgent):
         """One synchronized gradient step on actor and critic."""
         obs, actions, rewards, next_obs, dones, _ = batch
         n = len(obs)
-        if n == 0:
-            raise ValueError("empty rollout")
         adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
 
         logp, backward = self.policy.log_prob_grads(obs, actions)

@@ -82,7 +82,8 @@ class Agent:
         self.rng = default_rng(SeedSequence(seed))
 
     def act(self, obs) -> np.ndarray:
-        """The deterministic policy's action, clipped to [-1, 1]."""
+        """The deterministic policy's action; the env bounds it to [-1, 1]
+        (`env.resolve_action`)."""
         raise NotImplementedError
 
     def parameters(self) -> list[np.ndarray]:
@@ -122,9 +123,7 @@ class OnPolicyAgent(Agent):
         return [self.policy.flat, self.critic.flat]
 
     def act(self, obs) -> np.ndarray:
-        action = self.policy.mean_net.forward(obs)  # a fresh array
-        np.maximum(action, -1.0, out=action)
-        return np.minimum(action, 1.0, out=action)
+        return self.policy.mean_net.forward(obs)
 
     def compute_advantages(self, obs: np.ndarray, rewards: np.ndarray,
                            next_obs: np.ndarray, dones: np.ndarray):

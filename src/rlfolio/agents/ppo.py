@@ -23,8 +23,6 @@ class PPOAgent(OnPolicyAgent):
         cfg = self.config
         obs, actions, rewards, next_obs, dones, old_logp = batch
         n = len(obs)
-        if cfg.epochs == 0 or n == 0:
-            return
         adv, targets = self.compute_advantages(obs, rewards, next_obs, dones)
         adv_n = (adv - adv.mean()) / (adv.std() + 1e-8)
 

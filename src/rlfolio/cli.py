@@ -108,6 +108,24 @@ def _load_index_levels(path: str, days: list[str]) -> list[float]:
                         f"{exc.args[0]}") from None
 
 
+def _set_up(cfg: RunConfig):
+    """What `backtest` reads before training: the panel, load report, window
+    plan, trade rows and their ISO dates, index levels (None without an
+    index file), features and turbulence. Every check of the inputs runs
+    here, before anything is written or trained."""
+    panel, load = _load_panel(cfg)
+    w = cfg.windows
+    plan = build_window_plan(panel, w.in_sample_end, w.validation_months,
+                             w.trade_months)
+    trade_rows = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
+    days = [panel.calendar[t].isoformat() for t in trade_rows]
+    index_levels = (_load_index_levels(cfg.data.index_path, days)
+                    if cfg.data.index_path else None)
+    return (panel, load, plan, trade_rows, days, index_levels,
+            build_features(panel),
+            rolling_turbulence(panel, cfg.turbulence.lookback))
+
+
 @contextlib.contextmanager
 def _exit_codes():
     """Around a command: exit 2 on a user error, printed as one `error:`
@@ -141,10 +159,10 @@ def main(verbose):
               help="output directory override")
 @_exit_codes()
 def ingest(config_path, out):
-    """Load and align the bars file, the check of it that needs no
-    training; write its `rejections.csv` and print what the load dropped."""
+    """Run `backtest`'s set-up, every check of the inputs that needs no
+    training; write the load's `rejections.csv` and print what it dropped."""
     cfg = load_config(config_path, {"out_dir": out})
-    panel, report = _load_panel(cfg)
+    panel, report, *_ = _set_up(cfg)
     _report_load(Path(cfg.run.out_dir), panel, report)
 
 
@@ -167,17 +185,8 @@ def backtest(config_path, seed, out):
     """Run the ensemble walk-forward backtest, the three single-agent
     strategies, and both baselines; write the full report bundle."""
     cfg = load_config(config_path, {"seed": seed, "out_dir": out})
-    panel, load = _load_panel(cfg)
-    w = cfg.windows
-    plan = build_window_plan(panel, w.in_sample_end, w.validation_months,
-                             w.trade_months)
-    trade_rows = range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
-    days = [panel.calendar[t].isoformat() for t in trade_rows]
-    index_levels = None
-    if cfg.data.index_path:  # a bad index file fails before any training
-        index_levels = _load_index_levels(cfg.data.index_path, days)
-    features = build_features(panel)
-    turb = rolling_turbulence(panel, cfg.turbulence.lookback)
+    (panel, load, plan, trade_rows, days, index_levels, features,
+     turb) = _set_up(cfg)
 
     logger.info("training %d quarters x %d agents", len(plan), len(AGENT_KINDS))
     windows = ens.train_and_validate(

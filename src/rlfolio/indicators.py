@@ -1,12 +1,12 @@
 """MACD, RSI, CCI, and ADX feature blocks for the observation vector.
 
-Each indicator takes time-first arrays: one series of T dates, or a T x D
-panel whose columns are assets. Only the smoothing recursions loop, over
-dates, each step acting on one row; the series one indicator smooths
-alike (MACD's two EMAs, RSI's gain and loss, ADX's TR, +DM and -DM) are
-stacked on a last axis and share one loop. Every float operation runs in
-the order of the scalar definition, so a panel call equals its
-column-by-column calls bit for bit.
+Each indicator takes float time-first arrays, one series of T >= 1 dates
+or a T x D panel whose columns are assets, and int periods. Only the
+smoothing recursions loop, over dates, each step acting on one row; the
+series one indicator smooths alike (MACD's two EMAs, RSI's gain and loss,
+ADX's TR, +DM and -DM) are stacked on a last axis and share one loop.
+Every float operation runs in the order of the scalar definition, so a
+panel call equals its column-by-column calls bit for bit.
 """
 from __future__ import annotations
 
@@ -17,13 +17,6 @@ from .market_data import PricePanel
 # The periods `build_features` uses: 12/26-day MACD, 14-day RSI, CCI and ADX.
 MACD_FAST, MACD_SLOW = 12, 26
 RSI_PERIOD = CCI_PERIOD = ADX_PERIOD = 14
-
-
-def _check_series(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty price series")
-    return x
 
 
 def _ema(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -53,7 +46,6 @@ def _wilder(x: np.ndarray, period: int, first: int) -> np.ndarray:
 def macd(close, fast: int = MACD_FAST, slow: int = MACD_SLOW) -> np.ndarray:
     """MACD line: EMA(fast) - EMA(slow), both EMAs in one pass over a
     (..., 2) stack of the series."""
-    close = _check_series(close)
     ema = _ema(np.stack([close, close], axis=-1),
                np.array([2.0 / (fast + 1.0), 2.0 / (slow + 1.0)]))
     return ema[..., 0] - ema[..., 1]
@@ -61,8 +53,6 @@ def macd(close, fast: int = MACD_FAST, slow: int = MACD_SLOW) -> np.ndarray:
 
 def rsi(close, period: int = RSI_PERIOD) -> np.ndarray:
     """Wilder-smoothed RSI in [0, 100]; first `period` entries are 50."""
-    close = _check_series(close)
-    period = int(period)
     out = np.full_like(close, 50.0)
     if close.shape[0] <= period:
         return out
@@ -81,9 +71,7 @@ def rsi(close, period: int = RSI_PERIOD) -> np.ndarray:
 
 def cci(high, low, close, period: int = CCI_PERIOD) -> np.ndarray:
     """Commodity channel index; zero mean deviation maps to 0."""
-    tp = (_check_series(high) + _check_series(low)
-          + _check_series(close)) / 3.0
-    period = int(period)
+    tp = (high + low + close) / 3.0
     out = np.zeros_like(tp)
     m = tp.shape[0] - period + 1    # number of full windows
     if m <= 0:
@@ -104,10 +92,6 @@ def cci(high, low, close, period: int = CCI_PERIOD) -> np.ndarray:
 
 def adx(high, low, close, period: int = ADX_PERIOD) -> np.ndarray:
     """Wilder ADX in [0, 100]; warmup (first 2*period-1 entries) is 0."""
-    high = _check_series(high)
-    low = _check_series(low)
-    close = _check_series(close)
-    period = int(period)
     n = high.shape[0]
     if n <= 2 * period - 1:
         return np.zeros_like(high)

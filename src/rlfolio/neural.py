@@ -71,7 +71,8 @@ class Mlp:
         return y
 
     def forward_cache(self, x):
-        """Forward pass keeping layer activations for `backward`."""
+        """Forward pass and the list of layer activations, input first, that
+        `backward` takes."""
         x, single = self._check_input(x)
         acts = [x]
         h = x
@@ -84,16 +85,13 @@ class Mlp:
             if layer < self.n_layers - 1:
                 np.tanh(h, out=h)
             acts.append(h)
-        out = h[0] if single else h
-        return out, (acts, single)
+        return (h[0] if single else h), acts
 
-    def backward(self, cache, upstream) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of sum(output * upstream) w.r.t. `flat` (one vector in
-        its layout) and the input."""
-        acts, single = cache
+    def backward(self, acts, upstream) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of sum(output * upstream) over a batch, given its
+        `forward_cache` activations, w.r.t. `flat` (one vector in its
+        layout) and the input rows."""
         g = np.asarray(upstream, dtype=self.flat.dtype)
-        if single:
-            g = g[None, :]
         if g.shape[-1] != self.sizes[-1]:
             raise ValueError(f"upstream shape {g.shape}")
         grads: list[np.ndarray] = [None] * len(self.params)
@@ -106,7 +104,7 @@ class Mlp:
             grads[2 * layer] = (a_in.T @ g).ravel()
             grads[2 * layer + 1] = g.sum(axis=0)
             g = g @ w.T
-        return np.concatenate(grads), (g[0] if single else g)
+        return np.concatenate(grads), g
 
 
 class Adam:
@@ -174,22 +172,21 @@ class GaussianPolicy:
         per_dim = -0.5 * z ** 2 - np.log(std) - 0.5 * LOG_2PI
         return action, per_dim.sum(axis=-1)
 
-    def log_prob_grads(self, obs, action):
-        """Per-sample log-probs plus machinery to backprop a weighting.
+    def log_prob_grads(self, obs: np.ndarray, action: np.ndarray):
+        """Per-sample log-probs of float64 (n, dim) rows plus machinery to
+        backprop a weighting.
 
-        Returns (log_probs, backward) where backward(coeff) yields the
-        gradient of sum_i coeff_i * log pi(a_i | s_i) as one vector in
-        `flat` order.
+        Returns (log_probs, backward) where backward(coeff), for a float64
+        array of n weights, yields the gradient of sum_i coeff_i *
+        log pi(a_i | s_i) as one vector in `flat` order.
         """
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        action = np.atleast_2d(np.asarray(action, dtype=float))
         mean, cache = self.mean_net.forward_cache(obs)
         std = self.std()
         z = (action - mean) / std
         logp = (-0.5 * z ** 2 - np.log(std) - 0.5 * LOG_2PI).sum(axis=1)
 
         def backward(coeff):
-            c = np.asarray(coeff, dtype=float)[:, None]
+            c = coeff[:, None]
             # d logp / d mean = z / std ; d logp / d log_std = z^2 - 1
             mean_grad, _ = self.mean_net.backward(cache, c * z / std)
             clipped = (self.log_std < LOG_STD_MIN) | (self.log_std > LOG_STD_MAX)

@@ -599,7 +599,10 @@ class TestBacktestUserErrors:
                 "2018-10-01 to 2018-12-31, available 0") in result.stderr
         assert not (out_dir / "config_snapshot.ini").exists()
 
-    def test_flat_turbulence_window_exits_2(self, tmp_path):
+    # `ingest` runs `backtest`'s set-up, so it refuses the same file with
+    # the same line, and neither command creates out_dir
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_flat_turbulence_window_exits_2(self, tmp_path, command):
         # both assets hold one price on the first lookback + 1 = 61 dates,
         # so the first turbulence window's covariance is 0
         panel = make_panel(D=2, T=600, seed=12, start=dt.date(2017, 1, 1))
@@ -610,7 +613,7 @@ class TestBacktestUserErrors:
         data_csv.write_text(panel_to_csv(PricePanel(
             list(panel.assets), list(panel.calendar), fields)))
         cfg_path, out_dir = write_config(tmp_path, data_csv)
-        result = CliRunner().invoke(main, ["backtest", "--config",
+        result = CliRunner().invoke(main, [command, "--config",
                                            str(cfg_path)])
         assert result.exit_code == 2, result.output
         assert result.stderr == (

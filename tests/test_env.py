@@ -227,6 +227,51 @@ class TestStepOracle:
         assert result.reward == reward * env.config.reward_scale
 
 
+SPECIAL_ACTIONS = [np.inf, -np.inf, np.nan, 3e38, -1.5, 1.0, -1.0, -0.0]
+
+
+def float32_actions():
+    """Actions of 1, 8 or 30 components: any float32, infinities and NaN
+    included, or a value at or beyond the bound."""
+    return st.sampled_from([1, 8, 30]).flatmap(lambda D: st.lists(
+        st.floats(width=32) | st.sampled_from(SPECIAL_ACTIONS),
+        min_size=D, max_size=D))
+
+
+class TestActionBound:
+    """The env is the one bound on an action: `OnPolicyAgent.act` returns
+    the float32 policy mean as it is. A step on it equals the step on the
+    same action clipped to [-1, 1] in float32, the form `act` once
+    returned: the float32 -> float64 cast is exact and commutes with the
+    clip, and a NaN component trades nothing either way."""
+
+    @given(float32_actions(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 100, 1000]))
+    @example(SPECIAL_ACTIONS, 3, 100)
+    @example(SPECIAL_ACTIONS * 3 + [2.0] * 6, 4, 1000)
+    @settings(max_examples=300, deadline=None)
+    def test_unclipped_float32_action_steps_as_clipped(self, action, seed,
+                                                       h_max):
+        D, action = len(action), np.array(action, dtype=np.float32)
+        clipped = action.copy()
+        np.maximum(clipped, -1.0, out=clipped)
+        np.minimum(clipped, 1.0, out=clipped)
+        assert clipped.dtype == np.float32
+        rng = np.random.default_rng(seed)
+        prices = rng.uniform(1.0, 500.0, D)
+        env = two_date_env(prices, prices * rng.uniform(0.9, 1.1, D), h_max,
+                           0.001)
+        env.reset(balance=float(rng.uniform(0.0, 200.0 * h_max)),
+                  holdings=rng.integers(0, 2 * h_max, D))
+        got = env.step_state(env.state, action)
+        want = env.step_state(env.state, clipped)
+        np.testing.assert_array_equal(got.sell_shares, want.sell_shares)
+        np.testing.assert_array_equal(got.buy_shares, want.buy_shares)
+        assert got.cost == want.cost
+        assert got.next_state.balance == want.next_state.balance
+        assert got.reward == want.reward
+
+
 class TestStep:
     def test_hold_frozen_prices_zero_reward(self):
         panel = make_trend_panel(D=2, T=40, step=0.0)

@@ -508,3 +508,82 @@ def test_each_learner_reads_exactly_the_settings_declared_for_it():
                 for kind in AGENT_KINDS}
     reads = config_reads(trees, {f.name for f in fields(AgentConfig)})
     assert {kind: reads.get(kind) for kind in AGENT_KINDS} == declared
+
+
+CONVERSIONS = {"asarray", "atleast_2d", "array", "ascontiguousarray"}
+
+# The only parameters a package function converts with one of
+# `CONVERSIONS`, as `module:function parameter`. Every other internal call
+# passes the form its callee computes with, so a conversion there would
+# only hide a caller that passes another.
+ALLOWED_CONVERSIONS = [
+    # the one bound on an action: a float32 policy mean, a DDPG action or a
+    # test's list, cast to float64 before the clip
+    "env.py:resolve_action action",
+    # a carried portfolio's holdings, copied so the env owns its state
+    "env.py:TradingEnv.reset holdings",
+    # float64 observations and store rows, cast to the net's float32
+    "neural.py:Mlp._check_input x",
+    # float64 loss gradients, cast to the net's float32
+    "neural.py:Mlp.backward upstream",
+    # `np.cov` of a single asset's returns is 0-d
+    "evaluation.py:min_variance_weights cov",
+    # the index file's levels arrive as a Python list
+    "evaluation.py:run_index_baseline index_levels",
+]
+
+
+def parameter_conversions(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:function parameter` of each `np.<conversion>` call of
+    `CONVERSIONS` whose first argument is a parameter of the function
+    around it: a method as `Class.method`, a nested function as
+    `outer.inner`, which sees only its own parameters."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str], params: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, [*scope, child.name], set())
+                continue
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                visit(child, [*scope, child.name],
+                      {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                       a.vararg, a.kwarg) if p})
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and getattr(child.func.value, "id", None) == "np"
+                    and child.func.attr in CONVERSIONS and child.args
+                    and getattr(child.args[0], "id", None) in params):
+                found.append(f"{module}:{'.'.join(scope)} "
+                             f"{child.args[0].id}")
+            visit(child, scope, params)
+
+    for module, tree in trees.items():
+        visit(tree, [], set())
+    return found
+
+
+def test_parameter_conversions_are_caught():
+    trees = {"a.py": ast.parse(
+                 "import numpy as np\n"
+                 "x = np.asarray(y)\n"
+                 "def f(a, *rest, key=None, **kw):\n"
+                 "    np.atleast_2d(np.asarray(a, dtype=float))\n"
+                 "    np.array(key), np.ascontiguousarray(kw)\n"
+                 "    np.array(rest[0]), np.zeros(a), np.asarray(other)\n"
+                 "    def inner(c):\n"
+                 "        return np.asarray(c), np.asarray(a)\n"
+                 "class C:\n"
+                 "    def m(self, v):\n"
+                 "        b = np.array(v)\n"
+                 "        return np.array(b), numpy.asarray(v)\n")}
+    assert parameter_conversions(trees) == [
+        "a.py:f a", "a.py:f key", "a.py:f kw", "a.py:f.inner c",
+        "a.py:C.m v"]
+
+
+def test_only_the_listed_parameters_are_converted():
+    assert (sorted(parameter_conversions(package_trees()))
+            == sorted(ALLOWED_CONVERSIONS))

@@ -33,11 +33,7 @@ class TestMacd:
                                       oracles.macd_oracle(close, 12, 26))
 
     def test_single_point(self):
-        np.testing.assert_allclose(ind.macd([5.0]), [0.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="^empty price series$"):
-            ind.macd([])
+        np.testing.assert_allclose(ind.macd(np.array([5.0])), [0.0])
 
 
 class TestRsi:

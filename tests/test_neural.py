@@ -94,10 +94,11 @@ class TestMlpBackward:
         def loss(xflat):
             return float((net.forward(xflat) * w).sum())
 
-        _, cache = net.forward_cache(x0)
-        _, in_grad = net.backward(cache, w)
+        # `backward` takes a batch: here one row
+        _, cache = net.forward_cache(x0[None])
+        _, in_grad = net.backward(cache, w[None])
         fd = oracles.finite_difference(loss, x0.copy())
-        np.testing.assert_allclose(in_grad, fd, atol=1e-6)
+        np.testing.assert_allclose(in_grad[0], fd, atol=1e-6)
 
 
 class TestAdam:
@@ -159,11 +160,11 @@ class TestGaussianPolicy:
     def test_log_prob_standard_normal(self):
         pol = GaussianPolicy(1, 1, hidden=(4,), rng=np.random.default_rng(1))
         pol.log_std[:] = 0.0  # std = 1
-        obs = np.zeros(1)
-        mean = float(pol.mean_net.forward(obs)[0])
-        lp, _ = pol.log_prob_grads(obs, [mean])
+        obs = np.zeros((1, 1))
+        mean = float(pol.mean_net.forward(obs)[0, 0])
+        lp, _ = pol.log_prob_grads(obs, np.array([[mean]]))
         assert lp == pytest.approx(-0.5 * math.log(2 * math.pi))
-        lp1, _ = pol.log_prob_grads(obs, [mean + 1.0])
+        lp1, _ = pol.log_prob_grads(obs, np.array([[mean + 1.0]]))
         assert lp1 == pytest.approx(-0.5 - 0.5 * math.log(2 * math.pi))
 
     def test_sample_logprob_consistent(self):
@@ -171,8 +172,9 @@ class TestGaussianPolicy:
         rng = np.random.default_rng(3)
         obs = np.array([0.1, 0.9])
         action, lp = pol.sample(obs, rng)
-        # `sample` and `log_prob_grads` compute the log-prob separately
-        logp, _ = pol.log_prob_grads(obs, action)
+        # `sample` and `log_prob_grads` compute the log-prob separately;
+        # the latter takes the rows a `TransitionStore` holds, float64 2-D
+        logp, _ = pol.log_prob_grads(obs[None], action[None].astype(float))
         assert lp == pytest.approx(logp[0])
 
     @pytest.mark.parametrize("seed", range(4))
