@@ -10,15 +10,6 @@ _CLASSES = {cls.kind: cls for cls in (PPOAgent, A2CAgent, DDPGAgent)}
 AGENT_KINDS = tuple(_CLASSES)
 
 
-def make_agent(kind: str, obs_dim: int, action_dim: int,
-               config: AgentConfig = AgentConfig(), seed: int = 0) -> Agent:
-    try:
-        cls = _CLASSES[kind]
-    except KeyError:
-        raise ValueError(f"unknown agent kind {kind!r}") from None
-    return cls(obs_dim, action_dim, config, seed)
-
-
 def train_agent(kind: str, env, config: AgentConfig, seed: int,
                 warm_start: Agent | None = None) -> Agent:
     """Train one agent on an environment window, deterministically per seed.
@@ -28,7 +19,7 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
     That is all a trained agent holds: its optimizers live only inside
     `train`.
     """
-    agent = make_agent(kind, env.obs_dim, env.action_dim, config, seed)
+    agent = _CLASSES[kind](env.obs_dim, env.action_dim, config, seed)
     if warm_start is not None:
         if warm_start.kind != agent.kind:
             raise ValueError("warm start kind mismatch")
@@ -41,6 +32,5 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
 
 __all__ = [
     "Agent", "AgentConfig", "A2CAgent", "DDPGAgent", "PPOAgent",
-    "TransitionStore", "AGENT_KINDS",
-    "make_agent", "ppo_clip_objective", "train_agent",
+    "TransitionStore", "AGENT_KINDS", "ppo_clip_objective", "train_agent",
 ]

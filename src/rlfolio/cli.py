@@ -4,7 +4,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import logging
 import math
 import sys
 import traceback
@@ -21,8 +20,6 @@ from .evaluation import (METRIC_NAMES, EquityCurve, metrics_report,
 from .indicators import build_features
 from .market_data import load_bars, build_window_plan
 from .turbulence import rolling_turbulence
-
-logger = logging.getLogger(__name__)
 
 EXIT_PROGRAM_FAULT = 1
 EXIT_USER_ERROR = 2
@@ -112,7 +109,13 @@ def _set_up(cfg: RunConfig):
     """What `backtest` reads before training: the panel, load report, window
     plan, trade rows and their ISO dates, index levels (None without an
     index file), features and turbulence. Every check of the inputs runs
-    here, before anything is written or trained."""
+    here, before anything is written or trained: `out_dir` need not exist,
+    but the nearest of it and its parents that does must be a directory."""
+    out_dir = Path(cfg.run.out_dir)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise UserError(f"[run] out_dir {out_dir}: {nearest} is not a "
+                        "directory")
     panel, load = _load_panel(cfg)
     w = cfg.windows
     plan = build_window_plan(panel, w.in_sample_end, w.validation_months,
@@ -144,12 +147,10 @@ def _exit_codes():
 
 
 @click.group()
-@click.option("-v", "--verbose", is_flag=True, help="debug logging")
+@click.option("-v", "--verbose", is_flag=True,
+              help="print the traceback of an internal error")
 def main(verbose):
     """Walk-forward ensemble backtesting of actor-critic trading agents."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
 @main.command()
@@ -188,10 +189,16 @@ def backtest(config_path, seed, out):
     (panel, load, plan, trade_rows, days, index_levels, features,
      turb) = _set_up(cfg)
 
-    logger.info("training %d quarters x %d agents", len(plan), len(AGENT_KINDS))
+    click.echo(f"training {len(plan)} quarters x {len(AGENT_KINDS)} agents",
+               err=True)
     windows = ens.train_and_validate(
-        panel, features, turb, plan, cfg.env, cfg.agents,
-        seed=cfg.run.seed, turbulence_quantile=cfg.turbulence.quantile)
+        panel, features, turb, plan, cfg.env, cfg.agents, cfg.run.seed,
+        cfg.turbulence.quantile)
+    for w in windows:
+        if all(score is None for score in w.scores.values()):
+            click.echo(f"quarter {w.triple.index}: every validation Sharpe is "
+                       f"undefined; the ensemble trades {ens.FALLBACK_KIND}",
+                       err=True)
 
     pickers = {"ensemble": ens.pick_best,
                **{k.lower(): (lambda scores, k=k: k) for k in AGENT_KINDS}}

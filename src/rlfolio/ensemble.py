@@ -7,7 +7,6 @@ next quarter. Portfolio state carries across quarters.
 """
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ from .agents import AGENT_KINDS, Agent, AgentConfig, train_agent
 from .env import EnvConfig, EnvState, TradingEnv
 from .evaluation import EquityCurve, daily_returns, sharpe
 from .market_data import PricePanel, WindowTriple
-
-logger = logging.getLogger(__name__)
 
 FALLBACK_KIND = "PPO"
 SIDES = ("sell", "buy")
@@ -77,11 +74,7 @@ def pick_best(scores: dict[str, float | None]) -> str:
     if not scores:
         raise ValueError("no validation scores")
     defined = [k for k in AGENT_KINDS if scores.get(k) is not None]
-    if not defined:
-        logger.warning("all validation Sharpe scores undefined; "
-                       "falling back to %s", FALLBACK_KIND)
-        return FALLBACK_KIND
-    return max(defined, key=scores.__getitem__)  # first of equal maxima
+    return max(defined, key=scores.__getitem__, default=FALLBACK_KIND)
 
 
 def run_deterministic(agent: Agent, env: TradingEnv,
@@ -127,8 +120,7 @@ def train_and_validate(panel: PricePanel, features: np.ndarray,
                        turbulence: np.ndarray, plan: Iterable[WindowTriple],
                        env_config: EnvConfig,
                        agent_configs: dict[str, AgentConfig],
-                       seed: int = 0,
-                       turbulence_quantile: float = 0.99,
+                       seed: int, turbulence_quantile: float,
                        phase_callback=None) -> list[WindowResult]:
     """Walk the plan once, producing trained agents and validation scores
     for every quarter. Shared by the ensemble and the always-one-kind

@@ -99,9 +99,8 @@ def min_variance_weights(cov: np.ndarray, ridge: float = 0.0) -> np.ndarray:
 
 
 def run_min_variance_baseline(panel: PricePanel, rows: range,
-                              initial_balance: float = 1_000_000.0,
-                              lookback: int = PERIODS_PER_YEAR,
-                              fee_rate: float = 0.001) -> EquityCurve:
+                              initial_balance: float, lookback: int,
+                              fee_rate: float) -> EquityCurve:
     """Monthly-rebalanced min-variance portfolio over the panel `rows` of the
     out-of-sample (trade) period, with the same proportional cost model as
     the agents.
@@ -133,9 +132,8 @@ def run_min_variance_baseline(panel: PricePanel, rows: range,
     return EquityCurve(np.array(values))
 
 
-def run_index_baseline(panel: PricePanel, rows: range,
-                       initial_balance: float = 1_000_000.0,
-                       index_levels: Sequence[float] | None = None) -> EquityCurve:
+def run_index_baseline(panel: PricePanel, rows: range, initial_balance: float,
+                       index_levels: Sequence[float] | None) -> EquityCurve:
     """Buy-and-hold index over the panel `rows` of the trade period: either
     the provided index level of each of those dates, in calendar order, or
     a price-weighted proxy built from the panel."""

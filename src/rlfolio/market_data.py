@@ -104,7 +104,7 @@ def _bar_faults(bars: np.ndarray, key: np.ndarray) -> np.ndarray:
     return fault
 
 
-def load_bars(source, rejection_ceiling: float = 0.01
+def load_bars(source, rejection_ceiling: float
               ) -> tuple[PricePanel, LoadReport]:
     """Load comma-separated OHLCV text into an aligned panel.
 

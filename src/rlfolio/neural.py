@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.random import default_rng
 
 
 LOG_STD_MIN = math.log(1e-3)
@@ -25,9 +24,9 @@ class Mlp:
     (in x out, row-major) then the bias. `params` holds views into it in
     that order, each bias as a 1 x out row, which a one-row input adds
     without broadcasting. A new net is float32 and Glorot-uniform
-    initialized; passing `flat` wraps an existing vector, of any float
-    dtype, instead. Inputs and upstream gradients are cast to the vector's
-    dtype.
+    initialized from `rng`; passing `flat` wraps an existing vector, of any
+    float dtype, instead. Inputs and upstream gradients are cast to the
+    vector's dtype.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
@@ -49,7 +48,6 @@ class Mlp:
             self.params.append(self.flat[offset:offset + size].reshape(shape))
             offset += size
         if fresh:
-            rng = rng or default_rng(0)
             for w in self.params[::2]:
                 bound = math.sqrt(6.0 / sum(w.shape))
                 w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -145,8 +143,7 @@ class GaussianPolicy:
     `log_std`, float32 for a new policy; passing `flat` wraps an existing
     vector."""
 
-    def __init__(self, obs_dim: int, action_dim: int,
-                 hidden: tuple[int, ...] = (64, 64),
+    def __init__(self, obs_dim: int, action_dim: int, hidden: tuple[int, ...],
                  rng: np.random.Generator | None = None,
                  flat: np.ndarray | None = None):
         sizes = [obs_dim, *hidden, action_dim]

@@ -25,13 +25,13 @@ def default_ridge(sigma: np.ndarray) -> np.ndarray:
     return DEFAULT_RIDGE_SCALE * np.trace(sigma, axis1=-2, axis2=-1) / d
 
 
-def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
-                       ridge: float | None = None) -> np.ndarray:
+def rolling_turbulence(panel: PricePanel,
+                       lookback: int = DEFAULT_LOOKBACK) -> np.ndarray:
     """Turbulence value per calendar date, shape (T,).
 
     Date t uses the trailing `lookback` return observations strictly before
-    t's return; dates without enough history get 0. `ridge=None` picks the
-    trace-scaled default per window, a `UserError` where it is 0: each
+    t's return; dates without enough history get 0. Each window's ridge is
+    trace-scaled (`default_ridge`), a `UserError` where it is 0: each
     asset's returns are constant over that window. Each date is
     (y - mu) (Sigma + ridge I)^-1 (y - mu)', clamped at 0, over its window's
     mean and covariance, bit for bit what `tests/oracles.quad_form_oracle`
@@ -59,8 +59,8 @@ def rolling_turbulence(panel: PricePanel, lookback: int = DEFAULT_LOOKBACK,
         mean = np.add.reduce(window, axis=1, keepdims=True) / lookback
         xc = window - mean
         sigma = np.matmul(xc.swapaxes(1, 2), xc) * (1 / (lookback - 1))
-        r = default_ridge(sigma)[:, None, None] if ridge is None else ridge
-        if ridge is None and not r.all():
+        r = default_ridge(sigma)[:, None, None]
+        if not r.all():
             day = panel.calendar[lookback + 1 + s + int(np.argmin(r))]
             raise UserError(f"needed price movement in the {lookback} returns "
                             f"before {day} ([turbulence] lookback), "

@@ -101,15 +101,13 @@ def trade_rows(plan) -> range:
     return range(plan[0].trade.rows.start, plan[-1].trade.rows.stop)
 
 
-def window_turbulence(rets: np.ndarray, t: int, lookback: int,
-                      ridge: float | None = None) -> float:
+def window_turbulence(rets: np.ndarray, t: int, lookback: int) -> float:
     """Date t's turbulence as `rolling_turbulence` defines it, from
     `oracles.quad_form_oracle` over the window's `np.cov`, clamped at 0."""
     window = rets[t - 1 - lookback:t - 1]
     sigma = np.cov(window, rowvar=False, bias=False)
-    r = default_ridge(sigma) if ridge is None else ridge
     return max(0.0, oracles.quad_form_oracle(rets[t - 1], window.mean(axis=0),
-                                             sigma, r))
+                                             sigma, default_ridge(sigma)))
 
 
 def csv_stream(text: str) -> io.StringIO:

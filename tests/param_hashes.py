@@ -96,7 +96,7 @@ def param_hashes() -> dict[str, str]:
 
 def setup_hashes() -> dict[str, str]:
     loaded, _ = load_bars(csv_stream(panel_to_csv(make_panel(D=8, T=600,
-                                                             seed=2))))
+                                                             seed=2))), 0.01)
     hashes = {"load_bars": _digest(*(loaded.field(f) for f in BAR_FIELDS))}
     for D in (8, 30):
         panel = make_panel(D=D, T=600, seed=1)

@@ -355,7 +355,7 @@ def test_criterion_09_walk_forward_integrity():
         panel, features, turbulence, plan,
         EnvConfig(initial_balance=100_000.0, h_max=5),
         {k: tiny for k in ("PPO", "A2C", "DDPG")}, seed=5,
-        phase_callback=lambda i, phase: marks.append(
+        turbulence_quantile=0.99, phase_callback=lambda i, phase: marks.append(
             (i, phase, len(panel.access_log))))
     log = panel.access_log
     bounds = marks + [(None, None, len(log))]
@@ -427,7 +427,8 @@ def test_criterion_11_min_variance():
     plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
     idx = panel.date_slice(plan[0].trade.start,
                            plan[-1].trade.end)
-    curve = run_min_variance_baseline(panel, idx, fee_rate=0.0, lookback=252)
+    curve = run_min_variance_baseline(panel, idx, 1_000_000.0, lookback=252,
+                                      fee_rate=0.0)
     prices = panel.adj_close
     rets = prices[1:] / prices[:-1] - 1.0
     value, shares, month, expected = 1_000_000.0, None, None, []

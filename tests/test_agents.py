@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlfolio.agents import AGENT_KINDS, make_agent, train_agent
+from rlfolio.agents import AGENT_KINDS, train_agent
 from rlfolio.agents.a2c import A2CAgent
 from rlfolio.agents.common import AgentConfig, TransitionStore
 from rlfolio.agents.ddpg import DDPGAgent, soft_update
@@ -16,6 +16,9 @@ from rlfolio.neural import Adam, GaussianPolicy, Mlp
 
 import oracles
 from helpers import TwoArmedBandit, advantage, float64_twin
+
+# each kind's class, as `train_agent` looks it up
+CLASSES = {cls.kind: cls for cls in (PPOAgent, A2CAgent, DDPGAgent)}
 
 
 def make_batch(rng, obs_dim, action_dim, n):
@@ -235,7 +238,7 @@ class TestLossChecks:
     @pytest.mark.parametrize("kind", AGENT_KINDS)
     def test_nan_in_batch_raises_before_any_step(self, kind, column):
         cfg = AgentConfig(hidden=(4,), minibatch=4)
-        agent = make_agent(kind, 3, 2, cfg, seed=0)
+        agent = CLASSES[kind](3, 2, cfg, seed=0)
         batch = make_batch(np.random.default_rng(0), 3, 2, 16)
         batch[column][5] = np.nan
         before = [p.tobytes() for p in agent.parameters()]
@@ -252,8 +255,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             env = TwoArmedBandit()
-            agent = make_agent(kind, env.obs_dim, env.action_dim, cfg, seed=11)
-            agent.train(env)
+            agent = train_agent(kind, env, cfg, seed=11)
             runs.append(flat(agent))
         np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -264,8 +266,7 @@ class TestDeterminism:
         outs = []
         for seed in (1, 2):
             env = TwoArmedBandit()
-            agent = make_agent(kind, env.obs_dim, env.action_dim, cfg, seed=seed)
-            agent.train(env)
+            agent = train_agent(kind, env, cfg, seed=seed)
             outs.append(flat(agent))
         assert not np.array_equal(outs[0], outs[1])
 
@@ -278,9 +279,9 @@ class TestTrainAgent:
     def test_warm_start_copies_donor(self, kind):
         env = TwoArmedBandit()
         donor = train_agent(kind, env, self.CFG, seed=1)
-        cold = make_agent(kind, env.obs_dim, env.action_dim, self.CFG, seed=2)
-        warm = train_agent(kind, env, replace(self.CFG, total_steps=0),
-                           seed=2, warm_start=donor)
+        untrained = replace(self.CFG, total_steps=0)
+        cold = train_agent(kind, env, untrained, seed=2)
+        warm = train_agent(kind, env, untrained, seed=2, warm_start=donor)
         expected = flat(donor)
         assert not np.array_equal(flat(cold), expected)
         np.testing.assert_array_equal(flat(warm), expected)
@@ -293,14 +294,14 @@ class TestTrainAgent:
     def test_warm_start_from_other_kind_rejected(self, kind):
         env = TwoArmedBandit()
         other = AGENT_KINDS[(AGENT_KINDS.index(kind) + 1) % len(AGENT_KINDS)]
-        donor = make_agent(other, env.obs_dim, env.action_dim, self.CFG)
+        untrained = replace(self.CFG, total_steps=0)
+        donor = train_agent(other, env, untrained, seed=0)
         with pytest.raises(ValueError):
-            train_agent(kind, env, replace(self.CFG, total_steps=0), seed=0,
-                        warm_start=donor)
+            train_agent(kind, env, untrained, seed=0, warm_start=donor)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_agent("XYZ", 1, 1)
+        with pytest.raises(KeyError):
+            train_agent("XYZ", TwoArmedBandit(), self.CFG, seed=0)
 
 
 class TestFloat32:
@@ -326,7 +327,7 @@ class TestFloat32:
         # first step, lr * sign(g), flipping on a near-zero gradient entry.
         cfg = AgentConfig(hidden=(16, 16), epochs=2, minibatch=16)
         for seed in range(5):
-            agent = make_agent(kind, 10, 3, cfg, seed=seed)
+            agent = CLASSES[kind](10, 3, cfg, seed=seed)
             twin = float64_twin(agent)
             start = flat(twin)
             batch = make_batch(np.random.default_rng(100 + seed), 10, 3, 64)

@@ -1,7 +1,7 @@
 """`import rlfolio` runs BLAS on one thread unless the caller set a thread
 variable, so trained bits do not depend on the machine's core count. Each
 case runs in a fresh interpreter, since BLAS reads its thread variables
-once, when numpy is first imported. The last case checks what
+once, when numpy is first imported. The last cases check what
 `import rlfolio.cli` loads."""
 import os
 import subprocess
@@ -80,3 +80,10 @@ def test_cli_import_loads_numpy_random():
     # quarter's training
     code = "import sys, rlfolio.cli; print('numpy.random' in sys.modules)"
     assert run_python(code) == "True"
+
+
+def test_cli_import_leaves_logging_unimported():
+    # the CLI prints its notices with click, so no run pays for importing
+    # `logging` (about 6 ms of `-X importtime`)
+    code = "import sys, rlfolio.cli; print('logging' in sys.modules)"
+    assert run_python(code) == "False"

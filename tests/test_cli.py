@@ -472,6 +472,26 @@ class TestBacktestAndReport:
                       for k, c in zip(AGENT_KINDS, cells[5:8])}
             assert picked == pick_best(scores)
 
+    @pytest.mark.parametrize("balance, empty", [("100000", False),
+                                                ("0.01", True)])
+    def test_fallback_notice_once_per_quarter_of_undefined_sharpes(
+            self, data_csv, tmp_path, balance, empty):
+        # at a balance of 0.01 no share is affordable, so no agent moves the
+        # portfolio and every quarter's three Sharpes are undefined
+        result, out_dir = backtest_with(data_csv, tmp_path,
+                                        {"env": {"initial_balance": balance}})
+        assert result.exit_code == 0, result.output
+        with open(out_dir / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        sharpes = [f"sharpe_{k.lower()}" for k in AGENT_KINDS]
+        fallen = [row for row in rows if not any(row[s] for s in sharpes)]
+        assert fallen == (rows if empty else [])
+        assert all(row["picked"] == "PPO" for row in fallen)
+        assert result.stderr.splitlines() == [
+            f"training {len(rows)} quarters x 3 agents",
+            *(f"quarter {row['window']}: every validation Sharpe is "
+              "undefined; the ensemble trades PPO" for row in fallen)]
+
     def test_csv_cells_are_plain_values(self, data_csv, tmp_path,
                                         monkeypatch):
         # every CSV the program writes: the bundle with its rejections, and
@@ -598,6 +618,23 @@ class TestBacktestUserErrors:
         assert ("error: needed 2+ dates in window 1's trade interval "
                 "2018-10-01 to 2018-12-31, available 0") in result.stderr
         assert not (out_dir / "config_snapshot.ini").exists()
+
+    # an out_dir that cannot become a directory is refused with the other
+    # checks of the inputs, before any training, and nothing is made
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_out_dir_under_a_file_exits_2(self, data_csv, tmp_path, command,
+                                          out):
+        cfg_path, _ = write_config(tmp_path, data_csv)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out_dir = tmp_path / out
+        result = CliRunner().invoke(main, [command, "--config", str(cfg_path),
+                                           "--out", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: [run] out_dir {out_dir}: {taken} "
+                                 "is not a directory\n")
+        assert taken.read_text() == "not a directory\n"
 
     # `ingest` runs `backtest`'s set-up, so it refuses the same file with
     # the same line, and neither command creates out_dir

@@ -288,7 +288,8 @@ def trained():
     panel, features, turbulence, plan = make_setup()
     env_config = EnvConfig(initial_balance=10_000.0, h_max=5)
     windows = train_and_validate(panel, features, turbulence, plan,
-                                 env_config, TINY_CONFIGS, seed=4)
+                                 env_config, TINY_CONFIGS, seed=4,
+                                 turbulence_quantile=0.99)
     return (panel, features, turbulence), windows, env_config
 
 
@@ -336,7 +337,7 @@ def assert_walk_forward_access(panel, features, turbulence, plan,
     windows = train_and_validate(panel, features, turbulence, plan,
                                  EnvConfig(initial_balance=10_000.0,
                                            h_max=5),
-                                 configs, seed=seed,
+                                 configs, seed=seed, turbulence_quantile=0.99,
                                  phase_callback=phase_cb)
     # every data access during train/validate phases stays strictly
     # before the corresponding trade interval
@@ -426,7 +427,8 @@ class TestTrainAndValidate:
         windows = train_and_validate(panel, features, turbulence,
                                      plan, EnvConfig(initial_balance=10_000.0,
                                                      h_max=5),
-                                     TINY_CONFIGS, seed=2)
+                                     TINY_CONFIGS, seed=2,
+                                     turbulence_quantile=0.99)
         for w in windows:
             for v in w.scores.values():
                 assert v is None or np.isfinite(v)
@@ -439,7 +441,8 @@ class TestRunEnsembleDeterminism:
             panel, features, turbulence, plan = make_setup()
             env_config = EnvConfig(initial_balance=10_000.0, h_max=5)
             windows = train_and_validate(panel, features, turbulence, plan,
-                                         env_config, TINY_CONFIGS, seed=7)
+                                         env_config, TINY_CONFIGS, seed=7,
+                                         turbulence_quantile=0.99)
             trace = run_trading(panel, features, turbulence, windows,
                                 env_config, ENSEMBLE)["ensemble"]
             results.append((trace, metrics_report(trace.curve.values)))

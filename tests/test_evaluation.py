@@ -165,7 +165,8 @@ class TestMinVarianceBaseline:
 
     def test_curve_spans_trade_period(self):
         panel, plan = self.make_setup()
-        curve = run_min_variance_baseline(panel, trade_rows(plan))
+        curve = run_min_variance_baseline(panel, trade_rows(plan),
+                                          1_000_000.0, 252, 0.001)
         assert len(curve.values) == len(trade_rows(plan))
         # day one deploys the full balance, so one round of fees is paid
         assert curve.values[0] == pytest.approx(1_000_000.0 * 0.999)
@@ -175,7 +176,8 @@ class TestMinVarianceBaseline:
         # chosen weights applied to subsequent price relatives
         panel, plan = self.make_setup()
         curve = run_min_variance_baseline(panel, trade_rows(plan),
-                                          fee_rate=0.0, lookback=252)
+                                          1_000_000.0, lookback=252,
+                                          fee_rate=0.0)
         prices = panel.adj_close
         rets = prices[1:] / prices[:-1] - 1.0
         idx = panel.date_slice(plan[0].trade.start,
@@ -199,9 +201,10 @@ class TestMinVarianceBaseline:
 
     def test_fees_reduce_value(self):
         panel, plan = self.make_setup()
-        free = run_min_variance_baseline(panel, trade_rows(plan), fee_rate=0.0)
+        free = run_min_variance_baseline(panel, trade_rows(plan),
+                                         1_000_000.0, 252, fee_rate=0.0)
         paid = run_min_variance_baseline(panel, trade_rows(plan),
-                                         fee_rate=0.005)
+                                         1_000_000.0, 252, fee_rate=0.005)
         assert paid.values[-1] < free.values[-1]
 
 
@@ -210,7 +213,7 @@ class TestIndexBaseline:
         panel = make_panel(D=3, T=700, seed=7, start=dt.date(2017, 1, 1))
         plan = build_window_plan(panel, dt.date(2018, 12, 31), 3, 3)
         curve = run_index_baseline(panel, trade_rows(plan),
-                                   initial_balance=1000.0)
+                                   initial_balance=1000.0, index_levels=None)
         idx = panel.date_slice(plan[0].trade.start,
                                plan[-1].trade.end)
         levels = panel.adj_close[list(idx)].sum(axis=1)
@@ -236,4 +239,4 @@ class TestIndexBaseline:
         rows = trade_rows(plan)
         with pytest.raises(ValueError, match=f"^needed {len(rows)} index "
                                              "levels, available 1$"):
-            run_index_baseline(panel, rows, index_levels=[1.0])
+            run_index_baseline(panel, rows, 1_000_000.0, index_levels=[1.0])

@@ -25,7 +25,7 @@ class TestLoadBars:
         text = HEADER
         for d in ("2020-01-02", "2020-01-03", "2020-01-06"):
             text += row(d, "AAA") + row(d, "BBB")
-        panel, report = load_bars(csv_stream(text))
+        panel, report = load_bars(csv_stream(text), 0.01)
         assert panel.D == 2 and panel.T == 3
         assert report.rejected == []
         assert panel.assets == ("AAA", "BBB")
@@ -36,7 +36,7 @@ class TestLoadBars:
             text += row(d, "AAA")
         for d in ("2020-01-03", "2020-01-06", "2020-01-07"):
             text += row(d, "BBB")
-        panel, _ = load_bars(csv_stream(text))
+        panel, _ = load_bars(csv_stream(text), 0.01)
         assert panel.T == 2
         assert panel.calendar == (dt.date(2020, 1, 3), dt.date(2020, 1, 6))
 
@@ -47,13 +47,14 @@ class TestLoadBars:
             text += row(d, "AAA") + row(d, "CCC")
             if d not in ("2020-01-03", "2020-01-07"):
                 text += row(d, "BBB")
-        panel, report = load_bars(csv_stream(text))
+        panel, report = load_bars(csv_stream(text), 0.01)
         assert panel.T == 2
         assert report.dropped_dates == 2
         assert report.incomplete_tickers == ["BBB"]
 
     def test_nothing_dropped_on_a_full_calendar(self):
-        _, report = load_bars(csv_stream(panel_to_csv(make_panel(D=3, T=20))))
+        _, report = load_bars(
+            csv_stream(panel_to_csv(make_panel(D=3, T=20))), 0.01)
         assert report.dropped_dates == 0
         assert report.incomplete_tickers == []
 
@@ -130,16 +131,17 @@ class TestLoadBars:
         assert report.total_rows == 4
 
     def test_fields_are_c_contiguous(self):
-        panel, _ = load_bars(csv_stream(panel_to_csv(make_panel(D=3, T=20))))
+        panel, _ = load_bars(
+            csv_stream(panel_to_csv(make_panel(D=3, T=20))), 0.01)
         for name in ("open", "high", "low", "close", "adj_close", "volume"):
             assert panel.field(name).flags.c_contiguous
 
     def test_empty_source(self):
         with pytest.raises(UserError, match="^no header row$"):
-            load_bars(csv_stream(""))
+            load_bars(csv_stream(""), 0.01)
         with pytest.raises(UserError,
                            match="^source has a header but no data rows$"):
-            load_bars(csv_stream(HEADER))
+            load_bars(csv_stream(HEADER), 0.01)
 
     def test_rejection_ceiling_aborts(self):
         text = HEADER
@@ -151,7 +153,7 @@ class TestLoadBars:
 
     def test_roundtrip_synthetic(self):
         panel = make_panel(D=2, T=30, seed=3)
-        loaded, report = load_bars(csv_stream(panel_to_csv(panel)))
+        loaded, report = load_bars(csv_stream(panel_to_csv(panel)), 0.01)
         assert loaded.assets == panel.assets
         assert report.rejected == []
         np.testing.assert_allclose(loaded.adj_close, panel.adj_close)

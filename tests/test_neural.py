@@ -31,13 +31,13 @@ class TestMlpForward:
                     np.testing.assert_array_equal(net.forward(x[i]), expected)
 
     def test_hand_example_linear(self):
-        net = Mlp([2, 1])
+        net = Mlp([2, 1], np.random.default_rng(0))
         net.params[0][:] = [[2.0], [3.0]]
         net.params[1][:] = [0.5]
         assert net.forward([1.0, -1.0]) == pytest.approx([-0.5])
 
     def test_hand_example_tanh_hidden(self):
-        net = Mlp([1, 1, 1])
+        net = Mlp([1, 1, 1], np.random.default_rng(0))
         net.params[0][:] = [[1.0]]
         net.params[1][:] = [0.0]
         net.params[2][:] = [[2.0]]
@@ -52,7 +52,7 @@ class TestMlpForward:
             np.testing.assert_allclose(net.forward(x[i]), batch[i])
 
     def test_bad_shape(self):
-        net = Mlp([3, 2])
+        net = Mlp([3, 2], np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"input shape \(1, 4\)"):
             net.forward(np.zeros(4))
         with pytest.raises(ValueError, match="need at least input"):
@@ -195,14 +195,14 @@ class TestGaussianPolicy:
         np.testing.assert_allclose(backward(coeff), fd, atol=1e-6)
 
     def test_std_clamped(self):
-        pol = GaussianPolicy(1, 1, hidden=(4,))
+        pol = GaussianPolicy(1, 1, hidden=(4,), rng=np.random.default_rng(0))
         pol.log_std[:] = 100.0
         assert pol.std()[0] == pytest.approx(10.0)
         pol.log_std[:] = -100.0
         assert pol.std()[0] == pytest.approx(1e-3)
 
     def test_clamped_log_std_gradient_zero(self):
-        pol = GaussianPolicy(1, 1, hidden=(4,))
+        pol = GaussianPolicy(1, 1, hidden=(4,), rng=np.random.default_rng(0))
         pol.log_std[:] = -100.0
         _, backward = pol.log_prob_grads(np.zeros((2, 1)), np.zeros((2, 1)))
         grad = backward(np.ones(2))

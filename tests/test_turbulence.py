@@ -39,14 +39,16 @@ class TestTurbulenceIndex:
 
     def test_identity_unit_vector(self):
         # +-s moves, one asset at a time, give the window mean 0 and
-        # covariance 2 s^2 / (lookback - 1) times the identity; a move of s
-        # along one asset then scores (lookback - 1) / 2
+        # covariance 2 s^2 / (lookback - 1) times the identity, whose
+        # trace-scaled ridge adds 1e-8 of it; a move of s along one asset
+        # then scores (lookback - 1) / 2 / (1 + 1e-8)
         d, s = 4, 0.01
         moves = np.concatenate([s * np.eye(d), -s * np.eye(d)])
         lookback = len(moves)
         panel = panel_from_returns(np.vstack([moves, s * np.eye(d)[:1]]))
-        series = rolling_turbulence(panel, lookback=lookback, ridge=0.0)
-        assert series[-1] == pytest.approx((lookback - 1) / 2, rel=1e-9)
+        series = rolling_turbulence(panel, lookback=lookback)
+        assert series[-1] == pytest.approx((lookback - 1) / 2 / (1 + 1e-8),
+                                           rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_solve_oracle(self, seed):
@@ -69,7 +71,7 @@ class TestTurbulenceIndex:
     def test_nonnegative(self):
         for seed in range(30):
             panel = make_panel(D=5, T=80, seed=seed)
-            assert np.all(rolling_turbulence(panel, 50, ridge=0.0) >= 0.0)
+            assert np.all(rolling_turbulence(panel, 50) >= 0.0)
 
     def test_affine_invariance(self):
         # scaling every return by c scales the window's mean by c and its
@@ -108,7 +110,7 @@ class TestRollingTurbulence:
         lookback = 6
         rets = [0.01, 0.02, 0.03, 0.01, 0.02, 0.03]
         panel = panel_from_returns(np.array(rets + [np.mean(rets)])[:, None])
-        series = rolling_turbulence(panel, lookback=lookback, ridge=0.0)
+        series = rolling_turbulence(panel, lookback=lookback)
         assert series[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_each_value_is_turbulence_index_of_its_window(self):
@@ -162,9 +164,6 @@ class TestRollingTurbulence:
                 f"needed price movement in the 252 returns before {day} "
                 "([turbulence] lookback), available none") + "$"):
             rolling_turbulence(panel, lookback=lookback)
-        # an explicit ridge is not checked
-        series = rolling_turbulence(panel, lookback=lookback, ridge=1e-6)
-        assert np.all(np.isfinite(series))
 
     def test_one_flat_asset_keeps_the_default_ridge(self):
         # one moving asset keeps each window's trace, and so its ridge,
