@@ -120,8 +120,8 @@ def train_and_validate(panel: PricePanel, features: np.ndarray,
                        turbulence: np.ndarray, plan: Iterable[WindowTriple],
                        env_config: EnvConfig,
                        agent_configs: dict[str, AgentConfig],
-                       seed: int, turbulence_quantile: float,
-                       phase_callback=None) -> list[WindowResult]:
+                       seed: int, turbulence_quantile: float
+                       ) -> list[WindowResult]:
     """Walk the plan once, producing trained agents and validation scores
     for every quarter. Shared by the ensemble and the always-one-kind
     strategies, so training happens exactly once per (quarter, kind). The
@@ -133,8 +133,6 @@ def train_and_validate(panel: PricePanel, features: np.ndarray,
         threshold = window_threshold(turbulence, triple.trade.rows.start,
                                      turbulence_quantile)
         agents: dict[str, Agent] = {}
-        if phase_callback:
-            phase_callback(triple.index, "train")
         rows = triple.train.rows
         env = TradingEnv(panel, features, (rows[0], rows[-1]), env_config)
         for k_idx, kind in enumerate(AGENT_KINDS):
@@ -143,8 +141,6 @@ def train_and_validate(panel: PricePanel, features: np.ndarray,
             agents[kind] = train_agent(kind, env, agent_configs[kind],
                                        agent_seed,
                                        warm_start=previous.get(kind))
-        if phase_callback:
-            phase_callback(triple.index, "validate")
         rows = triple.validation.rows
         env = TradingEnv(panel, features, (rows[0], rows[-1]), env_config,
                          turbulence=turbulence, turbulence_threshold=threshold)

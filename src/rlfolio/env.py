@@ -118,7 +118,7 @@ class TradingEnv:
 
     The env keeps its inputs (adjusted close, features, turbulence) only
     for dates [0, end] and reads a date through `market_at` alone, so
-    nothing after the window is reachable and every read is logged.
+    nothing after the window is reachable and one method sees every read.
     """
 
     def __init__(self, panel: PricePanel, features: np.ndarray,
@@ -151,11 +151,8 @@ class TradingEnv:
         self._row_blocks = np.split(self._row[1:], [panel.D, 2 * panel.D])
 
     def market_at(self, t: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Date t's prices, feature row and turbulence value; logged in
-        `panel.access_log` when tracking is on. Past the window end this
-        raises IndexError."""
-        if self.panel.access_log is not None:
-            self.panel.access_log.append(t)
+        """Date t's prices, feature row and turbulence value. Past the
+        window end this raises IndexError."""
         return self._prices[t], self._features[t], float(self._turbulence[t])
 
     def reset(self, balance: float | None = None,
@@ -203,10 +200,11 @@ class TradingEnv:
         self.state = result.next_state
         return self.observe(), result.reward, result.next_state.done
 
-    def observe(self, state: EnvState | None = None) -> np.ndarray:
-        """The state's balance over `initial_balance`, holdings over `h_max`,
-        prices and features over the fixed scales; reads nothing else."""
-        state = self.state if state is None else state
+    def observe(self) -> np.ndarray:
+        """The held state's balance over `initial_balance`, holdings over
+        `h_max`, prices and features over the fixed scales; reads nothing
+        else."""
+        state = self.state
         row = self._row
         prices, holdings, features = self._row_blocks
         row[0] = state.balance

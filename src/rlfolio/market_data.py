@@ -34,9 +34,8 @@ class PricePanel:
     """Aligned T x D table of bars over a common trading calendar.
 
     Each bar field is one dense, read-only, C-contiguous T x D array, the
-    only copy of the market data; `access_log` records the dates an env
-    reads (`TradingEnv.market_at`) when tracking is on. Immutable after
-    construction; concurrent reads are safe.
+    only copy of the market data. Immutable after construction; concurrent
+    reads are safe.
     """
 
     def __init__(self, assets: list[str], calendar: list[dt.date],
@@ -52,7 +51,6 @@ class PricePanel:
             if arr.shape != (self.T, self.D):
                 raise ValueError(f"field {name} has shape {arr.shape}")
             arr.setflags(write=False)
-        self.access_log: list[int] | None = None
 
     @property
     def T(self) -> int:
@@ -69,9 +67,6 @@ class PricePanel:
     @property
     def adj_close(self) -> np.ndarray:
         return self._fields["adj_close"]
-
-    def enable_access_tracking(self) -> None:
-        self.access_log = []
 
     def date_slice(self, start: dt.date, end: dt.date) -> range:
         """Indices of calendar dates within [start, end]."""

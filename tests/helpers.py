@@ -1,18 +1,22 @@
 """Shared test fixtures: synthetic market data and toy environments."""
 from __future__ import annotations
 
+import contextlib
 import copy
 import datetime as dt
 import io
 
 # rlfolio before numpy, so a probe that imports this module first runs BLAS
 # on one thread, as the program does
+from rlfolio import ensemble
 from rlfolio.agents import A2CAgent, AgentConfig
+from rlfolio.env import TradingEnv
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.neural import GaussianPolicy, Mlp
 from rlfolio.turbulence import default_ridge
 
 import numpy as np
+import pytest
 
 import oracles
 
@@ -112,6 +116,40 @@ def window_turbulence(rets: np.ndarray, t: int, lookback: int) -> float:
 
 def csv_stream(text: str) -> io.StringIO:
     return io.StringIO(text)
+
+
+@contextlib.contextmanager
+def recorded_reads():
+    """Watch env reads from outside the program: yields `(log, marks)`.
+
+    `log` gets each date index that any `TradingEnv`, a subclass included,
+    reads through `market_at`. `ensemble.train_agent` and
+    `ensemble.validate_agent` are wrapped to mark where each quarter's
+    train and validate reads start, as `(quarter, phase, len(log))` in
+    `marks`. A quarter is its three trainings, then its three validations,
+    so a `"train"` mark after a `"validate"` one starts the next quarter.
+    Everything is unpatched on exit."""
+    log, marks = [], []
+    market_at = TradingEnv.market_at
+
+    def reading(env, t):
+        log.append(t)
+        return market_at(env, t)
+
+    def marking(phase, call):
+        def marked(*args, **kwargs):
+            if not marks or marks[-1][1] != phase:
+                marks.append((len(marks) // 2, phase, len(log)))
+            return call(*args, **kwargs)
+        return marked
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TradingEnv, "market_at", reading)
+        patch.setattr(ensemble, "train_agent",
+                      marking("train", ensemble.train_agent))
+        patch.setattr(ensemble, "validate_agent",
+                      marking("validate", ensemble.validate_agent))
+        yield log, marks
 
 
 def float64_twin(obj):

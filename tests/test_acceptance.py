@@ -31,7 +31,7 @@ from rlfolio.indicators import build_features
 
 import oracles
 from helpers import (TwoArmedBandit, advantage, float64_twin, make_panel,
-                     panel_to_csv, window_turbulence)
+                     panel_to_csv, recorded_reads, window_turbulence)
 
 
 def criterion(number, description):
@@ -346,18 +346,15 @@ def test_criterion_09_walk_forward_integrity():
             assert days > prev
         prev = days
 
-    # instrumented run: train/validate never touch trade-period data
-    panel.enable_access_tracking()
-    marks = []
+    # recorded run: train/validate never touch trade-period data
     tiny = AgentConfig(hidden=(8,), rollout=16, warmup_steps=8, batch_size=4,
                        total_steps=70)
-    windows = train_and_validate(
-        panel, features, turbulence, plan,
-        EnvConfig(initial_balance=100_000.0, h_max=5),
-        {k: tiny for k in ("PPO", "A2C", "DDPG")}, seed=5,
-        turbulence_quantile=0.99, phase_callback=lambda i, phase: marks.append(
-            (i, phase, len(panel.access_log))))
-    log = panel.access_log
+    with recorded_reads() as (log, marks):
+        windows = train_and_validate(
+            panel, features, turbulence, plan,
+            EnvConfig(initial_balance=100_000.0, h_max=5),
+            {k: tiny for k in ("PPO", "A2C", "DDPG")}, seed=5,
+            turbulence_quantile=0.99)
     bounds = marks + [(None, None, len(log))]
     train_end_read = False
     for (index, phase, start), (_, _, stop) in zip(bounds, bounds[1:]):

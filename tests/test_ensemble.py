@@ -18,7 +18,7 @@ from rlfolio.indicators import build_features
 from rlfolio.market_data import build_window_plan
 from rlfolio.turbulence import rolling_turbulence
 
-from helpers import make_panel, trade_rows
+from helpers import make_panel, recorded_reads, trade_rows
 from oracles import trades_oracle
 
 TINY = AgentConfig(hidden=(8,), rollout=16, warmup_steps=8, batch_size=4,
@@ -323,25 +323,19 @@ class TestOnePass:
 
 def assert_walk_forward_access(panel, features, turbulence, plan,
                                configs=TINY_CONFIGS, seed=1):
-    """The no-lookahead gate: train and validate every quarter with access
-    tracking on, and check that each phase reads only dates before its
-    quarter's trade interval, and that some quarter's training reads its
-    window's last date (where a peek at t + 1 would leave the window).
+    """The no-lookahead gate: train and validate every quarter with every
+    env read recorded, and check that each phase reads only dates before
+    its quarter's trade interval, and that some quarter's training reads
+    its window's last date (where a peek at t + 1 would leave the window).
     Returns the window results."""
-    panel.enable_access_tracking()
-    marks = []
-
-    def phase_cb(index, phase):
-        marks.append((index, phase, len(panel.access_log)))
-
-    windows = train_and_validate(panel, features, turbulence, plan,
-                                 EnvConfig(initial_balance=10_000.0,
-                                           h_max=5),
-                                 configs, seed=seed, turbulence_quantile=0.99,
-                                 phase_callback=phase_cb)
+    with recorded_reads() as (log, marks):
+        windows = train_and_validate(panel, features, turbulence, plan,
+                                     EnvConfig(initial_balance=10_000.0,
+                                               h_max=5),
+                                     configs, seed=seed,
+                                     turbulence_quantile=0.99)
     # every data access during train/validate phases stays strictly
     # before the corresponding trade interval
-    log = panel.access_log
     boundaries = marks + [(None, "end", len(log))]
     train_end_read = False
     for (index, phase, start), (_, _, stop) in zip(boundaries,
@@ -362,10 +356,10 @@ def assert_walk_forward_access(panel, features, turbulence, plan,
 class PeekingEnv(TradingEnv):
     """A lookahead mutant: observes date t+1's features at date t."""
 
-    def observe(self, state=None):
-        state = self.state if state is None else state
-        _, features, _ = self.market_at(state.t + 1)
-        return super().observe(replace(state, features=features))
+    def market_at(self, t):
+        prices, _, turbulence = super().market_at(t)
+        _, features, _ = super().market_at(t + 1)
+        return prices, features, turbulence
 
 
 class TestTrainAndValidate:

@@ -15,7 +15,7 @@ from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import rolling_turbulence
 
-from helpers import make_panel, make_trend_panel
+from helpers import make_panel, make_trend_panel, recorded_reads
 from oracles import resolve_action_oracle, reward_components, step_oracle
 
 
@@ -444,12 +444,14 @@ class TestObserve:
                                    state.holdings, state.features]) / scale
 
         rng = np.random.default_rng(D)
+        probe = make_env(panel, config)  # observes the random states
         returned = [(env.reset(), expected(env.state))]
         for _ in range(30):
             prices, features, _ = env.market_at(int(rng.integers(panel.T)))
-            state = EnvState(0, float(rng.uniform(0.0, 1e7)),
-                             rng.integers(0, 10_000, D), prices, features)
-            returned.append((env.observe(state), expected(state)))
+            probe.state = EnvState(0, float(rng.uniform(0.0, 1e7)),
+                                   rng.integers(0, 10_000, D), prices,
+                                   features)
+            returned.append((probe.observe(), expected(probe.state)))
             obs, _, done = env.step(rng.uniform(-1.0, 1.0, D))
             returned.append((obs, expected(env.state)))
             if done:
@@ -475,10 +477,11 @@ class TestMarketAt:
         panel = make_panel(D=2, T=50)
         env = make_env(panel)
         env.market_at(1)
-        panel.enable_access_tracking()
-        for t in [3, 7, 3, 11]:
-            env.market_at(t)
-        assert panel.access_log == [3, 7, 3, 11]
+        with recorded_reads() as (log, _):
+            for t in [3, 7, 3, 11]:
+                env.market_at(t)
+        env.market_at(2)
+        assert log == [3, 7, 3, 11]
 
 
 class TestNoLookahead:

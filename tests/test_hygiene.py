@@ -58,10 +58,8 @@ def public_definitions(tree: ast.Module) -> set[str]:
 
 # Public names no package module reads that stay for a stated reason.
 ALLOWED_UNREFERENCED = {
-    # perfbench's fingerprint reads it; ROADMAP item 1 deletes both
+    # `perfbench/run.py`'s `fingerprint` reads it, with no fallback
     "__init__.py": {"KERNEL_BACKEND"},
-    # the no-lookahead gates turn it on to log every date an env reads
-    "market_data.py": {"PricePanel.enable_access_tracking"},
 }
 
 
@@ -587,3 +585,96 @@ def test_parameter_conversions_are_caught():
 def test_only_the_listed_parameters_are_converted():
     assert (sorted(parameter_conversions(package_trees()))
             == sorted(ALLOWED_CONVERSIONS))
+
+
+# The only defaulted parameters no package call passes, as
+# `module:function parameter`. Any other is an option only a test sets.
+ALLOWED_UNPASSED = [
+    # `tests/helpers.float64_twin` and the finite-difference probes wrap a
+    # float64 vector through it
+    "neural.py:GaussianPolicy.__init__ flat",
+]
+
+
+def unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:function parameter` of each defaulted parameter of a function
+    or method of `trees` that no call in `trees` passes, by position or by
+    keyword. Calls match by name: `f(...)` or `x.f(...)` for `f`, and also
+    `C(...)` for `C.__init__`; a method's position skips `self`. A call
+    that unpacks `*args` passes every positional parameter, and one that
+    unpacks `**kwargs` every parameter."""
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def passes(call: ast.Call, name: str, position: int | None) -> bool:
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        if position is None:
+            return False
+        return (len(call.args) > position
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+    found = []
+
+    def visit(node: ast.AST, scope: list[str], cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, [*scope, child.name], child.name)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, scope, None)
+                continue
+            a = child.args
+            positional = [*a.posonlyargs, *a.args]
+            defaulted = [(p.arg, i - bool(cls)) for i, p in enumerate(
+                positional) if i >= len(positional) - len(a.defaults)]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs,
+                                                        a.kw_defaults) if d]
+            names = {child.name} | ({cls} if child.name == "__init__"
+                                    else set())
+            callers = [c for c in calls if getattr(
+                c.func, "id", getattr(c.func, "attr", None)) in names]
+            found.extend(f"{module}:{'.'.join([*scope, child.name])} {name}"
+                         for name, position in defaulted
+                         if not any(passes(c, name, position)
+                                    for c in callers))
+            visit(child, [*scope, child.name], None)
+
+    for module, tree in trees.items():
+        visit(tree, [], None)
+    return found
+
+
+def test_unpassed_defaults_are_caught():
+    trees = {"a.py": ast.parse(
+                 "def f(a, b=1, c=2, *, key=None, flag=False):\n"
+                 "    def inner(x=0): pass\n"
+                 "    inner()\n"
+                 "class Env:\n"
+                 "    def __init__(self, size, scale=1.0, dtype=None): pass\n"
+                 "    def observe(self, state=None): pass\n"
+                 "    def step(self, action, clip=True): pass\n"
+                 "def g(rows=None, *args, **kwargs): pass\n"),
+             "b.py": ast.parse(
+                 "f(0, 1, key=2)\nenv = Env(3, 2.0)\nenv.observe()\n"
+                 "env.step(a, *rest)\ng(**opts)\n")}
+    assert unpassed_defaults(trees) == [
+        "a.py:f c", "a.py:f flag", "a.py:f.inner x", "a.py:Env.__init__ dtype",
+        "a.py:Env.observe state"]
+
+
+def test_every_default_is_passed_by_some_caller():
+    assert sorted(set(unpassed_defaults(package_trees()))
+                  - set(ALLOWED_UNPASSED)) == []
+
+
+def test_no_allowlist_entry_is_stale():
+    # each entry still names a definition nothing reads, or a default
+    # nothing passes, so deleting either leaves no entry behind
+    trees = package_trees()
+    unread = unreferenced(trees, {})
+    stale = {module: sorted(names - set(unread.get(module, [])))
+             for module, names in ALLOWED_UNREFERENCED.items()}
+    assert {module: names for module, names in stale.items() if names} == {}
+    assert sorted(set(ALLOWED_UNPASSED)
+                  - set(unpassed_defaults(trees))) == []
