@@ -21,8 +21,6 @@ def train_agent(kind: str, env, config: AgentConfig, seed: int,
     """
     agent = _CLASSES[kind](env.obs_dim, env.action_dim, config, seed)
     if warm_start is not None:
-        if warm_start.kind != agent.kind:
-            raise ValueError("warm start kind mismatch")
         for dst, src in zip(agent.parameters(), warm_start.parameters()):
             dst[...] = src
     if config.total_steps > 0:

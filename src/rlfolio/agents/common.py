@@ -64,8 +64,6 @@ class TransitionStore:
 
     def sample(self, n: int, rng: np.random.Generator):
         """`rows` at n slots drawn uniformly with replacement."""
-        if self.size < n:
-            raise ValueError(f"buffer has {self.size} < {n}")
         return self.rows(rng.integers(0, self.size, size=n))
 
 

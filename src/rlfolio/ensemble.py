@@ -71,8 +71,6 @@ class StrategyResult:
 def pick_best(scores: dict[str, float | None]) -> str:
     """Argmax validation Sharpe; ties resolved PPO > A2C > DDPG; undefined
     (None) scores never win; all-undefined falls back to PPO."""
-    if not scores:
-        raise ValueError("no validation scores")
     defined = [k for k in AGENT_KINDS if scores.get(k) is not None]
     return max(defined, key=scores.__getitem__, default=FALLBACK_KIND)
 

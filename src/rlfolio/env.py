@@ -118,19 +118,15 @@ class TradingEnv:
 
     The env keeps its inputs (adjusted close, features, turbulence) only
     for dates [0, end] and reads a date through `market_at` alone, so
-    nothing after the window is reachable and one method sees every read.
+    nothing after the window is reachable and one method sees every read: a
+    step from the window's last row raises IndexError there, before any
+    state changes. The window plan gives each window 2+ panel rows.
     """
 
     def __init__(self, panel: PricePanel, features: np.ndarray,
                  window: tuple[int, int], config: EnvConfig = EnvConfig(),
                  turbulence: np.ndarray | None = None,
                  turbulence_threshold: float = np.inf):
-        if window[1] <= window[0]:
-            raise ValueError("needed window of at least 2 dates, available "
-                             f"{window[1] - window[0] + 1}")
-        if window[0] < 0 or window[1] >= panel.T:
-            raise ValueError(f"needed window {window} inside panel, "
-                             f"available {panel.T}")
         self.panel = panel
         self.start, self.end = window
         self.config = config
@@ -171,8 +167,6 @@ class TradingEnv:
         sells every held share, not capped by h_max, and buys nothing;
         otherwise the action is resolved by `resolve_action`.
         """
-        if state.done:
-            raise RuntimeError(f"episode already done at t={state.t}")
         cfg = self.config
         triggered = state.turbulence > self.threshold
         if triggered:

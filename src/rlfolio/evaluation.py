@@ -36,14 +36,10 @@ def daily_returns(values: np.ndarray) -> np.ndarray:
 
 
 def cumulative_return(values: np.ndarray) -> float:
-    if len(values) == 0:
-        raise ValueError("empty equity curve")
     return float(values[-1] / values[0] - 1.0)
 
 
 def annual_return(values: np.ndarray) -> float:
-    if len(values) < 2:
-        raise ValueError("need at least two curve points")
     growth = values[-1] / values[0]
     return float(growth ** (PERIODS_PER_YEAR / (len(values) - 1)) - 1.0)
 
@@ -66,8 +62,6 @@ def sharpe(daily_returns: np.ndarray) -> float | None:
 
 
 def max_drawdown(values: np.ndarray) -> float:
-    if len(values) == 0:
-        raise ValueError("empty equity curve")
     running_max = np.maximum.accumulate(values)
     return float((values / running_max - 1.0).min())
 
@@ -139,9 +133,6 @@ def run_index_baseline(panel: PricePanel, rows: range, initial_balance: float,
     a price-weighted proxy built from the panel."""
     if index_levels is not None:
         levels = np.array(index_levels, dtype=float)
-        if len(levels) != len(rows):
-            raise ValueError(f"needed {len(rows)} index levels, available "
-                             f"{len(levels)}")
     else:
         levels = panel.adj_close[list(rows)].sum(axis=1)
     values = initial_balance * levels / levels[0]

@@ -40,17 +40,12 @@ class PricePanel:
 
     def __init__(self, assets: list[str], calendar: list[dt.date],
                  fields: dict[str, np.ndarray]):
-        if not assets or not calendar:
-            raise ValueError("panel must have at least one asset and one date")
         self.assets = tuple(assets)
         self.calendar = tuple(calendar)
         self._fields = {k: np.ascontiguousarray(v, dtype=float)
                         for k, v in fields.items()}
         for name in BAR_FIELDS:
-            arr = self._fields[name]
-            if arr.shape != (self.T, self.D):
-                raise ValueError(f"field {name} has shape {arr.shape}")
-            arr.setflags(write=False)
+            self._fields[name].setflags(write=False)
 
     @property
     def T(self) -> int:

@@ -25,14 +25,13 @@ class Mlp:
     that order, each bias as a 1 x out row, which a one-row input adds
     without broadcasting. A new net is float32 and Glorot-uniform
     initialized from `rng`; passing `flat` wraps an existing vector, of any
-    float dtype, instead. Inputs and upstream gradients are cast to the
+    float dtype, instead. Inputs have `sizes[0]` columns, and numpy's
+    product raises otherwise; they and upstream gradients are cast to the
     vector's dtype.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
                  flat: np.ndarray | None = None):
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
         self.n_layers = len(sizes) - 1
         shapes = [shape for n_in, n_out in zip(sizes[:-1], sizes[1:])
@@ -40,8 +39,6 @@ class Mlp:
         size = sum(map(math.prod, shapes))
         fresh = flat is None
         self.flat = np.zeros(size, dtype=np.float32) if fresh else flat
-        if self.flat.shape != (size,):
-            raise ValueError(f"flat shape {self.flat.shape}, expected ({size},)")
         self.params, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
@@ -55,15 +52,6 @@ class Mlp:
     def clone(self) -> "Mlp":
         return Mlp(self.sizes, flat=self.flat.copy())
 
-    def _check_input(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=self.flat.dtype)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
-            raise ValueError(f"input shape {x.shape}, expected (*, {self.sizes[0]})")
-        return x, single
-
     def forward(self, x) -> np.ndarray:
         y, _ = self.forward_cache(x)
         return y
@@ -71,7 +59,10 @@ class Mlp:
     def forward_cache(self, x):
         """Forward pass and the list of layer activations, input first, that
         `backward` takes."""
-        x, single = self._check_input(x)
+        x = np.asarray(x, dtype=self.flat.dtype)
+        single = x.ndim == 1
+        if single:
+            x = x[None, :]
         acts = [x]
         h = x
         for layer in range(self.n_layers):
@@ -90,8 +81,6 @@ class Mlp:
         `forward_cache` activations, w.r.t. `flat` (one vector in its
         layout) and the input rows."""
         g = np.asarray(upstream, dtype=self.flat.dtype)
-        if g.shape[-1] != self.sizes[-1]:
-            raise ValueError(f"upstream shape {g.shape}")
         grads: list[np.ndarray] = [None] * len(self.params)
         for layer in reversed(range(self.n_layers)):
             a_in = acts[layer]
@@ -119,8 +108,6 @@ class Adam:
 
     def step(self, g: np.ndarray) -> None:
         p = self.p
-        if p.shape != np.shape(g):
-            raise ValueError(f"grad shape {np.shape(g)} vs param {p.shape}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")
         if self._m is None:

